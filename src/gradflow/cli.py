@@ -1,6 +1,7 @@
 """Command-line front end: reproducible runs with CSV/JSON outputs.
 
-Exit codes: 0 success, 2 invalid input, 3 failed acceptance check (--check).
+Exit codes: 0 success, 2 invalid input or solver failure, 3 failed acceptance
+check (--check).
 Output files are written atomically (temp file + rename) so partial runs
 never leave truncated artifacts behind.
 """
@@ -16,6 +17,7 @@ import tempfile
 import numpy as np
 
 from . import diagnostics, experiments
+from .dual_action import ConjugateGradientError
 from .dynamics import assemble_generator, solve_trajectory
 from .functionals import fisher
 from .mesh import (Mesh, MeshError, build_cartesian_mesh, build_interval_mesh,
@@ -25,12 +27,13 @@ from .reference import (discretize_reference, face_weights,
                         initial_measure_from_token, potential_from_token)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gradflow-")
+def _atomic_write(path: str, write) -> None:
+    """Call write(tmp) on a temp file beside path, then rename it into place."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
+                               prefix=".gradflow-")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -39,20 +42,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    def write(tmp):
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-
-def _write_csv_atomic(path: str, writer) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               prefix=".gradflow-")
-    os.close(fd)
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, write)
 
 
 def _load_sites(path: str) -> np.ndarray:
@@ -121,8 +115,8 @@ def cmd_mesh(args) -> int:
             for k, d in enumerate(defects):
                 fh.write(f"{k},{float(d)!r}\n")
 
-    _write_csv_atomic(os.path.join(out, "regularity.csv"), write_report)
-    _write_csv_atomic(os.path.join(out, "isotropy.csv"), write_isotropy)
+    _atomic_write(os.path.join(out, "regularity.csv"), write_report)
+    _atomic_write(os.path.join(out, "isotropy.csv"), write_isotropy)
     _write_json(os.path.join(out, "summary.json"),
                 {"command": "mesh", "cells": mesh.n_cells, "faces": mesh.n_faces,
                  "zeta": report.zeta, "mesh_size": report.mesh_size,
@@ -147,8 +141,7 @@ def cmd_solve(args) -> int:
     trajectory = solve_trajectory(m0, args.T, args.M, generator,
                                   scheme=args.scheme)
     out = _out_dir(args)
-    _write_csv_atomic(os.path.join(out, "trajectory.csv"),
-                      trajectory.export_csv)
+    _atomic_write(os.path.join(out, "trajectory.csv"), trajectory.export_csv)
     _write_json(os.path.join(out, "summary.json"),
                 {"command": "solve", "scheme": trajectory.scheme,
                  "T": args.T, "steps": args.M, "cells": mesh.n_cells})
@@ -157,6 +150,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_edi(args) -> int:
+    # the audit at M and its control at M/2 both use Simpson's rule
+    if args.M < 4 or args.M % 4 != 0:
+        raise ValueError(f"--M must be a positive multiple of 4 (Simpson's "
+                         f"rule at M and M/2), got {args.M}")
     mesh = _mesh_from_args(args)
     potential = potential_from_token(args.potential, mesh.dim)
     pi = discretize_reference(mesh, potential)
@@ -178,7 +175,7 @@ def cmd_edi(args) -> int:
                                audit.action_integral, audit.fisher_integral,
                                audit.residual, tol)) + "\n")
 
-    _write_csv_atomic(os.path.join(out, "edi.csv"), write)
+    _atomic_write(os.path.join(out, "edi.csv"), write)
     _write_json(os.path.join(out, "summary.json"),
                 {"command": "edi", **audit.summary(), "tol": tol,
                  "pass": bool(passed)})
@@ -206,10 +203,10 @@ def cmd_gamma(args) -> int:
         potential = potential_from_token(args.potential, dim)
         phi, grad = _phi_from_token(args.phi, dim)
         study = experiments.gamma_energy_study(family, phi, potential,
-                                               m_rule=args.m_rule, grad=grad)
+                                               grad=grad)
         errors = study.column("error")
         checks = bool(np.all(np.diff(errors) < 0.0))
-    _write_csv_atomic(os.path.join(out, "gamma.csv"), study.to_csv)
+    _atomic_write(os.path.join(out, "gamma.csv"), study.to_csv)
     _write_json(os.path.join(out, "summary.json"),
                 {"command": "gamma", **study.summary(), "pass": bool(checks)})
     print(f"gamma[{args.mode}]: {len(study.rows)} rows, "
@@ -249,7 +246,7 @@ def cmd_converge(args) -> int:
     orders = study.column("order")[1:]
     passed = bool(np.all(np.diff(errors) < 0.0) and np.all(orders >= 1.0))
     out = _out_dir(args)
-    _write_csv_atomic(os.path.join(out, "converge.csv"), study.to_csv)
+    _atomic_write(os.path.join(out, "converge.csv"), study.to_csv)
     _write_json(os.path.join(out, "summary.json"),
                 {"command": "converge", **study.summary(), "pass": passed})
     print(f"converge: final sup error {study.rows[-1].error:.3e}, "
@@ -268,7 +265,7 @@ def cmd_diagnose(args) -> int:
         eps_list=[0.2, 0.1, 0.05])
     constants = diagnostics.path_constants(mesh)
     out = _out_dir(args)
-    _write_csv_atomic(os.path.join(out, "condition.csv"), report.to_csv)
+    _atomic_write(os.path.join(out, "condition.csv"), report.to_csv)
 
     def write_paths(path):
         with open(path, "w", encoding="ascii") as fh:
@@ -276,7 +273,7 @@ def cmd_diagnose(args) -> int:
             fh.write(f"{constants.c_count!r},{constants.c_length!r},"
                      f"{constants.n_pairs}\n")
 
-    _write_csv_atomic(os.path.join(out, "paths.csv"), write_paths)
+    _atomic_write(os.path.join(out, "paths.csv"), write_paths)
     hol = diagnostics.l2_holder_modulus(
         mesh, np.asarray(m0.masses) / pi.masses,
         np.full(mesh.dim, 0.5 * mesh.size()), m0, pi, kind=args.mean)
@@ -286,7 +283,7 @@ def cmd_diagnose(args) -> int:
             fh.write("value,bound,ratio\n")
             fh.write(f"{hol.value!r},{hol.bound!r},{hol.ratio!r}\n")
 
-    _write_csv_atomic(os.path.join(out, "holder.csv"), write_holder)
+    _atomic_write(os.path.join(out, "holder.csv"), write_holder)
     _write_json(os.path.join(out, "summary.json"),
                 {"command": "diagnose", "k_lower": report.k_lower,
                  "k_upper": report.k_upper,
@@ -352,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="uniform1d:16..256")
     p.add_argument("--mode", default="energy", choices=["energy", "affine"])
     p.add_argument("--phi", default="cosine")
-    p.add_argument("--m-rule", dest="m_rule", default="stationary",
-                   choices=["stationary"])
     p.add_argument("--z")
     p.add_argument("--xi")
     p.add_argument("--eps", type=float, default=0.5)
@@ -383,7 +378,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (MeshError, ValueError, FileNotFoundError, OSError) as exc:
+    except (MeshError, ValueError, ConjugateGradientError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

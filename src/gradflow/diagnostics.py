@@ -252,27 +252,6 @@ def path_constants(mesh: Mesh, sample: int = PATH_SAMPLE_COUNT,
     return PathConstants(c_count=c_count, c_length=c_length, n_pairs=len(pairs))
 
 
-def count_pairs_through_face(mesh: Mesh, h, face_index: int) -> int:
-    """How many shifted-overlap pairs route their good path over one face.
-
-    Exposed for inspection only; pairs (K, L) count when the closure of K
-    meets the closure of L translated by h and the chain of good_path(K, L)
-    uses both cells of the given face consecutively.
-    """
-    hv = np.atleast_1d(np.asarray(h, dtype=float))
-    fk, fl = (int(c) for c in mesh.face_cells[face_index])
-    count = 0
-    for i in range(mesh.n_cells):
-        for j in range(mesh.n_cells):
-            if i == j or _shift_overlap(mesh, i, j, hv) <= 0.0:
-                continue
-            chain = good_path(mesh, i, j).cells
-            edges = set(zip(chain[:-1], chain[1:]))
-            if (fk, fl) in edges or (fl, fk) in edges:
-                count += 1
-    return count
-
-
 def _shift_overlap(mesh: Mesh, i: int, j: int, h: np.ndarray) -> float:
     """Measure of cell i intersected with (cell j + h)."""
     if mesh.dim == 1:

@@ -8,8 +8,6 @@ Studies are deterministic for fixed seeds and reproduce byte-identical CSV.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,24 +22,8 @@ from .reference import (DiscreteMeasure, Potential, density_from_token,
 from .functionals import (action, dirichlet_energy, entropy, fisher,
                           continuous_dirichlet, _gauss_rule_1d)
 from .dual_action import assemble_onsager, dual_action
-from .dynamics import Generator, assemble_generator, solve_trajectory
-
-
-def worker_count() -> int:
-    """Parallelism cap from GRADFLOW_THREADS (default 1, deterministic)."""
-    raw = os.environ.get("GRADFLOW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn: Callable, items):
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+from .dynamics import (EXACT_DENSE_LIMIT, Generator, assemble_generator,
+                       solve_trajectory)
 
 
 # -- mesh families ---------------------------------------------------------------
@@ -400,7 +382,7 @@ def gamma_energy_study(family: MeshFamily, phi: Callable, potential: Potential,
         return StudyRow(mesh_size=mesh.size(), value=value, reference=reference,
                         error=abs(value - reference))
 
-    rows = _map_ordered(one, meshes)
+    rows = [one(mesh) for mesh in meshes]
     _attach_orders(rows)
     return StudyResult("gamma_energy",
                        {"family": family.name, "m_rule": m_rule,
@@ -477,7 +459,7 @@ def gamma_affine_minimization_study(family: MeshFamily, z, xi, eps: float,
                                 "boundary_layer": layer,
                                 "interior_cells": float(len(interior))})
 
-    rows = _map_ordered(one, meshes)
+    rows = [one(mesh) for mesh in meshes]
     _attach_orders(rows)
     return StudyResult("gamma_affine",
                        {"family": family.name, "z": tuple(z_arr),
@@ -494,6 +476,32 @@ def _simpson_weights(steps: int, dt: float) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * (dt / 3.0)
+
+
+def _dissipation_integrals(mesh: Mesh, weights, pi: DiscreteMeasure,
+                           generator: Generator, masses: np.ndarray,
+                           T: float):
+    """Dual action at (m, dm/dt) and half the Fisher information along a
+    trajectory sampled at equally spaced nodes on [0, T].
+
+    Each dual solve is warm-started from the previous node's solution.
+    Returns both node arrays and their Simpson integrals.
+    """
+    steps = len(masses) - 1
+    w = _simpson_weights(steps, T / steps)
+    dual_nodes = np.empty(steps + 1)
+    fisher_nodes = np.empty(steps + 1)
+    guess = None
+    for i, m_i in enumerate(masses):
+        sigma = generator.matrix @ m_i
+        operator = assemble_onsager(mesh, weights, m_i, pi)
+        dual_nodes[i], guess = dual_action(m_i, sigma, weights, pi,
+                                           operator=operator,
+                                           initial_guess=guess,
+                                           return_solution=True)
+        fisher_nodes[i] = 0.5 * fisher(m_i, weights, pi)
+    return (dual_nodes, fisher_nodes, float(w @ dual_nodes),
+            float(w @ fisher_nodes))
 
 
 @dataclass
@@ -521,13 +529,14 @@ def edi_audit(mesh: Mesh, potential: Potential, m0: DiscreteMeasure, T: float,
               quad_order: int | None = None) -> EdiAudit:
     """Audit the entropy balance H(m_T) + int (dual + half Fisher) = H(m_0).
 
-    Needs the dense spectral oracle (at most 400 cells) and strictly positive
-    initial masses; blend toward the stationary measure first otherwise.
-    The residual along exact flows is pure quadrature error and shrinks at
-    fourth order under node doubling.
+    Needs the dense spectral oracle (at most EXACT_DENSE_LIMIT cells) and
+    strictly positive initial masses; blend toward the stationary measure
+    first otherwise.  The residual along exact flows is pure quadrature error
+    and shrinks at fourth order under node doubling.
     """
-    if mesh.n_cells > 400:
-        raise ValueError("edi_audit needs the dense oracle (<= 400 cells)")
+    if mesh.n_cells > EXACT_DENSE_LIMIT:
+        raise ValueError(f"edi_audit needs the dense oracle (<= "
+                         f"{EXACT_DENSE_LIMIT} cells), got {mesh.n_cells}")
     if np.any(np.asarray(getattr(m0, "masses", m0)) <= 0.0):
         raise ValueError("initial measure must be positive on every cell "
                          "(blend toward the stationary measure first)")
@@ -535,20 +544,8 @@ def edi_audit(mesh: Mesh, potential: Potential, m0: DiscreteMeasure, T: float,
     weights = face_weights(mesh, potential, mean_kind, quad_order)
     generator = assemble_generator(mesh, weights, pi)
     trajectory = solve_trajectory(m0, T, steps, generator, scheme="exact_dense")
-    dual_nodes = np.empty(steps + 1)
-    fisher_nodes = np.empty(steps + 1)
-    guess = None
-    for i in range(steps + 1):
-        m_i = trajectory.masses[i]
-        sigma = generator.matrix @ m_i
-        operator = assemble_onsager(mesh, weights, m_i, pi)
-        value, guess = dual_action(m_i, sigma, weights, pi, operator=operator,
-                                   initial_guess=guess, return_solution=True)
-        dual_nodes[i] = value
-        fisher_nodes[i] = 0.5 * fisher(m_i, weights, pi)
-    w = _simpson_weights(steps, T / steps)
-    action_integral = float(w @ dual_nodes)
-    fisher_integral = float(w @ fisher_nodes)
+    dual_nodes, fisher_nodes, action_integral, fisher_integral = \
+        _dissipation_integrals(mesh, weights, pi, generator, trajectory.masses, T)
     h0 = entropy(m0, pi)
     ht = entropy(trajectory.measure(steps), pi)
     residual = h0 - ht - (action_integral + fisher_integral)
@@ -620,13 +617,17 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
     d=1 rows report sup_t of the exact quadratic Wasserstein distance between
     the embedded discrete solution and the reference (spectral cosine solution
     when V = 0, Richardson fine-mesh solution otherwise) on a t_nodes grid,
-    plus entropy excess and the two dissipation integrals.
+    plus entropy excess and the two dissipation integrals.  d=2 runs on
+    cartesian families only (see _evolutionary_study_2d).
     """
     meshes = family.build()
     domain = meshes[0].domain
     if domain.dim != 1:
-        return _evolutionary_study_2d(family, potential, rho0, T, t_nodes,
-                                      mean_kind, quad_order)
+        if family.name != "cartesian":
+            raise ValueError(f"2d evolutionary convergence needs a cartesian "
+                             f"family, got {family.name!r}")
+        return _evolutionary_study_2d(family, meshes, potential, rho0, T,
+                                      t_nodes, mean_kind, quad_order)
     is_cos, amp = _is_cosine_token(rho0)
     unit = (abs(float(domain.bounds[0])) <= 1e-15
             and abs(float(domain.bounds[1]) - 1.0) <= 1e-15)
@@ -656,30 +657,20 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
                                 scheme="exact_dense")
         sup_w2 = 0.0
         entropy_excess = 0.0
-        dual_nodes = np.empty(t_nodes)
-        fisher_nodes = np.empty(t_nodes)
-        guess = None
         for i in range(t_nodes):
-            m_i = traj.masses[i]
-            disc = Density1D.from_mesh(mesh, m_i / mesh.volumes)
+            disc = Density1D.from_mesh(mesh, traj.masses[i] / mesh.volumes)
             sup_w2 = max(sup_w2, wasserstein_1d(disc, refs[i]))
             entropy_excess = max(entropy_excess,
                                  entropy(traj.measure(i), pi) - entropy_refs[i])
-            sigma = generator.matrix @ m_i
-            operator = assemble_onsager(mesh, weights, m_i, pi)
-            dual_nodes[i], guess = dual_action(m_i, sigma, weights, pi,
-                                               operator=operator,
-                                               initial_guess=guess,
-                                               return_solution=True)
-            fisher_nodes[i] = 0.5 * fisher(m_i, weights, pi)
-        w = _simpson_weights(t_nodes - 1, T / (t_nodes - 1))
+        _, _, dual_integral, fisher_integral = _dissipation_integrals(
+            mesh, weights, pi, generator, traj.masses, T)
         return StudyRow(mesh_size=mesh.size(), value=sup_w2, reference=0.0,
                         error=sup_w2,
                         extras={"entropy_excess": entropy_excess,
-                                "dual_integral": float(w @ dual_nodes),
-                                "fisher_integral": float(w @ fisher_nodes)})
+                                "dual_integral": dual_integral,
+                                "fisher_integral": fisher_integral})
 
-    rows = _map_ordered(one, meshes)
+    rows = [one(mesh) for mesh in meshes]
     _attach_orders(rows)
     return StudyResult("evolutionary",
                        {"family": family.name, "potential": potential.name,
@@ -687,8 +678,9 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
                         "T": T, "t_nodes": t_nodes}, rows)
 
 
-def _evolutionary_study_2d(family: MeshFamily, potential: Potential, rho0,
-                           T: float, t_nodes: int, mean_kind: str,
+def _evolutionary_study_2d(family: MeshFamily, meshes: list[Mesh],
+                           potential: Potential, rho0, T: float, t_nodes: int,
+                           mean_kind: str,
                            quad_order: int | None) -> StudyResult:
     """L1 density error against a 4x finer cartesian reference (d=2)."""
     sizes = [int(n) for n in family.labels]
@@ -709,8 +701,7 @@ def _evolutionary_study_2d(family: MeshFamily, potential: Potential, rho0,
     ref_dens = [ref_traj.masses[i * stride].reshape(n_ref, n_ref) * n_ref ** 2
                 for i in range(t_nodes)]
 
-    def one(mesh_and_n) -> StudyRow:
-        mesh, n = mesh_and_n
+    def one(mesh: Mesh, n: int) -> StudyRow:
         pi = discretize_reference(mesh, potential, quad_order)
         weights = face_weights(mesh, potential, mean_kind, quad_order)
         generator = assemble_generator(mesh, weights, pi)
@@ -727,7 +718,7 @@ def _evolutionary_study_2d(family: MeshFamily, potential: Potential, rho0,
         return StudyRow(mesh_size=mesh.size(), value=sup_l1, reference=0.0,
                         error=sup_l1)
 
-    rows = _map_ordered(one, list(zip(family.build(), sizes)))
+    rows = [one(mesh, n) for mesh, n in zip(meshes, sizes)]
     _attach_orders(rows)
     return StudyResult("evolutionary2d",
                        {"family": family.name, "potential": potential.name,
@@ -771,7 +762,7 @@ def lower_bound_trend_study(family: MeshFamily, mu: Callable, eta: Callable,
                                 "dual_value": a_val, "dual_ref": a_ref,
                                 "dual_deficit": a_val - a_ref})
 
-    rows = _map_ordered(one, meshes)
+    rows = [one(mesh) for mesh in meshes]
     return StudyResult("lower_bound_trend",
                        {"family": family.name, "potential": potential.name},
                        rows)
@@ -792,5 +783,5 @@ def isotropy_study(family: MeshFamily,
         return StudyRow(mesh_size=mesh.size(), value=defect, reference=0.0,
                         error=defect)
 
-    rows = _map_ordered(one, family.build())
+    rows = [one(mesh) for mesh in family.build()]
     return StudyResult("isotropy", {"family": family.name}, rows)

@@ -215,12 +215,6 @@ def dirichlet_energy(mesh: Mesh, f, m, kind: str = "logarithmic",
     return _graph_energy(ff, u * trans, fc)
 
 
-def stationary_dirichlet(mesh: Mesh, f, weights) -> float:
-    """Dirichlet form at the stationary measure: 1/4 ordered sum (df)^2 w."""
-    return _graph_energy(np.asarray(f, dtype=float), _weights(weights),
-                         weights_cells(weights))
-
-
 def _gauss_rule_1d(a: float, b: float, cells: int, points: int = 4):
     """Composite Gauss-Legendre nodes/weights on [a, b]."""
     gx, gw = np.polynomial.legendre.leggauss(points)

@@ -182,24 +182,6 @@ def shared_edge(pa: np.ndarray, pb: np.ndarray,
     return best
 
 
-def inset_convex(verts: np.ndarray, delta: float,
-                 merge_tol: float = 1e-12) -> np.ndarray:
-    """Shrink a convex polygon by moving every edge inward by delta."""
-    out = verts
-    k = len(verts)
-    for i in range(k):
-        if len(out) == 0:
-            break
-        a = verts[i]
-        e = verts[(i + 1) % k] - a
-        el = float(np.hypot(e[0], e[1]))
-        if el == 0.0:
-            continue
-        normal = np.array([e[1], -e[0]]) / el  # outward unit
-        out = clip_halfplane(out, normal, float(normal @ a) - delta, merge_tol)
-    return out
-
-
 @dataclass(frozen=True)
 class Box:
     """Open axis-aligned box; the 'cube' used for localization and scans."""

@@ -76,16 +76,6 @@ class Domain:
             return self.bounds[0] - tol <= x <= self.bounds[1] + tol
         return geometry.point_in_convex(self.vertices, np.asarray(p, dtype=float), tol)
 
-    def inset(self, delta: float) -> "Domain | None":
-        """Domain shrunk by delta (points at distance > delta from the boundary)."""
-        if self.dim == 1:
-            a, b = self.bounds[0] + delta, self.bounds[1] - delta
-            return Domain.interval(a, b) if b > a else None
-        verts = geometry.inset_convex(np.asarray(self.vertices), delta)
-        if len(verts) < 3 or geometry.polygon_area(verts) <= 0.0:
-            return None
-        return Domain.polygon(verts)
-
 
 class Mesh:
     """Finite-volume mesh: cells with sites and volumes, faces with TPFA data.

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from gradflow import experiments
 from gradflow.cli import main
+from gradflow.dual_action import ConjugateGradientError
 
 
 def run(args, tmp_path, name="out"):
@@ -102,6 +104,17 @@ class TestEdiCommand:
                       tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("steps", ["258", "6", "0"])
+    def test_steps_not_multiple_of_four_exit_2(self, tmp_path, capsys, steps):
+        # checked before the mesh is read: the named mesh file is absent
+        code, out = run(["edi", "--mesh", str(tmp_path / "absent.txt"),
+                         "--M", steps], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --M must be a positive multiple of 4 (Simpson's rule at "
+            f"M and M/2), got {steps}"]
+        assert not out.exists()
+
 
 class TestGammaCommand:
     def test_energy_check(self, tmp_path):
@@ -137,6 +150,27 @@ class TestConvergeCommand:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["pass"] is True
+
+    @pytest.mark.parametrize("family", ["voronoi:16..64", "flattened:16..32"])
+    def test_non_cartesian_2d_family_exit_2(self, tmp_path, capsys, family):
+        code, out = run(["converge", "--family", family], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "needs a cartesian family" in err[0]
+        assert not out.exists()
+
+    def test_solver_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ConjugateGradientError("no convergence in 160 iterations, "
+                                         "relative residual 1.017e-11")
+
+        monkeypatch.setattr(experiments, "dual_action", stalled)
+        code, out = run(["converge", "--family", "uniform1d:16"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no convergence in 160 iterations, "
+            "relative residual 1.017e-11"]
+        assert not out.exists()
 
 
 class TestDiagnoseCommand:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import gradflow as gf
-from gradflow.diagnostics import (condition_report, count_pairs_through_face,
-                                  flow_regularity_observed, good_path,
-                                  l2_holder_modulus, path_constants)
+from gradflow.diagnostics import (condition_report, flow_regularity_observed,
+                                  good_path, l2_holder_modulus, path_constants)
 from gradflow.reference import DiscreteMeasure
 
 
@@ -208,9 +207,3 @@ class TestFlowRegularity:
                                    0.1, 1, gen, scheme="exact_dense")
         rows = flow_regularity_observed(traj, pi, mesh)
         assert rows[0].sup_density == pytest.approx(1.449329, abs=1e-6)
-
-
-def test_count_pairs_through_face_smoke():
-    mesh = gf.build_interval_mesh(5)
-    count = count_pairs_through_face(mesh, 0.4, face_index=2)
-    assert count >= 1

@@ -5,6 +5,7 @@ import pytest
 
 import gradflow as gf
 from gradflow import experiments as ex
+from gradflow.dynamics import EXACT_DENSE_LIMIT
 from gradflow.experiments import Density1D, wasserstein_1d
 from gradflow.reference import DiscreteMeasure
 
@@ -197,10 +198,10 @@ class TestEdiAudit:
             ex.edi_audit(mesh, pot, pi, T=0.1, steps=7)
 
     def test_cell_cap_rejected(self):
-        mesh = gf.build_interval_mesh(401)
+        mesh = gf.build_interval_mesh(EXACT_DENSE_LIMIT + 1)
         pot = gf.zero_potential()
         pi = gf.discretize_reference(mesh, pot, quad_order=1)
-        with pytest.raises(ValueError, match="400"):
+        with pytest.raises(ValueError, match=str(EXACT_DENSE_LIMIT)):
             ex.edi_audit(mesh, pot, pi, T=0.1, steps=8)
 
 
@@ -276,6 +277,14 @@ class TestEvolutionaryStudy:
                                                   "cosine", T=0.05, t_nodes=5)
         errors = study.column("error")
         assert errors[1] < errors[0]
+
+    def test_cartesian_family_built_once(self):
+        fam = ex.cartesian_family((4, 8))
+        built = []
+        fam.builders = [lambda b=b: built.append(b) or b() for b in fam.builders]
+        ex.evolutionary_convergence_study(fam, gf.zero_potential(), "cosine",
+                                          T=0.05, t_nodes=5)
+        assert len(built) == 2
 
 
 class TestLowerBoundTrend:
@@ -358,28 +367,6 @@ class TestAnisotropicRecording:
         for row in study.rows:
             assert math.isfinite(row.value)
         assert study.rows[-1].error <= study.rows[0].error
-
-
-class TestThreadCap:
-    def test_results_identical_under_thread_pool(self, monkeypatch, tmp_path):
-        fam = ex.uniform_interval_family((8, 16, 32))
-
-        def run():
-            return ex.gamma_energy_study(fam, lambda x: x, gf.zero_potential(),
-                                         grad=lambda x: 1.0)
-
-        serial = run()
-        monkeypatch.setenv("GRADFLOW_THREADS", "3")
-        assert ex.worker_count() == 3
-        threaded = run()
-        pa, pb = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-        serial.to_csv(pa)
-        threaded.to_csv(pb)
-        assert pa.read_bytes() == pb.read_bytes()
-
-    def test_garbage_env_falls_back_to_one(self, monkeypatch):
-        monkeypatch.setenv("GRADFLOW_THREADS", "many")
-        assert ex.worker_count() == 1
 
 
 class TestStudyResult:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import gradflow as gf
-from gradflow.functionals import (log_mean, mean_value, stationary_dirichlet,
-                                  KERNEL_KINDS)
+from gradflow.functionals import log_mean, mean_value, KERNEL_KINDS
 from gradflow.reference import DiscreteMeasure
 
 
@@ -263,10 +262,3 @@ class TestContinuousDirichlet:
             lambda p: float(p[0]), lambda p: 1.0, domain,
             grad=lambda p: np.array([1.0, 0.0]), resolution=512)
         assert value == pytest.approx(0.25, rel=5e-3)
-
-
-def test_stationary_dirichlet_matches_action(two_cell):
-    _, _, pi, weights = two_cell
-    f = np.array([0.0, 1.0])
-    assert stationary_dirichlet(two_cell[0], f, weights) \
-        == gf.action(pi, f, weights, pi)

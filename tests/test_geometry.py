@@ -83,13 +83,6 @@ def test_shared_edge():
     assert geometry.shared_edge(left, left + 5.0, tol=1e-12) is None
 
 
-def test_inset_convex():
-    inner = geometry.inset_convex(SQUARE, 0.25)
-    assert geometry.polygon_area(inner) == pytest.approx(0.25)
-    gone = geometry.inset_convex(SQUARE, 0.6)
-    assert len(gone) == 0 or geometry.polygon_area(gone) <= 1e-12
-
-
 def test_box_helpers():
     box = Box.from_center([0.5, 0.5], 0.5)
     assert box.measure() == pytest.approx(0.25)
