@@ -118,6 +118,8 @@ def _walk_2d(mesh: Mesh, start: int, goal: int, target: np.ndarray):
     adjacency = mesh.adjacency()
     ends = mesh.face_endpoints()
     p0 = mesh.sites[start]
+    t_face, u_face = (params.tolist() for params in
+                      geometry.segment_params(p0, target, ends[:, 0], ends[:, 1]))
     cells = [start]
     current = start
     t_cur = 0.0
@@ -126,10 +128,9 @@ def _walk_2d(mesh: Mesh, start: int, goal: int, target: np.ndarray):
             return cells
         candidates = []
         for f, nb in adjacency[current]:
-            res = geometry.segment_params(p0, target, ends[f, 0], ends[f, 1])
-            if res is None:
+            t, u = t_face[f], u_face[f]
+            if t != t:  # parallel to the face
                 continue
-            t, u = res
             if t <= t_cur + 1e-12 or t > 1.0 + 1e-9:
                 continue
             if u < -1e-9 or u > 1.0 + 1e-9:
@@ -301,15 +302,14 @@ def l2_holder_modulus(mesh: Mesh, f, h, m, pi, region=None,
         else:
             boxes = np.array([[poly.min(axis=0), poly.max(axis=0)]
                               for poly in mesh.cell_polygons])
+            lo_shift = boxes[idx, 0] + hv
+            hi_shift = boxes[idx, 1] + hv
             for i in idx:
                 lo_i, hi_i = boxes[i]
-                for j in idx:
-                    if ff[j] == ff[i]:
-                        continue
-                    lo_j = boxes[j, 0] + hv
-                    hi_j = boxes[j, 1] + hv
-                    if np.any(lo_j >= hi_i) or np.any(hi_j <= lo_i):
-                        continue
+                # the shifted boxes of cells j that can overlap cell i
+                meets = ((ff[idx] != ff[i]) & ~np.any(lo_shift >= hi_i, axis=1)
+                         & ~np.any(hi_shift <= lo_i, axis=1))
+                for j in idx[meets]:
                     olap = _shift_overlap(mesh, int(i), int(j), hv)
                     if olap > 0.0:
                         df = float(ff[j] - ff[i])

@@ -39,16 +39,42 @@ def ensure_ccw(verts: np.ndarray) -> np.ndarray:
     return verts if polygon_area(verts) >= 0.0 else verts[::-1].copy()
 
 
+def _far_apart(dx: float, dy: float, tol: float) -> bool:
+    """np.hypot(dx, dy) > tol, decided without the ufunc call where clear.
+
+    dx*dx + dy*dy carries a relative error of at most 2u and hypot at most
+    one ulp, so outside a 1e-6 relative band around tol**2 the squared test
+    agrees with hypot; inside it, or where tol**2 would underflow, hypot
+    decides.
+    """
+    d2 = dx * dx + dy * dy
+    t2 = tol * tol
+    if tol > 1e-150:
+        if d2 > t2 * (1.0 + 1e-6):
+            return True
+        if d2 < t2 * (1.0 - 1e-6):
+            return False
+    return bool(np.hypot(dx, dy) > tol)
+
+
+def _merge_close(points: list, tol: float) -> list:
+    kept = [points[0]]
+    for v in points[1:]:
+        last = kept[-1]
+        if _far_apart(v[0] - last[0], v[1] - last[1], tol):
+            kept.append(v)
+    if len(kept) > 1:
+        first, last = kept[0], kept[-1]
+        if not _far_apart(first[0] - last[0], first[1] - last[1], tol):
+            kept.pop()
+    return kept
+
+
 def merge_close_vertices(verts: np.ndarray, tol: float) -> np.ndarray:
     """Drop consecutive vertices closer than tol (wrapping around)."""
     if len(verts) == 0:
         return verts.reshape(0, 2)
-    kept = [verts[0]]
-    for v in verts[1:]:
-        if np.hypot(v[0] - kept[-1][0], v[1] - kept[-1][1]) > tol:
-            kept.append(v)
-    if len(kept) > 1 and np.hypot(*(kept[0] - kept[-1])) <= tol:
-        kept.pop()
+    kept = _merge_close(np.asarray(verts, dtype=float).tolist(), tol)
     return np.asarray(kept, dtype=float).reshape(-1, 2)
 
 
@@ -57,17 +83,23 @@ def clip_halfplane(verts: np.ndarray, normal: np.ndarray, offset: float,
     """Intersect a convex polygon with the half-plane {x : normal·x <= offset}."""
     if len(verts) == 0:
         return verts
-    s = verts @ normal - offset
-    out: list[np.ndarray] = []
-    k = len(verts)
+    s = (verts @ normal - offset).tolist()
+    pts = verts.tolist()
+    out: list[list[float]] = []
+    k = len(pts)
     for i in range(k):
         j = (i + 1) % k
-        if s[i] <= 0.0:
-            out.append(verts[i])
-        if (s[i] <= 0.0) != (s[j] <= 0.0):
-            t = s[i] / (s[i] - s[j])
-            out.append(verts[i] + t * (verts[j] - verts[i]))
-    return merge_close_vertices(np.asarray(out, dtype=float).reshape(-1, 2), merge_tol)
+        si, sj = s[i], s[j]
+        if si <= 0.0:
+            out.append(pts[i])
+        if (si <= 0.0) != (sj <= 0.0):
+            # Python floats round each operation like float64 arrays do
+            t = si / (si - sj)
+            (xi, yi), (xj, yj) = pts[i], pts[j]
+            out.append([xi + t * (xj - xi), yi + t * (yj - yi)])
+    if not out:
+        return np.empty((0, 2))
+    return np.asarray(_merge_close(out, merge_tol), dtype=float)
 
 
 def clip_convex(subject: np.ndarray, clipper: np.ndarray,
@@ -138,18 +170,22 @@ def line_section(verts: np.ndarray, normal: np.ndarray, offset: float,
 
 
 def segment_params(p: np.ndarray, q: np.ndarray, a: np.ndarray,
-                   b: np.ndarray) -> tuple[float, float] | None:
-    """Parameters (t, u) with p + t(q-p) = a + u(b-a), or None if parallel."""
+                   b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parameters (t, u) with p + t(q-p) = a[f] + u(b[f]-a[f]), per segment f.
+
+    `a` and `b` are (F, 2) endpoint arrays; t and u are nan where segment f
+    is parallel to pq.
+    """
     d1 = q - p
     d2 = b - a
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    scale = (abs(d1[0]) + abs(d1[1])) * (abs(d2[0]) + abs(d2[1]))
-    if abs(den) <= 1e-14 * max(scale, 1e-300):
-        return None
+    den = d1[0] * d2[:, 1] - d1[1] * d2[:, 0]
+    scale = (abs(d1[0]) + abs(d1[1])) * (np.abs(d2[:, 0]) + np.abs(d2[:, 1]))
+    parallel = np.abs(den) <= 1e-14 * np.maximum(scale, 1e-300)
+    den = np.where(parallel, np.nan, den)
     r = a - p
-    t = (r[0] * d2[1] - r[1] * d2[0]) / den
-    u = (r[0] * d1[1] - r[1] * d1[0]) / den
-    return float(t), float(u)
+    t = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / den
+    u = (r[:, 0] * d1[1] - r[:, 1] * d1[0]) / den
+    return t, u
 
 
 def shared_edge(pa: np.ndarray, pb: np.ndarray,

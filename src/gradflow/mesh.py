@@ -112,6 +112,7 @@ class Mesh:
         self._face_endpoints = (_frozen(face_endpoints) if face_endpoints is not None
                                 else None)
         self._adjacency: list[list[tuple[int, int]]] | None = None
+        self._cell_diameters: np.ndarray | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -124,9 +125,14 @@ class Mesh:
         return len(self.face_cells)
 
     def cell_diameters(self) -> np.ndarray:
-        if self.dim == 1:
-            return self.cell_bounds[:, 1] - self.cell_bounds[:, 0]
-        return np.array([geometry.polygon_diameter(p) for p in self.cell_polygons])
+        """Per-cell diameters, computed on first use and frozen."""
+        if self._cell_diameters is None:
+            if self.dim == 1:
+                diam = self.cell_bounds[:, 1] - self.cell_bounds[:, 0]
+            else:
+                diam = [geometry.polygon_diameter(p) for p in self.cell_polygons]
+            self._cell_diameters = _frozen(diam)
+        return self._cell_diameters
 
     def size(self) -> float:
         """Mesh size: the largest cell diameter."""
@@ -388,6 +394,70 @@ def build_cartesian_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
     return mesh
 
 
+def _row_gaps(pts: np.ndarray, i: int) -> np.ndarray:
+    """Distances from site i to the sites after it, for preselection only."""
+    d = pts[i + 1:] - pts[i]
+    return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+
+# clip_halfplane evaluates s = v·n - c with n = x_j - x_i, c = 0.5 (n·a)
+# and a = x_i + x_j.  A 2-term dot product rounded in any order, with or
+# without FMA, is within gamma_2 of its exact value relative to the sum of
+# the absolute products, and the subtraction adds one rounding, so the
+# computed s is within gamma_3 (P + Q) of the exact s, where
+# P = |v_0 n_0| + |v_1 n_1|, Q = 0.5 (|n_0 a_0| + |n_1 a_1|),
+# gamma_k = k u / (1 - k u) and u = 2^-53 (no underflow assumed).  Two
+# evaluations thus differ by less than 7u (P + Q).  The batched bound
+# s + 16u (P + Q), itself off by a few u (P + Q), is negative only when the
+# scalar s is negative too, and then the clip keeps every vertex.
+_SKIP_MARGIN = 2.0 ** -49
+_FIRST_WINDOW = 8
+
+
+def _voronoi_cell(pts: np.ndarray, i: int, domain_vertices: np.ndarray,
+                  merge_tol: float) -> np.ndarray:
+    """Domain polygon clipped by the bisectors of site i, in site order.
+
+    Bisector j is skipped only when the current polygon lies inside it by
+    more than the rounding margin above and merging its vertices drops none:
+    clip_halfplane would then return the polygon unchanged, so the result
+    is identical to clipping against all n - 1 bisectors.  The test runs
+    on a window of the next bisectors, which doubles while none of them
+    can cut, so each clip costs O(1) batched work.
+    """
+    others = np.flatnonzero(np.arange(len(pts)) != i)
+    normals = (pts[others] - pts[i]).T.copy()
+    mids = (pts[others] + pts[i]).T
+    offsets = 0.5 * (normals * mids).sum(axis=0)
+    # the margin scaled by a power of two, so the scaling is exact
+    margin_normals = _SKIP_MARGIN * np.abs(normals)
+    margin_offsets = 0.5 * _SKIP_MARGIN * (np.abs(normals) * np.abs(mids)).sum(axis=0)
+    poly = np.asarray(domain_vertices, dtype=float)
+    stable = None   # whether merging drops none of poly's vertices
+    pos, width = 0, _FIRST_WINDOW
+    while pos < len(others) and len(poly):
+        end = min(pos + width, len(others))
+        upper = (poly @ normals[:, pos:end] - offsets[pos:end]
+                 + np.abs(poly) @ margin_normals[:, pos:end] + margin_offsets[pos:end])
+        cuts = ~(upper < 0.0).all(axis=0)   # nan counts as a cut
+        skip = int(cuts.argmax()) if cuts.any() else end - pos
+        if skip:
+            if stable is None:
+                stable = len(geometry.merge_close_vertices(poly, merge_tol)) == len(poly)
+            if stable:
+                pos += skip
+                if pos == end:
+                    width *= 2
+                    continue
+        j = int(others[pos])
+        normal = pts[j] - pts[i]
+        offset = 0.5 * float(normal @ (pts[i] + pts[j]))
+        poly = geometry.clip_halfplane(poly, normal, offset, merge_tol)
+        stable = None
+        pos, width = pos + 1, _FIRST_WINDOW
+    return poly
+
+
 def build_voronoi_mesh(sites, domain) -> Mesh:
     """Voronoi cells of the given sites, clipped to a convex domain.
 
@@ -406,13 +476,18 @@ def build_voronoi_mesh(sites, domain) -> Mesh:
                   else Domain.polygon(domain))
     if domain.dim != dim:
         raise MeshError("site dimension does not match the domain")
-    # pairwise-distinct sites
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(pts[i] - pts[j]) <= 1e-12 * max(domain.diameter, 1.0):
+    scale = max(domain.diameter, 1.0)
+    site_tol = 1e-12 * scale
+    # pairwise-distinct sites; the row test only preselects, with a relative
+    # slack far above the few-ulp spread between norm evaluations, and the
+    # scalar norm decides, so the first pair (i, j) reported is unchanged
+    for i in range(n - 1):
+        near = np.flatnonzero(_row_gaps(pts, i) <= site_tol * (1.0 + 1e-9))
+        for j in (near + i + 1).tolist():
+            if np.linalg.norm(pts[i] - pts[j]) <= site_tol:
                 raise MeshError(f"duplicate sites {i} and {j}")
     for i in range(n):
-        if not domain.contains(pts[i], tol=1e-12 * max(domain.diameter, 1.0)):
+        if not domain.contains(pts[i], tol=site_tol):
             raise MeshError(f"site {i} lies outside the domain")
 
     if dim == 1:
@@ -431,16 +506,10 @@ def build_voronoi_mesh(sites, domain) -> Mesh:
         mesh.validate()
         return mesh
 
-    merge_tol = VERTEX_MERGE_TOL * max(domain.diameter, 1.0)
+    merge_tol = VERTEX_MERGE_TOL * scale
     polys: list[np.ndarray] = []
     for i in range(n):
-        poly = np.asarray(domain.vertices, dtype=float)
-        for j in range(n):
-            if j == i or len(poly) == 0:
-                continue
-            normal = pts[j] - pts[i]
-            offset = 0.5 * float(normal @ (pts[i] + pts[j]))
-            poly = geometry.clip_halfplane(poly, normal, offset, merge_tol)
+        poly = _voronoi_cell(pts, i, domain.vertices, merge_tol)
         if len(poly) < 3 or geometry.polygon_area(poly) <= 0.0:
             raise MeshError(f"site {i} produced a degenerate Voronoi cell")
         polys.append(poly)
@@ -448,16 +517,17 @@ def build_voronoi_mesh(sites, domain) -> Mesh:
     volumes = np.array([geometry.polygon_area(p) for p in polys])
     mesh_size = max(geometry.polygon_diameter(p) for p in polys)
     drop = FACE_DROP_FACTOR * mesh_size
-    section_tol = 1e-12 * max(domain.diameter, 1.0)
     fc, fa, fd, fe = [], [], [], []
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i in range(n - 1):
+        # preselect by the row gaps, then apply the scalar rule as before
+        near = np.flatnonzero(_row_gaps(pts, i) <= 2.0 * mesh_size * (1.0 + 1e-9))
+        for j in (near + i + 1).tolist():
             gap = float(np.linalg.norm(pts[i] - pts[j]))
             if gap > 2.0 * mesh_size:
                 continue
             normal = pts[j] - pts[i]
             offset = 0.5 * float(normal @ (pts[i] + pts[j]))
-            seg = geometry.line_section(polys[i], normal, offset, section_tol)
+            seg = geometry.line_section(polys[i], normal, offset, site_tol)
             if seg is None:
                 continue
             length = float(np.hypot(*(seg[1] - seg[0])))

@@ -60,16 +60,75 @@ def test_line_section():
 
 
 def test_segment_params():
-    res = geometry.segment_params(np.array([0.0, 0.0]), np.array([1.0, 1.0]),
-                                  np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-    t, u = res
-    assert t == pytest.approx(0.5)
-    assert u == pytest.approx(0.5)
-    parallel = geometry.segment_params(np.array([0.0, 0.0]),
-                                       np.array([1.0, 0.0]),
-                                       np.array([0.0, 1.0]),
-                                       np.array([1.0, 1.0]))
-    assert parallel is None
+    # the diagonal of the unit square against the anti-diagonal and the top edge
+    t, u = geometry.segment_params(np.array([0.0, 0.0]), np.array([1.0, 1.0]),
+                                   np.array([[0.0, 1.0], [0.0, 1.0]]),
+                                   np.array([[1.0, 0.0], [1.0, 1.0]]))
+    assert t[0] == pytest.approx(0.5)
+    assert u[0] == pytest.approx(0.5)
+    # the top edge meets the diagonal at its far end
+    assert t[1] == pytest.approx(1.0)
+    assert u[1] == pytest.approx(1.0)
+    t, u = geometry.segment_params(np.array([0.0, 0.0]), np.array([1.0, 0.0]),
+                                   np.array([[0.0, 1.0]]),
+                                   np.array([[1.0, 1.0]]))
+    assert np.isnan(t[0]) and np.isnan(u[0])
+
+
+def _scalar_segment_params(p, q, a, b):
+    # the one-segment formula the array form evaluates elementwise
+    d1 = q - p
+    d2 = b - a
+    den = d1[0] * d2[1] - d1[1] * d2[0]
+    scale = (abs(d1[0]) + abs(d1[1])) * (abs(d2[0]) + abs(d2[1]))
+    if abs(den) <= 1e-14 * max(scale, 1e-300):
+        return None
+    r = a - p
+    t = (r[0] * d2[1] - r[1] * d2[0]) / den
+    u = (r[0] * d1[1] - r[1] * d1[0]) / den
+    return float(t), float(u)
+
+
+def _assert_matches_scalar(p, q, a, b):
+    t, u = geometry.segment_params(p, q, a, b)
+    for f in range(len(a)):
+        want = _scalar_segment_params(p, q, a[f], b[f])
+        if want is None:
+            assert np.isnan(t[f]) and np.isnan(u[f])
+        else:
+            assert np.float64(t[f]).tobytes() == np.float64(want[0]).tobytes()
+            assert np.float64(u[f]).tobytes() == np.float64(want[1]).tobytes()
+
+
+def test_segment_params_bit_identical_to_scalar_formula():
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        p, q = rng.uniform(-1.0, 1.0, size=(2, 2))
+        a = rng.uniform(-1.0, 1.0, size=(1000, 2))
+        b = rng.uniform(-1.0, 1.0, size=(1000, 2))
+        _assert_matches_scalar(p, q, a, b)
+
+
+def test_segment_params_parallel_and_threshold():
+    p, q = np.array([0.0, 0.0]), np.array([1.0, 0.0])
+    # for the segment (0, 0) -> (1, e): den = e and scale = 1 + e; walk e
+    # ulp by ulp to the last value the parallel test still rejects
+    def parallel(e):
+        return abs(e) <= 1e-14 * max(1.0 + e, 1e-300)
+    e = 1e-14
+    while not parallel(e):
+        e = np.nextafter(e, 0.0)
+    while parallel(np.nextafter(e, 1.0)):
+        e = np.nextafter(e, 1.0)
+    eps_values = [0.0, np.nextafter(e, 0.0), e, np.nextafter(e, 1.0), 2e-14]
+    a = np.zeros((len(eps_values), 2))
+    b = np.array([[1.0, v] for v in eps_values])
+    _assert_matches_scalar(p, q, a, b)
+    t, _ = geometry.segment_params(p, q, a, b)
+    assert np.isnan(t[:3]).all() and np.isfinite(t[3:]).all()
+    # the same pairs offset from the origin
+    shift = np.array([0.25, 1.0])
+    _assert_matches_scalar(p, q, a + shift, b + shift)
 
 
 def test_shared_edge():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import gradflow as gf
-from gradflow.mesh import MeshError, Domain, cells_meeting
+from gradflow import geometry
+from gradflow.mesh import MeshError, Domain, Mesh, cells_meeting
 
 
 class TestIntervalMesh:
@@ -119,6 +120,38 @@ class TestVoronoiMesh:
         tangents = ends[:, 1] - ends[:, 0]
         tangents /= np.linalg.norm(tangents, axis=1)[:, None]
         assert np.abs(np.einsum("fi,fi->f", tau, tangents)).max() <= 1e-9
+
+
+class TestCachedGeometry:
+    def _meshes(self):
+        rng = np.random.default_rng(4)
+        return [gf.build_interval_mesh(5, breakpoints=[0.0, 0.1, 0.3, 0.6, 0.8, 1.0]),
+                gf.build_cartesian_mesh(3, 2),
+                gf.build_voronoi_mesh(rng.uniform(0.1, 0.9, size=(12, 2)),
+                                      Domain.rectangle(0, 0, 1, 1))]
+
+    def test_cell_diameters_read_only_and_cached(self):
+        for mesh in self._meshes():
+            diam = mesh.cell_diameters()
+            assert not diam.flags.writeable
+            with pytest.raises(ValueError):
+                diam[0] = 0.0
+            assert mesh.cell_diameters() is diam
+
+    def test_cell_diameters_match_polygon_diameter(self):
+        for mesh in self._meshes():
+            if mesh.dim == 1:
+                want = mesh.cell_bounds[:, 1] - mesh.cell_bounds[:, 0]
+            else:
+                want = [geometry.polygon_diameter(p) for p in mesh.cell_polygons]
+            assert mesh.cell_diameters().tolist() == list(want)
+            assert mesh.size() == max(want)
+
+    def test_size_survives_round_trip(self, tmp_path):
+        for k, mesh in enumerate(self._meshes()):
+            path = tmp_path / f"mesh{k}.txt"
+            mesh.write(path)
+            assert Mesh.read(path).size() == mesh.size()
 
 
 class TestInvariants:
