@@ -19,7 +19,6 @@ import numpy as np
 from . import diagnostics, experiments
 from .dual_action import ConjugateGradientError
 from .dynamics import assemble_generator, solve_trajectory
-from .functionals import fisher
 from .mesh import (Mesh, MeshError, build_cartesian_mesh, build_interval_mesh,
                    build_voronoi_mesh, Domain, isotropy_defect,
                    regularity_report)
@@ -97,9 +96,8 @@ def cmd_mesh(args) -> int:
         print(f"warning: zeta = {report.zeta:.6g} below the requested "
               f"threshold {args.zeta_min:.6g}", file=sys.stderr)
     potential = potential_from_token(args.potential, mesh.dim)
-    pi = discretize_reference(mesh, potential)
     weights = face_weights(mesh, potential, args.mean)
-    defects = isotropy_defect(mesh, weights, pi)
+    defects = isotropy_defect(mesh, weights, weights.pi)
 
     def write_report(path):
         with open(path, "w", encoding="ascii") as fh:
@@ -128,8 +126,8 @@ def cmd_mesh(args) -> int:
 
 def _setup_flow(args, mesh: Mesh):
     potential = potential_from_token(args.potential, mesh.dim)
-    pi = discretize_reference(mesh, potential)
     weights = face_weights(mesh, potential, args.mean)
+    pi = weights.pi
     generator = assemble_generator(mesh, weights, pi)
     m0 = initial_measure_from_token(args.m0, mesh, pi)
     return potential, pi, weights, generator, m0
@@ -160,9 +158,7 @@ def cmd_edi(args) -> int:
     m0 = initial_measure_from_token(args.m0, mesh, pi)
     audit = experiments.edi_audit(mesh, potential, m0, args.T, args.M,
                                   mean_kind=args.mean)
-    coarse = experiments.edi_audit(mesh, potential, m0, args.T, args.M // 2,
-                                   mean_kind=args.mean)
-    tol = max(abs(coarse.residual - audit.residual) / 7.5,
+    tol = max(abs(audit.control_residual - audit.residual) / 7.5,
               64.0 * np.finfo(float).eps * max(audit.entropy_start, 1.0))
     passed = (audit.residual >= -tol) and (abs(audit.residual) <= tol)
     out = _out_dir(args)
@@ -188,24 +184,26 @@ def cmd_edi(args) -> int:
 
 def cmd_gamma(args) -> int:
     family = experiments.family_from_token(args.family, seed=args.seed)
-    out = _out_dir(args)
+    dim = 1 if family.name == "uniform1d" else 2
     if args.mode == "affine":
-        dim = 1 if args.family.startswith("uniform1d") else 2
         z = [float(v) for v in args.z.split(",")] if args.z else [0.5] * dim
         xi = [float(v) for v in args.xi.split(",")] if args.xi else [1.0] * dim
+        if len(z) != dim or len(xi) != dim:
+            raise ValueError(f"--z and --xi need {dim} values each for a "
+                             f"{dim}d family")
         study = experiments.gamma_affine_minimization_study(
             family, z, xi, args.eps)
         checks = all(r.error <= r.extras["boundary_layer"] + 1e-12 and
                      r.extras["harmonicity_residual"] <= 1e-11
                      for r in study.rows)
     else:
-        dim = 1 if args.family.startswith("uniform1d") else 2
         potential = potential_from_token(args.potential, dim)
         phi, grad = _phi_from_token(args.phi, dim)
         study = experiments.gamma_energy_study(family, phi, potential,
                                                grad=grad)
         errors = study.column("error")
         checks = bool(np.all(np.diff(errors) < 0.0))
+    out = _out_dir(args)
     _atomic_write(os.path.join(out, "gamma.csv"), study.to_csv)
     _write_json(os.path.join(out, "summary.json"),
                 {"command": "gamma", **study.summary(), "pass": bool(checks)})
@@ -220,19 +218,18 @@ def _phi_from_token(token: str, dim: int):
     name, _, arg = token.partition(":")
     if name == "coordinate":
         axis = int(arg) if arg else 0
+        if not 0 <= axis < dim:
+            raise ValueError(f"coordinate axis must lie in 0..{dim - 1} for "
+                             f"a {dim}d family, got {axis}")
         if dim == 1:
             return (lambda x: float(np.atleast_1d(x)[0])), (lambda x: 1.0)
         e = np.eye(dim)[axis]
         return (lambda x: float(np.asarray(x) @ e)), (lambda x: e)
     if name == "cosine":
-        freq = float(arg) if arg else 1.0
-        if dim == 1:
-            return (lambda x: math.cos(freq * math.pi * float(np.atleast_1d(x)[0])),
-                    lambda x: -freq * math.pi * math.sin(
-                        freq * math.pi * float(np.atleast_1d(x)[0])))
-        return (lambda x: math.cos(freq * math.pi * float(np.asarray(x)[0])),
-                lambda x: np.array([-freq * math.pi * math.sin(
-                    freq * math.pi * float(np.asarray(x)[0])), 0.0]))
+        k = (float(arg) if arg else 1.0) * math.pi
+        dphi = lambda x: -k * math.sin(k * float(np.atleast_1d(x)[0]))
+        return ((lambda x: math.cos(k * float(np.atleast_1d(x)[0]))),
+                dphi if dim == 1 else (lambda x: np.array([dphi(x), 0.0])))
     raise ValueError(f"unknown test function {token!r}")
 
 

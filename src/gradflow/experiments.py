@@ -17,10 +17,10 @@ from .geometry import Box
 from .mesh import (Mesh, build_cartesian_mesh, build_interval_mesh,
                    build_voronoi_mesh, Domain, cells_inside, isotropy_defect)
 from .reference import (DiscreteMeasure, Potential, density_from_token,
-                        discretize_reference, embed_measure, face_weights,
+                        discretize_reference, face_weights,
                         project_function, project_measure, zero_potential)
-from .functionals import (action, dirichlet_energy, entropy, fisher,
-                          continuous_dirichlet, _gauss_rule_1d)
+from .functionals import (dirichlet_energy, entropy, fisher,
+                          continuous_dirichlet, _gauss_rule_1d, _midpoint_grid)
 from .dual_action import assemble_onsager, dual_action
 from .dynamics import (EXACT_DENSE_LIMIT, Generator, assemble_generator,
                        solve_trajectory)
@@ -121,13 +121,11 @@ def family_from_token(token: str, seed: int = 42) -> MeshFamily:
 
 def _parse_sizes(tail: str) -> tuple:
     if ".." in tail:
-        lo, hi = tail.split("..")
-        sizes = []
-        n = int(lo)
-        while n <= int(hi):
-            sizes.append(n)
-            n *= 2
-        return tuple(sizes)
+        lo, hi = (int(v) for v in tail.split(".."))
+        if not 0 < lo <= hi:
+            raise ValueError(f"family sizes {tail!r}: a..b needs 0 < a <= b")
+        # a, 2a, 4a, ... while at most b
+        return tuple(lo * 2 ** k for k in range((hi // lo).bit_length()))
     return tuple(int(s) for s in tail.split(","))
 
 
@@ -199,15 +197,8 @@ def stationary_density(potential: Potential, domain: Domain,
                               resolution)
         z = float(np.sum(w * np.array([math.exp(-potential(xi)) for xi in x])))
         return lambda p: math.exp(-potential(p)) / z
-    verts = np.asarray(domain.vertices)
-    x0, y0 = verts.min(axis=0)
-    x1, y1 = verts.max(axis=0)
-    n = 512
-    xs = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
-    ys = y0 + (np.arange(n) + 0.5) * (y1 - y0) / n
-    cell = (x1 - x0) * (y1 - y0) / (n * n)
-    z = cell * sum(math.exp(-potential(np.array([xv, yv])))
-                   for yv in ys for xv in xs)
+    points, cell = _midpoint_grid(domain, 512)
+    z = cell * sum(math.exp(-potential(p)) for p in points)
     return lambda p: math.exp(-potential(p)) / z
 
 
@@ -469,39 +460,28 @@ def gamma_affine_minimization_study(family: MeshFamily, z, xi, eps: float,
 # -- EDI audit -------------------------------------------------------------------------
 
 
-def _simpson_weights(steps: int, dt: float) -> np.ndarray:
+def _simpson(values: np.ndarray, T: float) -> float:
+    """Simpson's rule for values at equally spaced nodes on [0, T]."""
+    steps = len(values) - 1
     if steps % 2 != 0:
         raise ValueError("Simpson quadrature needs an even number of steps")
     w = np.ones(steps + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * (dt / 3.0)
+    return float((w * (T / steps / 3.0)) @ values)
 
 
-def _dissipation_integrals(mesh: Mesh, weights, pi: DiscreteMeasure,
-                           generator: Generator, masses: np.ndarray,
-                           T: float):
-    """Dual action at (m, dm/dt) and half the Fisher information along a
-    trajectory sampled at equally spaced nodes on [0, T].
-
-    Each dual solve is warm-started from the previous node's solution.
-    Returns both node arrays and their Simpson integrals.
-    """
-    steps = len(masses) - 1
-    w = _simpson_weights(steps, T / steps)
-    dual_nodes = np.empty(steps + 1)
-    fisher_nodes = np.empty(steps + 1)
-    guess = None
+def _dual_nodes(mesh: Mesh, weights, pi: DiscreteMeasure,
+                generator: Generator, masses: np.ndarray) -> np.ndarray:
+    """Dual action at (m, dm/dt) per trajectory node, each CG solve
+    warm-started from the previous node's solution."""
+    nodes, guess = np.empty(len(masses)), None
     for i, m_i in enumerate(masses):
-        sigma = generator.matrix @ m_i
         operator = assemble_onsager(mesh, weights, m_i, pi)
-        dual_nodes[i], guess = dual_action(m_i, sigma, weights, pi,
-                                           operator=operator,
-                                           initial_guess=guess,
-                                           return_solution=True)
-        fisher_nodes[i] = 0.5 * fisher(m_i, weights, pi)
-    return (dual_nodes, fisher_nodes, float(w @ dual_nodes),
-            float(w @ fisher_nodes))
+        nodes[i], guess = dual_action(m_i, generator.matrix @ m_i, weights, pi,
+                                      operator=operator, initial_guess=guess,
+                                      return_solution=True)
+    return nodes
 
 
 @dataclass
@@ -516,6 +496,7 @@ class EdiAudit:
     times: np.ndarray
     dual_nodes: np.ndarray
     fisher_nodes: np.ndarray
+    control_residual: float     # the same balance on every other node
 
     def summary(self) -> dict:
         return {"H0": self.entropy_start, "HT": self.entropy_end,
@@ -529,31 +510,46 @@ def edi_audit(mesh: Mesh, potential: Potential, m0: DiscreteMeasure, T: float,
               quad_order: int | None = None) -> EdiAudit:
     """Audit the entropy balance H(m_T) + int (dual + half Fisher) = H(m_0).
 
-    Needs the dense spectral oracle (at most EXACT_DENSE_LIMIT cells) and
-    strictly positive initial masses; blend toward the stationary measure
-    first otherwise.  The residual along exact flows is pure quadrature error
-    and shrinks at fourth order under node doubling.
+    Needs the dense spectral oracle (at most EXACT_DENSE_LIMIT cells),
+    strictly positive initial masses (blend toward the stationary measure
+    first otherwise) and steps a multiple of 4.  The residual along exact
+    flows is pure quadrature error and shrinks at fourth order under node
+    doubling; control_residual, the balance on every other node with its own
+    dual solves, equals the residual of an audit at steps // 2.
     """
+    if steps % 4 != 0:
+        raise ValueError(f"edi_audit needs an even number of Simpson steps at "
+                         f"steps and steps // 2: a multiple of 4, got {steps}")
     if mesh.n_cells > EXACT_DENSE_LIMIT:
         raise ValueError(f"edi_audit needs the dense oracle (<= "
                          f"{EXACT_DENSE_LIMIT} cells), got {mesh.n_cells}")
     if np.any(np.asarray(getattr(m0, "masses", m0)) <= 0.0):
         raise ValueError("initial measure must be positive on every cell "
                          "(blend toward the stationary measure first)")
-    pi = discretize_reference(mesh, potential, quad_order)
     weights = face_weights(mesh, potential, mean_kind, quad_order)
+    pi = weights.pi
     generator = assemble_generator(mesh, weights, pi)
     trajectory = solve_trajectory(m0, T, steps, generator, scheme="exact_dense")
-    dual_nodes, fisher_nodes, action_integral, fisher_integral = \
-        _dissipation_integrals(mesh, weights, pi, generator, trajectory.masses, T)
+    masses = trajectory.masses
+    dual_nodes = _dual_nodes(mesh, weights, pi, generator, masses)
+    fisher_nodes = np.array([0.5 * fisher(m_i, weights, pi) for m_i in masses])
+    action_integral = _simpson(dual_nodes, T)
+    fisher_integral = _simpson(fisher_nodes, T)
+    # the even nodes of the exact flow are the nodes of the flow at steps // 2;
+    # copied, because a strided dot product may sum in another order
+    control_dual = _dual_nodes(mesh, weights, pi, generator, masses[::2])
+    control_fisher = np.ascontiguousarray(fisher_nodes[::2])
     h0 = entropy(m0, pi)
     ht = entropy(trajectory.measure(steps), pi)
     residual = h0 - ht - (action_integral + fisher_integral)
+    control_residual = h0 - ht - (_simpson(control_dual, T)
+                                  + _simpson(control_fisher, T))
     return EdiAudit(entropy_start=h0, entropy_end=ht,
                     action_integral=action_integral,
                     fisher_integral=fisher_integral, residual=residual,
                     times=trajectory.times, dual_nodes=dual_nodes,
-                    fisher_nodes=fisher_nodes)
+                    fisher_nodes=fisher_nodes,
+                    control_residual=control_residual)
 
 
 # -- evolutionary convergence -----------------------------------------------------------
@@ -590,9 +586,8 @@ def _richardson_reference_1d(potential: Potential, rho0: Callable, T: float,
     dens: dict[int, np.ndarray] = {}
     for n in (n_fine, n_fine // 2):
         mesh = build_interval_mesh(n)
-        pi = discretize_reference(mesh, potential)
         weights = face_weights(mesh, potential, mean_kind)
-        gen = assemble_generator(mesh, weights, pi)
+        gen = assemble_generator(mesh, weights, weights.pi)
         m0 = project_measure(mesh, rho0)
         traj = solve_trajectory(m0, T, t_nodes - 1, gen, scheme="exact_dense")
         dens[n] = traj.masses * n  # Lebesgue densities on the uniform grid
@@ -649,8 +644,8 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
             r.values * np.diff(r.edges)), ref_pi) for r in refs]
 
     def one(mesh: Mesh) -> StudyRow:
-        pi = discretize_reference(mesh, potential, quad_order)
         weights = face_weights(mesh, potential, mean_kind, quad_order)
+        pi = weights.pi
         generator = assemble_generator(mesh, weights, pi)
         m0 = project_measure(mesh, rho0_fn, quad_order)
         traj = solve_trajectory(m0, T, t_nodes - 1, generator,
@@ -662,8 +657,10 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
             sup_w2 = max(sup_w2, wasserstein_1d(disc, refs[i]))
             entropy_excess = max(entropy_excess,
                                  entropy(traj.measure(i), pi) - entropy_refs[i])
-        _, _, dual_integral, fisher_integral = _dissipation_integrals(
-            mesh, weights, pi, generator, traj.masses, T)
+        dual_integral = _simpson(
+            _dual_nodes(mesh, weights, pi, generator, traj.masses), T)
+        fisher_integral = _simpson(np.array(
+            [0.5 * fisher(m_i, weights, pi) for m_i in traj.masses]), T)
         return StudyRow(mesh_size=mesh.size(), value=sup_w2, reference=0.0,
                         error=sup_w2,
                         extras={"entropy_excess": entropy_excess,
@@ -690,9 +687,8 @@ def _evolutionary_study_2d(family: MeshFamily, meshes: list[Mesh],
             raise ValueError("2d family sizes must divide the reference grid")
     rho0_fn = (density_from_token(rho0, 2) if isinstance(rho0, str) else rho0)
     ref_mesh = build_cartesian_mesh(n_ref, n_ref)
-    ref_pi = discretize_reference(ref_mesh, potential, quad_order)
     ref_weights = face_weights(ref_mesh, potential, mean_kind, quad_order)
-    ref_gen = assemble_generator(ref_mesh, ref_weights, ref_pi)
+    ref_gen = assemble_generator(ref_mesh, ref_weights, ref_weights.pi)
     ref_m0 = project_measure(ref_mesh, rho0_fn, quad_order)
     steps = 64 * (t_nodes - 1)
     ref_traj = solve_trajectory(ref_m0, T, steps, ref_gen,
@@ -702,9 +698,8 @@ def _evolutionary_study_2d(family: MeshFamily, meshes: list[Mesh],
                 for i in range(t_nodes)]
 
     def one(mesh: Mesh, n: int) -> StudyRow:
-        pi = discretize_reference(mesh, potential, quad_order)
         weights = face_weights(mesh, potential, mean_kind, quad_order)
-        generator = assemble_generator(mesh, weights, pi)
+        generator = assemble_generator(mesh, weights, weights.pi)
         m0 = project_measure(mesh, rho0_fn, quad_order)
         traj = solve_trajectory(m0, T, t_nodes - 1, generator, scheme="auto")
         factor = n_ref // n
@@ -747,8 +742,8 @@ def lower_bound_trend_study(family: MeshFamily, mu: Callable, eta: Callable,
     a_ref = continuum_dual(mu, eta, potential, domain)
 
     def one(mesh: Mesh) -> StudyRow:
-        pi = discretize_reference(mesh, potential, quad_order)
         weights = face_weights(mesh, potential, mean_kind, quad_order)
+        pi = weights.pi
         m = project_measure(mesh, mu, quad_order)
         h_val = entropy(m, pi)
         i_val = fisher(m, weights, pi)
@@ -777,9 +772,8 @@ def isotropy_study(family: MeshFamily,
     potential = potential or zero_potential()
 
     def one(mesh: Mesh) -> StudyRow:
-        pi = discretize_reference(mesh, potential)
         weights = face_weights(mesh, potential)
-        defect = float(isotropy_defect(mesh, weights, pi).max())
+        defect = float(isotropy_defect(mesh, weights, weights.pi).max())
         return StudyRow(mesh_size=mesh.size(), value=defect, reference=0.0,
                         error=defect)
 

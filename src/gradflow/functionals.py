@@ -11,6 +11,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import geometry
 from .mesh import Mesh, cells_meeting
 
 KERNEL_KINDS = ("logarithmic", "sqrt_logarithmic", "arithmetic", "geometric",
@@ -247,35 +248,38 @@ def continuous_dirichlet(phi: Callable, density: Callable, domain,
         rho = np.array([density(xi) for xi in x], dtype=float)
         return 0.5 * float(np.sum(w * g * g * rho))
 
-    verts = np.asarray(domain.vertices)
-    x0, y0 = verts.min(axis=0)
-    x1, y1 = verts.max(axis=0)
-    nx = ny = resolution
-    xs = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
-    ys = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
-    cell = (x1 - x0) * (y1 - y0) / (nx * ny)
-    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
-    rectangular = len(verts) == 4 and np.allclose(
-        np.sort(verts, axis=0), np.sort(corners, axis=0))
+    points, cell = _midpoint_grid(domain, resolution)
     total = 0.0
     h = 1e-6
-    for yv in ys:
-        for xv in xs:
-            p = np.array([xv, yv])
-            if not rectangular and not _point_in_domain(domain, p):
-                continue
-            if grad is None:
-                gx = (phi(np.array([xv + h, yv])) - phi(np.array([xv - h, yv]))) / (2 * h)
-                gy = (phi(np.array([xv, yv + h])) - phi(np.array([xv, yv - h]))) / (2 * h)
-                g2 = gx * gx + gy * gy
-            else:
-                gv = np.asarray(grad(p), dtype=float)
-                g2 = float(gv @ gv)
-            total += g2 * float(density(p))
+    for p in points:
+        xv, yv = p
+        if grad is None:
+            gx = (phi(np.array([xv + h, yv])) - phi(np.array([xv - h, yv]))) / (2 * h)
+            gy = (phi(np.array([xv, yv + h])) - phi(np.array([xv, yv - h]))) / (2 * h)
+            g2 = gx * gx + gy * gy
+        else:
+            gv = np.asarray(grad(p), dtype=float)
+            g2 = float(gv @ gv)
+        total += g2 * float(density(p))
     return 0.5 * total * cell
 
 
-def _point_in_domain(domain, p) -> bool:
-    from . import geometry
-
-    return geometry.point_in_convex(np.asarray(domain.vertices), p, tol=0.0)
+def _midpoint_grid(domain, resolution: int):
+    """The (N, 2) midpoints, y-major, of a resolution^2 grid on the bounding
+    box of a 2D domain that lie in the domain, and the area of a grid cell."""
+    verts = np.asarray(domain.vertices)
+    x0, y0 = verts.min(axis=0)
+    x1, y1 = verts.max(axis=0)
+    xs = x0 + (np.arange(resolution) + 0.5) * (x1 - x0) / resolution
+    ys = y0 + (np.arange(resolution) + 0.5) * (y1 - y0) / resolution
+    cell = (x1 - x0) * (y1 - y0) / (resolution * resolution)
+    gx, gy = np.meshgrid(xs, ys)
+    points = np.column_stack([gx.ravel(), gy.ravel()])
+    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+    rectangular = len(verts) == 4 and np.allclose(
+        np.sort(verts, axis=0), np.sort(corners, axis=0))
+    if not rectangular:
+        # Domain.contains(p, tol=0.0) for every point at once
+        dist = geometry.signed_edge_distances(verts, points.T[:, :, None])
+        points = points[np.all(dist >= 0.0, axis=1)]
+    return points, cell

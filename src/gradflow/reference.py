@@ -1,8 +1,8 @@
 """Stationary measure discretisation, face weights, projections, embeddings.
 
 The reference density is sigma = exp(-V)/Z with Z fixed by cell-wise
-quadrature; the same Z backs the cell masses pi(K) and the pointwise site
-values entering face weights, so the two stay consistent on one mesh.
+quadrature; face_weights takes the cell masses pi(K) (FaceWeights.pi) and the
+site values entering the weights from one pass, so they share Z on one mesh.
 """
 from __future__ import annotations
 
@@ -90,12 +90,14 @@ def potential_from_token(token: str, dim: int) -> Potential:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Nonnegative mass per cell, summing to one."""
+    """Finite nonnegative mass per cell, summing to one."""
 
     masses: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.masses, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("masses must be finite")
         if np.any(arr < 0.0):
             raise ValueError("masses must be nonnegative")
         total = float(arr.sum())
@@ -126,13 +128,15 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class FaceWeights:
-    """Per-face conductances w_KL = (|Γ|/d) S_KL with the chosen S mean."""
+    """Per-face conductances w_KL = (|Γ|/d) S_KL with the chosen S mean,
+    and the reference measure pi normalised by the same Z."""
 
     w: np.ndarray
     S: np.ndarray
     sigma_sites: np.ndarray
     mean_kind: str
     face_cells: np.ndarray
+    pi: DiscreteMeasure
 
     def __post_init__(self):
         for name in ("w", "S", "sigma_sites"):
@@ -190,16 +194,19 @@ def cell_quadrature(mesh: Mesh, k: int, order: int | None = None):
     return np.vstack(nodes), np.concatenate(weights)
 
 
+def _pointwise(mesh: Mesh, g: Callable, points: np.ndarray) -> np.ndarray:
+    """g at each row of points: a float argument in 1D, a point in 2D."""
+    if mesh.dim == 1:
+        return np.array([g(float(x[0])) for x in points], dtype=float)
+    return np.array([g(x) for x in points], dtype=float)
+
+
 def cell_integrals(mesh: Mesh, g: Callable, order: int | None = None) -> np.ndarray:
     """Integral of g over each cell by the module quadrature."""
     out = np.empty(mesh.n_cells)
     for k in range(mesh.n_cells):
         nodes, weights = cell_quadrature(mesh, k, order)
-        if mesh.dim == 1:
-            vals = np.array([g(float(x[0])) for x in nodes], dtype=float)
-        else:
-            vals = np.array([g(x) for x in nodes], dtype=float)
-        out[k] = float(weights @ vals)
+        out[k] = float(weights @ _pointwise(mesh, g, nodes))
     return out
 
 
@@ -213,33 +220,29 @@ def discretize_reference(mesh: Mesh, potential: Potential,
     return DiscreteMeasure.normalized(vals)
 
 
-def reference_normalizer(mesh: Mesh, potential: Potential,
-                         quad_order: int | None = None) -> float:
-    """The constant Z = sum_K int_K exp(-V) shared by pi and face weights."""
-    return float(cell_integrals(mesh, lambda x: np.exp(-potential(x)), quad_order).sum())
-
-
 def face_weights(mesh: Mesh, potential: Potential,
                  mean_kind: str = "logarithmic",
                  quad_order: int | None = None) -> FaceWeights:
     """TPFA conductances from site values of the stationary density.
 
-    S_KL is the chosen mean of sigma(x_K) and sigma(x_L); sigma uses the same
-    normalizer Z as discretize_reference on this mesh.
+    S_KL is the chosen mean of sigma(x_K) and sigma(x_L).  One quadrature
+    pass gives Z, which normalises sigma and pi (= discretize_reference).
     """
     if mean_kind not in S_MEAN_KINDS:
         raise ValueError(f"unknown mean kind {mean_kind!r}")
-    z = reference_normalizer(mesh, potential, quad_order)
-    if mesh.dim == 1:
-        sigma = np.array([np.exp(-potential(float(x[0]))) for x in mesh.sites]) / z
-    else:
-        sigma = np.array([np.exp(-potential(x)) for x in mesh.sites]) / z
+
+    def boltzmann(x):
+        return np.exp(-potential(x))
+
+    vals = cell_integrals(mesh, boltzmann, quad_order)
+    pi = DiscreteMeasure.normalized(vals)
+    sigma = _pointwise(mesh, boltzmann, mesh.sites) / float(vals.sum())
     fc = mesh.face_cells
     s = (mean_value(mean_kind, sigma[fc[:, 0]], sigma[fc[:, 1]])
          if len(fc) else np.zeros(0))
     w = mesh.transmissibilities() * s
     return FaceWeights(w=w, S=s, sigma_sites=sigma, mean_kind=mean_kind,
-                       face_cells=fc)
+                       face_cells=fc, pi=pi)
 
 
 # -- projection and embedding -----------------------------------------------------
@@ -298,9 +301,7 @@ def embed_measure(mesh: Mesh, m: DiscreteMeasure) -> PiecewiseConstant:
 
 def project_function(mesh: Mesh, phi: Callable) -> np.ndarray:
     """Pointwise site evaluation (phi(x_K) per cell)."""
-    if mesh.dim == 1:
-        return np.array([phi(float(x[0])) for x in mesh.sites], dtype=float)
-    return np.array([phi(x) for x in mesh.sites], dtype=float)
+    return _pointwise(mesh, phi, mesh.sites)
 
 
 def embed_function(mesh: Mesh, f) -> PiecewiseConstant:

@@ -69,6 +69,15 @@ class TestSolveCommand:
         masses = np.array([float(l.split(",")[2]) for l in lines])
         assert np.abs(masses - 0.125).max() <= 1e-12
 
+    def test_nan_mass_file_exit_2(self, tmp_path, capsys):
+        measure = tmp_path / "m.csv"
+        measure.write_text("cell,mass\n0,nan\n1,0.5\n2,0.5\n")
+        code, out = run(["solve", "--kind", "uniform1d", "--n", "3",
+                         "--m0", f"file:{measure}", "--M", "4"], tmp_path)
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
     def test_deterministic_outputs(self, tmp_path):
         args = ["solve", "--kind", "uniform1d", "--n", "8",
                 "--m0", "projected:cosine", "--T", "0.1", "--M", "8"]
@@ -104,6 +113,23 @@ class TestEdiCommand:
                       tmp_path)
         assert code == 2
 
+    def test_one_eigendecomposition_and_three_passes(self, tmp_path,
+                                                     monkeypatch):
+        from gradflow import reference
+
+        eighs, passes = [], []
+        eigh, integrals = np.linalg.eigh, reference.cell_integrals
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a: eighs.append(1) or eigh(*a))
+        monkeypatch.setattr(reference, "cell_integrals",
+                            lambda *a: passes.append(1) or integrals(*a))
+        code, _ = run(["edi", "--kind", "cartesian", "--n", "4",
+                       "--potential", "quadratic", "--M", "16"], tmp_path)
+        assert code == 0
+        assert len(eighs) == 1
+        # pi for the initial blend, its projected density, the face weights
+        assert len(passes) == 3
+
     @pytest.mark.parametrize("steps", ["258", "6", "0"])
     def test_steps_not_multiple_of_four_exit_2(self, tmp_path, capsys, steps):
         # checked before the mesh is read: the named mesh file is absent
@@ -131,6 +157,36 @@ class TestGammaCommand:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["pass"] is True
+
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--phi", "coordinate:5"], "axis must lie in 0..1"),
+        (["--phi", "coordinate:-1"], "axis must lie in 0..1"),
+        (["--mode", "affine", "--xi", "1,2,3"], "--z and --xi need 2"),
+        (["--mode", "affine", "--z", "0.5"], "--z and --xi need 2"),
+    ])
+    def test_arguments_checked_against_2d_family(self, tmp_path, capsys,
+                                                 monkeypatch, argv, message):
+        monkeypatch.setattr(experiments.MeshFamily, "build", None)
+        code, out = run(["gamma", "--family", "cartesian:4..8", *argv],
+                        tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert not out.exists()
+
+    def test_axis_checked_against_1d_family(self, tmp_path, capsys):
+        code, _ = run(["gamma", "--family", "uniform1d:8..16",
+                       "--phi", "coordinate:1"], tmp_path)
+        assert code == 2
+        assert "axis must lie in 0..0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["uniform1d:0..16", "cartesian:-2..8",
+                                        "cartesian:64..16"])
+    def test_bad_size_range_exit_2(self, tmp_path, capsys, family):
+        code, _ = run(["gamma", "--family", family], tmp_path)
+        assert code == 2
+        assert "a..b needs 0 < a <= b" in capsys.readouterr().err
 
 
 class TestConvergeCommand:

@@ -7,7 +7,7 @@ import gradflow as gf
 from gradflow import experiments as ex
 from gradflow.dynamics import EXACT_DENSE_LIMIT
 from gradflow.experiments import Density1D, wasserstein_1d
-from gradflow.reference import DiscreteMeasure
+from gradflow.reference import DiscreteMeasure, initial_measure_from_token
 
 
 class TestWasserstein1D:
@@ -81,6 +81,12 @@ class TestFamilies:
         assert fam.labels == [3, 5]
         with pytest.raises(ValueError):
             ex.family_from_token("fractal:1..2")
+
+    @pytest.mark.parametrize("token", ["uniform1d:0..16", "cartesian:-4..16",
+                                       "cartesian:64..16"])
+    def test_bad_size_range_rejected(self, token):
+        with pytest.raises(ValueError, match="a..b"):
+            ex.family_from_token(token)
 
     def test_deterministic_jitter(self):
         a = ex.jittered_voronoi_family((36,)).build()[0]
@@ -196,6 +202,32 @@ class TestEdiAudit:
         mesh, pot, pi, _ = two_cell
         with pytest.raises(ValueError, match="even"):
             ex.edi_audit(mesh, pot, pi, T=0.1, steps=7)
+
+    @pytest.mark.parametrize("steps", [6, 10])
+    def test_steps_not_multiple_of_four_rejected(self, two_cell, steps):
+        mesh, pot, pi, _ = two_cell
+        with pytest.raises(ValueError, match="multiple of 4"):
+            ex.edi_audit(mesh, pot, pi, T=0.1, steps=steps)
+
+    def test_control_equals_half_step_audit_1d(self):
+        mesh = gf.build_interval_mesh(8)
+        pot = gf.linear_potential(1.0)
+        pi = gf.discretize_reference(mesh, pot)
+        m0 = initial_measure_from_token("blend:cosine:0.9", mesh, pi)
+        audit = ex.edi_audit(mesh, pot, m0, T=0.5, steps=64)
+        half = ex.edi_audit(mesh, pot, m0, T=0.5, steps=32)
+        assert audit.control_residual == half.residual
+        assert audit.control_residual != audit.residual
+
+    def test_control_equals_half_step_audit_2d(self):
+        mesh = gf.build_cartesian_mesh(6, 6)
+        pot = gf.quadratic_potential([0.4, 0.6])
+        pi = gf.discretize_reference(mesh, pot)
+        m0 = initial_measure_from_token("blend:cosine:0.9", mesh, pi)
+        audit = ex.edi_audit(mesh, pot, m0, T=0.25, steps=32)
+        half = ex.edi_audit(mesh, pot, m0, T=0.25, steps=16)
+        assert audit.control_residual == half.residual
+        assert np.array_equal(audit.fisher_nodes[::2], half.fisher_nodes)
 
     def test_cell_cap_rejected(self):
         mesh = gf.build_interval_mesh(EXACT_DENSE_LIMIT + 1)
@@ -390,3 +422,21 @@ class TestStudyResult:
         summary = study.summary()
         assert summary["study"] == "gamma_energy"
         assert len(summary["rows"]) == 2
+
+
+class TestStationaryDensity:
+    def test_triangle_normalised_over_the_domain(self):
+        triangle = gf.Domain.polygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        sigma = ex.stationary_density(gf.zero_potential(), triangle)
+        assert sigma(np.array([0.2, 0.2])) == pytest.approx(2.0, rel=1e-2)
+
+    def test_rectangle_sum_unchanged(self):
+        pot = gf.quadratic_potential([0.3, 0.6])
+        sigma = ex.stationary_density(pot, gf.Domain.rectangle(0.0, 0.0, 2.0, 1.0))
+        # the midpoint sum in y-major order, as a reference copy
+        xs = (np.arange(512) + 0.5) * 2.0 / 512
+        ys = (np.arange(512) + 0.5) * 1.0 / 512
+        z = 2.0 / (512 * 512) * sum(math.exp(-pot(np.array([xv, yv])))
+                                    for yv in ys for xv in xs)
+        p = np.array([0.7, 0.2])
+        assert sigma(p) == math.exp(-pot(p)) / z

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gradflow as gf
+from gradflow import experiments as ex
 from gradflow.reference import (DiscreteMeasure, density_from_token,
                                 initial_measure_from_token,
                                 potential_from_token)
@@ -89,12 +90,12 @@ class TestFaceWeights:
         assert np.array_equal(w_min, w_max)
 
     def test_geometric_mean_identity(self):
-        from gradflow.reference import reference_normalizer
+        from gradflow.reference import cell_integrals
 
         mesh = gf.build_interval_mesh(4)
         pot = gf.linear_potential(2.0)
         weights = gf.face_weights(mesh, pot, "geometric")
-        z = reference_normalizer(mesh, pot)
+        z = float(cell_integrals(mesh, lambda x: np.exp(-pot(x))).sum())
         for f, (k, l) in enumerate(mesh.face_cells):
             vk = 2.0 * mesh.sites[k, 0]
             vl = 2.0 * mesh.sites[l, 0]
@@ -119,6 +120,58 @@ class TestFaceWeights:
         mesh, pot = two_cell[0], two_cell[1]
         with pytest.raises(ValueError):
             gf.face_weights(mesh, pot, "median")
+
+
+def _two_pass_face_weights(mesh, pot, mean_kind, quad_order):
+    """Reference copy of the former face weights: Z from a second pass."""
+    from gradflow.functionals import mean_value
+    from gradflow.reference import cell_integrals
+
+    z = float(cell_integrals(mesh, lambda x: np.exp(-pot(x)), quad_order).sum())
+    if mesh.dim == 1:
+        sigma = np.array([np.exp(-pot(float(x[0]))) for x in mesh.sites]) / z
+    else:
+        sigma = np.array([np.exp(-pot(x)) for x in mesh.sites]) / z
+    fc = mesh.face_cells
+    s = mean_value(mean_kind, sigma[fc[:, 0]], sigma[fc[:, 1]])
+    return mesh.transmissibilities() * s, s, sigma
+
+
+_ONE_PASS_MESHES = {
+    "interval": lambda: gf.build_interval_mesh(
+        5, breakpoints=[0.0, 0.1, 0.35, 0.5, 0.8, 1.0]),
+    "cartesian": lambda: gf.build_cartesian_mesh(5, 4),
+    "voronoi": lambda: ex.jittered_voronoi_family((36,)).build()[0],
+}
+
+
+class TestOnePassSetup:
+    @pytest.mark.parametrize("quad_order", [None, 3])
+    @pytest.mark.parametrize("potential", ["zero", "linear", "quadratic",
+                                           "double-well"])
+    @pytest.mark.parametrize("kind", sorted(_ONE_PASS_MESHES))
+    def test_pi_and_weights_match_two_pass(self, kind, potential, quad_order):
+        mesh = _ONE_PASS_MESHES[kind]()
+        pot = potential_from_token(potential, mesh.dim)
+        weights = gf.face_weights(mesh, pot, "logarithmic", quad_order)
+        pi = gf.discretize_reference(mesh, pot, quad_order)
+        assert np.array_equal(weights.pi.masses, pi.masses)
+        w, s, sigma = _two_pass_face_weights(mesh, pot, "logarithmic",
+                                             quad_order)
+        assert np.array_equal(weights.w, w)
+        assert np.array_equal(weights.S, s)
+        assert np.array_equal(weights.sigma_sites, sigma)
+
+    def test_one_quadrature_pass(self, monkeypatch):
+        from gradflow import reference
+
+        calls = []
+        original = reference.cell_integrals
+        monkeypatch.setattr(reference, "cell_integrals",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        mesh = gf.build_cartesian_mesh(4, 4)
+        gf.face_weights(mesh, gf.quadratic_potential([0.3, 0.7]))
+        assert len(calls) == 1
 
 
 class TestProjection:
@@ -257,6 +310,11 @@ class TestMeasureCsv:
 
 
 class TestDiscreteMeasureInvariants:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mass_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure(np.array([bad, 1.0]))
+
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
             DiscreteMeasure(np.array([1.2, -0.2]))
