@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diagnostics, experiments
 from .dual_action import ConjugateGradientError
-from .dynamics import assemble_generator, solve_trajectory
+from .dynamics import SCHEMES, assemble_generator, solve_trajectory
 from .mesh import (Mesh, MeshError, build_cartesian_mesh, build_interval_mesh,
                    build_voronoi_mesh, Domain, isotropy_defect,
                    regularity_report)
@@ -40,12 +40,16 @@ def _atomic_write(path: str, write) -> None:
         raise
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_text(path: str, text: str) -> None:
     def write(tmp):
         with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            fh.write(text)
 
     _atomic_write(path, write)
+
+
+def _write_json(path: str, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_sites(path: str) -> np.ndarray:
@@ -98,23 +102,15 @@ def cmd_mesh(args) -> int:
     potential = potential_from_token(args.potential, mesh.dim)
     weights = face_weights(mesh, potential, args.mean)
     defects = isotropy_defect(mesh, weights, weights.pi)
-
-    def write_report(path):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("zeta_inner,zeta_area,zeta,mesh_size,cells,faces\n")
-            fh.write(",".join(repr(v) for v in
-                              (report.zeta_inner, report.zeta_area, report.zeta,
-                               report.mesh_size))
-                     + f",{mesh.n_cells},{mesh.n_faces}\n")
-
-    def write_isotropy(path):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("cell,isotropy_defect\n")
-            for k, d in enumerate(defects):
-                fh.write(f"{k},{float(d)!r}\n")
-
-    _atomic_write(os.path.join(out, "regularity.csv"), write_report)
-    _atomic_write(os.path.join(out, "isotropy.csv"), write_isotropy)
+    _write_text(os.path.join(out, "regularity.csv"),
+                "zeta_inner,zeta_area,zeta,mesh_size,cells,faces\n"
+                + ",".join(repr(v) for v in
+                           (report.zeta_inner, report.zeta_area, report.zeta,
+                            report.mesh_size))
+                + f",{mesh.n_cells},{mesh.n_faces}\n")
+    _write_text(os.path.join(out, "isotropy.csv"),
+                "cell,isotropy_defect\n" + "".join(
+                    f"{k},{float(d)!r}\n" for k, d in enumerate(defects)))
     _write_json(os.path.join(out, "summary.json"),
                 {"command": "mesh", "cells": mesh.n_cells, "faces": mesh.n_faces,
                  "zeta": report.zeta, "mesh_size": report.mesh_size,
@@ -124,18 +120,12 @@ def cmd_mesh(args) -> int:
     return 0
 
 
-def _setup_flow(args, mesh: Mesh):
-    potential = potential_from_token(args.potential, mesh.dim)
-    weights = face_weights(mesh, potential, args.mean)
-    pi = weights.pi
-    generator = assemble_generator(mesh, weights, pi)
-    m0 = initial_measure_from_token(args.m0, mesh, pi)
-    return potential, pi, weights, generator, m0
-
-
 def cmd_solve(args) -> int:
     mesh = _mesh_from_args(args)
-    _, _, _, generator, m0 = _setup_flow(args, mesh)
+    potential = potential_from_token(args.potential, mesh.dim)
+    weights = face_weights(mesh, potential, args.mean)
+    generator = assemble_generator(mesh, weights, weights.pi)
+    m0 = initial_measure_from_token(args.m0, mesh, weights.pi)
     trajectory = solve_trajectory(m0, args.T, args.M, generator,
                                   scheme=args.scheme)
     out = _out_dir(args)
@@ -162,24 +152,18 @@ def cmd_edi(args) -> int:
               64.0 * np.finfo(float).eps * max(audit.entropy_start, 1.0))
     passed = (audit.residual >= -tol) and (abs(audit.residual) <= tol)
     out = _out_dir(args)
-
-    def write(path):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("H0,HT,action_integral,fisher_integral,residual,tol\n")
-            fh.write(",".join(repr(v) for v in
-                              (audit.entropy_start, audit.entropy_end,
-                               audit.action_integral, audit.fisher_integral,
-                               audit.residual, tol)) + "\n")
-
-    _atomic_write(os.path.join(out, "edi.csv"), write)
+    _write_text(os.path.join(out, "edi.csv"),
+                "H0,HT,action_integral,fisher_integral,residual,tol\n"
+                + ",".join(repr(v) for v in
+                           (audit.entropy_start, audit.entropy_end,
+                            audit.action_integral, audit.fisher_integral,
+                            audit.residual, tol)) + "\n")
     _write_json(os.path.join(out, "summary.json"),
                 {"command": "edi", **audit.summary(), "tol": tol,
                  "pass": bool(passed)})
     print(f"edi: residual={audit.residual:.3e} (tol {tol:.3e}) "
           f"H0={audit.entropy_start:.6g}")
-    if args.check and not passed:
-        return 3
-    return 0
+    return 3 if args.check and not passed else 0
 
 
 def cmd_gamma(args) -> int:
@@ -209,9 +193,7 @@ def cmd_gamma(args) -> int:
                 {"command": "gamma", **study.summary(), "pass": bool(checks)})
     print(f"gamma[{args.mode}]: {len(study.rows)} rows, "
           f"final error {study.rows[-1].error:.3e}")
-    if args.check and not checks:
-        return 3
-    return 0
+    return 3 if args.check and not checks else 0
 
 
 def _phi_from_token(token: str, dim: int):
@@ -248,14 +230,14 @@ def cmd_converge(args) -> int:
                 {"command": "converge", **study.summary(), "pass": passed})
     print(f"converge: final sup error {study.rows[-1].error:.3e}, "
           f"orders {np.array2string(orders, precision=2)}")
-    if args.check and not passed:
-        return 3
-    return 0
+    return 3 if args.check and not passed else 0
 
 
 def cmd_diagnose(args) -> int:
     mesh = _mesh_from_args(args)
-    potential, pi, weights, generator, m0 = _setup_flow(args, mesh)
+    pi = discretize_reference(mesh,
+                              potential_from_token(args.potential, mesh.dim))
+    m0 = initial_measure_from_token(args.m0, mesh, pi)
     report = diagnostics.condition_report(
         mesh, m0, pi,
         cube_centers=[mesh.sites[0]],
@@ -263,24 +245,15 @@ def cmd_diagnose(args) -> int:
     constants = diagnostics.path_constants(mesh)
     out = _out_dir(args)
     _atomic_write(os.path.join(out, "condition.csv"), report.to_csv)
-
-    def write_paths(path):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("c_count,c_length,pairs\n")
-            fh.write(f"{constants.c_count!r},{constants.c_length!r},"
-                     f"{constants.n_pairs}\n")
-
-    _atomic_write(os.path.join(out, "paths.csv"), write_paths)
+    _write_text(os.path.join(out, "paths.csv"),
+                f"c_count,c_length,pairs\n{constants.c_count!r},"
+                f"{constants.c_length!r},{constants.n_pairs}\n")
     hol = diagnostics.l2_holder_modulus(
         mesh, np.asarray(m0.masses) / pi.masses,
         np.full(mesh.dim, 0.5 * mesh.size()), m0, pi, kind=args.mean)
-
-    def write_holder(path):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("value,bound,ratio\n")
-            fh.write(f"{hol.value!r},{hol.bound!r},{hol.ratio!r}\n")
-
-    _atomic_write(os.path.join(out, "holder.csv"), write_holder)
+    _write_text(os.path.join(out, "holder.csv"),
+                f"value,bound,ratio\n"
+                f"{hol.value!r},{hol.bound!r},{hol.ratio!r}\n")
     _write_json(os.path.join(out, "summary.json"),
                 {"command": "diagnose", "k_lower": report.k_lower,
                  "k_upper": report.k_upper,
@@ -302,13 +275,26 @@ def _add_mesh_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sites", help="CSV of site coordinates (voronoi)")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, mean: bool = True,
+                seed: bool = False, check: bool = False) -> None:
+    """--potential and --out, plus the shared options the command reads."""
     p.add_argument("--potential", default="zero")
-    p.add_argument("--mean", default="logarithmic")
     p.add_argument("--out", default="gradflow-out")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--check", action="store_true",
-                   help="exit 3 when the acceptance rule fails")
+    if mean:
+        p.add_argument("--mean", default="logarithmic")
+    if seed:
+        p.add_argument("--seed", type=int, default=42)
+    if check:
+        p.add_argument("--check", action="store_true",
+                       help="exit 3 when the acceptance rule fails")
+
+
+def _time_horizon(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"T must be finite and positive, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,23 +312,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mesh_options(p)
     _add_common(p)
     p.add_argument("--m0", default="stationary")
-    p.add_argument("--T", type=float, default=0.5)
+    p.add_argument("--T", type=_time_horizon, default=0.5)
     p.add_argument("--M", type=int, default=256)
-    p.add_argument("--scheme", default="auto",
-                   choices=["auto", "implicit_euler", "crank_nicolson",
-                            "exact_dense"])
+    p.add_argument("--scheme", default="auto", choices=["auto", *SCHEMES])
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("edi", help="audit the entropy balance")
     _add_mesh_options(p)
-    _add_common(p)
+    _add_common(p, check=True)
     p.add_argument("--m0", default="blend:cosine:0.9")
-    p.add_argument("--T", type=float, default=0.5)
+    p.add_argument("--T", type=_time_horizon, default=0.5)
     p.add_argument("--M", type=int, default=256)
     p.set_defaults(fn=cmd_edi)
 
     p = sub.add_parser("gamma", help="energy or affine minimization study")
-    _add_common(p)
+    _add_common(p, mean=False, seed=True, check=True)
     p.add_argument("--family", default="uniform1d:16..256")
     p.add_argument("--mode", default="energy", choices=["energy", "affine"])
     p.add_argument("--phi", default="cosine")
@@ -352,10 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gamma)
 
     p = sub.add_parser("converge", help="evolutionary convergence study")
-    _add_common(p)
+    _add_common(p, seed=True, check=True)
     p.add_argument("--family", default="uniform1d:16..256")
     p.add_argument("--rho0", default="cosine")
-    p.add_argument("--T", type=float, default=0.1)
+    p.add_argument("--T", type=_time_horizon, default=0.1)
     p.set_defaults(fn=cmd_converge)
 
     p = sub.add_parser("diagnose", help="condition, path, and Holder reports")

@@ -7,6 +7,7 @@ dense spectral oracle used for high-accuracy trajectories.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,21 @@ EXACT_DENSE_LIMIT = 2000
 AUTO_DENSE_LIMIT = 400
 NEGATIVE_CLIP = 1e-12
 SCHEMES = ("implicit_euler", "crank_nicolson", "exact_dense")
+_THETA = {"implicit_euler": 1.0, "crank_nicolson": 0.5}
+
+
+def _resolve_scheme(scheme: str, n: int) -> str:
+    """The scheme that runs on n cells: 'auto' is the dense oracle up to
+    AUTO_DENSE_LIMIT cells and implicit Euler beyond; the dense oracle is
+    refused above EXACT_DENSE_LIMIT."""
+    if scheme == "auto":
+        scheme = "exact_dense" if n <= AUTO_DENSE_LIMIT else "implicit_euler"
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "exact_dense" and n > EXACT_DENSE_LIMIT:
+        raise ValueError(f"the dense spectral oracle is limited to "
+                         f"{EXACT_DENSE_LIMIT} cells, got {n}")
+    return scheme
 
 
 @dataclass
@@ -41,9 +57,7 @@ class Generator:
     def symmetric_eig(self):
         """Eigendecomposition of the pi-symmetrized generator (cached)."""
         if self._sym is None:
-            if self.n > EXACT_DENSE_LIMIT:
-                raise ValueError(f"dense spectral oracle limited to "
-                                 f"{EXACT_DENSE_LIMIT} cells")
+            _resolve_scheme("exact_dense", self.n)
             sqrt_pi = np.sqrt(self.pi.masses)
             sym = self.matrix.toarray() * (sqrt_pi[None, :] / sqrt_pi[:, None])
             sym = 0.5 * (sym + sym.T)
@@ -82,30 +96,36 @@ def _clip_measure(values: np.ndarray) -> DiscreteMeasure:
     return DiscreteMeasure(clipped / clipped.sum())
 
 
+def _theta_stepper(generator: Generator, dt: float, theta: float):
+    """step(m) for (I - theta dt L) m+ = m + (1 - theta) dt L m (backward
+    Euler at theta = 1, Crank-Nicolson at 1/2); I - (theta dt) L is factorised
+    here, once, with splu, and each step only back-substitutes."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    lu = spla.splu(sp.identity(generator.n, format="csc")
+                   - (theta * dt) * generator.matrix)
+    explicit = ((1.0 - theta) * dt) * generator.matrix if theta < 1.0 else None
+
+    def step(m) -> DiscreteMeasure:
+        arr = np.asarray(getattr(m, "masses", m), dtype=float)
+        rhs = arr if explicit is None else arr + explicit @ arr
+        return _clip_measure(lu.solve(rhs))
+
+    return step
+
+
 def step_implicit_euler(m, dt: float, generator: Generator) -> DiscreteMeasure:
     """One backward Euler step: solve (I - dt L) m+ = m.
 
     The system matrix is an M-matrix for every dt > 0, so the step preserves
     positivity; the result is renormalized to exact unit mass.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    arr = np.asarray(getattr(m, "masses", m), dtype=float)
-    system = sp.identity(generator.n, format="csc") - dt * generator.matrix
-    out = spla.spsolve(system, arr)
-    return _clip_measure(out)
+    return _theta_stepper(generator, dt, 1.0)(m)
 
 
 def step_crank_nicolson(m, dt: float, generator: Generator) -> DiscreteMeasure:
     """One trapezoidal step; tiny negatives are clipped, larger ones raise."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    arr = np.asarray(getattr(m, "masses", m), dtype=float)
-    half = 0.5 * dt * generator.matrix
-    rhs = arr + half @ arr
-    system = sp.identity(generator.n, format="csc") - half
-    out = spla.spsolve(system, rhs)
-    return _clip_measure(out)
+    return _theta_stepper(generator, dt, 0.5)(m)
 
 
 @dataclass
@@ -143,14 +163,12 @@ def solve_trajectory(m0, T: float, steps: int, generator: Generator,
 
     'exact_dense' evaluates every node analytically from the symmetric
     eigendecomposition; 'auto' selects it up to AUTO_DENSE_LIMIT cells and
-    implicit Euler beyond.
+    implicit Euler beyond.  The theta-schemes factorise once per call.
     """
-    if T <= 0.0 or steps < 1:
-        raise ValueError("need T > 0 and at least one step")
-    if scheme == "auto":
-        scheme = "exact_dense" if generator.n <= AUTO_DENSE_LIMIT else "implicit_euler"
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    if not (math.isfinite(T) and T > 0.0) or steps < 1:
+        raise ValueError(f"need a finite T > 0 and at least one step, got "
+                         f"T={T!r}, steps={steps!r}")
+    scheme = _resolve_scheme(scheme, generator.n)
     m0 = m0 if isinstance(m0, DiscreteMeasure) else DiscreteMeasure(np.asarray(m0))
     times = np.linspace(0.0, T, steps + 1)
     masses = np.empty((steps + 1, generator.n))
@@ -162,13 +180,9 @@ def solve_trajectory(m0, T: float, steps: int, generator: Generator,
             vals = sqrt_pi * (evecs @ (np.exp(evals * t) * coeff))
             masses[i] = _clip_measure(vals).masses
     else:
-        stepper = (step_implicit_euler if scheme == "implicit_euler"
-                   else step_crank_nicolson)
-        dt = T / steps
-        current = m0
+        step = _theta_stepper(generator, T / steps, _THETA[scheme])
         for i in range(1, steps + 1):
-            current = stepper(current, dt, generator)
-            masses[i] = current.masses
+            masses[i] = step(masses[i - 1]).masses
     return Trajectory(times=times, masses=masses, scheme=scheme,
                       generator=generator)
 

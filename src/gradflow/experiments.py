@@ -22,7 +22,7 @@ from .reference import (DiscreteMeasure, Potential, density_from_token,
 from .functionals import (dirichlet_energy, entropy, fisher,
                           continuous_dirichlet, _gauss_rule_1d, _midpoint_grid)
 from .dual_action import assemble_onsager, dual_action
-from .dynamics import (EXACT_DENSE_LIMIT, Generator, assemble_generator,
+from .dynamics import (Generator, _resolve_scheme, assemble_generator,
                        solve_trajectory)
 
 
@@ -520,9 +520,7 @@ def edi_audit(mesh: Mesh, potential: Potential, m0: DiscreteMeasure, T: float,
     if steps % 4 != 0:
         raise ValueError(f"edi_audit needs an even number of Simpson steps at "
                          f"steps and steps // 2: a multiple of 4, got {steps}")
-    if mesh.n_cells > EXACT_DENSE_LIMIT:
-        raise ValueError(f"edi_audit needs the dense oracle (<= "
-                         f"{EXACT_DENSE_LIMIT} cells), got {mesh.n_cells}")
+    _resolve_scheme("exact_dense", mesh.n_cells)
     if np.any(np.asarray(getattr(m0, "masses", m0)) <= 0.0):
         raise ValueError("initial measure must be positive on every cell "
                          "(blend toward the stationary measure first)")
@@ -580,9 +578,10 @@ def _is_cosine_token(rho0) -> tuple[bool, float]:
 
 
 def _richardson_reference_1d(potential: Potential, rho0: Callable, T: float,
-                             t_nodes: int, n_fine: int,
-                             mean_kind: str) -> list[Density1D]:
-    """Fine-mesh trajectory densities, Richardson-extrapolated in space."""
+                             t_nodes: int, n_fine: int, mean_kind: str
+                             ) -> tuple[list[Density1D], DiscreteMeasure]:
+    """Fine-mesh trajectory densities, Richardson-extrapolated in space onto
+    the n_fine // 2 grid, and that grid's reference measure."""
     dens: dict[int, np.ndarray] = {}
     for n in (n_fine, n_fine // 2):
         mesh = build_interval_mesh(n)
@@ -591,6 +590,7 @@ def _richardson_reference_1d(potential: Potential, rho0: Callable, T: float,
         m0 = project_measure(mesh, rho0)
         traj = solve_trajectory(m0, T, t_nodes - 1, gen, scheme="exact_dense")
         dens[n] = traj.masses * n  # Lebesgue densities on the uniform grid
+    coarse_pi = weights.pi  # the n_fine // 2 grid, built last
     fine, coarse = dens[n_fine], dens[n_fine // 2]
     averaged = 0.5 * (fine[:, 0::2] + fine[:, 1::2])
     extrap = (4.0 * averaged - coarse) / 3.0
@@ -600,7 +600,7 @@ def _richardson_reference_1d(potential: Potential, rho0: Callable, T: float,
         vals = np.maximum(extrap[i], 0.0)
         vals = vals / float(np.sum(vals * np.diff(edges)))
         out.append(Density1D(edges, vals))
-    return out
+    return out, coarse_pi
 
 
 def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
@@ -636,10 +636,8 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
                         for t in times]
     else:
         n_fine = min(1024, 4 * max(int(n) for n in family.labels))
-        refs = _richardson_reference_1d(potential, rho0_fn, T, t_nodes,
-                                        n_fine, mean_kind)
-        ref_mesh = build_interval_mesh(n_fine // 2)
-        ref_pi = discretize_reference(ref_mesh, potential)
+        refs, ref_pi = _richardson_reference_1d(potential, rho0_fn, T,
+                                                t_nodes, n_fine, mean_kind)
         entropy_refs = [entropy(DiscreteMeasure.normalized(
             r.values * np.diff(r.edges)), ref_pi) for r in refs]
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gradflow import experiments
+from gradflow import cli, experiments
 from gradflow.cli import main
 from gradflow.dual_action import ConjugateGradientError
 
@@ -240,6 +240,43 @@ class TestDiagnoseCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["c_count"] <= 20.0
         assert summary["c_length"] <= 5.0
+
+
+class TestArguments:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--kind", "uniform1d", "--T", "nan"],
+        ["solve", "--kind", "uniform1d", "--scheme", "crank_nicolson",
+         "--T", "inf"],
+        ["solve", "--kind", "uniform1d", "--T", "0"],
+        ["edi", "--kind", "uniform1d", "--T", "nan"],
+        ["edi", "--kind", "uniform1d", "--T=-inf"],
+        ["converge", "--family", "uniform1d:16", "--T", "nan"],
+        ["converge", "--family", "uniform1d:16", "--T", "-0.1"],
+    ])
+    def test_bad_time_horizon_exit_2_before_any_mesh(self, tmp_path, capsys,
+                                                     monkeypatch, argv):
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built before --T was checked")
+
+        monkeypatch.setattr(cli, "_mesh_from_args", no_mesh)
+        monkeypatch.setattr(experiments, "family_from_token", no_mesh)
+        code, out = run(argv, tmp_path)
+        assert code == 2
+        assert "T must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, option", [
+        ("mesh", ["--check"]), ("mesh", ["--seed", "9"]),
+        ("solve", ["--check"]), ("solve", ["--seed", "9"]),
+        ("diagnose", ["--check"]), ("diagnose", ["--seed", "9"]),
+        ("edi", ["--seed", "9"]), ("gamma", ["--mean", "harmonic"]),
+    ])
+    def test_unread_option_rejected(self, tmp_path, capsys, command, option):
+        code, out = run([command, *option], tmp_path)
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_unknown_command_exit_2(tmp_path):

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import gradflow as gf
-from gradflow.dynamics import step_crank_nicolson
+from gradflow import dynamics
+from gradflow import experiments as ex
+from gradflow.dynamics import (AUTO_DENSE_LIMIT, EXACT_DENSE_LIMIT,
+                               NEGATIVE_CLIP, step_crank_nicolson)
 from gradflow.reference import DiscreteMeasure
 
 
@@ -242,3 +247,164 @@ class TestTrajectories:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,cell,mass"
         assert len(lines) == 1 + 3 * 2
+
+
+# -- the theta-method stepper against the per-step spsolve steppers it replaced --
+
+
+def _clip_measure(values):
+    worst = float(values.min()) if len(values) else 0.0
+    if worst < -NEGATIVE_CLIP:
+        raise ValueError(f"negative mass {worst!r} beyond the clip threshold")
+    clipped = np.maximum(values, 0.0)
+    return DiscreteMeasure(clipped / clipped.sum())
+
+
+def _spsolve_implicit_euler(m, dt, generator):
+    arr = np.asarray(getattr(m, "masses", m), dtype=float)
+    system = sp.identity(generator.n, format="csc") - dt * generator.matrix
+    return _clip_measure(spla.spsolve(system, arr))
+
+
+def _spsolve_crank_nicolson(m, dt, generator):
+    arr = np.asarray(getattr(m, "masses", m), dtype=float)
+    half = 0.5 * dt * generator.matrix
+    rhs = arr + half @ arr
+    system = sp.identity(generator.n, format="csc") - half
+    return _clip_measure(spla.spsolve(system, rhs))
+
+
+def _jittered_voronoi_64():
+    return gf.build_voronoi_mesh(ex._jittered_sites(8, 0.35, 42),
+                                 gf.Domain.rectangle(0.0, 0.0, 1.0, 1.0))
+
+
+_MESHES = {
+    "interval-64": lambda: gf.build_interval_mesh(64),
+    "cartesian-24": lambda: gf.build_cartesian_mesh(24, 24),
+    "voronoi-64": _jittered_voronoi_64,
+}
+_STEPPERS = {
+    "implicit_euler": (gf.step_implicit_euler, _spsolve_implicit_euler),
+    "crank_nicolson": (gf.step_crank_nicolson, _spsolve_crank_nicolson),
+}
+
+
+def _outcome(call):
+    """The masses a step or solve returns, or the message it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same(a, b):
+    return (a == b if isinstance(a, str) or isinstance(b, str)
+            else np.array_equal(a, b))
+
+
+@pytest.fixture(scope="module", params=sorted(_MESHES))
+def flow_setup(request):
+    mesh = _MESHES[request.param]()
+    pot = gf.quadratic_potential([0.3] * mesh.dim)
+    weights = gf.face_weights(mesh, pot)
+    gen = gf.assemble_generator(mesh, weights, weights.pi)
+    rng = np.random.default_rng(mesh.n_cells)
+    m0 = DiscreteMeasure.normalized(rng.uniform(0.0, 1.0, mesh.n_cells))
+    return gen, m0
+
+
+class TestThetaStepper:
+    @pytest.mark.parametrize("scheme", sorted(_STEPPERS))
+    @pytest.mark.parametrize("dt", [1e-7, 1e-3, 0.1, 10.0])
+    def test_single_step_bit_identical(self, flow_setup, scheme, dt):
+        gen, m0 = flow_setup
+        step, reference = _STEPPERS[scheme]
+        for m in (m0, m0.masses):
+            # Crank-Nicolson raises on large steps from rough data: so must both
+            assert _same(_outcome(lambda: step(m, dt, gen).masses),
+                         _outcome(lambda: reference(m, dt, gen).masses))
+
+    @pytest.mark.parametrize("scheme", sorted(_STEPPERS))
+    @pytest.mark.parametrize("T, steps", [(0.05, 7), (0.3, 33), (40.0, 4)])
+    def test_trajectory_bit_identical(self, flow_setup, scheme, T, steps):
+        gen, m0 = flow_setup
+        _, reference = _STEPPERS[scheme]
+
+        def by_reference():
+            current, nodes = m0, [m0.masses]
+            for _ in range(steps):
+                current = reference(current, T / steps, gen)
+                nodes.append(current.masses)
+            return np.array(nodes)
+
+        assert _same(_outcome(lambda: gf.solve_trajectory(
+            m0, T, steps, gen, scheme=scheme).masses), _outcome(by_reference))
+
+    @pytest.mark.parametrize("scheme", sorted(_STEPPERS))
+    @pytest.mark.parametrize("steps", [1, 5, 17])
+    def test_one_factorisation_per_solve(self, grid4, monkeypatch, scheme,
+                                         steps):
+        mesh, _, pi, weights = grid4
+        gen = gf.assemble_generator(mesh, weights, pi)
+        calls = []
+        splu = dynamics.spla.splu
+        monkeypatch.setattr(dynamics.spla, "splu",
+                            lambda *a, **k: calls.append(1) or splu(*a, **k))
+        gf.solve_trajectory(pi, 0.2, steps, gen, scheme=scheme)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_dt_rejected(self, two_cell, dt):
+        mesh, _, pi, weights = two_cell
+        gen = gf.assemble_generator(mesh, weights, pi)
+        for step in (gf.step_implicit_euler, gf.step_crank_nicolson):
+            with pytest.raises(ValueError, match="dt must be finite"):
+                step(pi, dt, gen)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson",
+                                        "exact_dense", "auto"])
+    def test_non_finite_horizon_rejected(self, two_cell, T, scheme):
+        mesh, _, pi, weights = two_cell
+        gen = gf.assemble_generator(mesh, weights, pi)
+        with pytest.raises(ValueError, match="finite T"):
+            gf.solve_trajectory(pi, T, 4, gen, scheme=scheme)
+
+
+class TestDenseOracleLimit:
+    def test_one_message_before_eigh(self, monkeypatch):
+        mesh = gf.build_interval_mesh(EXACT_DENSE_LIMIT + 1)
+        pot = gf.zero_potential()
+        weights = gf.face_weights(mesh, pot, quad_order=1)
+        gen = gf.assemble_generator(mesh, weights, weights.pi)
+
+        def no_eigh(*args):
+            raise AssertionError("eigh called above the dense limit")
+
+        def no_quadrature(*args):
+            raise AssertionError("quadrature before the dense-limit check")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        monkeypatch.setattr(ex, "face_weights", no_quadrature)
+        messages = []
+        for call in (
+                lambda: gf.solve_trajectory(weights.pi, 0.1, 2, gen,
+                                            scheme="exact_dense"),
+                gen.symmetric_eig,
+                lambda: ex.edi_audit(mesh, pot, weights.pi, T=0.1, steps=8)):
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.append(str(info.value))
+        assert messages == [f"the dense spectral oracle is limited to "
+                            f"{EXACT_DENSE_LIMIT} cells, got "
+                            f"{EXACT_DENSE_LIMIT + 1}"] * 3
+
+    def test_auto_switches_at_auto_limit(self, monkeypatch):
+        picked = []
+        for n in (AUTO_DENSE_LIMIT, AUTO_DENSE_LIMIT + 1):
+            mesh = gf.build_interval_mesh(n)
+            weights = gf.face_weights(mesh, gf.zero_potential(), quad_order=1)
+            gen = gf.assemble_generator(mesh, weights, weights.pi)
+            picked.append(gf.solve_trajectory(weights.pi, 0.1, 1, gen).scheme)
+        assert picked == ["exact_dense", "implicit_euler"]

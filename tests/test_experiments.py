@@ -303,6 +303,22 @@ class TestEvolutionaryStudy:
         errors = study.column("error")
         assert errors[1] < errors[0]
 
+    def test_richardson_grid_built_once(self, monkeypatch):
+        pot = gf.linear_potential(1.0)
+        refs, pi = ex._richardson_reference_1d(
+            pot, lambda x: 1.0 + 0.5 * math.cos(math.pi * x), 0.05, 5, 32,
+            "logarithmic")
+        assert len(refs) == 5 and len(refs[0].values) == 16
+        # face_weights(...).pi is discretize_reference on that grid, exactly
+        assert np.array_equal(pi.masses, gf.discretize_reference(
+            gf.build_interval_mesh(16), pot).masses)
+        built, build = [], ex.build_interval_mesh
+        monkeypatch.setattr(ex, "build_interval_mesh",
+                            lambda n, **kw: built.append(n) or build(n, **kw))
+        ex.evolutionary_convergence_study(ex.uniform_interval_family((16, 32)),
+                                          pot, "cosine", T=0.05, t_nodes=9)
+        assert sorted(n for n in built if n > 32) == [64, 128]
+
     def test_cartesian_l1_route(self):
         fam = ex.cartesian_family((4, 8))
         study = ex.evolutionary_convergence_study(fam, gf.zero_potential(),
