@@ -289,12 +289,20 @@ def _add_common(p: argparse.ArgumentParser, mean: bool = True,
                        help="exit 3 when the acceptance rule fails")
 
 
-def _time_horizon(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(
-            f"T must be finite and positive, got {text!r}")
-    return value
+def _positive(option: str, cast=float):
+    """An argparse type: `option` parsed by cast (float or int), finite and
+    positive, so a bad value exits 2 before any work."""
+    rule = "a positive integer" if cast is int else "finite and positive"
+
+    def parse(text: str):
+        value = cast(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"{option} must be {rule}, "
+                                             f"got {text!r}")
+        return value
+
+    parse.__name__ = cast.__name__      # argparse: "invalid int value: ..."
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mesh_options(p)
     _add_common(p)
     p.add_argument("--m0", default="stationary")
-    p.add_argument("--T", type=_time_horizon, default=0.5)
-    p.add_argument("--M", type=int, default=256)
+    p.add_argument("--T", type=_positive("T"), default=0.5)
+    p.add_argument("--M", type=_positive("M", int), default=256)
     p.add_argument("--scheme", default="auto", choices=["auto", *SCHEMES])
     p.set_defaults(fn=cmd_solve)
 
@@ -321,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mesh_options(p)
     _add_common(p, check=True)
     p.add_argument("--m0", default="blend:cosine:0.9")
-    p.add_argument("--T", type=_time_horizon, default=0.5)
+    p.add_argument("--T", type=_positive("T"), default=0.5)
     p.add_argument("--M", type=int, default=256)
     p.set_defaults(fn=cmd_edi)
 
@@ -332,14 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", default="cosine")
     p.add_argument("--z")
     p.add_argument("--xi")
-    p.add_argument("--eps", type=float, default=0.5)
+    p.add_argument("--eps", type=_positive("eps"), default=0.5)
     p.set_defaults(fn=cmd_gamma)
 
     p = sub.add_parser("converge", help="evolutionary convergence study")
     _add_common(p, seed=True, check=True)
     p.add_argument("--family", default="uniform1d:16..256")
     p.add_argument("--rho0", default="cosine")
-    p.add_argument("--T", type=_time_horizon, default=0.1)
+    p.add_argument("--T", type=_positive("T"), default=0.1)
     p.set_defaults(fn=cmd_converge)
 
     p = sub.add_parser("diagnose", help="condition, path, and Holder reports")

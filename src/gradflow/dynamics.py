@@ -150,11 +150,14 @@ class Trajectory:
         return DiscreteMeasure(self.masses[i])
 
     def export_csv(self, path) -> None:
+        """Rows t,cell,mass in node order, floats as repr: one write per node."""
+        cells = [f",{k}," for k in range(self.masses.shape[1])]
         with open(path, "w", encoding="ascii") as fh:
             fh.write("t,cell,mass\n")
-            for i, t in enumerate(self.times):
-                for k, mass in enumerate(self.masses[i]):
-                    fh.write(f"{float(t)!r},{k},{float(mass)!r}\n")
+            for t, row in zip(self.times.tolist(), self.masses):
+                head = repr(t)
+                fh.write("".join([f"{head}{k}{mass!r}\n"
+                                  for k, mass in zip(cells, row.tolist())]))
 
 
 def solve_trajectory(m0, T: float, steps: int, generator: Generator,

@@ -18,15 +18,21 @@ def polygon_area(verts: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def polygon_centroid(verts: np.ndarray) -> np.ndarray:
-    x, y = verts[:, 0], verts[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-    a = 0.5 * np.sum(cross)
-    if abs(a) < 1e-300:
-        return verts.mean(axis=0)
-    cx = float(np.sum((x + np.roll(x, -1)) * cross)) / (6.0 * a)
-    cy = float(np.sum((y + np.roll(y, -1)) * cross)) / (6.0 * a)
-    return np.array([cx, cy])
+def polygon_centroids(polys: np.ndarray) -> np.ndarray:
+    """Centroids of a stack of polygons with m vertices each, (c, m, 2) ->
+    (c, 2); the vertex mean where the area vanishes.  Row by row, the sums
+    are those of one polygon at a time."""
+    x, y = polys[..., 0], polys[..., 1]
+    xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+    cross = x * yn - xn * y
+    a = 0.5 * cross.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        center = np.column_stack([((x + xn) * cross).sum(axis=1),
+                                  ((y + yn) * cross).sum(axis=1)]) \
+            / (6.0 * a)[:, None]
+    flat = np.abs(a) < 1e-300
+    center[flat] = polys[flat].mean(axis=1)
+    return center
 
 
 def polygon_diameter(verts: np.ndarray) -> float:

@@ -31,6 +31,91 @@ def _frozen(arr, dtype=float) -> np.ndarray:
     return out
 
 
+# Symmetric rules on a triangle by order: barycentric nodes, and weights
+# summing to one; exact for degree 1, 2 and 5.
+_TRI_RULES = {
+    1: (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
+    2: (np.array([[2 / 3, 1 / 6, 1 / 6],
+                  [1 / 6, 2 / 3, 1 / 6],
+                  [1 / 6, 1 / 6, 2 / 3]]), np.full(3, 1 / 3)),
+    3: (np.array([[1 / 3, 1 / 3, 1 / 3],
+                  [0.797426985353087, 0.101286507323456, 0.101286507323456],
+                  [0.101286507323456, 0.797426985353087, 0.101286507323456],
+                  [0.101286507323456, 0.101286507323456, 0.797426985353087],
+                  [0.059715871789770, 0.470142064105115, 0.470142064105115],
+                  [0.470142064105115, 0.059715871789770, 0.470142064105115],
+                  [0.470142064105115, 0.470142064105115, 0.059715871789770]]),
+        np.array([0.225,
+                  0.125939180544827, 0.125939180544827, 0.125939180544827,
+                  0.132394152788506, 0.132394152788506, 0.132394152788506])),
+}
+
+
+@dataclass(frozen=True)
+class QuadratureTable:
+    """Quadrature nodes and weights of every cell, stored cell after cell.
+
+    The nodes of cell k are the rows offsets[k]:offsets[k + 1] of `nodes`
+    (n_nodes, d), and their `weights` sum to |K|.  `groups` pairs each node
+    count with the ascending cells that have it.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+    groups: tuple[tuple[int, np.ndarray], ...]
+
+
+def _table(nodes, weights, counts) -> QuadratureTable:
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    groups = tuple((int(n), _frozen(np.flatnonzero(counts == n), np.int64))
+                   for n in np.unique(counts))
+    return QuadratureTable(_frozen(nodes), _frozen(weights),
+                           _frozen(offsets, np.int64), groups)
+
+
+def _interval_table(cell_bounds: np.ndarray, points: int) -> QuadratureTable:
+    """Gauss-Legendre with `points` nodes on every interval cell."""
+    gx, gw = np.polynomial.legendre.leggauss(points)
+    lo, hi = cell_bounds[:, 0], cell_bounds[:, 1]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = mid[:, None] + half[:, None] * gx
+    return _table(nodes.reshape(-1, 1), (half[:, None] * gw).ravel(),
+                  np.full(len(lo), points))
+
+
+def _polygon_table(polygons: list[np.ndarray], bary: np.ndarray,
+                   bw: np.ndarray) -> QuadratureTable:
+    """The triangle rule on the fan of each cell around its centroid.
+
+    Cells are batched by vertex count; fan triangles of zero area are
+    dropped.
+    """
+    counts = np.array([len(p) for p in polygons])
+    tri_cells, tris, areas = [], [], []
+    for m in np.unique(counts):
+        cells = np.flatnonzero(counts == m)
+        poly = np.stack([polygons[k] for k in cells])        # (c, m, 2)
+        nxt = np.roll(poly, -1, axis=1)
+        center = geometry.polygon_centroids(poly)
+        cx, cy = center[:, :1], center[:, 1:]
+        x, y, xn, yn = poly[..., 0], poly[..., 1], nxt[..., 0], nxt[..., 1]
+        areas.append(0.5 * np.abs((x - cx) * (yn - cy) - (xn - cx) * (y - cy)))
+        tris.append(np.stack([np.broadcast_to(center[:, None], poly.shape),
+                              poly, nxt], axis=2))                 # (c, m, 3, 2)
+        tri_cells.append(np.repeat(cells, m))
+    tri_cells = np.concatenate(tri_cells)
+    order = np.argsort(tri_cells, kind="stable")                  # cell, then fan
+    area = np.concatenate([part.ravel() for part in areas])[order]
+    keep = order[area != 0.0]
+    area = area[area != 0.0]
+    tri = np.concatenate([t.reshape(-1, 3, 2) for t in tris])[keep]
+    nodes = np.matmul(bary, tri)            # bary @ tri, triangle by triangle
+    return _table(nodes.reshape(-1, 2), (area[:, None] * bw).ravel(),
+                  np.bincount(tri_cells[keep], minlength=len(polygons))
+                  * len(bw))
+
+
 @dataclass(frozen=True)
 class Domain:
     """Bounded convex domain: an interval (d=1) or a ccw polygon (d=2)."""
@@ -113,6 +198,7 @@ class Mesh:
                                 else None)
         self._adjacency: list[list[tuple[int, int]]] | None = None
         self._cell_diameters: np.ndarray | None = None
+        self._quadrature: dict[int, QuadratureTable] = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -133,6 +219,23 @@ class Mesh:
                 diam = [geometry.polygon_diameter(p) for p in self.cell_polygons]
             self._cell_diameters = _frozen(diam)
         return self._cell_diameters
+
+    def quadrature(self, order: int | None = None) -> QuadratureTable:
+        """Cell quadrature table of a rule, built on first use and frozen.
+
+        d=1: Gauss-Legendre with `order` points per cell (5 by default).
+        d=2: the triangle rule of `order` (1 to 3, default 1) on each cell's
+        fan around its centroid.
+        """
+        if self.dim == 1:
+            rule = 5 if order is None else max(int(order), 1)
+        else:
+            rule = min(max(order or 1, 1), 3)
+        if rule not in self._quadrature:
+            self._quadrature[rule] = (
+                _interval_table(self.cell_bounds, rule) if self.dim == 1
+                else _polygon_table(self.cell_polygons, *_TRI_RULES[rule]))
+        return self._quadrature[rule]
 
     def size(self) -> float:
         """Mesh size: the largest cell diameter."""

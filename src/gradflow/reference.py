@@ -21,18 +21,41 @@ S_MEAN_KINDS = ("min", "max", "arithmetic", "geometric", "harmonic", "logarithmi
 
 @dataclass(frozen=True)
 class Potential:
-    """Driving potential V on the closed domain (continuous user code)."""
+    """Driving potential V on the closed domain (continuous user code).
+
+    `batch`, where given, is V over an (N, d) array of points, equal bit for
+    bit to `fn` point by point; the quadrature then calls it once per pass.
+    """
 
     name: str
     fn: Callable
     params: dict = field(default_factory=dict)
+    batch: Callable | None = None
 
     def __call__(self, x):
         return self.fn(x)
 
 
+@dataclass(frozen=True)
+class PointFunction:
+    """A function of one point (a float in 1D, a point in 2D) with its array
+    form over (N, d) points, equal bit for bit."""
+
+    fn: Callable
+    batch: Callable
+
+    def __call__(self, x):
+        return self.fn(x)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] (or a[i] @ b for one vector b): the stacked matmul runs the
+    same dot product per row as a loop, so it rounds the same."""
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
 def zero_potential() -> Potential:
-    return Potential("zero", lambda x: 0.0)
+    return Potential("zero", lambda x: 0.0, batch=lambda p: np.zeros(len(p)))
 
 
 def linear_potential(a=1.0) -> Potential:
@@ -41,7 +64,8 @@ def linear_potential(a=1.0) -> Potential:
     def fn(x):
         return float(vec @ np.atleast_1d(np.asarray(x, dtype=float)))
 
-    return Potential("linear", fn, {"a": tuple(vec)})
+    return Potential("linear", fn, {"a": tuple(vec)},
+                     batch=lambda p: _row_dot(p, vec))
 
 
 def quadratic_potential(center=0.5) -> Potential:
@@ -51,7 +75,11 @@ def quadratic_potential(center=0.5) -> Potential:
         d = np.atleast_1d(np.asarray(x, dtype=float)) - c
         return 0.5 * float(d @ d)
 
-    return Potential("quadratic", fn, {"center": tuple(c)})
+    def batch(p):
+        d = p - c
+        return 0.5 * _row_dot(d, d)
+
+    return Potential("quadratic", fn, {"center": tuple(c)}, batch=batch)
 
 
 def double_well_potential(height=2.0, center=0.5, width=0.25) -> Potential:
@@ -61,7 +89,11 @@ def double_well_potential(height=2.0, center=0.5, width=0.25) -> Potential:
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         return float(np.sum(h * ((xa - c) ** 2 - w * w) ** 2 / w ** 4))
 
-    return Potential("double-well", fn, {"height": h, "center": c, "width": w})
+    def batch(p):
+        return np.sum(h * ((p - c) ** 2 - w * w) ** 2 / w ** 4, axis=1)
+
+    return Potential("double-well", fn, {"height": h, "center": c, "width": w},
+                     batch=batch)
 
 
 def potential_from_token(token: str, dim: int) -> Potential:
@@ -150,64 +182,48 @@ class FaceWeights:
 
 # -- quadrature -----------------------------------------------------------------
 
-_TRI_RULES = {
-    1: (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
-    2: (np.array([[2 / 3, 1 / 6, 1 / 6],
-                  [1 / 6, 2 / 3, 1 / 6],
-                  [1 / 6, 1 / 6, 2 / 3]]), np.full(3, 1 / 3)),
-    3: (np.array([[1 / 3, 1 / 3, 1 / 3],
-                  [0.797426985353087, 0.101286507323456, 0.101286507323456],
-                  [0.101286507323456, 0.797426985353087, 0.101286507323456],
-                  [0.101286507323456, 0.101286507323456, 0.797426985353087],
-                  [0.059715871789770, 0.470142064105115, 0.470142064105115],
-                  [0.470142064105115, 0.059715871789770, 0.470142064105115],
-                  [0.470142064105115, 0.470142064105115, 0.059715871789770]]),
-        np.array([0.225,
-                  0.125939180544827, 0.125939180544827, 0.125939180544827,
-                  0.132394152788506, 0.132394152788506, 0.132394152788506])),
-}
-
 
 def cell_quadrature(mesh: Mesh, k: int, order: int | None = None):
-    """Quadrature nodes and weights for one cell (weights sum to |K|)."""
-    if mesh.dim == 1:
-        points = 5 if order is None else max(int(order), 1)
-        gx, gw = np.polynomial.legendre.leggauss(points)
-        lo, hi = mesh.cell_bounds[k]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        return (mid + half * gx)[:, None], half * gw
-    rule = _TRI_RULES[min(max(order or 1, 1), 3)]
-    bary, bw = rule
-    poly = mesh.cell_polygons[k]
-    center = geometry.polygon_centroid(poly)
-    nodes, weights = [], []
-    m = len(poly)
-    for i in range(m):
-        a, b = poly[i], poly[(i + 1) % m]
-        tri = np.array([center, a, b])
-        area = 0.5 * abs((a[0] - center[0]) * (b[1] - center[1])
-                         - (b[0] - center[0]) * (a[1] - center[1]))
-        if area == 0.0:
-            continue
-        nodes.append(bary @ tri)
-        weights.append(area * bw)
-    return np.vstack(nodes), np.concatenate(weights)
+    """Quadrature nodes and weights for one cell (weights sum to |K|), as
+    read-only views of the mesh's table for the rule."""
+    table = mesh.quadrature(order)
+    lo, hi = table.offsets[k], table.offsets[k + 1]
+    return table.nodes[lo:hi], table.weights[lo:hi]
 
 
 def _pointwise(mesh: Mesh, g: Callable, points: np.ndarray) -> np.ndarray:
-    """g at each row of points: a float argument in 1D, a point in 2D."""
+    """g at each row of points: one call of g.batch where g has an array
+    form, else point by point (a float argument in 1D, a point in 2D)."""
+    batch = getattr(g, "batch", None)
+    if batch is not None:
+        return np.asarray(batch(points), dtype=float)
     if mesh.dim == 1:
         return np.array([g(float(x[0])) for x in points], dtype=float)
     return np.array([g(x) for x in points], dtype=float)
 
 
 def cell_integrals(mesh: Mesh, g: Callable, order: int | None = None) -> np.ndarray:
-    """Integral of g over each cell by the module quadrature."""
+    """Integral of g over each cell by the module quadrature.
+
+    g is evaluated once over the mesh's table; each cell's integral is its
+    weights @ values, stacked over the cells with the same node count.
+    """
+    table = mesh.quadrature(order)
+    values = _pointwise(mesh, g, table.nodes)
     out = np.empty(mesh.n_cells)
-    for k in range(mesh.n_cells):
-        nodes, weights = cell_quadrature(mesh, k, order)
-        out[k] = float(weights @ _pointwise(mesh, g, nodes))
+    for n, cells in table.groups:
+        idx = table.offsets[cells][:, None] + np.arange(n)
+        out[cells] = _row_dot(table.weights[idx], values[idx])
     return out
+
+
+def _boltzmann(potential: Potential) -> Callable:
+    """exp(-V), with an array form where V has one."""
+    def fn(x):
+        return np.exp(-potential(x))
+
+    batch = potential.batch
+    return fn if batch is None else PointFunction(fn, lambda p: np.exp(-batch(p)))
 
 
 # -- reference measure and weights ----------------------------------------------
@@ -216,7 +232,7 @@ def cell_integrals(mesh: Mesh, g: Callable, order: int | None = None) -> np.ndar
 def discretize_reference(mesh: Mesh, potential: Potential,
                          quad_order: int | None = None) -> DiscreteMeasure:
     """Cell masses of exp(-V) dx / Z, normalized exactly after quadrature."""
-    vals = cell_integrals(mesh, lambda x: np.exp(-potential(x)), quad_order)
+    vals = cell_integrals(mesh, _boltzmann(potential), quad_order)
     return DiscreteMeasure.normalized(vals)
 
 
@@ -231,9 +247,7 @@ def face_weights(mesh: Mesh, potential: Potential,
     if mean_kind not in S_MEAN_KINDS:
         raise ValueError(f"unknown mean kind {mean_kind!r}")
 
-    def boltzmann(x):
-        return np.exp(-potential(x))
-
+    boltzmann = _boltzmann(potential)
     vals = cell_integrals(mesh, boltzmann, quad_order)
     pi = DiscreteMeasure.normalized(vals)
     sigma = _pointwise(mesh, boltzmann, mesh.sites) / float(vals.sum())
@@ -316,7 +330,7 @@ def density_from_token(token: str, dim: int) -> Callable:
     """Named probability densities on the unit interval/square."""
     name, _, arg = token.partition(":")
     if name == "uniform":
-        return lambda x: 1.0
+        return PointFunction(lambda x: 1.0, lambda p: np.ones(len(p)))
     if name == "cosine":
         amp = float(arg) if arg else 0.5
         if not -1.0 < amp < 1.0:
@@ -326,11 +340,13 @@ def density_from_token(token: str, dim: int) -> Callable:
             xa = np.atleast_1d(np.asarray(x, dtype=float))
             return float(np.prod(1.0 + amp * np.cos(np.pi * xa)))
 
-        return rho
+        return PointFunction(
+            rho, lambda p: np.prod(1.0 + amp * np.cos(np.pi * p), axis=1))
     if name == "linear":
         if dim != 1:
             raise ValueError("the linear density is one-dimensional")
-        return lambda x: 2.0 * float(np.atleast_1d(x)[0])
+        return PointFunction(lambda x: 2.0 * float(np.atleast_1d(x)[0]),
+                             lambda p: 2.0 * p[:, 0])
     raise ValueError(f"unknown density {token!r}")
 
 

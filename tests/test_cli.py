@@ -265,6 +265,35 @@ class TestArguments:
         assert "T must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--kind", "cartesian", "--n", "96", "--potential",
+          "quadratic", "--M", "0"],
+         "argument --M: M must be a positive integer, got '0'"),
+        (["solve", "--kind", "uniform1d", "--M=-3"],
+         "argument --M: M must be a positive integer, got '-3'"),
+        (["solve", "--kind", "uniform1d", "--M", "2.5"],
+         "argument --M: invalid int value: '2.5'"),
+        (["gamma", "--mode", "affine", "--eps", "nan"],
+         "argument --eps: eps must be finite and positive, got 'nan'"),
+        (["gamma", "--mode", "affine", "--eps", "inf"],
+         "argument --eps: eps must be finite and positive, got 'inf'"),
+        (["gamma", "--mode", "affine", "--eps", "0"],
+         "argument --eps: eps must be finite and positive, got '0'"),
+    ])
+    def test_bad_steps_or_eps_exit_2_before_any_mesh(self, tmp_path, capsys,
+                                                     monkeypatch, argv,
+                                                     message):
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built before the option was "
+                                 "checked")
+
+        monkeypatch.setattr(cli, "_mesh_from_args", no_mesh)
+        monkeypatch.setattr(experiments, "family_from_token", no_mesh)
+        code, out = run(argv, tmp_path)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, option", [
         ("mesh", ["--check"]), ("mesh", ["--seed", "9"]),
         ("solve", ["--check"]), ("solve", ["--seed", "9"]),

@@ -249,6 +249,26 @@ class TestTrajectories:
         assert len(lines) == 1 + 3 * 2
 
 
+    def test_export_csv_matches_row_writer(self, tmp_path):
+        # a reference copy of the former writer: one write per row
+        def old_export(traj, path):
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write("t,cell,mass\n")
+                for i, t in enumerate(traj.times):
+                    for k, mass in enumerate(traj.masses[i]):
+                        fh.write(f"{float(t)!r},{k},{float(mass)!r}\n")
+
+        rng = np.random.default_rng(3)
+        masses = rng.random((4, 13))
+        masses[1, :8] = [-0.0, 0.0, 5e-324, 1e-300, 1.0, 2.0, 1e16, 1 / 3]
+        traj = dynamics.Trajectory(np.linspace(0.0, 0.3, 4), masses,
+                                   "implicit_euler", None)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        traj.export_csv(new)
+        old_export(traj, old)
+        assert new.read_bytes() == old.read_bytes()
+
+
 # -- the theta-method stepper against the per-step spsolve steppers it replaced --
 
 

@@ -13,8 +13,9 @@ TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 def test_area_and_centroid():
     assert geometry.polygon_area(SQUARE) == 1.0
     assert geometry.polygon_area(SQUARE[::-1]) == -1.0
-    assert np.allclose(geometry.polygon_centroid(SQUARE), [0.5, 0.5])
-    assert np.allclose(geometry.polygon_centroid(TRIANGLE), [1 / 3, 1 / 3])
+    assert np.allclose(geometry.polygon_centroids(SQUARE[None]), [[0.5, 0.5]])
+    assert np.allclose(geometry.polygon_centroids(TRIANGLE[None]),
+                       [[1 / 3, 1 / 3]])
 
 
 def test_diameter():

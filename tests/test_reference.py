@@ -5,7 +5,9 @@ import pytest
 
 import gradflow as gf
 from gradflow import experiments as ex
-from gradflow.reference import (DiscreteMeasure, density_from_token,
+from gradflow import reference
+from gradflow.reference import (DiscreteMeasure, cell_integrals,
+                                cell_quadrature, density_from_token,
                                 initial_measure_from_token,
                                 potential_from_token)
 
@@ -172,6 +174,266 @@ class TestOnePassSetup:
         mesh = gf.build_cartesian_mesh(4, 4)
         gf.face_weights(mesh, gf.quadratic_potential([0.3, 0.7]))
         assert len(calls) == 1
+
+
+# -- the batched quadrature against the per-point loop it replaced -------------
+
+_OLD_TRI_RULES = {
+    1: (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
+    2: (np.array([[2 / 3, 1 / 6, 1 / 6],
+                  [1 / 6, 2 / 3, 1 / 6],
+                  [1 / 6, 1 / 6, 2 / 3]]), np.full(3, 1 / 3)),
+    3: (np.array([[1 / 3, 1 / 3, 1 / 3],
+                  [0.797426985353087, 0.101286507323456, 0.101286507323456],
+                  [0.101286507323456, 0.797426985353087, 0.101286507323456],
+                  [0.101286507323456, 0.101286507323456, 0.797426985353087],
+                  [0.059715871789770, 0.470142064105115, 0.470142064105115],
+                  [0.470142064105115, 0.059715871789770, 0.470142064105115],
+                  [0.470142064105115, 0.470142064105115, 0.059715871789770]]),
+        np.array([0.225,
+                  0.125939180544827, 0.125939180544827, 0.125939180544827,
+                  0.132394152788506, 0.132394152788506, 0.132394152788506])),
+}
+
+
+def _old_polygon_centroid(verts):
+    x, y = verts[:, 0], verts[:, 1]
+    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
+    a = 0.5 * np.sum(cross)
+    if abs(a) < 1e-300:
+        return verts.mean(axis=0)
+    cx = float(np.sum((x + np.roll(x, -1)) * cross)) / (6.0 * a)
+    cy = float(np.sum((y + np.roll(y, -1)) * cross)) / (6.0 * a)
+    return np.array([cx, cy])
+
+
+def _old_cell_quadrature(mesh, k, order=None):
+    """Reference copy of the former per-cell rule."""
+    if mesh.dim == 1:
+        points = 5 if order is None else max(int(order), 1)
+        gx, gw = np.polynomial.legendre.leggauss(points)
+        lo, hi = mesh.cell_bounds[k]
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        return (mid + half * gx)[:, None], half * gw
+    bary, bw = _OLD_TRI_RULES[min(max(order or 1, 1), 3)]
+    poly = mesh.cell_polygons[k]
+    center = _old_polygon_centroid(poly)
+    nodes, weights = [], []
+    m = len(poly)
+    for i in range(m):
+        a, b = poly[i], poly[(i + 1) % m]
+        tri = np.array([center, a, b])
+        area = 0.5 * abs((a[0] - center[0]) * (b[1] - center[1])
+                         - (b[0] - center[0]) * (a[1] - center[1]))
+        if area == 0.0:
+            continue
+        nodes.append(bary @ tri)
+        weights.append(area * bw)
+    return np.vstack(nodes), np.concatenate(weights)
+
+
+def _old_pointwise(mesh, g, points):
+    if mesh.dim == 1:
+        return np.array([g(float(x[0])) for x in points], dtype=float)
+    return np.array([g(x) for x in points], dtype=float)
+
+
+def _old_cell_integrals(mesh, g, order=None):
+    """Reference copy of the former loop: one dot product per cell."""
+    out = np.empty(mesh.n_cells)
+    for k in range(mesh.n_cells):
+        nodes, weights = _old_cell_quadrature(mesh, k, order)
+        out[k] = float(weights @ _old_pointwise(mesh, g, nodes))
+    return out
+
+
+def _outcome(call):
+    try:
+        return call().masses
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same(a, b):
+    return a == b if isinstance(a, str) or isinstance(b, str) \
+        else np.array_equal(a, b)
+
+
+_BATCH_MESHES = {
+    "interval": lambda: gf.build_interval_mesh(16),
+    "breakpoints": lambda: gf.build_interval_mesh(
+        5, breakpoints=[0.0, 0.1, 0.35, 0.5, 0.8, 1.0]),
+    "cartesian": lambda: gf.build_cartesian_mesh(6, 5),
+    "voronoi": lambda: ex.jittered_voronoi_family((49,)).build()[0],
+}
+_QUAD_ORDERS = [None, 1, 2, 3]
+
+
+@pytest.fixture(scope="module", params=sorted(_BATCH_MESHES))
+def batch_mesh(request):
+    return _BATCH_MESHES[request.param]()
+
+
+class TestBatchedQuadrature:
+    @pytest.mark.parametrize("order", _QUAD_ORDERS)
+    def test_cell_quadrature_matches_per_cell_rule(self, batch_mesh, order):
+        for k in range(batch_mesh.n_cells):
+            nodes, weights = cell_quadrature(batch_mesh, k, order)
+            old_nodes, old_weights = _old_cell_quadrature(batch_mesh, k, order)
+            assert np.array_equal(nodes, old_nodes)
+            assert np.array_equal(weights, old_weights)
+
+    def test_centroids_match_one_polygon_at_a_time(self):
+        from gradflow import geometry
+
+        rng = np.random.default_rng(7)
+        for m in range(3, 13):
+            polys = rng.uniform(-2.0, 3.0, (20, m, 2))
+            polys[0] = 0.25                                # zero area
+            polys[1, :, 1] = 0.5                           # collinear
+            batch = geometry.polygon_centroids(polys)
+            for poly, center in zip(polys, batch):
+                assert np.array_equal(center, _old_polygon_centroid(poly))
+
+    @pytest.mark.parametrize("order", _QUAD_ORDERS)
+    @pytest.mark.parametrize("potential", ["zero", "linear", "quadratic",
+                                           "double-well"])
+    def test_reference_and_weights_match_loop(self, batch_mesh, potential,
+                                              order):
+        from gradflow.functionals import mean_value
+
+        mesh = batch_mesh
+        pot = potential_from_token(potential, mesh.dim)
+
+        def boltzmann(x):
+            return np.exp(-pot(x))
+
+        vals = _old_cell_integrals(mesh, boltzmann, order)
+        assert np.array_equal(cell_integrals(mesh, boltzmann, order), vals)
+        pi = DiscreteMeasure.normalized(vals)
+        assert np.array_equal(gf.discretize_reference(mesh, pot, order).masses,
+                              pi.masses)
+        sigma = _old_pointwise(mesh, boltzmann, mesh.sites) / float(vals.sum())
+        s = mean_value("logarithmic", sigma[mesh.face_cells[:, 0]],
+                       sigma[mesh.face_cells[:, 1]])
+        weights = gf.face_weights(mesh, pot, "logarithmic", order)
+        assert np.array_equal(weights.pi.masses, pi.masses)
+        assert np.array_equal(weights.sigma_sites, sigma)
+        assert np.array_equal(weights.S, s)
+        assert np.array_equal(weights.w, mesh.transmissibilities() * s)
+
+    @pytest.mark.parametrize("order", _QUAD_ORDERS)
+    @pytest.mark.parametrize("density", ["uniform", "cosine", "cosine:-0.3",
+                                         "linear"])
+    def test_projection_matches_loop(self, batch_mesh, density, order,
+                                     monkeypatch):
+        mesh = batch_mesh
+        if density == "linear" and mesh.dim == 2:
+            pytest.skip("the linear density is one-dimensional")
+        rho = density_from_token(density, mesh.dim)
+        vals = _old_cell_integrals(mesh, rho.fn, order)
+        assert np.array_equal(cell_integrals(mesh, rho, order), vals)
+        # the former pipeline: the old loop on the point form; low orders
+        # miss unit mass on some meshes, and then both raise alike
+        with monkeypatch.context() as patch:
+            patch.setattr(reference, "cell_integrals", _old_cell_integrals)
+            expected = _outcome(lambda: gf.project_measure(mesh, rho.fn, order))
+        assert _same(_outcome(lambda: gf.project_measure(mesh, rho, order)),
+                     expected)
+        assert np.array_equal(gf.project_function(mesh, rho),
+                              _old_pointwise(mesh, rho.fn, mesh.sites))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_array_forms_match_point_forms(self, dim):
+        # points inside and outside the unit cube, as rows
+        points = np.random.default_rng(dim).uniform(-0.5, 1.5, (500, dim))
+        functions = [potential_from_token(t, dim) for t in
+                     ("zero", "linear", "linear:0.3" + ",-1.7" * (dim - 1),
+                      "quadratic", "double-well", "double-well:0.5")]
+        functions += [density_from_token(t, dim) for t in
+                      ("uniform", "cosine", "cosine:0.9")]
+        if dim == 1:
+            functions.append(density_from_token("linear", 1))
+        mesh = gf.build_interval_mesh(2) if dim == 1 else gf.build_cartesian_mesh(2, 2)
+        for g in functions:
+            assert np.array_equal(g.batch(points),
+                                  _old_pointwise(mesh, g.fn, points))
+
+    @pytest.mark.parametrize("order", _QUAD_ORDERS)
+    def test_scalar_callable_evaluated_per_point(self, batch_mesh, order):
+        mesh = batch_mesh
+        calls = []
+
+        def g(x):
+            calls.append(1)
+            return float(np.sum(np.atleast_1d(x) ** 3)) + 0.25
+
+        vals = cell_integrals(mesh, g, order)
+        assert len(calls) == len(mesh.quadrature(order).nodes)
+        assert np.array_equal(vals, _old_cell_integrals(mesh, g, order))
+        user = gf.Potential("user", lambda x: float(np.sum(np.atleast_1d(x))))
+        assert user.batch is None
+        assert np.array_equal(
+            gf.discretize_reference(mesh, user, order).masses,
+            DiscreteMeasure.normalized(_old_cell_integrals(
+                mesh, lambda x: np.exp(-user(x)), order)).masses)
+
+    def test_table_built_once_per_rule(self, monkeypatch):
+        from gradflow import mesh as mesh_module
+
+        builds = []
+        original = mesh_module._polygon_table
+        monkeypatch.setattr(mesh_module, "_polygon_table",
+                            lambda *a: builds.append(1) or original(*a))
+        mesh = gf.build_cartesian_mesh(4, 3)
+        pot = gf.quadratic_potential([0.3, 0.7])
+        for order in (None, 1):             # both resolve to the degree-1 rule
+            gf.discretize_reference(mesh, pot, order)
+            gf.face_weights(mesh, pot, quad_order=order)
+            gf.project_measure(mesh, density_from_token("cosine", 2), order)
+        assert len(builds) == 1
+        assert mesh.quadrature(None) is mesh.quadrature(1)
+        gf.discretize_reference(mesh, pot, 3)
+        gf.discretize_reference(mesh, pot, 3)
+        assert len(builds) == 2
+        other = gf.build_cartesian_mesh(4, 3)
+        assert other.quadrature(3) is not mesh.quadrature(3)
+        assert len(builds) == 3
+
+    def test_interval_rule_per_point_count(self):
+        mesh = gf.build_interval_mesh(4)
+        assert mesh.quadrature(None) is mesh.quadrature(5)
+        assert mesh.quadrature(1) is not mesh.quadrature(None)
+        assert len(mesh.quadrature(1).nodes) == 4
+        assert len(mesh.quadrature(0).nodes) == 4      # at least one point
+
+    def test_table_is_read_only(self, batch_mesh):
+        import dataclasses
+
+        table = batch_mesh.quadrature(3)
+        arrays = [table.nodes, table.weights, table.offsets]
+        arrays += [cells for _, cells in table.groups]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.nodes = np.zeros(1)
+        nodes, weights = cell_quadrature(batch_mesh, 0, 3)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+
+    def test_table_layout(self, batch_mesh):
+        table = batch_mesh.quadrature(2)
+        counts = np.diff(table.offsets)
+        assert table.offsets[0] == 0 and table.offsets[-1] == len(table.nodes)
+        assert len(table.weights) == len(table.nodes)
+        grouped = np.concatenate([cells for _, cells in table.groups])
+        assert np.array_equal(np.sort(grouped), np.arange(batch_mesh.n_cells))
+        for n, cells in table.groups:
+            assert np.all(counts[cells] == n)
+            assert np.all(np.diff(cells) > 0)
+        sums = np.add.reduceat(table.weights, table.offsets[:-1])
+        assert np.allclose(sums, batch_mesh.volumes, rtol=1e-13)
 
 
 class TestProjection:
