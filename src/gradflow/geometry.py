@@ -124,13 +124,19 @@ def clip_convex(subject: np.ndarray, clipper: np.ndarray,
 
 
 def signed_edge_distances(verts: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Distance of p to each edge's supporting line, positive on the inside."""
+    """Distance of p to each edge's supporting line, positive on the inside.
+
+    `verts` is one polygon (m, 2) or a stack of them (c, m, 2); p[0] and
+    p[1] broadcast against the (..., m) edges, so p = points.T[:, :, None]
+    gives one row per point (or per polygon of the stack).  Every entry is
+    computed as for one polygon and one point.
+    """
     a = verts
-    b = np.roll(verts, -1, axis=0)
-    ex, ey = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+    b = np.roll(verts, -1, axis=-2)
+    ex, ey = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]
     ln = np.hypot(ex, ey)
     ln[ln == 0.0] = 1.0
-    return (ex * (p[1] - a[:, 1]) - ey * (p[0] - a[:, 0])) / ln
+    return (ex * (p[1] - a[..., 1]) - ey * (p[0] - a[..., 0])) / ln
 
 
 def point_in_convex(verts: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> bool:

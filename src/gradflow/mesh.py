@@ -84,18 +84,28 @@ def _interval_table(cell_bounds: np.ndarray, points: int) -> QuadratureTable:
                   np.full(len(lo), points))
 
 
-def _polygon_table(polygons: list[np.ndarray], bary: np.ndarray,
-                   bw: np.ndarray) -> QuadratureTable:
-    """The triangle rule on the fan of each cell around its centroid.
-
-    Cells are batched by vertex count; fan triangles of zero area are
-    dropped.
-    """
-    counts = np.array([len(p) for p in polygons])
-    tri_cells, tris, areas = [], [], []
+def _group_polygons(polygons) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Polygons grouped by vertex count, fewest vertices first: pairs of
+    (ascending cells, frozen (c, m, 2) stack of their polygons)."""
+    counts = np.array([len(p) for p in polygons], dtype=np.int64)
+    groups = []
     for m in np.unique(counts):
         cells = np.flatnonzero(counts == m)
-        poly = np.stack([polygons[k] for k in cells])        # (c, m, 2)
+        groups.append((_frozen(cells, np.int64),
+                       _frozen([polygons[k] for k in cells])))
+    return tuple(groups)
+
+
+def _polygon_table(groups, bary: np.ndarray, bw: np.ndarray) -> QuadratureTable:
+    """The triangle rule on the fan of each cell around its centroid.
+
+    Cells are batched by vertex count (the mesh's polygon groups); fan
+    triangles of zero area are dropped.
+    """
+    n_cells = sum(len(cells) for cells, _ in groups)
+    tri_cells, tris, areas = [], [], []
+    for cells, poly in groups:                                     # (c, m, 2)
+        m = poly.shape[1]
         nxt = np.roll(poly, -1, axis=1)
         center = geometry.polygon_centroids(poly)
         cx, cy = center[:, :1], center[:, 1:]
@@ -112,8 +122,7 @@ def _polygon_table(polygons: list[np.ndarray], bary: np.ndarray,
     tri = np.concatenate([t.reshape(-1, 3, 2) for t in tris])[keep]
     nodes = np.matmul(bary, tri)            # bary @ tri, triangle by triangle
     return _table(nodes.reshape(-1, 2), (area[:, None] * bw).ravel(),
-                  np.bincount(tri_cells[keep], minlength=len(polygons))
-                  * len(bw))
+                  np.bincount(tri_cells[keep], minlength=n_cells) * len(bw))
 
 
 @dataclass(frozen=True)
@@ -172,7 +181,9 @@ class Mesh:
     sites : (n, dim) site coordinates, one per cell
     volumes : (n,) cell volumes
     cell_bounds : (n, 2) interval endpoints (d=1 only)
-    cell_polygons : list of (k, 2) ccw vertex arrays (d=2 only)
+    cell_polygons : list of (k, 2) ccw vertex arrays (d=2 only); stored as
+        read-only views into `polygon_groups`, the polygons grouped by
+        vertex count as (ascending cells, (c, k, 2) stack) pairs
     face_cells : (F, 2) int cell pairs, each unordered pair at most once
     face_areas : (F,) d-1 dimensional face measures
     face_dists : (F,) site distances |x_K - x_L|
@@ -187,8 +198,14 @@ class Mesh:
         self.sites = _frozen(np.atleast_2d(np.asarray(sites, dtype=float)))
         self.volumes = _frozen(volumes)
         self.cell_bounds = _frozen(cell_bounds) if cell_bounds is not None else None
-        self.cell_polygons = ([_frozen(p) for p in cell_polygons]
-                              if cell_polygons is not None else None)
+        self.polygon_groups = None
+        self.cell_polygons = None
+        if cell_polygons is not None:
+            self.polygon_groups = _group_polygons(cell_polygons)
+            self.cell_polygons = [None] * len(cell_polygons)
+            for cells, stack in self.polygon_groups:
+                for k, poly in zip(cells.tolist(), stack):
+                    self.cell_polygons[k] = poly
         n_faces = 0 if face_cells is None else len(face_cells)
         self.face_cells = _frozen(np.asarray(face_cells, dtype=np.int64).reshape(n_faces, 2),
                                   dtype=np.int64)
@@ -234,7 +251,7 @@ class Mesh:
         if rule not in self._quadrature:
             self._quadrature[rule] = (
                 _interval_table(self.cell_bounds, rule) if self.dim == 1
-                else _polygon_table(self.cell_polygons, *_TRI_RULES[rule]))
+                else _polygon_table(self.polygon_groups, *_TRI_RULES[rule]))
         return self._quadrature[rule]
 
     def size(self) -> float:
@@ -277,12 +294,6 @@ class Mesh:
             self._face_endpoints = _frozen(ends)
         return self._face_endpoints
 
-    def site_in_cell(self, k: int, tol: float = 1e-9) -> bool:
-        if self.dim == 1:
-            lo, hi = self.cell_bounds[k]
-            return lo - tol <= self.sites[k, 0] <= hi + tol
-        return geometry.point_in_convex(self.cell_polygons[k], self.sites[k], tol)
-
     # -- invariants ---------------------------------------------------------
 
     def validate(self) -> None:
@@ -294,16 +305,36 @@ class Mesh:
         if np.any(self.volumes <= 0.0):
             raise MeshError("nonpositive cell volume")
         if self.n_faces:
+            # before any check that indexes with the face cells
+            k, l = self.face_cells[:, 0], self.face_cells[:, 1]
+            bad = np.flatnonzero((np.minimum(k, l) < 0)
+                                 | (np.maximum(k, l) >= self.n_cells) | (k == l))
+            if len(bad):
+                f = int(bad[0])
+                if k[f] == l[f] and 0 <= k[f] < self.n_cells:
+                    raise MeshError(f"face {f} joins cell {k[f]} to itself")
+                raise MeshError(f"face {f} joins cells {k[f]} and {l[f]}, but the "
+                                f"mesh has cells 0 to {self.n_cells - 1}")
             if np.any(self.face_dists <= 0.0):
                 raise MeshError("coincident sites across a face")
             if np.any(self.face_areas <= 0.0):
                 raise MeshError("nonpositive face area")
-            pairs = {tuple(sorted(pair)) for pair in map(tuple, self.face_cells)}
-            if len(pairs) != self.n_faces:
+            # (k, l) and (l, k) are one pair; the cells are in range here
+            pairs = np.minimum(k, l) * self.n_cells + np.maximum(k, l)
+            if len(np.unique(pairs)) != self.n_faces:
                 raise MeshError("duplicate face pair")
-        for k in range(self.n_cells):
-            if not self.site_in_cell(k):
-                raise MeshError(f"site of cell {k} lies outside its cell")
+        tol = 1e-9                          # how far a site may lie outside
+        if self.dim == 1:
+            s = self.sites[:, 0]
+            lo, hi = self.cell_bounds[:, 0], self.cell_bounds[:, 1]
+            outside = [np.flatnonzero(~((lo - tol <= s) & (s <= hi + tol)))]
+        else:
+            outside = [cells[~np.all(geometry.signed_edge_distances(
+                           stack, self.sites[cells].T[:, :, None]) >= -tol, axis=1)]
+                       for cells, stack in self.polygon_groups]
+        outside = np.concatenate(outside)
+        if len(outside):
+            raise MeshError(f"site of cell {outside.min()} lies outside its cell")
         if self.dim == 2 and self.n_faces:
             tau = self.face_tau()
             ends = self.face_endpoints()
@@ -434,9 +465,10 @@ def build_interval_mesh(n: int, breakpoints=None, interval=(0.0, 1.0)) -> Mesh:
         pts = np.asarray(breakpoints, dtype=float)
     if pts.shape != (n + 1,):
         raise MeshError(f"expected {n + 1} breakpoints, got {pts.shape}")
-    for i in range(n):
-        if not pts[i + 1] > pts[i]:
-            raise MeshError(f"breakpoints not strictly increasing at index {i + 1}")
+    steps = ~(pts[1:] > pts[:-1])
+    if steps.any():
+        raise MeshError("breakpoints not strictly increasing at index "
+                        f"{int(steps.argmax()) + 1}")
     if abs(pts[0] - a) > 1e-12 * max(1.0, abs(a)) or \
        abs(pts[-1] - b) > 1e-12 * max(1.0, abs(b)):
         raise MeshError("breakpoints do not span the requested interval")
@@ -464,35 +496,28 @@ def build_cartesian_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
     hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
-
-    def cell_id(i, j):
-        return j * nx + i
-
-    sites = np.empty((nx * ny, 2))
-    polys: list[np.ndarray] = []
-    for j in range(ny):
-        for i in range(nx):
-            sites[cell_id(i, j)] = [0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])]
-            polys.append(np.array([[xs[i], ys[j]], [xs[i + 1], ys[j]],
-                                   [xs[i + 1], ys[j + 1]], [xs[i], ys[j + 1]]]))
+    # arrays indexed [j, i] flatten to cell j * nx + i
+    corner = np.stack(np.meshgrid(xs, ys), axis=-1)          # (ny + 1, nx + 1, 2)
+    lower_left, lower_right = corner[:-1, :-1], corner[:-1, 1:]
+    upper_left, upper_right = corner[1:, :-1], corner[1:, 1:]
+    polys = np.stack([lower_left, lower_right, upper_right, upper_left],
+                     axis=2).reshape(-1, 4, 2)
+    sites = np.column_stack([np.tile(0.5 * (xs[:-1] + xs[1:]), ny),
+                             np.repeat(0.5 * (ys[:-1] + ys[1:]), nx)])
     volumes = np.full(nx * ny, hx * hy)
-    fc, fa, fd, fe = [], [], [], []
-    for j in range(ny):
-        for i in range(nx):
-            if i + 1 < nx:
-                fc.append((cell_id(i, j), cell_id(i + 1, j)))
-                fa.append(hy)
-                fd.append(hx)
-                fe.append([[xs[i + 1], ys[j]], [xs[i + 1], ys[j + 1]]])
-            if j + 1 < ny:
-                fc.append((cell_id(i, j), cell_id(i, j + 1)))
-                fa.append(hx)
-                fd.append(hy)
-                fe.append([[xs[i], ys[j + 1]], [xs[i + 1], ys[j + 1]]])
+    # per cell its +x face, then its +y face; the mask keeps those inside
+    cell = np.arange(nx * ny).reshape(ny, nx)
+    inside = np.stack(np.broadcast_arrays(np.arange(nx) + 1 < nx,
+                                          (np.arange(ny) + 1 < ny)[:, None]), axis=-1)
+    fc = np.stack([np.stack([cell, cell + 1], axis=-1),
+                   np.stack([cell, cell + nx], axis=-1)], axis=2)
+    fe = np.stack([np.stack([lower_right, upper_right], axis=2),
+                   np.stack([upper_left, upper_right], axis=2)], axis=2)
     mesh = Mesh(2, domain, sites, volumes, cell_polygons=polys,
-                face_cells=np.array(fc, dtype=np.int64).reshape(-1, 2),
-                face_areas=fa, face_dists=fd,
-                face_endpoints=np.array(fe).reshape(-1, 2, 2))
+                face_cells=fc[inside],
+                face_areas=np.broadcast_to([hy, hx], inside.shape)[inside],
+                face_dists=np.broadcast_to([hx, hy], inside.shape)[inside],
+                face_endpoints=fe[inside])
     mesh.validate()
     return mesh
 
@@ -589,9 +614,15 @@ def build_voronoi_mesh(sites, domain) -> Mesh:
         for j in (near + i + 1).tolist():
             if np.linalg.norm(pts[i] - pts[j]) <= site_tol:
                 raise MeshError(f"duplicate sites {i} and {j}")
-    for i in range(n):
-        if not domain.contains(pts[i], tol=site_tol):
-            raise MeshError(f"site {i} lies outside the domain")
+    # Domain.contains(p, tol=site_tol) for every site at once
+    if dim == 1:
+        lo, hi = domain.bounds
+        outside = ~((lo - site_tol <= pts[:, 0]) & (pts[:, 0] <= hi + site_tol))
+    else:
+        dist = geometry.signed_edge_distances(domain.vertices, pts.T[:, :, None])
+        outside = ~np.all(dist >= -site_tol, axis=1)
+    if outside.any():
+        raise MeshError(f"site {int(outside.argmax())} lies outside the domain")
 
     if dim == 1:
         order = np.argsort(pts[:, 0], kind="stable")

@@ -86,6 +86,31 @@ class TestSolveCommand:
         assert (a / "trajectory.csv").read_bytes() \
             == (b / "trajectory.csv").read_bytes()
 
+    @pytest.mark.parametrize("mesh_args, face, edited, message", [
+        (["--kind", "uniform1d", "--n", "4"], "2 3 ", "2 2 ",
+         "error: face 2 joins cell 2 to itself"),
+        (["--kind", "uniform1d", "--n", "4"], "2 3 ", "2 -1 ",
+         "error: face 2 joins cells 2 and -1, but the mesh has cells 0 to 3"),
+        (["--kind", "cartesian", "--n", "3"], "0 3 ", "0 9 ",
+         "error: face 1 joins cells 0 and 9, but the mesh has cells 0 to 8"),
+    ])
+    def test_bad_face_in_mesh_file_exit_2(self, tmp_path, capsys, mesh_args,
+                                          face, edited, message):
+        code, meshdir = run(["mesh", *mesh_args], tmp_path, name="meshdir")
+        assert code == 0
+        head, faces = (meshdir / "mesh.txt").read_text().split("\nfaces ")
+        lines = faces.split("\n")
+        row = next(i for i, line in enumerate(lines) if line.startswith(face))
+        lines[row] = edited + lines[row][len(face):]
+        bad = tmp_path / "bad.txt"
+        bad.write_text(head + "\nfaces " + "\n".join(lines))
+        capsys.readouterr()
+        code, out = run(["solve", "--mesh", str(bad), "--T", "0.01", "--M", "2"],
+                        tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
 
 class TestEdiCommand:
     def test_check_passes(self, tmp_path):
