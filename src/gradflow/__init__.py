@@ -15,8 +15,7 @@ from .reference import (Potential, DiscreteMeasure, FaceWeights,
                         quadratic_potential, double_well_potential,
                         write_measure_csv, read_measure_csv)
 from .functionals import (log_mean, mean_value, entropy, action, fisher,
-                          fisher_sqrt_gap, dirichlet_energy,
-                          continuous_dirichlet)
+                          fisher_sqrt_gap, dirichlet_energy)
 from .dual_action import OnsagerOperator, assemble_onsager, dual_action
 from .dynamics import (Generator, Trajectory, assemble_generator,
                        step_implicit_euler, step_crank_nicolson,
@@ -28,6 +27,7 @@ from .experiments import (MeshFamily, StudyResult, uniform_interval_family,
                           flattened_voronoi_family, gamma_energy_study,
                           gamma_affine_minimization_study, edi_audit,
                           evolutionary_convergence_study, wasserstein_1d,
-                          lower_bound_trend_study, isotropy_study, Density1D)
+                          lower_bound_trend_study, isotropy_study, Density1D,
+                          continuous_dirichlet)
 
 __version__ = "0.1.0"

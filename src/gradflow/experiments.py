@@ -13,14 +13,16 @@ from typing import Callable
 
 import numpy as np
 
+from . import geometry
 from .geometry import Box
 from .mesh import (Mesh, build_cartesian_mesh, build_interval_mesh,
-                   build_voronoi_mesh, Domain, cells_inside, isotropy_defect)
-from .reference import (DiscreteMeasure, Potential, density_from_token,
-                        discretize_reference, face_weights,
-                        project_function, project_measure, zero_potential)
-from .functionals import (dirichlet_energy, entropy, fisher,
-                          continuous_dirichlet, _gauss_rule_1d, _midpoint_grid)
+                   build_voronoi_mesh, Domain, cells_inside, isotropy_defect,
+                   _interval_table)
+from .reference import (DiscreteMeasure, PointFunction, Potential,
+                        density_from_token, discretize_reference, face_weights,
+                        project_function, project_measure, zero_potential,
+                        _boltzmann, _pointwise)
+from .functionals import dirichlet_energy, entropy, fisher
 from .dual_action import assemble_onsager, dual_action
 from .dynamics import (Generator, _resolve_scheme, assemble_generator,
                        solve_trajectory)
@@ -189,46 +191,68 @@ def _attach_orders(rows: list[StudyRow]) -> None:
 # -- continuum references ----------------------------------------------------------
 
 
-def stationary_density(potential: Potential, domain: Domain,
-                       resolution: int = 4096) -> Callable:
-    """Continuum density exp(-V)/Z with Z from fine quadrature."""
+def _reference_rule(domain: Domain, resolution: int):
+    """(N, d) points and weights of the fine rule on a domain.
+
+    d=1: composite 4-point Gauss-Legendre on `resolution` equal cells.
+    d=2: the midpoints, y-major, of a resolution^2 grid on the bounding box
+    that lie in the domain, each weighted by the area of a grid cell.
+    """
     if domain.dim == 1:
-        x, w = _gauss_rule_1d(float(domain.bounds[0]), float(domain.bounds[1]),
-                              resolution)
-        z = float(np.sum(w * np.array([math.exp(-potential(xi)) for xi in x])))
-        return lambda p: math.exp(-potential(p)) / z
-    points, cell = _midpoint_grid(domain, 512)
-    z = cell * sum(math.exp(-potential(p)) for p in points)
-    return lambda p: math.exp(-potential(p)) / z
+        edges = np.linspace(float(domain.bounds[0]), float(domain.bounds[1]),
+                            resolution + 1)
+        table = _interval_table(np.column_stack([edges[:-1], edges[1:]]), 4)
+        return table.nodes, table.weights
+    verts = np.asarray(domain.vertices)
+    x0, y0 = verts.min(axis=0)
+    x1, y1 = verts.max(axis=0)
+    xs = x0 + (np.arange(resolution) + 0.5) * (x1 - x0) / resolution
+    ys = y0 + (np.arange(resolution) + 0.5) * (y1 - y0) / resolution
+    cell = (x1 - x0) * (y1 - y0) / (resolution * resolution)
+    gx, gy = np.meshgrid(xs, ys)
+    points = np.column_stack([gx.ravel(), gy.ravel()])
+    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+    rectangular = len(verts) == 4 and np.allclose(
+        np.sort(verts, axis=0), np.sort(corners, axis=0))
+    if not rectangular:
+        # Domain.contains(p, tol=0.0) for every point at once
+        dist = geometry.signed_edge_distances(verts, points.T[:, :, None])
+        points = points[np.all(dist >= 0.0, axis=1)]
+    return points, np.full(len(points), cell)
+
+
+def stationary_density(potential: Potential, domain: Domain,
+                       resolution: int = 4096) -> PointFunction:
+    """Continuum density exp(-V)/Z with Z from the fine rule (`resolution`
+    cells in 1D, the 512^2 grid in 2D)."""
+    boltzmann = _boltzmann(potential)
+    points, weights = _reference_rule(domain,
+                                      resolution if domain.dim == 1 else 512)
+    z = float(np.sum(weights * boltzmann.batch(points)))
+    return PointFunction(lambda p: boltzmann.batch(p) / z)
 
 
 def continuum_entropy(mu: Callable, potential: Potential, domain: Domain,
                       resolution: int = 4096) -> float:
     """int mu log(mu/sigma) dx over a 1D domain."""
     sigma = stationary_density(potential, domain, resolution)
-    x, w = _gauss_rule_1d(float(domain.bounds[0]), float(domain.bounds[1]),
-                          resolution)
-    total = 0.0
-    for xi, wi in zip(x, w):
-        rho = float(mu(xi))
-        if rho > 0.0:
-            total += wi * rho * math.log(rho / sigma(xi))
-    return total
+    x, w = _reference_rule(domain, resolution)
+    rho = _pointwise(mu, x)
+    pos = rho > 0.0
+    ratio = rho[pos] / _pointwise(sigma, x[pos])
+    return float(np.sum(w[pos] * rho[pos] * np.log(ratio)))
 
 
 def continuum_fisher(mu: Callable, potential: Potential, domain: Domain,
                      resolution: int = 4096) -> float:
     """4 int |d/dx sqrt(mu/sigma)|^2 sigma dx (central differences)."""
     sigma = stationary_density(potential, domain, resolution)
-    x, w = _gauss_rule_1d(float(domain.bounds[0]), float(domain.bounds[1]),
-                          resolution)
+    x, w = _reference_rule(domain, resolution)
     h = 1e-6
-    total = 0.0
-    for xi, wi in zip(x, w):
-        left = math.sqrt(float(mu(xi - h)) / sigma(xi - h))
-        right = math.sqrt(float(mu(xi + h)) / sigma(xi + h))
-        total += wi * ((right - left) / (2 * h)) ** 2 * sigma(xi)
-    return 4.0 * total
+    left = np.sqrt(_pointwise(mu, x - h) / _pointwise(sigma, x - h))
+    right = np.sqrt(_pointwise(mu, x + h) / _pointwise(sigma, x + h))
+    return 4.0 * float(np.sum(w * ((right - left) / (2 * h)) ** 2
+                              * _pointwise(sigma, x)))
 
 
 def continuum_dual(mu: Callable, eta: Callable, potential: Potential,
@@ -242,15 +266,36 @@ def continuum_dual(mu: Callable, eta: Callable, potential: Potential,
     sigma = stationary_density(potential, domain, resolution)
     a, b = float(domain.bounds[0]), float(domain.bounds[1])
     edges = np.linspace(a, b, resolution + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
+    mids = (0.5 * (edges[:-1] + edges[1:]))[:, None]
     dx = np.diff(edges)
-    sig = np.array([sigma(xi) for xi in mids])
-    et = np.array([float(eta(xi)) for xi in mids])
+    sig = _pointwise(sigma, mids)
+    et = _pointwise(eta, mids)
     mean = float(np.sum(et * sig * dx))  # sigma integrates to one
     flux = np.cumsum((et - mean) * sig * dx)
     e_mid = flux - 0.5 * (et - mean) * sig * dx  # midpoint values of E
-    rho = np.array([float(mu(xi)) for xi in mids])
+    rho = _pointwise(mu, mids)
     return 0.5 * float(np.sum(e_mid ** 2 / rho * dx))
+
+
+def continuous_dirichlet(phi: Callable, density: Callable, domain: Domain,
+                         grad: Callable | None = None,
+                         resolution: int = 512) -> float:
+    """Reference energy 1/2 int |grad phi|^2 density dx by the fine rule.
+
+    d=1 uses composite 4-point Gauss on `resolution` subintervals; d=2 uses
+    the midpoint grid of size resolution^2 (restricted to the domain
+    polygon).  The gradient defaults to central differences with h = 1e-6.
+    """
+    points, weights = _reference_rule(domain, resolution)
+    if grad is None:
+        h = 1e-6
+        g = np.column_stack([(_pointwise(phi, points + step)
+                              - _pointwise(phi, points - step)) / (2.0 * h)
+                             for step in h * np.eye(domain.dim)])
+    else:
+        g = _pointwise(grad, points).reshape(len(points), -1)
+    g2 = np.sum(g * g, axis=1)
+    return 0.5 * float(np.sum(weights * g2 * _pointwise(density, points)))
 
 
 # -- 1D Wasserstein distance --------------------------------------------------------
@@ -281,20 +326,6 @@ class Density1D:
         edges = np.append(mesh.cell_bounds[order, 0],
                           mesh.cell_bounds[order[-1], 1])
         return Density1D(edges, np.asarray(values, dtype=float)[order])
-
-    @staticmethod
-    def from_function(rho: Callable, interval=(0.0, 1.0),
-                      cells: int = 4096, points: int = 5) -> "Density1D":
-        a, b = float(interval[0]), float(interval[1])
-        edges = np.linspace(a, b, cells + 1)
-        gx, gw = np.polynomial.legendre.leggauss(points)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halves = 0.5 * np.diff(edges)
-        vals = np.empty(cells)
-        for i in range(cells):
-            nodes = mids[i] + halves[i] * gx
-            vals[i] = float(np.dot(gw, [rho(x) for x in nodes])) * 0.5
-        return Density1D(edges, vals)
 
     def mass(self) -> float:
         return float(np.sum(self.values * np.diff(self.edges)))
@@ -392,7 +423,6 @@ def _boundary_layer_measure(domain: Domain, box: Box, width: float) -> float:
 
         inner_len = clip_len(inner) if np.all(inner.hi > inner.lo) else 0.0
         return clip_len(outer) - inner_len
-    from . import geometry
 
     def clip_area(bx: Box) -> float:
         if np.any(bx.hi <= bx.lo):
@@ -553,10 +583,10 @@ def edi_audit(mesh: Mesh, potential: Potential, m0: DiscreteMeasure, T: float,
 # -- evolutionary convergence -----------------------------------------------------------
 
 
-def heat_cosine_density(t: float, amplitude: float = 0.5) -> Callable:
+def heat_cosine_density(t: float, amplitude: float = 0.5) -> PointFunction:
     """Closed-form heat solution 1 + a e^{-pi^2 t} cos(pi x) on [0, 1]."""
     damp = amplitude * math.exp(-math.pi ** 2 * t)
-    return lambda x: 1.0 + damp * math.cos(math.pi * float(np.atleast_1d(x)[0]))
+    return PointFunction(lambda p: 1.0 + damp * np.cos(np.pi * p[:, 0]))
 
 
 def _cosine_density_1d_exact(t: float, cells: int,

@@ -7,11 +7,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from . import geometry
 from .mesh import Mesh, cells_meeting
 
 KERNEL_KINDS = ("logarithmic", "sqrt_logarithmic", "arithmetic", "geometric",
@@ -214,72 +212,3 @@ def dirichlet_energy(mesh: Mesh, f, m, kind: str = "logarithmic",
     if region is not None:
         trans = trans[sel]
     return _graph_energy(ff, u * trans, fc)
-
-
-def _gauss_rule_1d(a: float, b: float, cells: int, points: int = 4):
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    gx, gw = np.polynomial.legendre.leggauss(points)
-    edges = np.linspace(a, b, cells + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    x = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    w = (half[:, None] * gw[None, :]).ravel()
-    return x, w
-
-
-def continuous_dirichlet(phi: Callable, density: Callable, domain,
-                         grad: Callable | None = None,
-                         resolution: int = 512) -> float:
-    """Reference energy 1/2 int |grad phi|^2 density dx on a fine grid.
-
-    d=1 uses composite 4-point Gauss on `resolution` subintervals; d=2 uses
-    the midpoint tensor grid of size resolution^2 (restricted to the domain
-    polygon).  The gradient defaults to central differences with h = 1e-6.
-    """
-    if domain.dim == 1:
-        a, b = float(domain.bounds[0]), float(domain.bounds[1])
-        x, w = _gauss_rule_1d(a, b, resolution)
-        if grad is None:
-            h = 1e-6
-            g = (np.array([phi(xi + h) for xi in x])
-                 - np.array([phi(xi - h) for xi in x])) / (2.0 * h)
-        else:
-            g = np.array([grad(xi) for xi in x], dtype=float)
-        rho = np.array([density(xi) for xi in x], dtype=float)
-        return 0.5 * float(np.sum(w * g * g * rho))
-
-    points, cell = _midpoint_grid(domain, resolution)
-    total = 0.0
-    h = 1e-6
-    for p in points:
-        xv, yv = p
-        if grad is None:
-            gx = (phi(np.array([xv + h, yv])) - phi(np.array([xv - h, yv]))) / (2 * h)
-            gy = (phi(np.array([xv, yv + h])) - phi(np.array([xv, yv - h]))) / (2 * h)
-            g2 = gx * gx + gy * gy
-        else:
-            gv = np.asarray(grad(p), dtype=float)
-            g2 = float(gv @ gv)
-        total += g2 * float(density(p))
-    return 0.5 * total * cell
-
-
-def _midpoint_grid(domain, resolution: int):
-    """The (N, 2) midpoints, y-major, of a resolution^2 grid on the bounding
-    box of a 2D domain that lie in the domain, and the area of a grid cell."""
-    verts = np.asarray(domain.vertices)
-    x0, y0 = verts.min(axis=0)
-    x1, y1 = verts.max(axis=0)
-    xs = x0 + (np.arange(resolution) + 0.5) * (x1 - x0) / resolution
-    ys = y0 + (np.arange(resolution) + 0.5) * (y1 - y0) / resolution
-    cell = (x1 - x0) * (y1 - y0) / (resolution * resolution)
-    gx, gy = np.meshgrid(xs, ys)
-    points = np.column_stack([gx.ravel(), gy.ravel()])
-    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
-    rectangular = len(verts) == 4 and np.allclose(
-        np.sort(verts, axis=0), np.sort(corners, axis=0))
-    if not rectangular:
-        # Domain.contains(p, tol=0.0) for every point at once
-        dist = geometry.signed_edge_distances(verts, points.T[:, :, None])
-        points = points[np.all(dist >= 0.0, axis=1)]
-    return points, cell

@@ -425,6 +425,9 @@ class Mesh:
                 bounds[i] = [float(t) for t in take(2)]
             else:
                 nv = int(take(1)[0])
+                if nv < 3:
+                    raise MeshError(f"cell {i} has {nv} vertices; a 2d cell "
+                                    f"needs at least 3")
                 polys.append(np.array([[float(x) for x in take(2)]
                                        for _ in range(nv)]))
         tag, nf = take(2)
@@ -732,12 +735,9 @@ def isotropy_defect(mesh: Mesh, weights, pi) -> np.ndarray:
     outer = 0.5 * w[:, None, None] * diff[:, :, None] * diff[:, None, :]
     np.add.at(moments, k, outer)
     np.add.at(moments, l, outer)
-    defects = np.empty(mesh.n_cells)
-    for c in range(mesh.n_cells):
-        a = moments[c] / masses[c] - np.eye(d)
-        lam = float(np.linalg.eigvalsh(a)[-1]) if d == 2 else float(a[0, 0])
-        defects[c] = max(lam, 0.0)
-    return defects
+    a = moments / masses[:, None, None] - np.eye(d)
+    lam = np.linalg.eigvalsh(a)[:, -1] if d == 2 else a[:, 0, 0]
+    return np.where(0.0 > lam, 0.0, lam)    # Python's max(lam, 0.0): keeps -0.0
 
 
 # -- region selection (shared by functionals and diagnostics) -------------------

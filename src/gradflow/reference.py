@@ -21,31 +21,54 @@ S_MEAN_KINDS = ("min", "max", "arithmetic", "geometric", "harmonic", "logarithmi
 
 @dataclass(frozen=True)
 class Potential:
-    """Driving potential V on the closed domain (continuous user code).
+    """Driving potential V on the closed domain.
 
-    `batch`, where given, is V over an (N, d) array of points, equal bit for
-    bit to `fn` point by point; the quadrature then calls it once per pass.
+    The built-ins give only `batch`, V over an (N, d) array of points, and
+    a call at one point evaluates it on one row.  User code may give only
+    `fn`, V at one point; it is then evaluated point by point.  Where both
+    are given, `batch` is used.
     """
 
     name: str
-    fn: Callable
+    fn: Callable | None = None
     params: dict = field(default_factory=dict)
     batch: Callable | None = None
 
+    def __post_init__(self):
+        if self.fn is None and self.batch is None:
+            raise ValueError(f"potential {self.name!r} needs fn or batch")
+
     def __call__(self, x):
-        return self.fn(x)
+        return self.fn(x) if self.batch is None else _at_point(self.batch, x)
 
 
 @dataclass(frozen=True)
 class PointFunction:
-    """A function of one point (a float in 1D, a point in 2D) with its array
-    form over (N, d) points, equal bit for bit."""
+    """A function given by its array form over (N, d) points; a call at one
+    point (a float in 1D, a point in 2D) evaluates it on one row."""
 
-    fn: Callable
     batch: Callable
 
     def __call__(self, x):
-        return self.fn(x)
+        return _at_point(self.batch, x)
+
+
+def _at_point(batch: Callable, x):
+    """batch at one point: a float for scalar functions, else the row."""
+    row = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
+    value = np.asarray(batch(row))[0]
+    return float(value) if value.ndim == 0 else value
+
+
+def _pointwise(g: Callable, points: np.ndarray) -> np.ndarray:
+    """g at each row of (N, d) points: one call of g.batch where g has an
+    array form, else point by point (a float argument in 1D, a point in 2D)."""
+    batch = getattr(g, "batch", None)
+    if batch is not None:
+        return np.asarray(batch(points), dtype=float)
+    if points.shape[1] == 1:
+        return np.array([g(float(x[0])) for x in points], dtype=float)
+    return np.array([g(x) for x in points], dtype=float)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -55,45 +78,33 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def zero_potential() -> Potential:
-    return Potential("zero", lambda x: 0.0, batch=lambda p: np.zeros(len(p)))
+    return Potential("zero", batch=lambda p: np.zeros(len(p)))
 
 
 def linear_potential(a=1.0) -> Potential:
     vec = np.atleast_1d(np.asarray(a, dtype=float))
-
-    def fn(x):
-        return float(vec @ np.atleast_1d(np.asarray(x, dtype=float)))
-
-    return Potential("linear", fn, {"a": tuple(vec)},
+    return Potential("linear", params={"a": tuple(vec)},
                      batch=lambda p: _row_dot(p, vec))
 
 
 def quadratic_potential(center=0.5) -> Potential:
     c = np.atleast_1d(np.asarray(center, dtype=float))
 
-    def fn(x):
-        d = np.atleast_1d(np.asarray(x, dtype=float)) - c
-        return 0.5 * float(d @ d)
-
     def batch(p):
         d = p - c
         return 0.5 * _row_dot(d, d)
 
-    return Potential("quadratic", fn, {"center": tuple(c)}, batch=batch)
+    return Potential("quadratic", params={"center": tuple(c)}, batch=batch)
 
 
 def double_well_potential(height=2.0, center=0.5, width=0.25) -> Potential:
     h, c, w = float(height), float(center), float(width)
 
-    def fn(x):
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(np.sum(h * ((xa - c) ** 2 - w * w) ** 2 / w ** 4))
-
     def batch(p):
         return np.sum(h * ((p - c) ** 2 - w * w) ** 2 / w ** 4, axis=1)
 
-    return Potential("double-well", fn, {"height": h, "center": c, "width": w},
-                     batch=batch)
+    return Potential("double-well", params={"height": h, "center": c,
+                                            "width": w}, batch=batch)
 
 
 def potential_from_token(token: str, dim: int) -> Potential:
@@ -183,25 +194,6 @@ class FaceWeights:
 # -- quadrature -----------------------------------------------------------------
 
 
-def cell_quadrature(mesh: Mesh, k: int, order: int | None = None):
-    """Quadrature nodes and weights for one cell (weights sum to |K|), as
-    read-only views of the mesh's table for the rule."""
-    table = mesh.quadrature(order)
-    lo, hi = table.offsets[k], table.offsets[k + 1]
-    return table.nodes[lo:hi], table.weights[lo:hi]
-
-
-def _pointwise(mesh: Mesh, g: Callable, points: np.ndarray) -> np.ndarray:
-    """g at each row of points: one call of g.batch where g has an array
-    form, else point by point (a float argument in 1D, a point in 2D)."""
-    batch = getattr(g, "batch", None)
-    if batch is not None:
-        return np.asarray(batch(points), dtype=float)
-    if mesh.dim == 1:
-        return np.array([g(float(x[0])) for x in points], dtype=float)
-    return np.array([g(x) for x in points], dtype=float)
-
-
 def cell_integrals(mesh: Mesh, g: Callable, order: int | None = None) -> np.ndarray:
     """Integral of g over each cell by the module quadrature.
 
@@ -209,7 +201,7 @@ def cell_integrals(mesh: Mesh, g: Callable, order: int | None = None) -> np.ndar
     weights @ values, stacked over the cells with the same node count.
     """
     table = mesh.quadrature(order)
-    values = _pointwise(mesh, g, table.nodes)
+    values = _pointwise(g, table.nodes)
     out = np.empty(mesh.n_cells)
     for n, cells in table.groups:
         idx = table.offsets[cells][:, None] + np.arange(n)
@@ -217,13 +209,9 @@ def cell_integrals(mesh: Mesh, g: Callable, order: int | None = None) -> np.ndar
     return out
 
 
-def _boltzmann(potential: Potential) -> Callable:
-    """exp(-V), with an array form where V has one."""
-    def fn(x):
-        return np.exp(-potential(x))
-
-    batch = potential.batch
-    return fn if batch is None else PointFunction(fn, lambda p: np.exp(-batch(p)))
+def _boltzmann(potential: Potential) -> PointFunction:
+    """exp(-V) over an array of points."""
+    return PointFunction(lambda p: np.exp(-_pointwise(potential, p)))
 
 
 # -- reference measure and weights ----------------------------------------------
@@ -250,7 +238,7 @@ def face_weights(mesh: Mesh, potential: Potential,
     boltzmann = _boltzmann(potential)
     vals = cell_integrals(mesh, boltzmann, quad_order)
     pi = DiscreteMeasure.normalized(vals)
-    sigma = _pointwise(mesh, boltzmann, mesh.sites) / float(vals.sum())
+    sigma = _pointwise(boltzmann, mesh.sites) / float(vals.sum())
     fc = mesh.face_cells
     s = (mean_value(mean_kind, sigma[fc[:, 0]], sigma[fc[:, 1]])
          if len(fc) else np.zeros(0))
@@ -315,7 +303,7 @@ def embed_measure(mesh: Mesh, m: DiscreteMeasure) -> PiecewiseConstant:
 
 def project_function(mesh: Mesh, phi: Callable) -> np.ndarray:
     """Pointwise site evaluation (phi(x_K) per cell)."""
-    return _pointwise(mesh, phi, mesh.sites)
+    return _pointwise(phi, mesh.sites)
 
 
 def embed_function(mesh: Mesh, f) -> PiecewiseConstant:
@@ -326,27 +314,21 @@ def embed_function(mesh: Mesh, f) -> PiecewiseConstant:
 # -- named densities and initial data ----------------------------------------------
 
 
-def density_from_token(token: str, dim: int) -> Callable:
+def density_from_token(token: str, dim: int) -> PointFunction:
     """Named probability densities on the unit interval/square."""
     name, _, arg = token.partition(":")
     if name == "uniform":
-        return PointFunction(lambda x: 1.0, lambda p: np.ones(len(p)))
+        return PointFunction(lambda p: np.ones(len(p)))
     if name == "cosine":
         amp = float(arg) if arg else 0.5
         if not -1.0 < amp < 1.0:
             raise ValueError("cosine amplitude must lie in (-1, 1)")
-
-        def rho(x):
-            xa = np.atleast_1d(np.asarray(x, dtype=float))
-            return float(np.prod(1.0 + amp * np.cos(np.pi * xa)))
-
         return PointFunction(
-            rho, lambda p: np.prod(1.0 + amp * np.cos(np.pi * p), axis=1))
+            lambda p: np.prod(1.0 + amp * np.cos(np.pi * p), axis=1))
     if name == "linear":
         if dim != 1:
             raise ValueError("the linear density is one-dimensional")
-        return PointFunction(lambda x: 2.0 * float(np.atleast_1d(x)[0]),
-                             lambda p: 2.0 * p[:, 0])
+        return PointFunction(lambda p: 2.0 * p[:, 0])
     raise ValueError(f"unknown density {token!r}")
 
 

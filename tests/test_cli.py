@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -111,6 +112,27 @@ class TestSolveCommand:
         assert capsys.readouterr().err.splitlines() == [message]
         assert not out.exists()
 
+    @pytest.mark.parametrize("vertices", ["0", "1 0.5 0.5",
+                                          "2 0.4 0.4 0.6 0.4"])
+    def test_cell_with_too_few_vertices_exit_2(self, tmp_path, capsys,
+                                               vertices):
+        code, meshdir = run(["mesh", "--kind", "cartesian", "--n", "3"],
+                            tmp_path, name="meshdir")
+        assert code == 0
+        lines = (meshdir / "mesh.txt").read_text().split("\n")
+        row = next(i for i, line in enumerate(lines) if line.startswith("4 "))
+        lines[row] = " ".join(lines[row].split()[:4]) + " " + vertices
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines))
+        capsys.readouterr()
+        code, out = run(["solve", "--mesh", str(bad), "--T", "0.01", "--M", "2"],
+                        tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cell 4 has {vertices[0]} vertices; a 2d cell needs at "
+            f"least 3"]
+        assert not out.exists()
+
 
 class TestEdiCommand:
     def test_check_passes(self, tmp_path):
@@ -168,12 +190,14 @@ class TestEdiCommand:
 
 
 class TestGammaCommand:
-    def test_energy_check(self, tmp_path):
-        code, out = run(["gamma", "--family", "uniform1d:8..64",
-                         "--phi", "cosine", "--check"], tmp_path)
+    @pytest.mark.parametrize("argv, rows", [
+        (["--family", "uniform1d:8..64", "--phi", "cosine"], 4),
+        (["--family", "cartesian:4..8", "--potential", "quadratic"], 2)])
+    def test_energy_check(self, tmp_path, argv, rows):
+        code, out = run(["gamma", *argv, "--check"], tmp_path)
         assert code == 0
         lines = (out / "gamma.csv").read_text().splitlines()
-        assert len(lines) == 1 + 4
+        assert len(lines) == 1 + rows
 
     def test_affine_check(self, tmp_path):
         code, out = run(["gamma", "--family", "uniform1d:8..32",
@@ -199,6 +223,36 @@ class TestGammaCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and message in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("dim, token", [
+        (1, "coordinate"), (1, "cosine"), (1, "cosine:2.5"), (2, "coordinate"),
+        (2, "coordinate:1"), (2, "cosine"), (2, "cosine:2.5")])
+    def test_phi_matches_old_scalar_forms(self, dim, token):
+        name, _, arg = token.partition(":")
+        # reference copies of the former point forms
+        if name == "coordinate":
+            e = np.eye(dim)[int(arg or 0)]
+            old_phi = lambda x: float(np.atleast_1d(x) @ e)
+            old_grad = lambda x: e
+        else:
+            k = float(arg or 1.0) * math.pi
+            old_phi = lambda x: math.cos(k * float(np.atleast_1d(x)[0]))
+            old_grad = lambda x: np.array(
+                [-k * math.sin(k * float(np.atleast_1d(x)[0]))] + [0.0] * (dim - 1))
+        phi, grad = cli._phi_from_token(token, dim)
+        points = np.random.default_rng(dim).uniform(-0.5, 1.5, (500, dim))
+        values = phi.batch(points)
+        grads = np.reshape(grad.batch(points), (500, dim))
+        old_values = np.array([old_phi(x) for x in points])
+        old_grads = np.array([old_grad(x) for x in points])
+        # np.cos and np.sin may round differently from math.cos and math.sin
+        assert np.allclose(values, old_values, rtol=1e-15, atol=1e-15)
+        assert np.allclose(grads, old_grads, rtol=1e-15, atol=1e-14)
+        assert np.array_equal([phi(x) for x in points], values)
+        assert np.array_equal([grad(x) for x in points], grads)
+        if name == "coordinate":
+            assert np.array_equal(values, old_values)
+            assert np.array_equal(grads, old_grads)
 
     def test_axis_checked_against_1d_family(self, tmp_path, capsys):
         code, _ = run(["gamma", "--family", "uniform1d:8..16",
@@ -265,6 +319,19 @@ class TestDiagnoseCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["c_count"] <= 20.0
         assert summary["c_length"] <= 5.0
+
+    def test_jittered_voronoi_sites(self, tmp_path):
+        # the 1-point rule misses unit mass by 1.8e-6 on these cells
+        sites = experiments._jittered_sites(10, 0.35, 42)
+        csv = tmp_path / "sites.csv"
+        csv.write_text("x,y\n" + "".join(f"{float(x)!r},{float(y)!r}\n"
+                                         for x, y in sites))
+        code, out = run(["diagnose", "--kind", "voronoi", "--sites", str(csv)],
+                        tmp_path)
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert 0.0 < summary["k_lower"] <= 1.0 <= summary["k_upper"]
+        assert (out / "holder.csv").exists()
 
 
 class TestArguments:

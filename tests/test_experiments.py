@@ -17,8 +17,10 @@ class TestWasserstein1D:
 
     def test_linear_against_uniform(self):
         # quantile gap u - sqrt(u): integral 1/30
-        p = Density1D.from_function(lambda x: 1.0, cells=4096)
-        q = Density1D.from_function(lambda x: 2.0 * x, cells=4096)
+        # exact cell averages of 1 and 2x on 4096 cells
+        edges = np.linspace(0.0, 1.0, 4097)
+        p = Density1D(edges, np.ones(4096))
+        q = Density1D(edges, edges[:-1] + edges[1:])
         assert wasserstein_1d(p, q) == pytest.approx(math.sqrt(1.0 / 30.0),
                                                      abs=5e-4)
 
@@ -446,13 +448,136 @@ class TestStationaryDensity:
         sigma = ex.stationary_density(gf.zero_potential(), triangle)
         assert sigma(np.array([0.2, 0.2])) == pytest.approx(2.0, rel=1e-2)
 
-    def test_rectangle_sum_unchanged(self):
+    def test_rectangle_matches_exact_sum(self):
         pot = gf.quadratic_potential([0.3, 0.6])
         sigma = ex.stationary_density(pot, gf.Domain.rectangle(0.0, 0.0, 2.0, 1.0))
-        # the midpoint sum in y-major order, as a reference copy
+        # the midpoint rule on the 512^2 grid, summed exactly, as a reference copy
         xs = (np.arange(512) + 0.5) * 2.0 / 512
         ys = (np.arange(512) + 0.5) * 1.0 / 512
-        z = 2.0 / (512 * 512) * sum(math.exp(-pot(np.array([xv, yv])))
-                                    for yv in ys for xv in xs)
-        p = np.array([0.7, 0.2])
-        assert sigma(p) == math.exp(-pot(p)) / z
+        cell = 2.0 / (512 * 512)
+        z = math.fsum(cell * math.exp(-pot(np.array([xv, yv])))
+                      for yv in ys for xv in xs)
+        for p in ([0.7, 0.2], [1.9, 0.95], [0.3, 0.6]):
+            p = np.array(p)
+            assert sigma(p) == pytest.approx(math.exp(-pot(p)) / z, rel=1e-15)
+
+
+class _Counted:
+    """An array form that records the rows of each call; a call at one
+    point fails, so any per-point loop over it shows."""
+
+    def __init__(self, batch):
+        self._batch = batch
+        self.rows = []
+
+    def batch(self, points):
+        self.rows.append(len(points))
+        return self._batch(points)
+
+    def __call__(self, x):
+        raise AssertionError("evaluated point by point")
+
+
+def _old_gauss_rule(a, b, cells, points=4):
+    """Reference copy of the former composite Gauss-Legendre builder."""
+    gx, gw = np.polynomial.legendre.leggauss(points)
+    edges = np.linspace(a, b, cells + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    return ((mid[:, None] + half[:, None] * gx[None, :]).ravel(),
+            (half[:, None] * gw[None, :]).ravel())
+
+
+def _old_continuum_entropy(mu, potential, resolution):
+    """Reference copy of the former per-point entropy loop on [0, 1]."""
+    x, w = _old_gauss_rule(0.0, 1.0, resolution)
+    z = float(np.sum(w * np.array([math.exp(-potential(xi)) for xi in x])))
+    total = 0.0
+    for xi, wi in zip(x, w):
+        rho = float(mu(xi))
+        if rho > 0.0:
+            total += wi * rho * math.log(rho / (math.exp(-potential(xi)) / z))
+    return total
+
+
+class TestContinuumReferences:
+    @pytest.mark.parametrize("a, b, cells", [(0.0, 1.0, 512), (0.0, 1.0, 4096),
+                                             (-1.0, 2.5, 512)])
+    def test_interval_rule_matches_old_builder(self, a, b, cells):
+        x, w = ex._reference_rule(gf.Domain.interval(a, b), cells)
+        old_x, old_w = _old_gauss_rule(a, b, cells)
+        assert x.shape == (4 * cells, 1)
+        assert np.array_equal(x[:, 0], old_x) and np.array_equal(w, old_w)
+
+    @pytest.mark.parametrize("domain, rows", [
+        (gf.Domain.interval(0.0, 1.0), 4 * 4096),
+        (gf.Domain.rectangle(0.0, 0.0, 2.0, 1.0), 512 * 512)])
+    def test_stationary_density_one_batch(self, domain, rows):
+        v = _Counted(gf.quadratic_potential([0.3] * domain.dim).batch)
+        sigma = ex.stationary_density(gf.Potential("counted", batch=v.batch),
+                                      domain)
+        assert v.rows == [rows]
+        points, weights = ex._reference_rule(domain, 4096 if domain.dim == 1 else 512)
+        assert float(np.sum(weights * sigma.batch(points))) == pytest.approx(1.0, rel=1e-15)
+        assert sigma(points[7]) == sigma.batch(points[7:8])[0]
+
+    def test_references_evaluate_each_function_in_one_batch(self):
+        domain = gf.Domain.interval(0.0, 1.0)
+        v = _Counted(gf.quadratic_potential().batch)
+        potential = gf.Potential("counted", batch=v.batch)
+        mu = _Counted(lambda p: 1.0 + 0.5 * np.cos(np.pi * p[:, 0]))
+        eta = _Counted(lambda p: np.sin(np.pi * p[:, 0]))
+        ex.continuum_entropy(mu, potential, domain, 256)
+        ex.continuum_fisher(mu, potential, domain, 256)
+        ex.continuum_dual(mu, eta, potential, domain, 256)
+        # entropy: mu once; fisher: mu at x - h and x + h; dual: mu once
+        assert mu.rows == [1024, 1024, 1024, 256]
+        assert eta.rows == [256]
+        # Z once per reference, then sigma once (entropy, dual) or 3 times
+        assert v.rows == [1024] * 2 + [1024] * 4 + [1024, 256]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_dirichlet_one_batch_per_function(self, dim):
+        domain = (gf.Domain.interval(0.0, 1.0) if dim == 1
+                  else gf.Domain.rectangle(0.0, 0.0, 1.0, 1.0))
+        phi = _Counted(lambda p: np.cos(np.pi * p[:, 0]))
+        grad = _Counted(lambda p: np.column_stack(
+            [-np.pi * np.sin(np.pi * p[:, 0])] + [np.zeros(len(p))] * (dim - 1)))
+        density = _Counted(lambda p: np.ones(len(p)))
+        exact = gf.continuous_dirichlet(phi, density, domain, grad=grad,
+                                        resolution=64)
+        numeric = gf.continuous_dirichlet(phi, density, domain, resolution=64)
+        rows = 4 * 64 if dim == 1 else 64 * 64
+        assert grad.rows == [rows] and phi.rows == [rows] * 2 * dim
+        assert density.rows == [rows, rows]
+        assert exact == pytest.approx(math.pi ** 2 / 4.0, rel=1e-3)
+        assert numeric == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize("potential", ["zero", "quadratic", "double-well"])
+    def test_entropy_matches_old_loop(self, potential):
+        pot = gf.reference.potential_from_token(potential, 1)
+        mu = ex.heat_cosine_density(0.05)
+        old = _old_continuum_entropy(lambda x: 1.0 + 0.5 * math.exp(
+            -math.pi ** 2 * 0.05) * math.cos(math.pi * x), pot, 512)
+        value = ex.continuum_entropy(mu, pot, gf.Domain.interval(0.0, 1.0), 512)
+        assert value == pytest.approx(old, rel=1e-13)
+
+    def test_square_dirichlet_matches_old_loop(self):
+        pot = gf.quadratic_potential([0.3, 0.6])
+        domain = gf.Domain.rectangle(0.0, 0.0, 1.0, 1.0)
+        sigma = ex.stationary_density(pot, domain)
+        from gradflow.cli import _phi_from_token
+
+        phi, grad = _phi_from_token("cosine", 2)
+        # the former loop: a sequential midpoint sum at 128^2
+        xs = (np.arange(128) + 0.5) / 128
+        total = 0.0
+        for yv in xs:
+            for xv in xs:
+                p = np.array([xv, yv])
+                gv = np.array([-math.pi * math.sin(math.pi * xv), 0.0])
+                total += float(gv @ gv) * sigma(p)
+        old = 0.5 * total / 128 ** 2
+        value = gf.continuous_dirichlet(phi, sigma, domain, grad=grad,
+                                        resolution=128)
+        assert value == pytest.approx(old, rel=1e-13)

@@ -1,7 +1,8 @@
 """Batched mesh checks and the cartesian builder against their loop originals.
 
-`Mesh.validate` checks every cell in one batch per vertex count and
-`build_cartesian_mesh` builds its arrays from the grid lines; both must
+`Mesh.validate` checks every cell in one batch per vertex count,
+`build_cartesian_mesh` builds its arrays from the grid lines and
+`isotropy_defect` takes every cell's eigenvalues in one call; they must
 make the decisions, raise the messages and produce the bytes of the
 cell-by-cell code kept below as reference copies.
 """
@@ -380,3 +381,34 @@ def test_site_within_the_domain_tolerance_accepted():
     sites = np.array([[0.25, 0.5], [1.0 + 5e-13, 0.5]])
     assert domain.contains(sites[1], tol=1e-12 * domain.diameter)
     assert gf.build_voronoi_mesh(sites, domain).n_cells == 2
+
+
+def _reference_isotropy_defect(mesh, weights, pi):
+    d = mesh.dim
+    moments = np.zeros((mesh.n_cells, d, d))
+    k, l = mesh.face_cells[:, 0], mesh.face_cells[:, 1]
+    diff = mesh.sites[k] - mesh.sites[l]
+    outer = 0.5 * weights.w[:, None, None] * diff[:, :, None] * diff[:, None, :]
+    np.add.at(moments, k, outer)
+    np.add.at(moments, l, outer)
+    defects = np.empty(mesh.n_cells)
+    for c in range(mesh.n_cells):
+        a = moments[c] / pi.masses[c] - np.eye(d)
+        lam = float(np.linalg.eigvalsh(a)[-1]) if d == 2 else float(a[0, 0])
+        defects[c] = max(lam, 0.0)
+    return defects
+
+
+@pytest.mark.parametrize("potential", ["zero", "quadratic"])
+@pytest.mark.parametrize("mesh", [
+    *MESHES.values(), lambda: ex.flattened_voronoi_family((64,)).build()[0],
+    *(lambda seed=seed: gf.build_voronoi_mesh(
+        ex._jittered_sites(14, 0.35, seed), Domain.rectangle(0.0, 0.0, 1.0, 1.0))
+      for seed in (42, 1, 7))])
+def test_isotropy_defect_matches_loop(mesh, potential):
+    mesh = mesh()
+    weights = gf.face_weights(
+        mesh, gf.reference.potential_from_token(potential, mesh.dim))
+    defects = gf.isotropy_defect(mesh, weights, weights.pi)
+    expected = _reference_isotropy_defect(mesh, weights, weights.pi)
+    assert defects.tobytes() == expected.tobytes()

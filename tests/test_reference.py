@@ -7,7 +7,7 @@ import gradflow as gf
 from gradflow import experiments as ex
 from gradflow import reference
 from gradflow.reference import (DiscreteMeasure, cell_integrals,
-                                cell_quadrature, density_from_token,
+                                density_from_token,
                                 initial_measure_from_token,
                                 potential_from_token)
 
@@ -232,6 +232,47 @@ def _old_cell_quadrature(mesh, k, order=None):
     return np.vstack(nodes), np.concatenate(weights)
 
 
+def _table_rows(mesh, k, order=None):
+    """Cell k's nodes and weights: its rows of the mesh's table."""
+    table = mesh.quadrature(order)
+    lo, hi = table.offsets[k], table.offsets[k + 1]
+    return table.nodes[lo:hi], table.weights[lo:hi]
+
+
+def _old_point_form(token, dim):
+    """Reference copy of the former scalar form of a built-in potential or
+    named density (a 'density:' prefix selects the densities)."""
+    density = token.startswith("density:")
+    name, _, arg = token.removeprefix("density:").partition(":")
+
+    def vec(x):
+        return np.atleast_1d(np.asarray(x, dtype=float))
+
+    if density:
+        if name == "uniform":
+            return lambda x: 1.0
+        if name == "cosine":
+            amp = float(arg) if arg else 0.5
+            return lambda x: float(np.prod(1.0 + amp * np.cos(np.pi * vec(x))))
+        return lambda x: 2.0 * float(np.atleast_1d(x)[0])         # linear
+    if name == "zero":
+        return lambda x: 0.0
+    if name == "linear":
+        a = np.array([float(v) for v in arg.split(",")] if arg
+                     else [1.0] + [0.0] * (dim - 1))
+        return lambda x: float(a @ vec(x))
+    if name == "quadratic":
+        c = np.full(dim, 0.5)
+
+        def quadratic(x):
+            d = vec(x) - c
+            return 0.5 * float(d @ d)
+
+        return quadratic
+    h, c, w = (float(arg) if arg else 2.0), 0.5, 0.25             # double-well
+    return lambda x: float(np.sum(h * ((vec(x) - c) ** 2 - w * w) ** 2 / w ** 4))
+
+
 def _old_pointwise(mesh, g, points):
     if mesh.dim == 1:
         return np.array([g(float(x[0])) for x in points], dtype=float)
@@ -276,9 +317,9 @@ def batch_mesh(request):
 
 class TestBatchedQuadrature:
     @pytest.mark.parametrize("order", _QUAD_ORDERS)
-    def test_cell_quadrature_matches_per_cell_rule(self, batch_mesh, order):
+    def test_table_rows_match_per_cell_rule(self, batch_mesh, order):
         for k in range(batch_mesh.n_cells):
-            nodes, weights = cell_quadrature(batch_mesh, k, order)
+            nodes, weights = _table_rows(batch_mesh, k, order)
             old_nodes, old_weights = _old_cell_quadrature(batch_mesh, k, order)
             assert np.array_equal(nodes, old_nodes)
             assert np.array_equal(weights, old_weights)
@@ -331,33 +372,46 @@ class TestBatchedQuadrature:
         if density == "linear" and mesh.dim == 2:
             pytest.skip("the linear density is one-dimensional")
         rho = density_from_token(density, mesh.dim)
-        vals = _old_cell_integrals(mesh, rho.fn, order)
+        old_rho = _old_point_form("density:" + density, mesh.dim)
+        vals = _old_cell_integrals(mesh, old_rho, order)
         assert np.array_equal(cell_integrals(mesh, rho, order), vals)
         # the former pipeline: the old loop on the point form; low orders
         # miss unit mass on some meshes, and then both raise alike
         with monkeypatch.context() as patch:
             patch.setattr(reference, "cell_integrals", _old_cell_integrals)
-            expected = _outcome(lambda: gf.project_measure(mesh, rho.fn, order))
+            expected = _outcome(lambda: gf.project_measure(mesh, old_rho, order))
         assert _same(_outcome(lambda: gf.project_measure(mesh, rho, order)),
                      expected)
         assert np.array_equal(gf.project_function(mesh, rho),
-                              _old_pointwise(mesh, rho.fn, mesh.sites))
+                              _old_pointwise(mesh, old_rho, mesh.sites))
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_array_forms_match_point_forms(self, dim):
+    def test_array_and_point_forms_match_old_scalar_forms(self, dim):
         # points inside and outside the unit cube, as rows
         points = np.random.default_rng(dim).uniform(-0.5, 1.5, (500, dim))
-        functions = [potential_from_token(t, dim) for t in
-                     ("zero", "linear", "linear:0.3" + ",-1.7" * (dim - 1),
-                      "quadratic", "double-well", "double-well:0.5")]
-        functions += [density_from_token(t, dim) for t in
-                      ("uniform", "cosine", "cosine:0.9")]
-        if dim == 1:
-            functions.append(density_from_token("linear", 1))
+        tokens = ["zero", "linear", "linear:0.3" + ",-1.7" * (dim - 1),
+                  "quadratic", "double-well", "double-well:0.5"]
+        functions = [(potential_from_token(t, dim), t) for t in tokens]
+        densities = ["uniform", "cosine", "cosine:0.9", "cosine:-0.3"]
+        densities += ["linear"] if dim == 1 else []
+        functions += [(density_from_token(t, dim), "density:" + t)
+                      for t in densities]
         mesh = gf.build_interval_mesh(2) if dim == 1 else gf.build_cartesian_mesh(2, 2)
-        for g in functions:
-            assert np.array_equal(g.batch(points),
-                                  _old_pointwise(mesh, g.fn, points))
+        for g, token in functions:
+            expected = _old_pointwise(mesh, _old_point_form(token, dim), points)
+            assert np.array_equal(g.batch(points), expected), token
+            # the point form is the array form on one row
+            assert np.array_equal(_old_pointwise(mesh, g, points), expected), token
+            assert np.array_equal([g(x) for x in points], expected), token
+            assert all(type(g(x)) is float for x in points[:3])
+
+    def test_potential_needs_a_form(self):
+        with pytest.raises(ValueError, match="needs fn or batch"):
+            gf.Potential("empty")
+        user = gf.Potential("user", lambda x: 2.0 * float(np.atleast_1d(x)[0]))
+        assert user(0.25) == 0.5
+        assert np.array_equal(reference._pointwise(user, np.array([[0.25], [1.0]])),
+                              [0.5, 2.0])
 
     @pytest.mark.parametrize("order", _QUAD_ORDERS)
     def test_scalar_callable_evaluated_per_point(self, batch_mesh, order):
@@ -419,7 +473,7 @@ class TestBatchedQuadrature:
                 arr[0] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             table.nodes = np.zeros(1)
-        nodes, weights = cell_quadrature(batch_mesh, 0, 3)
+        nodes, weights = _table_rows(batch_mesh, 0, 3)
         assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_table_layout(self, batch_mesh):
