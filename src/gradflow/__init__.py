@@ -18,8 +18,8 @@ from .functionals import (log_mean, mean_value, entropy, action, fisher,
                           fisher_sqrt_gap, dirichlet_energy)
 from .dual_action import OnsagerOperator, assemble_onsager, dual_action
 from .dynamics import (Generator, Trajectory, assemble_generator,
-                       step_implicit_euler, step_crank_nicolson,
-                       solve_trajectory, time_derivative)
+                       build_generator, step_implicit_euler,
+                       step_crank_nicolson, solve_trajectory, time_derivative)
 from .diagnostics import (condition_report, good_path, path_constants,
                           l2_holder_modulus, flow_regularity_observed)
 from .experiments import (MeshFamily, StudyResult, uniform_interval_family,

@@ -16,9 +16,9 @@ import tempfile
 
 import numpy as np
 
-from . import diagnostics, experiments
+from . import diagnostics, experiments, functionals, reference
 from .dual_action import ConjugateGradientError
-from .dynamics import SCHEMES, assemble_generator, solve_trajectory
+from .dynamics import SCHEMES, build_generator, solve_trajectory
 from .mesh import (Mesh, MeshError, build_cartesian_mesh, build_interval_mesh,
                    build_voronoi_mesh, Domain, isotropy_defect,
                    regularity_report)
@@ -55,11 +55,14 @@ def _write_json(path: str, payload: dict) -> None:
 def _load_sites(path: str) -> np.ndarray:
     rows = []
     with open(path, encoding="ascii") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("x"):
                 continue
             rows.append([float(v) for v in line.replace(",", " ").split()])
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(f"{path}, line {number}: {len(rows[-1])} "
+                                 f"values, expected {len(rows[0])} per site")
     if not rows:
         raise ValueError(f"no sites found in {path}")
     return np.asarray(rows, dtype=float)
@@ -122,10 +125,9 @@ def cmd_mesh(args) -> int:
 
 def cmd_solve(args) -> int:
     mesh = _mesh_from_args(args)
-    potential = potential_from_token(args.potential, mesh.dim)
-    weights = face_weights(mesh, potential, args.mean)
-    generator = assemble_generator(mesh, weights, weights.pi)
-    m0 = initial_measure_from_token(args.m0, mesh, weights.pi)
+    generator = build_generator(
+        mesh, potential_from_token(args.potential, mesh.dim), args.mean)
+    m0 = initial_measure_from_token(args.m0, mesh, generator.pi)
     trajectory = solve_trajectory(m0, args.T, args.M, generator,
                                   scheme=args.scheme)
     out = _out_dir(args)
@@ -143,11 +145,10 @@ def cmd_edi(args) -> int:
         raise ValueError(f"--M must be a positive multiple of 4 (Simpson's "
                          f"rule at M and M/2), got {args.M}")
     mesh = _mesh_from_args(args)
-    potential = potential_from_token(args.potential, mesh.dim)
-    pi = discretize_reference(mesh, potential)
-    m0 = initial_measure_from_token(args.m0, mesh, pi)
-    audit = experiments.edi_audit(mesh, potential, m0, args.T, args.M,
-                                  mean_kind=args.mean)
+    generator = build_generator(
+        mesh, potential_from_token(args.potential, mesh.dim), args.mean)
+    m0 = initial_measure_from_token(args.m0, mesh, generator.pi)
+    audit = experiments.edi_audit(generator, m0, args.T, args.M)
     tol = max(abs(audit.control_residual - audit.residual) / 7.5,
               64.0 * np.finfo(float).eps * max(audit.entropy_start, 1.0))
     passed = (audit.residual >= -tol) and (abs(audit.residual) <= tol)
@@ -221,7 +222,7 @@ def _phi_from_token(token: str, dim: int):
 
 def cmd_converge(args) -> int:
     family = experiments.family_from_token(args.family, seed=args.seed)
-    dim = 1 if args.family.startswith("uniform1d") else 2
+    dim = 1 if family.name == "uniform1d" else 2
     potential = potential_from_token(args.potential, dim)
     study = experiments.evolutionary_convergence_study(
         family, potential, args.rho0, args.T, mean_kind=args.mean)
@@ -282,13 +283,13 @@ def _add_mesh_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sites", help="CSV of site coordinates (voronoi)")
 
 
-def _add_common(p: argparse.ArgumentParser, mean: bool = True,
+def _add_common(p: argparse.ArgumentParser, means=reference.S_MEAN_KINDS,
                 seed: bool = False, check: bool = False) -> None:
     """--potential and --out, plus the shared options the command reads."""
     p.add_argument("--potential", default="zero")
     p.add_argument("--out", default="gradflow-out")
-    if mean:
-        p.add_argument("--mean", default="logarithmic")
+    if means:
+        p.add_argument("--mean", default="logarithmic", choices=means)
     if seed:
         p.add_argument("--seed", type=int, default=42)
     if check:
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_edi)
 
     p = sub.add_parser("gamma", help="energy or affine minimization study")
-    _add_common(p, mean=False, seed=True, check=True)
+    _add_common(p, means=(), seed=True, check=True)
     p.add_argument("--family", default="uniform1d:16..256")
     p.add_argument("--mode", default="energy", choices=["energy", "affine"])
     p.add_argument("--phi", default="cosine")
@@ -359,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="condition, path, and Holder reports")
     _add_mesh_options(p)
-    _add_common(p)
+    _add_common(p, means=functionals.KERNEL_KINDS)
     p.add_argument("--m0", default="blend:cosine:0.9")
     p.set_defaults(fn=cmd_diagnose)
 

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .reference import DiscreteMeasure
+from .reference import DiscreteMeasure, FaceWeights, Potential, face_weights
 from .mesh import Mesh
 
 EXACT_DENSE_LIMIT = 2000
@@ -40,10 +40,11 @@ def _resolve_scheme(scheme: str, n: int) -> str:
 
 @dataclass
 class Generator:
-    """Sparse Fokker-Planck generator with its reference measure."""
+    """Sparse Fokker-Planck generator with its face weights and reference pi."""
 
     matrix: sp.csr_matrix
     pi: DiscreteMeasure
+    weights: FaceWeights
     _sym: tuple | None = field(default=None, repr=False)
 
     @property
@@ -85,7 +86,15 @@ def assemble_generator(mesh: Mesh, weights, pi: DiscreteMeasure) -> Generator:
     data = np.concatenate([w * inv_pi[l], w * inv_pi[k],
                            -w * inv_pi[k], -w * inv_pi[l]])
     matrix = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    return Generator(matrix=matrix, pi=pi)
+    return Generator(matrix=matrix, pi=pi, weights=weights)
+
+
+def build_generator(mesh: Mesh, potential: Potential,
+                    mean_kind: str = "logarithmic",
+                    quad_order: int | None = None) -> Generator:
+    """The one set-up of (mesh, potential): weights and pi from one pass."""
+    weights = face_weights(mesh, potential, mean_kind, quad_order)
+    return assemble_generator(mesh, weights, weights.pi)
 
 
 def _clip_measure(values: np.ndarray) -> DiscreteMeasure:

@@ -24,8 +24,7 @@ from .reference import (DiscreteMeasure, PointFunction, Potential,
                         _boltzmann, _pointwise)
 from .functionals import dirichlet_energy, entropy, fisher
 from .dual_action import assemble_onsager, dual_action
-from .dynamics import (Generator, _resolve_scheme, assemble_generator,
-                       solve_trajectory)
+from .dynamics import Generator, build_generator, solve_trajectory
 
 
 # -- mesh families ---------------------------------------------------------------
@@ -380,8 +379,8 @@ def wasserstein_1d(p: Density1D, q: Density1D) -> float:
 
 def gamma_energy_study(family: MeshFamily, phi: Callable, potential: Potential,
                        m_rule: str = "stationary", mu: Callable | None = None,
-                       kind: str = "logarithmic", grad: Callable | None = None,
-                       quad_order: int | None = None) -> StudyResult:
+                       kind: str = "logarithmic",
+                       grad: Callable | None = None) -> StudyResult:
     """Embedded Dirichlet energies of the projected test function vs the limit.
 
     m_rule 'stationary' uses m = pi (reference energy against the stationary
@@ -398,8 +397,8 @@ def gamma_energy_study(family: MeshFamily, phi: Callable, potential: Potential,
     reference = continuous_dirichlet(phi, density, domain, grad=grad)
 
     def one(mesh: Mesh) -> StudyRow:
-        pi = discretize_reference(mesh, potential, quad_order)
-        m = pi if m_rule == "stationary" else project_measure(mesh, mu, quad_order)
+        pi = discretize_reference(mesh, potential)
+        m = pi if m_rule == "stationary" else project_measure(mesh, mu)
         value = dirichlet_energy(mesh, project_function(mesh, phi), m, kind=kind)
         return StudyRow(mesh_size=mesh.size(), value=value, reference=reference,
                         error=abs(value - reference))
@@ -501,13 +500,13 @@ def _simpson(values: np.ndarray, T: float) -> float:
     return float((w * (T / steps / 3.0)) @ values)
 
 
-def _dual_nodes(mesh: Mesh, weights, pi: DiscreteMeasure,
-                generator: Generator, masses: np.ndarray) -> np.ndarray:
+def _dual_nodes(generator: Generator, masses: np.ndarray) -> np.ndarray:
     """Dual action at (m, dm/dt) per trajectory node, each CG solve
     warm-started from the previous node's solution."""
+    weights, pi = generator.weights, generator.pi
     nodes, guess = np.empty(len(masses)), None
     for i, m_i in enumerate(masses):
-        operator = assemble_onsager(mesh, weights, m_i, pi)
+        operator = assemble_onsager(None, weights, m_i, pi)
         nodes[i], guess = dual_action(m_i, generator.matrix @ m_i, weights, pi,
                                       operator=operator, initial_guess=guess,
                                       return_solution=True)
@@ -535,9 +534,8 @@ class EdiAudit:
                 "residual": self.residual, "nodes": len(self.times)}
 
 
-def edi_audit(mesh: Mesh, potential: Potential, m0: DiscreteMeasure, T: float,
-              steps: int, mean_kind: str = "logarithmic",
-              quad_order: int | None = None) -> EdiAudit:
+def edi_audit(generator: Generator, m0: DiscreteMeasure, T: float,
+              steps: int) -> EdiAudit:
     """Audit the entropy balance H(m_T) + int (dual + half Fisher) = H(m_0).
 
     Needs the dense spectral oracle (at most EXACT_DENSE_LIMIT cells),
@@ -545,27 +543,25 @@ def edi_audit(mesh: Mesh, potential: Potential, m0: DiscreteMeasure, T: float,
     first otherwise) and steps a multiple of 4.  The residual along exact
     flows is pure quadrature error and shrinks at fourth order under node
     doubling; control_residual, the balance on every other node with its own
-    dual solves, equals the residual of an audit at steps // 2.
+    dual solves, equals the residual of an audit at steps // 2, which may
+    share the generator and its eigendecomposition.
     """
     if steps % 4 != 0:
         raise ValueError(f"edi_audit needs an even number of Simpson steps at "
                          f"steps and steps // 2: a multiple of 4, got {steps}")
-    _resolve_scheme("exact_dense", mesh.n_cells)
     if np.any(np.asarray(getattr(m0, "masses", m0)) <= 0.0):
         raise ValueError("initial measure must be positive on every cell "
                          "(blend toward the stationary measure first)")
-    weights = face_weights(mesh, potential, mean_kind, quad_order)
-    pi = weights.pi
-    generator = assemble_generator(mesh, weights, pi)
+    weights, pi = generator.weights, generator.pi
     trajectory = solve_trajectory(m0, T, steps, generator, scheme="exact_dense")
     masses = trajectory.masses
-    dual_nodes = _dual_nodes(mesh, weights, pi, generator, masses)
+    dual_nodes = _dual_nodes(generator, masses)
     fisher_nodes = np.array([0.5 * fisher(m_i, weights, pi) for m_i in masses])
     action_integral = _simpson(dual_nodes, T)
     fisher_integral = _simpson(fisher_nodes, T)
     # the even nodes of the exact flow are the nodes of the flow at steps // 2;
     # copied, because a strided dot product may sum in another order
-    control_dual = _dual_nodes(mesh, weights, pi, generator, masses[::2])
+    control_dual = _dual_nodes(generator, masses[::2])
     control_fisher = np.ascontiguousarray(fisher_nodes[::2])
     h0 = entropy(m0, pi)
     ht = entropy(trajectory.measure(steps), pi)
@@ -612,16 +608,16 @@ def _richardson_reference_1d(potential: Potential, rho0: Callable, T: float,
                              ) -> tuple[list[Density1D], DiscreteMeasure]:
     """Fine-mesh trajectory densities, Richardson-extrapolated in space onto
     the n_fine // 2 grid, and that grid's reference measure."""
-    dens: dict[int, np.ndarray] = {}
-    for n in (n_fine, n_fine // 2):
+
+    def densities(n: int) -> tuple[np.ndarray, DiscreteMeasure]:
         mesh = build_interval_mesh(n)
-        weights = face_weights(mesh, potential, mean_kind)
-        gen = assemble_generator(mesh, weights, weights.pi)
+        gen = build_generator(mesh, potential, mean_kind)
         m0 = project_measure(mesh, rho0)
         traj = solve_trajectory(m0, T, t_nodes - 1, gen, scheme="exact_dense")
-        dens[n] = traj.masses * n  # Lebesgue densities on the uniform grid
-    coarse_pi = weights.pi  # the n_fine // 2 grid, built last
-    fine, coarse = dens[n_fine], dens[n_fine // 2]
+        return traj.masses * n, gen.pi  # Lebesgue densities on the grid
+
+    fine, _ = densities(n_fine)
+    coarse, coarse_pi = densities(n_fine // 2)
     averaged = 0.5 * (fine[:, 0::2] + fine[:, 1::2])
     extrap = (4.0 * averaged - coarse) / 3.0
     edges = np.linspace(0.0, 1.0, n_fine // 2 + 1)
@@ -635,24 +631,23 @@ def _richardson_reference_1d(potential: Potential, rho0: Callable, T: float,
 
 def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
                                    rho0, T: float, t_nodes: int = 17,
-                                   mean_kind: str = "logarithmic",
-                                   quad_order: int | None = None) -> StudyResult:
+                                   mean_kind: str = "logarithmic") -> StudyResult:
     """Solution error of the discrete flow against a continuum reference.
 
     d=1 rows report sup_t of the exact quadratic Wasserstein distance between
     the embedded discrete solution and the reference (spectral cosine solution
     when V = 0, Richardson fine-mesh solution otherwise) on a t_nodes grid,
-    plus entropy excess and the two dissipation integrals.  d=2 runs on
-    cartesian families only (see _evolutionary_study_2d).
+    plus entropy excess and the two dissipation integrals.  Families other
+    than uniform1d are 2d and must be cartesian (see _evolutionary_study_2d).
     """
-    meshes = family.build()
-    domain = meshes[0].domain
-    if domain.dim != 1:
+    if family.name != "uniform1d":
         if family.name != "cartesian":
             raise ValueError(f"2d evolutionary convergence needs a cartesian "
                              f"family, got {family.name!r}")
-        return _evolutionary_study_2d(family, meshes, potential, rho0, T,
-                                      t_nodes, mean_kind, quad_order)
+        return _evolutionary_study_2d(family, potential, rho0, T, t_nodes,
+                                      mean_kind)
+    meshes = family.build()
+    domain = meshes[0].domain
     is_cos, amp = _is_cosine_token(rho0)
     unit = (abs(float(domain.bounds[0])) <= 1e-15
             and abs(float(domain.bounds[1]) - 1.0) <= 1e-15)
@@ -672,10 +667,9 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
             r.values * np.diff(r.edges)), ref_pi) for r in refs]
 
     def one(mesh: Mesh) -> StudyRow:
-        weights = face_weights(mesh, potential, mean_kind, quad_order)
-        pi = weights.pi
-        generator = assemble_generator(mesh, weights, pi)
-        m0 = project_measure(mesh, rho0_fn, quad_order)
+        generator = build_generator(mesh, potential, mean_kind)
+        weights, pi = generator.weights, generator.pi
+        m0 = project_measure(mesh, rho0_fn)
         traj = solve_trajectory(m0, T, t_nodes - 1, generator,
                                 scheme="exact_dense")
         sup_w2 = 0.0
@@ -685,8 +679,7 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
             sup_w2 = max(sup_w2, wasserstein_1d(disc, refs[i]))
             entropy_excess = max(entropy_excess,
                                  entropy(traj.measure(i), pi) - entropy_refs[i])
-        dual_integral = _simpson(
-            _dual_nodes(mesh, weights, pi, generator, traj.masses), T)
+        dual_integral = _simpson(_dual_nodes(generator, traj.masses), T)
         fisher_integral = _simpson(np.array(
             [0.5 * fisher(m_i, weights, pi) for m_i in traj.masses]), T)
         return StudyRow(mesh_size=mesh.size(), value=sup_w2, reference=0.0,
@@ -703,21 +696,19 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
                         "T": T, "t_nodes": t_nodes}, rows)
 
 
-def _evolutionary_study_2d(family: MeshFamily, meshes: list[Mesh],
-                           potential: Potential, rho0, T: float, t_nodes: int,
-                           mean_kind: str,
-                           quad_order: int | None) -> StudyResult:
+def _evolutionary_study_2d(family: MeshFamily, potential: Potential, rho0,
+                           T: float, t_nodes: int, mean_kind: str) -> StudyResult:
     """L1 density error against a 4x finer cartesian reference (d=2)."""
     sizes = [int(n) for n in family.labels]
     n_ref = 4 * max(sizes)
     for n in sizes:
         if n_ref % n != 0:
             raise ValueError("2d family sizes must divide the reference grid")
+    meshes = family.build()
     rho0_fn = (density_from_token(rho0, 2) if isinstance(rho0, str) else rho0)
     ref_mesh = build_cartesian_mesh(n_ref, n_ref)
-    ref_weights = face_weights(ref_mesh, potential, mean_kind, quad_order)
-    ref_gen = assemble_generator(ref_mesh, ref_weights, ref_weights.pi)
-    ref_m0 = project_measure(ref_mesh, rho0_fn, quad_order)
+    ref_gen = build_generator(ref_mesh, potential, mean_kind)
+    ref_m0 = project_measure(ref_mesh, rho0_fn)
     steps = 64 * (t_nodes - 1)
     ref_traj = solve_trajectory(ref_m0, T, steps, ref_gen,
                                 scheme="implicit_euler")
@@ -726,9 +717,8 @@ def _evolutionary_study_2d(family: MeshFamily, meshes: list[Mesh],
                 for i in range(t_nodes)]
 
     def one(mesh: Mesh, n: int) -> StudyRow:
-        weights = face_weights(mesh, potential, mean_kind, quad_order)
-        generator = assemble_generator(mesh, weights, weights.pi)
-        m0 = project_measure(mesh, rho0_fn, quad_order)
+        generator = build_generator(mesh, potential, mean_kind)
+        m0 = project_measure(mesh, rho0_fn)
         traj = solve_trajectory(m0, T, t_nodes - 1, generator, scheme="auto")
         factor = n_ref // n
         cell_area = 1.0 / n_ref ** 2
@@ -753,8 +743,7 @@ def _evolutionary_study_2d(family: MeshFamily, meshes: list[Mesh],
 
 def lower_bound_trend_study(family: MeshFamily, mu: Callable, eta: Callable,
                             potential: Potential | None = None,
-                            mean_kind: str = "logarithmic",
-                            quad_order: int | None = None) -> StudyResult:
+                            mean_kind: str = "logarithmic") -> StudyResult:
     """Entropy, Fisher and dual action of projected data against continuum values.
 
     Rows carry the signed entropy deficit in `error` (negative values witness
@@ -770,9 +759,9 @@ def lower_bound_trend_study(family: MeshFamily, mu: Callable, eta: Callable,
     a_ref = continuum_dual(mu, eta, potential, domain)
 
     def one(mesh: Mesh) -> StudyRow:
-        weights = face_weights(mesh, potential, mean_kind, quad_order)
+        weights = face_weights(mesh, potential, mean_kind)
         pi = weights.pi
-        m = project_measure(mesh, mu, quad_order)
+        m = project_measure(mesh, mu)
         h_val = entropy(m, pi)
         i_val = fisher(m, weights, pi)
         e = project_function(mesh, eta) * pi.masses

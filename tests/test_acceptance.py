@@ -108,15 +108,16 @@ def edi_audits():
                       (gf.build_cartesian_mesh(8, 8), 2)):
         for pot in (gf.zero_potential(),
                     gf.linear_potential([1.0, 0.5][:dim])):
-            pi = gf.discretize_reference(mesh, pot)
+            gen = gf.build_generator(mesh, pot)
+            pi = gen.pi
             from gradflow.reference import density_from_token
             projected = gf.project_measure(mesh, density_from_token("cosine", dim))
             m0 = DiscreteMeasure(0.9 * projected.masses + 0.1 * pi.masses)
             # T = 0.1 keeps the projection-aliasing layer at t=0 resolved by
             # the M=512 grid; the layer's rate scales like the squared cell
             # count, so longer horizons starve the early nodes
-            fine = ex.edi_audit(mesh, pot, m0, T=0.1, steps=512)
-            coarse = ex.edi_audit(mesh, pot, m0, T=0.1, steps=256)
+            fine = ex.edi_audit(gen, m0, T=0.1, steps=512)
+            coarse = ex.edi_audit(gen, m0, T=0.1, steps=256)
             cases.append((mesh, pot, fine, coarse))
     return cases, time.perf_counter() - start
 

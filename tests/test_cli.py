@@ -44,6 +44,16 @@ class TestMeshCommand:
         code, _ = run(["mesh", "--mesh", str(tmp_path / "absent.txt")], tmp_path)
         assert code == 2
 
+    def test_ragged_sites_row_exit_2(self, tmp_path, capsys):
+        sites = tmp_path / "sites.csv"
+        sites.write_text("x,y\n0.2,0.3\n0.7\n0.45,0.8\n")
+        code, out = run(["mesh", "--kind", "voronoi", "--sites", str(sites)],
+                        tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {sites}, line 3: 1 values, expected 2 per site"]
+        assert not out.exists()
+
     def test_zeta_warning_reports_not_fails(self, tmp_path, capsys):
         code, _ = run(["mesh", "--kind", "uniform1d", "--n", "16",
                        "--zeta-min", "0.9"], tmp_path)
@@ -160,8 +170,8 @@ class TestEdiCommand:
                       tmp_path)
         assert code == 2
 
-    def test_one_eigendecomposition_and_three_passes(self, tmp_path,
-                                                     monkeypatch):
+    def test_one_eigendecomposition_and_two_passes(self, tmp_path,
+                                                   monkeypatch):
         from gradflow import reference
 
         eighs, passes = [], []
@@ -174,8 +184,8 @@ class TestEdiCommand:
                        "--potential", "quadratic", "--M", "16"], tmp_path)
         assert code == 0
         assert len(eighs) == 1
-        # pi for the initial blend, its projected density, the face weights
-        assert len(passes) == 3
+        # pi with the face weights, then the initial blend's projected density
+        assert len(passes) == 2
 
     @pytest.mark.parametrize("steps", ["258", "6", "0"])
     def test_steps_not_multiple_of_four_exit_2(self, tmp_path, capsys, steps):
@@ -294,6 +304,23 @@ class TestConvergeCommand:
         assert len(err) == 1 and "needs a cartesian family" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("family, message", [
+        ("voronoi:16..1024", "error: 2d evolutionary convergence needs a "
+                             "cartesian family, got 'voronoi'"),
+        ("cartesian:3,4", "error: 2d family sizes must divide the reference "
+                          "grid")])
+    def test_family_rejected_before_any_mesh(self, tmp_path, capsys,
+                                             monkeypatch, family, message):
+        def no_build(self):
+            raise AssertionError("a mesh was built before the family was "
+                                 "checked")
+
+        monkeypatch.setattr(experiments.MeshFamily, "build", no_build)
+        code, out = run(["converge", "--family", family], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
     def test_solver_failure_exit_2(self, tmp_path, capsys, monkeypatch):
         def stalled(*args, **kwargs):
             raise ConjugateGradientError("no convergence in 160 iterations, "
@@ -385,6 +412,29 @@ class TestArguments:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["mesh", "--mesh"], ["solve", "--mesh"], ["edi", "--mesh"],
+        ["diagnose", "--mesh"], ["converge", "--family", "cartesian:16..128"]])
+    def test_bad_mean_exit_2_at_parse_time(self, tmp_path, capsys, argv):
+        # checked before the mesh is read: the named mesh file is absent
+        if argv[-1] == "--mesh":
+            argv = [*argv, str(tmp_path / "absent.txt")]
+        code, out = run([*argv, "--mean", "bogus"], tmp_path)
+        assert code == 2
+        assert "argument --mean: invalid choice: 'bogus'" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mean_choices_follow_their_use(self):
+        # diagnose feeds --mean to the Dirichlet kernel, the others to the
+        # face weights' S mean, which has no square-root logarithmic kind
+        parser = cli.build_parser()
+        args = parser.parse_args(["diagnose", "--mean", "sqrt_logarithmic"])
+        assert args.mean == "sqrt_logarithmic"
+        for command in ("mesh", "solve", "edi", "converge"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--mean", "sqrt_logarithmic"])
 
     @pytest.mark.parametrize("command, option", [
         ("mesh", ["--check"]), ("mesh", ["--seed", "9"]),

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import gradflow as gf
-from gradflow import dynamics
+from gradflow import dynamics, reference
 from gradflow import experiments as ex
 from gradflow.dynamics import (AUTO_DENSE_LIMIT, EXACT_DENSE_LIMIT,
                                NEGATIVE_CLIP, step_crank_nicolson)
@@ -395,24 +395,22 @@ class TestThetaStepper:
 class TestDenseOracleLimit:
     def test_one_message_before_eigh(self, monkeypatch):
         mesh = gf.build_interval_mesh(EXACT_DENSE_LIMIT + 1)
-        pot = gf.zero_potential()
-        weights = gf.face_weights(mesh, pot, quad_order=1)
-        gen = gf.assemble_generator(mesh, weights, weights.pi)
+        gen = gf.build_generator(mesh, gf.zero_potential(), quad_order=1)
 
         def no_eigh(*args):
             raise AssertionError("eigh called above the dense limit")
 
         def no_quadrature(*args):
-            raise AssertionError("quadrature before the dense-limit check")
+            raise AssertionError("quadrature inside the audit")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        monkeypatch.setattr(ex, "face_weights", no_quadrature)
+        monkeypatch.setattr(reference, "cell_integrals", no_quadrature)
         messages = []
         for call in (
-                lambda: gf.solve_trajectory(weights.pi, 0.1, 2, gen,
+                lambda: gf.solve_trajectory(gen.pi, 0.1, 2, gen,
                                             scheme="exact_dense"),
                 gen.symmetric_eig,
-                lambda: ex.edi_audit(mesh, pot, weights.pi, T=0.1, steps=8)):
+                lambda: ex.edi_audit(gen, gen.pi, T=0.1, steps=8)):
             with pytest.raises(ValueError) as info:
                 call()
             messages.append(str(info.value))

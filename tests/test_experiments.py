@@ -168,7 +168,8 @@ class TestGammaAffineStudy:
 class TestEdiAudit:
     def test_stationary_all_zero(self, grid4):
         mesh, pot, pi, _ = grid4
-        audit = ex.edi_audit(mesh, pot, pi, T=0.25, steps=16)
+        audit = ex.edi_audit(gf.build_generator(mesh, pot), pi, T=0.25,
+                             steps=16)
         assert audit.entropy_start == 0.0
         assert abs(audit.residual) <= 1e-12
         assert abs(audit.action_integral) <= 1e-12
@@ -181,15 +182,17 @@ class TestEdiAudit:
             m1 = 0.5 + 0.4 * math.exp(-8.0 * t)
             return m1 * math.log(2 * m1) + (1 - m1) * math.log(2 * (1 - m1))
 
-        audit = ex.edi_audit(mesh, pot, m0, T=0.5, steps=64)
+        gen = gf.build_generator(mesh, pot)
+        audit = ex.edi_audit(gen, m0, T=0.5, steps=64)
         assert audit.entropy_start == pytest.approx(exact_entropy(0.0), abs=1e-13)
         assert audit.entropy_end == pytest.approx(exact_entropy(0.5), abs=1e-13)
-        coarse = ex.edi_audit(mesh, pot, m0, T=0.5, steps=32)
+        coarse = ex.edi_audit(gen, m0, T=0.5, steps=32)
         assert abs(audit.residual) <= abs(coarse.residual) / 4.0
 
     def test_identity_split(self, two_cell):
         mesh, pot, pi, _ = two_cell
-        audit = ex.edi_audit(mesh, pot, DiscreteMeasure(np.array([0.8, 0.2])),
+        audit = ex.edi_audit(gf.build_generator(mesh, pot),
+                             DiscreteMeasure(np.array([0.8, 0.2])),
                              T=0.5, steps=64)
         assert audit.action_integral == pytest.approx(audit.fisher_integral,
                                                       rel=1e-8)
@@ -197,46 +200,70 @@ class TestEdiAudit:
     def test_zero_mass_start_rejected(self, two_cell):
         mesh, pot, pi, _ = two_cell
         with pytest.raises(ValueError, match="positive"):
-            ex.edi_audit(mesh, pot, DiscreteMeasure(np.array([1.0, 0.0])),
-                         T=0.1, steps=8)
+            ex.edi_audit(gf.build_generator(mesh, pot),
+                         DiscreteMeasure(np.array([1.0, 0.0])), T=0.1, steps=8)
 
     def test_odd_steps_rejected(self, two_cell):
         mesh, pot, pi, _ = two_cell
         with pytest.raises(ValueError, match="even"):
-            ex.edi_audit(mesh, pot, pi, T=0.1, steps=7)
+            ex.edi_audit(gf.build_generator(mesh, pot), pi, T=0.1, steps=7)
 
     @pytest.mark.parametrize("steps", [6, 10])
     def test_steps_not_multiple_of_four_rejected(self, two_cell, steps):
         mesh, pot, pi, _ = two_cell
         with pytest.raises(ValueError, match="multiple of 4"):
-            ex.edi_audit(mesh, pot, pi, T=0.1, steps=steps)
+            ex.edi_audit(gf.build_generator(mesh, pot), pi, T=0.1,
+                         steps=steps)
 
     def test_control_equals_half_step_audit_1d(self):
         mesh = gf.build_interval_mesh(8)
         pot = gf.linear_potential(1.0)
-        pi = gf.discretize_reference(mesh, pot)
-        m0 = initial_measure_from_token("blend:cosine:0.9", mesh, pi)
-        audit = ex.edi_audit(mesh, pot, m0, T=0.5, steps=64)
-        half = ex.edi_audit(mesh, pot, m0, T=0.5, steps=32)
+        gen = gf.build_generator(mesh, pot)
+        m0 = initial_measure_from_token("blend:cosine:0.9", mesh, gen.pi)
+        audit = ex.edi_audit(gen, m0, T=0.5, steps=64)
+        half = ex.edi_audit(gen, m0, T=0.5, steps=32)
         assert audit.control_residual == half.residual
         assert audit.control_residual != audit.residual
 
     def test_control_equals_half_step_audit_2d(self):
         mesh = gf.build_cartesian_mesh(6, 6)
         pot = gf.quadratic_potential([0.4, 0.6])
-        pi = gf.discretize_reference(mesh, pot)
-        m0 = initial_measure_from_token("blend:cosine:0.9", mesh, pi)
-        audit = ex.edi_audit(mesh, pot, m0, T=0.25, steps=32)
-        half = ex.edi_audit(mesh, pot, m0, T=0.25, steps=16)
+        gen = gf.build_generator(mesh, pot)
+        m0 = initial_measure_from_token("blend:cosine:0.9", mesh, gen.pi)
+        audit = ex.edi_audit(gen, m0, T=0.25, steps=32)
+        half = ex.edi_audit(gen, m0, T=0.25, steps=16)
         assert audit.control_residual == half.residual
         assert np.array_equal(audit.fisher_nodes[::2], half.fisher_nodes)
 
+    def test_audits_share_one_generator(self, monkeypatch):
+        # audits at steps and steps // 2 on one set-up decompose it once and
+        # agree, field for field, with audits on separately built set-ups
+        mesh = gf.build_cartesian_mesh(5, 5)
+        pot = gf.quadratic_potential([0.4, 0.6])
+
+        def audits(shared):
+            gen = gf.build_generator(mesh, pot)
+            m0 = initial_measure_from_token("blend:cosine:0.9", mesh, gen.pi)
+            second = gen if shared else gf.build_generator(mesh, pot)
+            return (ex.edi_audit(gen, m0, T=0.25, steps=32),
+                    ex.edi_audit(second, m0, T=0.25, steps=16))
+
+        separate = audits(shared=False)
+        eighs, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a: eighs.append(1) or eigh(*a))
+        shared = audits(shared=True)
+        assert len(eighs) == 1
+        for one, other in zip(shared, separate):
+            for name, value in vars(one).items():
+                assert (np.asarray(value).tobytes()
+                        == np.asarray(getattr(other, name)).tobytes()), name
+
     def test_cell_cap_rejected(self):
         mesh = gf.build_interval_mesh(EXACT_DENSE_LIMIT + 1)
-        pot = gf.zero_potential()
-        pi = gf.discretize_reference(mesh, pot, quad_order=1)
+        gen = gf.build_generator(mesh, gf.zero_potential(), quad_order=1)
         with pytest.raises(ValueError, match=str(EXACT_DENSE_LIMIT)):
-            ex.edi_audit(mesh, pot, pi, T=0.1, steps=8)
+            ex.edi_audit(gen, gen.pi, T=0.1, steps=8)
 
 
 def test_density1d_shape_validation():
@@ -252,13 +279,13 @@ class TestEdiOnAnisotropicMesh:
         from gradflow.reference import density_from_token
 
         mesh = ex.flattened_voronoi_family((36,)).build()[0]
-        pot = gf.quadratic_potential([0.4, 0.6])
-        pi = gf.discretize_reference(mesh, pot, quad_order=3)
+        gen = gf.build_generator(mesh, gf.quadratic_potential([0.4, 0.6]),
+                                 quad_order=3)
         proj = gf.project_measure(mesh, density_from_token("cosine", 2),
                                   quad_order=3)
-        m0 = DiscreteMeasure(0.9 * proj.masses + 0.1 * pi.masses)
-        fine = ex.edi_audit(mesh, pot, m0, T=0.1, steps=128, quad_order=3)
-        coarse = ex.edi_audit(mesh, pot, m0, T=0.1, steps=64, quad_order=3)
+        m0 = DiscreteMeasure(0.9 * proj.masses + 0.1 * gen.pi.masses)
+        fine = ex.edi_audit(gen, m0, T=0.1, steps=128)
+        coarse = ex.edi_audit(gen, m0, T=0.1, steps=64)
         assert abs(fine.residual) <= 1e-5 * fine.entropy_start
         assert abs(fine.residual) <= abs(coarse.residual) / 4.0
         gap = np.abs(fine.dual_nodes - fine.fisher_nodes)

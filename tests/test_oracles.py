@@ -28,8 +28,9 @@ def test_edi_integrals_match_closed_form_quadrature(two_cell):
     weights = 0.5 * T * gw
     oracle = float(np.sum(weights * [dissipation(t) for t in nodes]))
 
-    coarse = ex.edi_audit(mesh, pot, m0, T=T, steps=256)
-    fine = ex.edi_audit(mesh, pot, m0, T=T, steps=512)
+    gen = gf.build_generator(mesh, pot)
+    coarse = ex.edi_audit(gen, m0, T=T, steps=256)
+    fine = ex.edi_audit(gen, m0, T=T, steps=512)
     assert 2.0 * coarse.fisher_integral == pytest.approx(oracle, rel=1e-6)
     assert coarse.action_integral + coarse.fisher_integral \
         == pytest.approx(oracle, rel=1e-6)
