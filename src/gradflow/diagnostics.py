@@ -211,8 +211,8 @@ def good_path(mesh: Mesh, start: int, goal: int) -> GoodPath:
         cells = _bfs_chain(mesh, start, goal)
     if cells is None:
         raise ValueError("mesh graph is disconnected")
-    length = float(sum(np.linalg.norm(mesh.sites[cells[i + 1]] - mesh.sites[cells[i]])
-                       for i in range(len(cells) - 1)))
+    hops = np.diff(mesh.sites[list(cells)], axis=0)
+    length = float(np.cumsum(np.sqrt((hops * hops).sum(axis=1)))[-1])  # in hop order
     return GoodPath(cells=tuple(int(c) for c in cells), length=length)
 
 

@@ -52,39 +52,67 @@ class OnsagerOperator:
         return float(ff @ (self.matrix @ ff))
 
 
+@dataclass(frozen=True)
+class OnsagerPattern:
+    """CSR structure of B shared by every B(m) on one face graph: slots[0..3]
+    locate each face's (k,k), (l,l), (k,l), (l,k); labels with all faces live."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+    component: np.ndarray
+    n_components: int
+
+
+def onsager_pattern(face_cells, n: int) -> OnsagerPattern:
+    """Build the sparsity pattern of B for faces (k, l) on n cells."""
+    k, l = np.asarray(face_cells, dtype=np.int64).reshape(-1, 2).T
+    keys = np.concatenate([k * n + k, l * n + l, k * n + l, l * n + k])
+    unique = np.unique(keys)   # sorted: row-major CSR order, no duplicates
+    csr = sp.coo_matrix((np.ones(len(unique)), (unique // n, unique % n)),
+                        shape=(n, n)).tocsr()
+    slots = np.searchsorted(unique, keys).reshape(4, -1)
+    n_comp, labels = csgraph.connected_components(csr, directed=False)
+    return OnsagerPattern(csr.indptr, csr.indices, slots, labels, int(n_comp))
+
+
 def assemble_onsager(mesh: Mesh | None, weights, m, pi,
-                     kernel: str = "logarithmic") -> OnsagerOperator:
+                     kernel: str = "logarithmic",
+                     pattern: OnsagerPattern | None = None) -> OnsagerOperator:
     """Build B(m) from face conductances theta(r_K, r_L) w_KL.
 
     The mesh argument is accepted for symmetry with the other assembly
-    routines but only the cell count is needed, so None is allowed.
+    routines but only the cell count is needed, so None is allowed.  Many m
+    on one face graph can share its `onsager_pattern`.
     """
     mm = _masses(m)
     pp = _masses(pi)
     w = _weights(weights)
     fc = weights_cells(weights)
     n = mesh.n_cells if mesh is not None else len(mm)
+    if pattern is None:
+        pattern = onsager_pattern(fc, n)
+    elif len(pattern.indptr) != n + 1 or pattern.slots.shape[1] != len(fc):
+        raise ValueError("the Onsager pattern was built for another face graph")
     r = mm / pp
     theta = (mean_value(kernel, r[fc[:, 0]], r[fc[:, 1]])
              if len(fc) else np.zeros(0))
     cond = theta * w
-    k, l = fc[:, 0], fc[:, 1]
-    rows = np.concatenate([k, l, k, l])
-    cols = np.concatenate([k, l, l, k])
-    data = np.concatenate([cond, cond, -cond, -cond])
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    data = np.zeros(len(pattern.indices))
+    data[pattern.slots[2:]] = -cond           # (k,l) and (l,k)
+    np.add.at(data, pattern.slots[0], cond)   # (k,k), then (l,l), in face order;
+    np.add.at(data, pattern.slots[1], cond)   # numpy 2.4 misbroadcasts a 2-D index
+    matrix = sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()),
+                           shape=(n, n))  # copies: scipy may sort them in place
     live = cond > 0.0
-    adjacency = sp.coo_matrix((cond[live], (k[live], l[live])), shape=(n, n))
-    n_comp, labels = csgraph.connected_components(adjacency, directed=False)
+    if live.all():
+        n_comp, labels = pattern.n_components, pattern.component
+    else:
+        adjacency = sp.coo_matrix((cond[live], (fc[live, 0], fc[live, 1])),
+                                  shape=(n, n))
+        n_comp, labels = csgraph.connected_components(adjacency, directed=False)
     return OnsagerOperator(matrix=matrix, conductance=cond, face_cells=fc,
                            component=labels, n_components=int(n_comp))
-
-
-def _project_out_kernel(v: np.ndarray, labels: np.ndarray, n_comp: int) -> np.ndarray:
-    """Subtract the per-component mean (the kernel of B is constants there)."""
-    sums = np.bincount(labels, weights=v, minlength=n_comp)
-    counts = np.bincount(labels, minlength=n_comp)
-    return v - (sums / counts)[labels]
 
 
 def dual_action(m, sigma, weights=None, pi=None, kernel: str = "logarithmic",
@@ -130,44 +158,52 @@ def dual_action(m, sigma, weights=None, pi=None, kernel: str = "logarithmic",
         if off_range > RANGE_TOL * float(np.linalg.norm(sig)):
             return pack(math.inf)
     b = sig - (comp_sums / counts)[labels]  # exact range component
-    f = _solve_cg(operator, b, initial_guess)
+    f = _solve_cg(operator, b, initial_guess, counts)
     return pack(0.5 * float(sig @ f), f)
 
 
-def _solve_cg(operator: OnsagerOperator, b: np.ndarray,
-              x0: np.ndarray | None) -> np.ndarray:
+def _solve_cg(operator: OnsagerOperator, b: np.ndarray, x0: np.ndarray | None,
+              counts: np.ndarray) -> np.ndarray:
     matrix = operator.matrix
     labels, n_comp = operator.component, operator.n_components
+
+    def project(v: np.ndarray) -> np.ndarray:  # in place: B's kernel is constants
+        sums = np.bincount(labels, weights=v, minlength=n_comp)
+        v -= sums[0] / counts[0] if n_comp == 1 else (sums / counts)[labels]
+        return v
+
     n = operator.n
     diag = np.asarray(matrix.diagonal())
     inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 0.0)
-    x = (np.zeros(n) if x0 is None
-         else _project_out_kernel(np.asarray(x0, dtype=float), labels, n_comp))
-    b_norm = float(np.linalg.norm(b))
+    b_norm = math.sqrt(float(b @ b))
     if b_norm == 0.0:
         return np.zeros(n)
+    x = np.zeros(n) if x0 is None else project(np.array(x0, dtype=float))
     r = b - matrix @ x
-    z = _project_out_kernel(inv_diag * r, labels, n_comp)
+    z = project(inv_diag * r)
     p = z.copy()
     rz = float(r @ z)
+    r_norm = math.sqrt(float(r @ r))
     max_iter = MAX_ITER_FACTOR * n
     for _ in range(max_iter):
-        if float(np.linalg.norm(r)) <= CG_TOL * b_norm:
+        if r_norm <= CG_TOL * b_norm:
             return x
         ap = matrix @ p
         pap = float(p @ ap)
         if pap <= 0.0:
             break
         alpha = rz / pap
-        x = x + alpha * p
-        r = r - alpha * ap
-        if float(np.linalg.norm(r)) <= CG_TOL * b_norm:
+        x += alpha * p
+        r -= alpha * ap
+        r_norm = math.sqrt(float(r @ r))
+        if r_norm <= CG_TOL * b_norm:
             return x
-        z = _project_out_kernel(inv_diag * r, labels, n_comp)
+        z = project(inv_diag * r)
         rz_next = float(r @ z)
         if rz <= 0.0:
             break
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz   # z + beta p, in place: IEEE addition commutes
+        p += z
         rz = rz_next
     residual = float(np.linalg.norm(b - matrix @ x)) / b_norm
     if residual <= CG_TOL * 10.0:

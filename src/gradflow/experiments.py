@@ -23,7 +23,7 @@ from .reference import (DiscreteMeasure, PointFunction, Potential,
                         project_function, project_measure, zero_potential,
                         _boltzmann, _pointwise)
 from .functionals import dirichlet_energy, entropy, fisher
-from .dual_action import assemble_onsager, dual_action
+from .dual_action import assemble_onsager, dual_action, onsager_pattern
 from .dynamics import Generator, build_generator, solve_trajectory
 
 
@@ -501,12 +501,13 @@ def _simpson(values: np.ndarray, T: float) -> float:
 
 
 def _dual_nodes(generator: Generator, masses: np.ndarray) -> np.ndarray:
-    """Dual action at (m, dm/dt) per trajectory node, each CG solve
-    warm-started from the previous node's solution."""
+    """Dual action at (m, dm/dt) per trajectory node on one Onsager pattern,
+    each CG solve warm-started from the previous node's solution."""
     weights, pi = generator.weights, generator.pi
+    pattern = onsager_pattern(weights.face_cells, generator.n)
     nodes, guess = np.empty(len(masses)), None
     for i, m_i in enumerate(masses):
-        operator = assemble_onsager(None, weights, m_i, pi)
+        operator = assemble_onsager(None, weights, m_i, pi, pattern=pattern)
         nodes[i], guess = dual_action(m_i, generator.matrix @ m_i, weights, pi,
                                       operator=operator, initial_guess=guess,
                                       return_solution=True)

@@ -110,6 +110,22 @@ class TestGoodPath:
                 for a, b in zip(path.cells, path.cells[1:]):
                     assert any(nb == b for _, nb in adjacency[a])
 
+    def test_length_is_the_hop_sum(self):
+        # one norm per hop as the reference: a BLAS dot may fuse the squares,
+        # so each hop may differ by an ulp and the sum by a few
+        rng = np.random.default_rng(17)
+        mesh = gf.build_voronoi_mesh(rng.uniform(0.1, 0.9, size=(20, 2)),
+                                     gf.Domain.rectangle(0, 0, 1, 1))
+        eps = np.finfo(float).eps
+        for i in range(mesh.n_cells):
+            for j in range(i + 1, mesh.n_cells):
+                cells = good_path(mesh, i, j).cells
+                total = 0.0
+                for a, b in zip(cells, cells[1:]):
+                    total += float(np.linalg.norm(mesh.sites[b] - mesh.sites[a]))
+                assert good_path(mesh, i, j).length == pytest.approx(
+                    total, rel=2 * len(cells) * eps, abs=0.0)
+
 
 class TestPathConstants:
     def test_uniform_1d_exact(self):

@@ -1,10 +1,16 @@
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 import gradflow as gf
-from gradflow.dual_action import assemble_onsager, dual_action
+from gradflow import experiments
+from gradflow.dual_action import (_solve_cg, assemble_onsager, dual_action,
+                                  onsager_pattern)
 from gradflow.reference import DiscreteMeasure
 
 
@@ -180,3 +186,212 @@ class TestDualAction:
         assert np.linalg.norm(op.matrix @ f - sigma) <= 1e-10 * np.linalg.norm(sigma)
         warm = dual_action(m, sigma, weights, pi, operator=op, initial_guess=f)
         assert warm == pytest.approx(value, rel=1e-12)
+
+
+def coo_onsager(op, n):
+    """Reference for the pattern assembly: B by a COO -> CSR build of the face
+    conductances, labels from the connected components of the live faces."""
+    c, fc = op.conductance, op.face_cells
+    k, l = fc[:, 0], fc[:, 1]
+    matrix = sp.coo_matrix((np.concatenate([c, c, -c, -c]),
+                            (np.concatenate([k, l, k, l]),
+                             np.concatenate([k, l, l, k]))),
+                           shape=(n, n)).tocsr()
+    live = c > 0.0
+    adjacency = sp.coo_matrix((c[live], (k[live], l[live])), shape=(n, n))
+    n_comp, labels = csgraph.connected_components(adjacency, directed=False)
+    return matrix, n_comp, labels
+
+
+def reference_cg(operator, b, x0):
+    """Reference for _solve_cg's in-place form: Jacobi-CG with new arrays for
+    every update, np.linalg.norm at every check, a fresh projection per call."""
+    labels, n_comp = operator.component, operator.n_components
+
+    def project(v):
+        sums = np.bincount(labels, weights=v, minlength=n_comp)
+        counts = np.bincount(labels, minlength=n_comp)
+        return v - (sums / counts)[labels]
+
+    matrix = operator.matrix
+    diag = np.asarray(matrix.diagonal())
+    inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 0.0)
+    x = np.zeros(operator.n) if x0 is None else project(np.asarray(x0, dtype=float))
+    b_norm = float(np.linalg.norm(b))
+    r = b - matrix @ x
+    z = project(inv_diag * r)
+    p = z.copy()
+    rz = float(r @ z)
+    for _ in range(10 * operator.n):
+        if float(np.linalg.norm(r)) <= 1e-12 * b_norm:
+            return x
+        ap = matrix @ p
+        alpha = rz / float(p @ ap)
+        x = x + alpha * p
+        r = r - alpha * ap
+        if float(np.linalg.norm(r)) <= 1e-12 * b_norm:
+            return x
+        z = project(inv_diag * r)
+        rz_next = float(r @ z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    raise AssertionError("the reference CG did not converge")
+
+
+def flat_weights(mesh):
+    pot = gf.zero_potential()
+    weights = gf.face_weights(mesh, pot)
+    return weights, weights.pi
+
+
+class TestOnsagerPattern:
+    @pytest.mark.parametrize("mesh", [gf.build_cartesian_mesh(20, 20),
+                                      gf.build_interval_mesh(64)],
+                             ids=["cartesian20", "interval64"])
+    def test_byte_equal_to_coo_build(self, mesh):
+        weights, pi = flat_weights(mesh)
+        pattern = onsager_pattern(weights.face_cells, mesh.n_cells)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            m = DiscreteMeasure.normalized(rng.uniform(0.05, 1.0, mesh.n_cells))
+            for op in (assemble_onsager(mesh, weights, m, pi),
+                       assemble_onsager(mesh, weights, m, pi, pattern=pattern)):
+                ref, n_comp, labels = coo_onsager(op, mesh.n_cells)
+                for name in ("data", "indices", "indptr"):
+                    got, want = getattr(op.matrix, name), getattr(ref, name)
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), name
+                assert op.n_components == n_comp == 1
+                assert op.component.tobytes() == labels.tobytes()
+
+    def test_high_degree_rows_sum_in_face_order(self):
+        # random sites give cells with 9 and 10 faces, where scipy's COO
+        # conversion sums duplicate diagonal entries in sort order
+        mesh = gf.build_voronoi_mesh(np.random.default_rng(3).random((150, 2)),
+                                     gf.Domain.rectangle(0, 0, 1, 1))
+        degree = np.bincount(mesh.face_cells.ravel(), minlength=mesh.n_cells)
+        assert degree.max() >= 9
+        weights, pi = flat_weights(mesh)
+        rng = np.random.default_rng(12)
+        m = DiscreteMeasure.normalized(rng.uniform(0.1, 1.0, mesh.n_cells))
+        op = assemble_onsager(mesh, weights, m, pi)
+        ref, _, labels = coo_onsager(op, mesh.n_cells)
+        assert np.array_equal(op.matrix.indptr, ref.indptr)
+        assert np.array_equal(op.matrix.indices, ref.indices)
+        off = op.matrix.indices != np.repeat(np.arange(mesh.n_cells),
+                                             np.diff(op.matrix.indptr))
+        assert op.matrix.data[off].tobytes() == ref.data[off].tobytes()
+        diag, ref_diag = op.matrix.diagonal(), ref.diagonal()
+        assert np.abs(diag - ref_diag).max() <= 1e-15 * np.abs(ref_diag).max()
+        # each diagonal entry is its faces' conductances summed in face order
+        fc, c = op.face_cells, op.conductance
+        for cell in np.flatnonzero(degree >= 9):
+            total = 0.0
+            for face in np.flatnonzero(fc[:, 0] == cell):
+                total += c[face]
+            for face in np.flatnonzero(fc[:, 1] == cell):
+                total += c[face]
+            assert diag[cell] == total
+        assert op.component.tobytes() == labels.tobytes()
+
+    def test_symmetric_zero_row_sums_and_kernel(self, grid4):
+        mesh, _, pi, weights = grid4
+        pattern = onsager_pattern(weights.face_cells, mesh.n_cells)
+        masses = np.random.default_rng(13).uniform(0.1, 1.0, mesh.n_cells)
+        fc = weights.face_cells
+        masses[fc[(fc == 0).any(axis=1)].ravel()] = 0.0
+        masses[0] = 1.0  # cell 0 keeps mass, cut off from the rest
+        op = assemble_onsager(mesh, weights, DiscreteMeasure.normalized(masses),
+                              pi, pattern=pattern)
+        dense = op.matrix.toarray()
+        assert np.array_equal(dense, dense.T)
+        scale = np.abs(dense).max()
+        assert np.abs(dense.sum(axis=1)).max() <= 4 * np.finfo(float).eps * scale
+        assert op.n_components > 1
+        for label in range(op.n_components):
+            constant = (op.component == label).astype(float)
+            assert np.abs(op.apply(constant)).max() <= 4 * np.finfo(float).eps * scale
+
+    def test_zero_mass_cells_take_labels_from_live_faces(self, chain10):
+        mesh, _, pi, weights = chain10
+        pattern = onsager_pattern(weights.face_cells, mesh.n_cells)
+        assert pattern.n_components == 1
+        masses = np.full(mesh.n_cells, 1.0 / (mesh.n_cells - 1))
+        masses[3] = 0.0
+        op = assemble_onsager(mesh, weights, DiscreteMeasure(masses), pi,
+                              pattern=pattern)
+        _, n_comp, labels = coo_onsager(op, mesh.n_cells)
+        assert op.n_components == n_comp == 3
+        assert op.component.tobytes() == labels.tobytes()
+        assert list(op.component) == [0, 0, 0, 1, 2, 2, 2, 2, 2, 2]
+
+    def test_pattern_of_another_graph_is_rejected(self, chain10, grid4):
+        mesh, _, pi, weights = chain10
+        other = grid4[3]
+        with pytest.raises(ValueError, match="another face graph"):
+            assemble_onsager(mesh, weights, pi, pi,
+                             pattern=onsager_pattern(other.face_cells, 16))
+
+
+class TestWarmStartedChain:
+    def test_initial_guess_is_neither_mutated_nor_aliased(self, chain10):
+        mesh, _, pi, weights = chain10
+        rng = np.random.default_rng(14)
+        m = DiscreteMeasure.normalized(rng.uniform(0.3, 1.0, mesh.n_cells))
+        sigma = rng.standard_normal(mesh.n_cells)
+        sigma -= sigma.mean()
+        guess = rng.standard_normal(mesh.n_cells)
+        before = guess.tobytes()
+        _, f = dual_action(m, sigma, weights, pi, mesh=mesh,
+                           initial_guess=guess, return_solution=True)
+        assert guess.tobytes() == before
+        assert not np.shares_memory(f, guess)
+
+    @pytest.mark.parametrize("zero_cells", [(), (5, 6, 9)])
+    def test_solves_match_the_reference_cg_bytes(self, grid4, zero_cells):
+        mesh, _, pi, weights = grid4
+        pattern = onsager_pattern(weights.face_cells, mesh.n_cells)
+        rng = np.random.default_rng(15)
+        guess = None
+        for _ in range(4):
+            masses = rng.uniform(0.2, 1.0, mesh.n_cells)
+            masses[list(zero_cells)] = 0.0
+            m = DiscreteMeasure.normalized(masses)
+            op = assemble_onsager(mesh, weights, m, pi, pattern=pattern)
+            assert op.n_components == 1 + len(zero_cells)
+            sigma = op.apply(rng.standard_normal(mesh.n_cells))
+            counts = np.bincount(op.component, minlength=op.n_components)
+            for x0 in (None, guess):
+                got = _solve_cg(op, sigma, x0, counts)
+                assert got.tobytes() == reference_cg(op, sigma, x0).tobytes()
+            guess = got
+
+    def test_chain_is_deterministic(self, grid4):
+        mesh, _, pi, weights = grid4
+        generator = gf.assemble_generator(mesh, weights, pi)
+        m0 = gf.project_measure(mesh, lambda p: 1.0 + 0.5 * math.cos(math.pi * p[0]))
+        blend = DiscreteMeasure(0.9 * m0.masses + 0.1 * pi.masses)
+        masses = gf.solve_trajectory(blend, 0.1, 8, generator,
+                                     scheme="exact_dense").masses
+        first = experiments._dual_nodes(generator, masses)
+        assert first.tobytes() == experiments._dual_nodes(generator, masses).tobytes()
+
+    def test_one_component_search_per_chain(self, grid4, monkeypatch):
+        mesh, _, pi, weights = grid4
+        generator = gf.assemble_generator(mesh, weights, pi)
+        masses = np.array([DiscreteMeasure.normalized(
+            np.random.default_rng(seed).uniform(0.2, 1.0, mesh.n_cells)).masses
+            for seed in range(6)])
+        # gradflow.dual_action is the function; the module is in sys.modules
+        module = sys.modules["gradflow.dual_action"]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return csgraph.connected_components(*args, **kwargs)
+
+        monkeypatch.setattr(module, "csgraph",
+                            SimpleNamespace(connected_components=counting))
+        nodes = experiments._dual_nodes(generator, masses)
+        assert np.all(np.isfinite(nodes))
+        assert len(calls) == 1
