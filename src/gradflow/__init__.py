@@ -9,9 +9,8 @@ from .mesh import (Mesh, MeshError, Domain, build_interval_mesh,
                    build_cartesian_mesh, build_voronoi_mesh,
                    regularity_report, isotropy_defect)
 from .reference import (Potential, DiscreteMeasure, FaceWeights,
-                        PiecewiseConstant, discretize_reference, face_weights,
-                        project_measure, embed_measure, project_function,
-                        embed_function, zero_potential, linear_potential,
+                        discretize_reference, face_weights, project_measure,
+                        project_function, zero_potential, linear_potential,
                         quadratic_potential, double_well_potential,
                         write_measure_csv, read_measure_csv)
 from .functionals import (log_mean, mean_value, entropy, action, fisher,
@@ -19,9 +18,9 @@ from .functionals import (log_mean, mean_value, entropy, action, fisher,
 from .dual_action import OnsagerOperator, assemble_onsager, dual_action
 from .dynamics import (Generator, Trajectory, assemble_generator,
                        build_generator, step_implicit_euler,
-                       step_crank_nicolson, solve_trajectory, time_derivative)
+                       step_crank_nicolson, solve_trajectory)
 from .diagnostics import (condition_report, good_path, path_constants,
-                          l2_holder_modulus, flow_regularity_observed)
+                          l2_holder_modulus)
 from .experiments import (MeshFamily, StudyResult, uniform_interval_family,
                           cartesian_family, jittered_voronoi_family,
                           flattened_voronoi_family, gamma_energy_study,

@@ -16,12 +16,12 @@ from . import geometry
 from .geometry import Box
 from .functionals import _masses, dirichlet_energy
 from .mesh import Mesh, cell_box_overlap, cells_meeting
-from .dynamics import Trajectory
 
 PATH_SAMPLE_LIMIT = 200
 PATH_SAMPLE_COUNT = 10_000
 PATH_SEED = 42
 _WALK_RETRIES = 12
+_PATH_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -113,60 +113,72 @@ def _chain_1d(mesh: Mesh, start: int, goal: int) -> GoodPath:
     return GoodPath(cells=tuple(cells), length=length)
 
 
-def _walk_2d(mesh: Mesh, start: int, goal: int, target: np.ndarray):
-    """Follow the site segment, crossing the face it exits at each cell."""
-    adjacency = mesh.adjacency()
+def _walk(mesh: Mesh, faces: np.ndarray, neighbours: np.ndarray,
+          start: np.ndarray, goal: np.ndarray, target: np.ndarray):
+    """Follow the site segments start -> target in lockstep, each crossing
+    the face it exits at each cell.
+
+    `faces` and `neighbours` are the padded face graph.  Returns the cells
+    visited as (walks, steps) columns padded with -1, and whether each walk
+    reached its goal.
+    """
     ends = mesh.face_endpoints()
-    p0 = mesh.sites[start]
-    t_face, u_face = (params.tolist() for params in
-                      geometry.segment_params(p0, target, ends[:, 0], ends[:, 1]))
-    cells = [start]
-    current = start
-    t_cur = 0.0
-    for _ in range(mesh.n_cells):
-        if current == goal:
-            return cells
-        candidates = []
-        for f, nb in adjacency[current]:
-            t, u = t_face[f], u_face[f]
-            if t != t:  # parallel to the face
-                continue
-            if t <= t_cur + 1e-12 or t > 1.0 + 1e-9:
-                continue
-            if u < -1e-9 or u > 1.0 + 1e-9:
-                continue
-            candidates.append((t, u, nb))
-        best_nb = None
-        if candidates:
-            candidates.sort(key=lambda c: (c[0], c[2]))
-            best_t, best_u, best_nb = candidates[0]
-            ties = sum(1 for c in candidates if abs(c[0] - best_t) <= 1e-12)
-            # a vertex exit: ambiguous crossing or the winner grazes a face
-            # endpoint; the window sits well below the 1e-9 [T] target
-            # perturbation, so one retry reliably clears it
-            if ties > 1 or best_u < 1e-12 or best_u > 1.0 - 1e-12:
-                return None
-        if best_nb is None:
-            # segment exhausted inside this cell: accept a final hop to an
-            # adjacent goal (the perturbed target may sit across the face)
-            for _, nb in adjacency[current]:
-                if nb == goal:
-                    cells.append(goal)
-                    return cells
-            return None
-        cells.append(best_nb)
-        current, t_cur = best_nb, best_t
-    return cells if current == goal else None
+    n_walks = len(start)
+    cur = start.copy()
+    t_cur = np.zeros(n_walks)
+    reached = np.zeros(n_walks, dtype=bool)
+    columns = [start]
+    live = np.arange(n_walks)
+    for step in range(mesh.n_cells + 1):
+        done = cur[live] == goal[live]
+        reached[live[done]] = True
+        live = live[~done]
+        if not live.size or step == mesh.n_cells:
+            break
+        f, nb = faces[cur[live]], neighbours[cur[live]]            # (w, D)
+        p0 = mesh.sites[start[live]][:, None]
+        t, u = geometry.segment_params(p0, target[live][:, None],
+                                       ends[f, 0], ends[f, 1])
+        keep = ((f >= 0) & (t == t)                  # t is nan when parallel
+                & ~(t <= t_cur[live][:, None] + 1e-12) & ~(t > 1.0 + 1e-9)
+                & ~(u < -1e-9) & ~(u > 1.0 + 1e-9))
+        crossing = keep.any(axis=1)
+        t_keep = np.where(keep, t, np.inf)
+        best_t = t_keep.min(axis=1)
+        # the smallest t, the smallest neighbour among equal t
+        pick = np.argmin(np.where(t_keep == best_t[:, None], nb, mesh.n_cells),
+                         axis=1)
+        rows = np.arange(len(live))
+        best_u, best_nb = u[rows, pick], nb[rows, pick]
+        ties = (keep & (np.abs(t - best_t[:, None]) <= 1e-12)).sum(axis=1)
+        # a vertex exit: ambiguous crossing or the winner grazes a face
+        # endpoint; the window sits well below the 1e-9 [T] target
+        # perturbation, so one retry reliably clears it
+        vertex = (ties > 1) | (best_u < 1e-12) | (best_u > 1.0 - 1e-12)
+        # segment exhausted inside this cell: accept a final hop to an
+        # adjacent goal (the perturbed target may sit across the face)
+        last_hop = ~crossing & (nb == goal[live][:, None]).any(axis=1)
+        moves = crossing & ~vertex
+        column = np.full(n_walks, -1, dtype=np.int64)
+        column[live[moves]] = best_nb[moves]
+        column[live[last_hop]] = goal[live[last_hop]]
+        columns.append(column)
+        reached[live[last_hop]] = True
+        cur[live[moves]] = best_nb[moves]
+        t_cur[live[moves]] = best_t[moves]
+        live = live[moves]
+    return np.stack(columns, axis=1), reached
 
 
 def _bfs_chain(mesh: Mesh, start: int, goal: int):
-    adjacency = mesh.adjacency()
+    graph = mesh.face_graph()
+    ptr, neighbours = graph.indptr.tolist(), graph.neighbours.tolist()
     prev = {start: start}
     frontier = [start]
     while frontier:
         nxt = []
         for c in frontier:
-            for _, nb in sorted(adjacency[c]):
+            for nb in neighbours[ptr[c]:ptr[c + 1]]:           # in face order
                 if nb not in prev:
                     prev[nb] = c
                     nxt.append(nb)
@@ -181,39 +193,73 @@ def _bfs_chain(mesh: Mesh, start: int, goal: int):
     return chain[::-1]
 
 
+def _paths_2d(mesh: Mesh, padded, start: np.ndarray, goal: np.ndarray,
+              size: float) -> np.ndarray:
+    """Good paths start[w] -> goal[w] as (walks, steps) cells padded with -1.
+
+    All walks go in lockstep; the walks that fail go again, as a smaller
+    batch, towards the next shifted target, and the walks that use up
+    _WALK_RETRIES fall back to a breadth-first chain.
+    """
+    direction = mesh.sites[goal] - mesh.sites[start]
+    norm = np.hypot(direction[:, 0], direction[:, 1])[:, None]
+    perp = np.divide(np.column_stack([-direction[:, 1], direction[:, 0]]), norm,
+                     out=np.tile([1.0, 0.0], (len(start), 1)), where=norm > 0.0)
+    found = []
+    todo = np.arange(len(start))
+    for attempt in range(_WALK_RETRIES + 1):
+        shift = 0.0
+        if attempt:
+            magnitude = 1e-9 * size * ((attempt + 1) // 2)
+            shift = magnitude if attempt % 2 else -magnitude
+        target = mesh.sites[goal[todo]] + shift * perp[todo]
+        cells, reached = _walk(mesh, *padded, start[todo], goal[todo], target)
+        found.append((todo[reached], cells[reached]))
+        todo = todo[~reached]
+        if not todo.size:
+            break
+    for w in todo.tolist():
+        chain = _bfs_chain(mesh, int(start[w]), int(goal[w]))
+        if chain is None:
+            raise ValueError("mesh graph is disconnected")
+        found.append(([w], np.array([chain])))
+    paths = np.full((len(start), max(c.shape[1] for _, c in found)), -1,
+                    dtype=np.int64)
+    for rows, cells in found:
+        paths[rows, :cells.shape[1]] = cells
+    return paths
+
+
+def _lengths(sites: np.ndarray, paths: np.ndarray) -> np.ndarray:
+    """Site-to-site length of each padded path, its hops summed in hop order
+    (the order of a cumulative sum along the path)."""
+    total = np.zeros(len(paths))
+    for k in range(1, paths.shape[1]):
+        hop = sites[paths[:, k]] - sites[paths[:, k - 1]]
+        total = np.where(paths[:, k] >= 0,
+                         total + np.sqrt(hop[:, 0] * hop[:, 0] + hop[:, 1] * hop[:, 1]),
+                         total)
+    return total
+
+
 def good_path(mesh: Mesh, start: int, goal: int) -> GoodPath:
     """Neighbour chain from `start` to `goal` by segment walking.
 
     The walk marches along the site segment and crosses, in each cell, the
     face the segment exits; vertex hits perturb the target deterministically
     and retry.  A breadth-first chain backs up pathological geometry so the
-    result is always a valid path on a connected mesh.
+    result is always a valid path on a connected mesh.  This is the one-pair
+    entry point: it runs the lockstep walk of `path_constants` on one pair.
     """
     if start == goal:
         return GoodPath(cells=(start,), length=0.0)
     if mesh.dim == 1:
         return _chain_1d(mesh, start, goal)
-    size = mesh.size()
-    direction = mesh.sites[goal] - mesh.sites[start]
-    norm = float(np.hypot(direction[0], direction[1]))
-    perp = (np.array([-direction[1], direction[0]]) / norm if norm > 0.0
-            else np.array([1.0, 0.0]))
-    cells = None
-    for attempt in range(_WALK_RETRIES + 1):
-        shift = 0.0
-        if attempt:
-            magnitude = 1e-9 * size * ((attempt + 1) // 2)
-            shift = magnitude if attempt % 2 else -magnitude
-        cells = _walk_2d(mesh, start, goal, mesh.sites[goal] + shift * perp)
-        if cells is not None:
-            break
-    if cells is None:
-        cells = _bfs_chain(mesh, start, goal)
-    if cells is None:
-        raise ValueError("mesh graph is disconnected")
-    hops = np.diff(mesh.sites[list(cells)], axis=0)
-    length = float(np.cumsum(np.sqrt((hops * hops).sum(axis=1)))[-1])  # in hop order
-    return GoodPath(cells=tuple(int(c) for c in cells), length=length)
+    paths = _paths_2d(mesh, mesh.face_graph().padded(), np.array([start]),
+                      np.array([goal]), mesh.size())
+    cells = paths[0][paths[0] >= 0]
+    return GoodPath(cells=tuple(cells.tolist()),
+                    length=float(_lengths(mesh.sites, paths)[0]))
 
 
 @dataclass(frozen=True)
@@ -228,13 +274,16 @@ def path_constants(mesh: Mesh, sample: int = PATH_SAMPLE_COUNT,
     """Worst path-count and path-length ratios over sampled cell pairs.
 
     All ordered pairs are used up to PATH_SAMPLE_LIMIT cells; larger meshes
-    sample `sample` pairs with a fixed-seed generator.
+    sample `sample` pairs with a fixed-seed generator.  In 2D the good paths
+    of all pairs are walked in lockstep with numpy, _PATH_BLOCK pairs at a
+    time (which bounds the walk's memory), and give the same cells and
+    lengths as `good_path` pair by pair.
     """
     n = mesh.n_cells
     if n < 2:
         return PathConstants(0.0, 0.0, 0)
     if n <= PATH_SAMPLE_LIMIT:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        start, goal = np.triu_indices(n, k=1)
     else:
         rng = np.random.default_rng(seed)
         pairs = []
@@ -242,15 +291,26 @@ def path_constants(mesh: Mesh, sample: int = PATH_SAMPLE_COUNT,
             i, j = rng.integers(0, n, size=2)
             if i != j:
                 pairs.append((int(i), int(j)))
+        start, goal = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     size = mesh.size()
-    c_count = 0.0
-    c_length = 0.0
-    for i, j in pairs:
-        path = good_path(mesh, i, j)
-        dist = float(np.linalg.norm(mesh.sites[i] - mesh.sites[j]))
-        c_count = max(c_count, path.n * size / dist)
-        c_length = max(c_length, path.length / dist)
-    return PathConstants(c_count=c_count, c_length=c_length, n_pairs=len(pairs))
+    if mesh.dim == 1:
+        paths = [_chain_1d(mesh, i, j) for i, j in zip(start.tolist(), goal.tolist())]
+        hops = np.array([path.n for path in paths])
+        lengths = np.array([path.length for path in paths])
+    else:
+        padded = mesh.face_graph().padded()
+        hops = np.empty(len(start), dtype=np.int64)
+        lengths = np.empty(len(start))
+        for lo in range(0, len(start), _PATH_BLOCK):
+            block = slice(lo, lo + _PATH_BLOCK)
+            paths = _paths_2d(mesh, padded, start[block], goal[block], size)
+            hops[block] = (paths >= 0).sum(axis=1) - 1
+            lengths[block] = _lengths(mesh.sites, paths)
+    dist = np.array([float(np.linalg.norm(d))
+                     for d in mesh.sites[start] - mesh.sites[goal]])
+    return PathConstants(c_count=float(np.max(hops * size / dist)),
+                         c_length=float(np.max(lengths / dist)),
+                         n_pairs=len(start))
 
 
 def _shift_overlap(mesh: Mesh, i: int, j: int, h: np.ndarray) -> float:
@@ -324,41 +384,3 @@ def l2_holder_modulus(mesh: Mesh, f, h, m, pi, region=None,
     bound = h_norm * max(h_norm, size) / k_lower * energy
     ratio = value / bound if bound > 0.0 else (0.0 if value == 0.0 else float("inf"))
     return HolderModulus(value=value, bound=bound, ratio=ratio)
-
-
-@dataclass(frozen=True)
-class FlowRegularityRow:
-    t: float
-    sup_density: float
-    quotients: tuple
-
-
-def flow_regularity_observed(trajectory: Trajectory, pi, mesh: Mesh,
-                             exponents=(0.25, 0.5, 1.0)) -> list[FlowRegularityRow]:
-    """Observed sup-density and Holder quotients along a trajectory (t > 0).
-
-    Quotients max |r(K) - r(L)| / |x_K - x_L|^lam run over all site pairs up
-    to 400 cells and over faces beyond that.  Recorded, never asserted.
-    """
-    pp = _masses(pi)
-    n = mesh.n_cells
-    if n <= 400:
-        iu = np.triu_indices(n, k=1)
-        dists = np.linalg.norm(mesh.sites[iu[0]] - mesh.sites[iu[1]], axis=1)
-        keep = dists > 0.0
-        pairs = (iu[0][keep], iu[1][keep])
-        dists = dists[keep]
-    else:
-        pairs = (mesh.face_cells[:, 0], mesh.face_cells[:, 1])
-        dists = mesh.face_dists
-    rows: list[FlowRegularityRow] = []
-    for i, t in enumerate(trajectory.times):
-        if t <= 0.0:
-            continue
-        r = trajectory.masses[i] / pp
-        dr = np.abs(r[pairs[0]] - r[pairs[1]])
-        quots = tuple(float((dr / dists ** lam).max()) if len(dr) else 0.0
-                      for lam in exponents)
-        rows.append(FlowRegularityRow(t=float(t), sup_density=float(r.max()),
-                                      quotients=quots))
-    return rows

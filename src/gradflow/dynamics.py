@@ -150,11 +150,6 @@ class Trajectory:
     def n_nodes(self) -> int:
         return len(self.times)
 
-    @property
-    def dt(self) -> float:
-        """Node spacing; the grid is uniform by construction."""
-        return float(self.times[1] - self.times[0]) if self.n_nodes > 1 else 0.0
-
     def measure(self, i: int) -> DiscreteMeasure:
         return DiscreteMeasure(self.masses[i])
 
@@ -197,10 +192,3 @@ def solve_trajectory(m0, T: float, steps: int, generator: Generator,
             masses[i] = step(masses[i - 1]).masses
     return Trajectory(times=times, masses=masses, scheme=scheme,
                       generator=generator)
-
-
-def time_derivative(trajectory: Trajectory, i: int) -> np.ndarray:
-    """dm/dt at node i, evaluated through the generator (not differencing)."""
-    if not 0 <= i < trajectory.n_nodes:
-        raise IndexError("node index out of range")
-    return trajectory.generator.apply(trajectory.masses[i])

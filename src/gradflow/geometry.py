@@ -183,20 +183,24 @@ def line_section(verts: np.ndarray, normal: np.ndarray, offset: float,
 
 def segment_params(p: np.ndarray, q: np.ndarray, a: np.ndarray,
                    b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parameters (t, u) with p + t(q-p) = a[f] + u(b[f]-a[f]), per segment f.
+    """Parameters (t, u) with p + t(q-p) = a + u(b-a), segment by segment.
 
-    `a` and `b` are (F, 2) endpoint arrays; t and u are nan where segment f
-    is parallel to pq.
+    Points are (..., 2) arrays that broadcast against each other: one
+    segment pq against (F, 2) endpoints `a` and `b`, or (W, 1, 2) segments
+    against (W, D, 2) endpoints.  Each pair costs the same element-wise
+    arithmetic however it is batched.  t and u are nan where ab is parallel
+    to pq.
     """
     d1 = q - p
     d2 = b - a
-    den = d1[0] * d2[:, 1] - d1[1] * d2[:, 0]
-    scale = (abs(d1[0]) + abs(d1[1])) * (np.abs(d2[:, 0]) + np.abs(d2[:, 1]))
+    den = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    scale = ((np.abs(d1[..., 0]) + np.abs(d1[..., 1]))
+             * (np.abs(d2[..., 0]) + np.abs(d2[..., 1])))
     parallel = np.abs(den) <= 1e-14 * np.maximum(scale, 1e-300)
     den = np.where(parallel, np.nan, den)
     r = a - p
-    t = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / den
-    u = (r[:, 0] * d1[1] - r[:, 1] * d1[0]) / den
+    t = (r[..., 0] * d2[..., 1] - r[..., 1] * d2[..., 0]) / den
+    u = (r[..., 0] * d1[..., 1] - r[..., 1] * d1[..., 0]) / den
     return t, u
 
 

@@ -126,6 +126,31 @@ def _polygon_table(groups, bary: np.ndarray, bw: np.ndarray) -> QuadratureTable:
 
 
 @dataclass(frozen=True)
+class FaceGraph:
+    """The faces of every cell as CSR index arrays, in ascending face order.
+
+    Cell k owns entries indptr[k]:indptr[k + 1] of `faces` (face indices)
+    and of `neighbours` (the cell across each of those faces).
+    """
+
+    indptr: np.ndarray
+    faces: np.ndarray
+    neighbours: np.ndarray
+
+    def padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, D) faces and neighbours, one row per cell in CSR order; D is
+        the largest face count, and -1 pads the shorter rows."""
+        counts = np.diff(self.indptr)
+        rows = np.repeat(np.arange(len(counts)), counts)
+        cols = np.arange(len(self.faces)) - self.indptr[rows]
+        faces = np.full((len(counts), int(counts.max(initial=0))), -1, dtype=np.int64)
+        neighbours = faces.copy()
+        faces[rows, cols] = self.faces
+        neighbours[rows, cols] = self.neighbours
+        return faces, neighbours
+
+
+@dataclass(frozen=True)
 class Domain:
     """Bounded convex domain: an interval (d=1) or a ccw polygon (d=2)."""
 
@@ -213,7 +238,7 @@ class Mesh:
         self.face_dists = _frozen(np.asarray(face_dists, dtype=float).reshape(n_faces))
         self._face_endpoints = (_frozen(face_endpoints) if face_endpoints is not None
                                 else None)
-        self._adjacency: list[list[tuple[int, int]]] | None = None
+        self._face_graph: FaceGraph | None = None
         self._cell_diameters: np.ndarray | None = None
         self._quadrature: dict[int, QuadratureTable] = {}
 
@@ -268,15 +293,26 @@ class Mesh:
         """TPFA geometric factors |Γ_KL| / d_KL per face."""
         return self.face_areas / self.face_dists
 
+    def face_graph(self) -> FaceGraph:
+        """The faces of each cell as CSR arrays, built on first use and frozen."""
+        if self._face_graph is None:
+            k, l = self.face_cells[:, 0], self.face_cells[:, 1]
+            cells = np.concatenate([k, l])
+            faces = np.tile(np.arange(self.n_faces, dtype=np.int64), 2)
+            order = np.lexsort((faces, cells))
+            indptr = np.zeros(self.n_cells + 1, dtype=np.int64)
+            np.cumsum(np.bincount(cells, minlength=self.n_cells), out=indptr[1:])
+            self._face_graph = FaceGraph(
+                _frozen(indptr, np.int64), _frozen(faces[order], np.int64),
+                _frozen(np.concatenate([l, k])[order], np.int64))
+        return self._face_graph
+
     def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per cell: list of (face index, neighbour cell index)."""
-        if self._adjacency is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_cells)]
-            for f, (k, l) in enumerate(self.face_cells):
-                adj[int(k)].append((f, int(l)))
-                adj[int(l)].append((f, int(k)))
-            self._adjacency = adj
-        return self._adjacency
+        """Per cell: list of (face index, neighbour cell index), in face order."""
+        graph = self.face_graph()
+        pairs = list(zip(graph.faces.tolist(), graph.neighbours.tolist()))
+        ptr = graph.indptr.tolist()
+        return [pairs[ptr[k]:ptr[k + 1]] for k in range(self.n_cells)]
 
     def face_endpoints(self) -> np.ndarray:
         """Face segment endpoints, (F, 2, 2); reconstructed if not stored (d=2)."""

@@ -11,7 +11,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import geometry
 from .functionals import mean_value
 from .mesh import Mesh
 
@@ -262,53 +261,9 @@ def project_measure(mesh: Mesh, rho: Callable,
     return DiscreteMeasure.normalized(vals)
 
 
-@dataclass(frozen=True)
-class PiecewiseConstant:
-    """Piecewise-constant field on a mesh: one value per cell."""
-
-    mesh: Mesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def __call__(self, x):
-        k = self.locate(x)
-        return float(self.values[k])
-
-    def locate(self, x) -> int:
-        if self.mesh.dim == 1:
-            xv = float(np.atleast_1d(x)[0])
-            edges = self.mesh.cell_bounds
-            order = np.argsort(edges[:, 0], kind="stable")
-            idx = int(np.searchsorted(edges[order, 0], xv, side="right")) - 1
-            idx = min(max(idx, 0), len(order) - 1)
-            return int(order[idx])
-        p = np.asarray(x, dtype=float)
-        for k in range(self.mesh.n_cells):
-            if geometry.point_in_convex(self.mesh.cell_polygons[k], p, tol=1e-12):
-                return k
-        raise ValueError("point lies outside the mesh")
-
-    def integral(self) -> float:
-        return float(self.values @ self.mesh.volumes)
-
-
-def embed_measure(mesh: Mesh, m: DiscreteMeasure) -> PiecewiseConstant:
-    """Density m(K)/|K| on each cell; preserves mass exactly."""
-    return PiecewiseConstant(mesh, m.masses / mesh.volumes)
-
-
 def project_function(mesh: Mesh, phi: Callable) -> np.ndarray:
     """Pointwise site evaluation (phi(x_K) per cell)."""
     return _pointwise(phi, mesh.sites)
-
-
-def embed_function(mesh: Mesh, f) -> PiecewiseConstant:
-    """Piecewise-constant extension of a cell field."""
-    return PiecewiseConstant(mesh, np.asarray(f, dtype=float))
 
 
 # -- named densities and initial data ----------------------------------------------

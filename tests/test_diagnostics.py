@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import gradflow as gf
-from gradflow.diagnostics import (condition_report, flow_regularity_observed,
-                                  good_path, l2_holder_modulus, path_constants)
+from gradflow.diagnostics import (condition_report, good_path,
+                                  l2_holder_modulus, path_constants)
 from gradflow.reference import DiscreteMeasure
 
 
@@ -192,34 +192,3 @@ class TestHolderModulus:
         # every cell pair offset by one column: 12 overlaps of area 1/16,
         # each with a jump of 1/4
         assert out.value == pytest.approx(12 * (1 / 16) * (0.25) ** 2, abs=1e-12)
-
-
-class TestFlowRegularity:
-    def test_stationary_start(self, grid4):
-        mesh, _, pi, weights = grid4
-        gen = gf.assemble_generator(mesh, weights, pi)
-        traj = gf.solve_trajectory(pi, 0.2, 4, gen)
-        rows = flow_regularity_observed(traj, pi, mesh)
-        # spectral evaluation leaves eigensolver roundoff in the densities
-        assert all(q <= 1e-12 for row in rows for q in row.quotients)
-
-    def test_two_cell_sup_density(self, two_cell):
-        mesh, _, pi, weights = two_cell
-        gen = gf.assemble_generator(mesh, weights, pi)
-        m0 = DiscreteMeasure(np.array([1.0, 0.0]))
-        traj = gf.solve_trajectory(m0, 0.2, 4, gen, scheme="exact_dense")
-        rows = flow_regularity_observed(traj, pi, mesh)
-        for row in rows:
-            assert row.sup_density == pytest.approx(
-                1.0 + math.exp(-8.0 * row.t), abs=1e-12)
-        assert rows[0].sup_density == pytest.approx(1.0 + math.exp(-0.4))
-        sups = [row.sup_density for row in rows]
-        assert all(b <= a + 1e-12 for a, b in zip(sups, sups[1:]))
-
-    def test_t01_value(self, two_cell):
-        mesh, _, pi, weights = two_cell
-        gen = gf.assemble_generator(mesh, weights, pi)
-        traj = gf.solve_trajectory(DiscreteMeasure(np.array([1.0, 0.0])),
-                                   0.1, 1, gen, scheme="exact_dense")
-        rows = flow_regularity_observed(traj, pi, mesh)
-        assert rows[0].sup_density == pytest.approx(1.449329, abs=1e-6)

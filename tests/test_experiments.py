@@ -7,6 +7,8 @@ import gradflow as gf
 from gradflow import experiments as ex
 from gradflow.dynamics import EXACT_DENSE_LIMIT
 from gradflow.experiments import Density1D, wasserstein_1d
+from gradflow.geometry import Box
+from gradflow.mesh import cells_inside
 from gradflow.reference import DiscreteMeasure, initial_measure_from_token
 
 
@@ -158,6 +160,30 @@ class TestGammaAffineStudy:
             assert row.reference == pytest.approx(0.5)
             assert row.error <= row.extras["boundary_layer"] + 1e-12
             assert row.extras["harmonicity_residual"] <= 1e-11
+
+    @pytest.mark.parametrize("family", [
+        ex.jittered_voronoi_family((64, 144)),
+        ex.flattened_voronoi_family((64, 128)),
+        ex.uniform_interval_family((16, 32))])
+    def test_harmonicity_residual_as_the_face_loop(self, family):
+        # the per-cell loop over the list-of-tuples adjacency that the
+        # padded face graph replaces: same faces, same order, same bits
+        dim = family.build()[0].dim
+        z, xi = ([0.5], [1.0]) if dim == 1 else ([0.5, 0.5], [1.0, 0.3])
+        study = ex.gamma_affine_minimization_study(family, z, xi, 0.6)
+        for mesh, row in zip(family.build(), study.rows):
+            f = (mesh.sites - np.array(z)[None, :]) @ np.array(xi)
+            trans = mesh.transmissibilities()
+            adjacency = mesh.adjacency()
+            residual = 0.0
+            box = Box.from_center(np.array(z), 0.6)
+            for k in np.flatnonzero(cells_inside(mesh, box)):
+                acc = 0.0
+                for face, nb in adjacency[int(k)]:
+                    acc += trans[face] * (f[nb] - f[int(k)])
+                residual = max(residual, abs(acc))
+            assert row.extras["interior_cells"] > 0
+            assert row.extras["harmonicity_residual"] == residual
 
     def test_cube_outside_rejected(self):
         fam = ex.uniform_interval_family((8,))

@@ -160,3 +160,20 @@ def test_merge_close_vertices():
                      [1.0, 1.0 + 1e-15]])
     merged = geometry.merge_close_vertices(poly, 1e-12)
     assert len(merged) == 3
+
+
+def test_segment_params_broadcast_is_the_per_segment_form():
+    # (W, 1, 2) segments against (W, D, 2) endpoints, as the lockstep walk
+    # calls it, give the bits of one call per segment
+    rng = np.random.default_rng(23)
+    p, q = rng.uniform(-1.0, 1.0, size=(2, 40, 2))
+    a, b = rng.uniform(-1.0, 1.0, size=(2, 40, 7, 2))
+    b[:, 0] = a[:, 0] + 0.5 * (q - p)            # parallel to pq
+    t, u = geometry.segment_params(p[:, None], q[:, None], a, b)
+    assert t.shape == u.shape == (40, 7)
+    for w in range(40):
+        t_w, u_w = geometry.segment_params(p[w], q[w], a[w], b[w])
+        assert t[w].tobytes() == t_w.tobytes()
+        assert u[w].tobytes() == u_w.tobytes()
+        _assert_matches_scalar(p[w], q[w], a[w], b[w])
+    assert np.isnan(t[:, 0]).all()

@@ -5,6 +5,7 @@ import pytest
 
 import gradflow as gf
 from gradflow import geometry
+from gradflow.experiments import _jittered_sites
 from gradflow.mesh import MeshError, Domain, Mesh, cells_meeting
 
 
@@ -152,6 +153,56 @@ class TestCachedGeometry:
             path = tmp_path / f"mesh{k}.txt"
             mesh.write(path)
             assert Mesh.read(path).size() == mesh.size()
+
+
+class TestFaceGraph:
+    def _meshes(self):
+        return TestCachedGeometry()._meshes() + [
+            gf.build_voronoi_mesh(_jittered_sites(10, 0.35, 42),
+                                  Domain.rectangle(0, 0, 1, 1)),
+            gf.build_interval_mesh(1)]
+
+    @staticmethod
+    def _reference_adjacency(mesh):
+        # the list-of-tuples loop the CSR arrays replace
+        adj = [[] for _ in range(mesh.n_cells)]
+        for f, (k, l) in enumerate(mesh.face_cells):
+            adj[int(k)].append((f, int(l)))
+            adj[int(l)].append((f, int(k)))
+        return adj
+
+    def test_adjacency_as_the_loop(self):
+        for mesh in self._meshes():
+            assert mesh.adjacency() == self._reference_adjacency(mesh)
+
+    def test_csr_rows_in_face_order(self):
+        for mesh in self._meshes():
+            graph = mesh.face_graph()
+            assert graph.indptr[0] == 0 and graph.indptr[-1] == 2 * mesh.n_faces
+            for k, row in enumerate(self._reference_adjacency(mesh)):
+                lo, hi = graph.indptr[k], graph.indptr[k + 1]
+                assert graph.faces[lo:hi].tolist() == [f for f, _ in row]
+                assert graph.neighbours[lo:hi].tolist() == [nb for _, nb in row]
+
+    def test_padded_rows(self):
+        for mesh in self._meshes():
+            faces, neighbours = mesh.face_graph().padded()
+            adjacency = self._reference_adjacency(mesh)
+            width = max((len(row) for row in adjacency), default=0)
+            assert faces.shape == neighbours.shape == (mesh.n_cells, width)
+            for k, row in enumerate(adjacency):
+                pad = [-1] * (width - len(row))
+                assert faces[k].tolist() == [f for f, _ in row] + pad
+                assert neighbours[k].tolist() == [nb for _, nb in row] + pad
+
+    def test_built_lazily_once_and_frozen(self):
+        mesh = gf.build_cartesian_mesh(3, 2)
+        assert mesh._face_graph is None            # not built by the constructor
+        graph = mesh.face_graph()
+        assert mesh.face_graph() is graph
+        for arr in (graph.indptr, graph.faces, graph.neighbours):
+            assert not arr.flags.writeable
+            assert arr.dtype == np.int64
 
 
 class TestInvariants:

