@@ -12,7 +12,7 @@ from .reference import (Potential, DiscreteMeasure, FaceWeights,
                         discretize_reference, face_weights, project_measure,
                         project_function, zero_potential, linear_potential,
                         quadratic_potential, double_well_potential,
-                        write_measure_csv, read_measure_csv)
+                        read_measure_csv)
 from .functionals import (log_mean, mean_value, entropy, action, fisher,
                           fisher_sqrt_gap, dirichlet_energy)
 from .dual_action import OnsagerOperator, assemble_onsager, dual_action

@@ -96,7 +96,7 @@ def _out_dir(args) -> str:
 def cmd_mesh(args) -> int:
     mesh = _mesh_from_args(args)
     out = _out_dir(args)
-    mesh.write(os.path.join(out, "mesh.txt"))
+    _atomic_write(os.path.join(out, "mesh.txt"), mesh.write)
     report = regularity_report(mesh)
     if args.zeta_min is not None and report.zeta < args.zeta_min:
         # quality shortfall is reported, never a construction error
@@ -140,10 +140,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_edi(args) -> int:
-    # the audit at M and its control at M/2 both use Simpson's rule
-    if args.M < 4 or args.M % 4 != 0:
-        raise ValueError(f"--M must be a positive multiple of 4 (Simpson's "
-                         f"rule at M and M/2), got {args.M}")
+    experiments.check_edi_steps(args.M)
     mesh = _mesh_from_args(args)
     generator = build_generator(
         mesh, potential_from_token(args.potential, mesh.dim), args.mean)

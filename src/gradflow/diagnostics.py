@@ -15,7 +15,7 @@ import numpy as np
 from . import geometry
 from .geometry import Box
 from .functionals import _masses, dirichlet_energy
-from .mesh import Mesh, cell_box_overlap, cells_meeting
+from .mesh import OVERLAP_SHARE, Mesh, cell_box_overlaps, cells_meeting
 
 PATH_SAMPLE_LIMIT = 200
 PATH_SAMPLE_COUNT = 10_000
@@ -72,10 +72,8 @@ def condition_report(mesh: Mesh, m, pi, cube_centers=(),
     profile: list[PointwiseRow] = []
     for center in cube_centers:
         for eps in eps_list:
-            box = Box.from_center(center, eps)
-            overlaps = np.array([cell_box_overlap(mesh, k, box)
-                                 for k in range(mesh.n_cells)])
-            keep = overlaps > 1e-14 * mesh.volumes
+            overlaps = cell_box_overlaps(mesh, Box.from_center(center, eps))
+            keep = overlaps > OVERLAP_SHARE * mesh.volumes
             if not np.any(keep):
                 continue
             frac = overlaps / mesh.volumes
@@ -100,17 +98,6 @@ class GoodPath:
     @property
     def n(self) -> int:
         return len(self.cells) - 1
-
-
-def _chain_1d(mesh: Mesh, start: int, goal: int) -> GoodPath:
-    order = np.argsort(mesh.cell_bounds[:, 0], kind="stable")
-    pos = np.empty(mesh.n_cells, dtype=np.int64)
-    pos[order] = np.arange(mesh.n_cells)
-    step = 1 if pos[goal] > pos[start] else -1
-    cells = [int(order[p]) for p in range(pos[start], pos[goal] + step, step)]
-    length = float(sum(abs(mesh.sites[cells[i + 1], 0] - mesh.sites[cells[i], 0])
-                       for i in range(len(cells) - 1)))
-    return GoodPath(cells=tuple(cells), length=length)
 
 
 def _walk(mesh: Mesh, faces: np.ndarray, neighbours: np.ndarray,
@@ -230,14 +217,35 @@ def _paths_2d(mesh: Mesh, padded, start: np.ndarray, goal: np.ndarray,
     return paths
 
 
+def _route(mesh: Mesh):
+    """What the good-path search reads, built once per search: the cells in
+    coordinate order (d=1) or the padded face graph (d=2)."""
+    if mesh.dim == 1:
+        return np.argsort(mesh.cell_bounds[:, 0], kind="stable")
+    return mesh.face_graph().padded()
+
+
+def _paths(mesh: Mesh, route, start: np.ndarray, goal: np.ndarray,
+           size: float) -> np.ndarray:
+    """Good paths start[w] -> goal[w] as (walks, steps) cells padded with -1;
+    in 1D, every cell between the two in coordinate order."""
+    if mesh.dim == 2:
+        return _paths_2d(mesh, route, start, goal, size)
+    pos = np.empty_like(route)
+    pos[route] = np.arange(len(route))
+    a, b = pos[start][:, None], pos[goal][:, None]
+    k = np.arange(int(np.abs(b - a).max(initial=0)) + 1)
+    at = np.clip(a + np.where(b > a, k, -k), 0, len(route) - 1)
+    return np.where(k <= np.abs(b - a), route[at], -1)
+
+
 def _lengths(sites: np.ndarray, paths: np.ndarray) -> np.ndarray:
     """Site-to-site length of each padded path, its hops summed in hop order
     (the order of a cumulative sum along the path)."""
     total = np.zeros(len(paths))
     for k in range(1, paths.shape[1]):
         hop = sites[paths[:, k]] - sites[paths[:, k - 1]]
-        total = np.where(paths[:, k] >= 0,
-                         total + np.sqrt(hop[:, 0] * hop[:, 0] + hop[:, 1] * hop[:, 1]),
+        total = np.where(paths[:, k] >= 0, total + np.sqrt((hop * hop).sum(axis=1)),
                          total)
     return total
 
@@ -248,15 +256,14 @@ def good_path(mesh: Mesh, start: int, goal: int) -> GoodPath:
     The walk marches along the site segment and crosses, in each cell, the
     face the segment exits; vertex hits perturb the target deterministically
     and retry.  A breadth-first chain backs up pathological geometry so the
-    result is always a valid path on a connected mesh.  This is the one-pair
-    entry point: it runs the lockstep walk of `path_constants` on one pair.
+    result is always a valid path on a connected mesh.  In 1D the path is
+    the chain of cells between the two.  This is the one-pair entry point: it
+    runs the search of `path_constants` on one pair.
     """
     if start == goal:
         return GoodPath(cells=(start,), length=0.0)
-    if mesh.dim == 1:
-        return _chain_1d(mesh, start, goal)
-    paths = _paths_2d(mesh, mesh.face_graph().padded(), np.array([start]),
-                      np.array([goal]), mesh.size())
+    paths = _paths(mesh, _route(mesh), np.array([start]), np.array([goal]),
+                   mesh.size())
     cells = paths[0][paths[0] >= 0]
     return GoodPath(cells=tuple(cells.tolist()),
                     length=float(_lengths(mesh.sites, paths)[0]))
@@ -274,10 +281,10 @@ def path_constants(mesh: Mesh, sample: int = PATH_SAMPLE_COUNT,
     """Worst path-count and path-length ratios over sampled cell pairs.
 
     All ordered pairs are used up to PATH_SAMPLE_LIMIT cells; larger meshes
-    sample `sample` pairs with a fixed-seed generator.  In 2D the good paths
-    of all pairs are walked in lockstep with numpy, _PATH_BLOCK pairs at a
-    time (which bounds the walk's memory), and give the same cells and
-    lengths as `good_path` pair by pair.
+    sample `sample` pairs with a fixed-seed generator.  The good paths of
+    all pairs are found in lockstep with numpy, _PATH_BLOCK pairs at a time
+    (which bounds the search's memory), and give the same cells and lengths
+    as `good_path` pair by pair.
     """
     n = mesh.n_cells
     if n < 2:
@@ -293,37 +300,19 @@ def path_constants(mesh: Mesh, sample: int = PATH_SAMPLE_COUNT,
                 pairs.append((int(i), int(j)))
         start, goal = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     size = mesh.size()
-    if mesh.dim == 1:
-        paths = [_chain_1d(mesh, i, j) for i, j in zip(start.tolist(), goal.tolist())]
-        hops = np.array([path.n for path in paths])
-        lengths = np.array([path.length for path in paths])
-    else:
-        padded = mesh.face_graph().padded()
-        hops = np.empty(len(start), dtype=np.int64)
-        lengths = np.empty(len(start))
-        for lo in range(0, len(start), _PATH_BLOCK):
-            block = slice(lo, lo + _PATH_BLOCK)
-            paths = _paths_2d(mesh, padded, start[block], goal[block], size)
-            hops[block] = (paths >= 0).sum(axis=1) - 1
-            lengths[block] = _lengths(mesh.sites, paths)
+    route = _route(mesh)
+    hops = np.empty(len(start), dtype=np.int64)
+    lengths = np.empty(len(start))
+    for lo in range(0, len(start), _PATH_BLOCK):
+        block = slice(lo, lo + _PATH_BLOCK)
+        paths = _paths(mesh, route, start[block], goal[block], size)
+        hops[block] = (paths >= 0).sum(axis=1) - 1
+        lengths[block] = _lengths(mesh.sites, paths)
     dist = np.array([float(np.linalg.norm(d))
                      for d in mesh.sites[start] - mesh.sites[goal]])
     return PathConstants(c_count=float(np.max(hops * size / dist)),
                          c_length=float(np.max(lengths / dist)),
                          n_pairs=len(start))
-
-
-def _shift_overlap(mesh: Mesh, i: int, j: int, h: np.ndarray) -> float:
-    """Measure of cell i intersected with (cell j + h)."""
-    if mesh.dim == 1:
-        lo_i, hi_i = mesh.cell_bounds[i]
-        lo_j, hi_j = mesh.cell_bounds[j] + h[0]
-        return max(0.0, min(hi_i, hi_j) - max(lo_i, lo_j))
-    shifted = mesh.cell_polygons[j] + h[None, :]
-    clipped = geometry.clip_convex(mesh.cell_polygons[i], shifted)
-    if len(clipped) < 3:
-        return 0.0
-    return max(geometry.polygon_area(clipped), 0.0)
 
 
 @dataclass(frozen=True)
@@ -360,8 +349,9 @@ def l2_holder_modulus(mesh: Mesh, f, h, m, pi, region=None,
                 df = ff[idx] - ff[i]
                 value += float(np.sum(olap * df * df))
         else:
-            boxes = np.array([[poly.min(axis=0), poly.max(axis=0)]
-                              for poly in mesh.cell_polygons])
+            boxes = np.empty((mesh.n_cells, 2, 2))       # per cell: lo, hi
+            for cells, stack in mesh.polygon_groups:
+                boxes[cells, 0], boxes[cells, 1] = stack.min(axis=1), stack.max(axis=1)
             lo_shift = boxes[idx, 0] + hv
             hi_shift = boxes[idx, 1] + hv
             for i in idx:
@@ -370,7 +360,9 @@ def l2_holder_modulus(mesh: Mesh, f, h, m, pi, region=None,
                 meets = ((ff[idx] != ff[i]) & ~np.any(lo_shift >= hi_i, axis=1)
                          & ~np.any(hi_shift <= lo_i, axis=1))
                 for j in idx[meets]:
-                    olap = _shift_overlap(mesh, int(i), int(j), hv)
+                    # |K_i ∩ (K_j + h)|
+                    olap = geometry.overlap_area(mesh.cell_polygons[i],
+                                                 mesh.cell_polygons[j] + hv[None, :])
                     if olap > 0.0:
                         df = float(ff[j] - ff[i])
                         value += olap * df * df

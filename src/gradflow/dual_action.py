@@ -43,9 +43,6 @@ class OnsagerOperator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.matrix @ f
-
     def quadratic_form(self, f) -> float:
         """<f, B f>; equals 2 * action(m, f)."""
         ff = np.asarray(f, dtype=float)

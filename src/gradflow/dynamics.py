@@ -51,10 +51,6 @@ class Generator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, m) -> np.ndarray:
-        arr = np.asarray(getattr(m, "masses", m), dtype=float)
-        return self.matrix @ arr
-
     def symmetric_eig(self):
         """Eigendecomposition of the pi-symmetrized generator (cached)."""
         if self._sym is None:
@@ -145,10 +141,6 @@ class Trajectory:
     masses: np.ndarray           # (nodes, n_cells)
     scheme: str
     generator: Generator
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.times)
 
     def measure(self, i: int) -> DiscreteMeasure:
         return DiscreteMeasure(self.masses[i])

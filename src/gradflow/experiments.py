@@ -108,15 +108,15 @@ def flattened_voronoi_family(sizes=(16, 32, 64, 128),
 def family_from_token(token: str, seed: int = 42) -> MeshFamily:
     """Parse tokens such as 'uniform1d:16..256' or 'cartesian:4..32'."""
     name, _, tail = token.partition(":")
-    sizes = _parse_sizes(tail) if tail else None
+    sized = {"sizes": _parse_sizes(tail)} if tail else {}   # else the defaults
     if name == "uniform1d":
-        return uniform_interval_family(sizes or (16, 32, 64, 128, 256))
+        return uniform_interval_family(**sized)
     if name == "cartesian":
-        return cartesian_family(sizes or (4, 8, 16, 32))
+        return cartesian_family(**sized)
     if name == "voronoi":
-        return jittered_voronoi_family(sizes or (16, 36, 64, 144), seed=seed)
+        return jittered_voronoi_family(**sized, seed=seed)
     if name in ("flattened", "anisotropic"):
-        return flattened_voronoi_family(sizes or (16, 32, 64, 128))
+        return flattened_voronoi_family(**sized)
     raise ValueError(f"unknown family {token!r}")
 
 
@@ -412,25 +412,16 @@ def gamma_energy_study(family: MeshFamily, phi: Callable, potential: Potential,
 
 def _boundary_layer_measure(domain: Domain, box: Box, width: float) -> float:
     """Measure of the width-neighbourhood of the box boundary inside Omega."""
-    outer = box.expanded(width)
-    inner = box.expanded(-width)
-    if domain.dim == 1:
-        a, b = float(domain.bounds[0]), float(domain.bounds[1])
-
-        def clip_len(bx: Box) -> float:
-            return max(0.0, min(b, float(bx.hi[0])) - max(a, float(bx.lo[0])))
-
-        inner_len = clip_len(inner) if np.all(inner.hi > inner.lo) else 0.0
-        return clip_len(outer) - inner_len
-
-    def clip_area(bx: Box) -> float:
+    def measure(bx: Box) -> float:
+        """|Omega ∩ bx|."""
         if np.any(bx.hi <= bx.lo):
             return 0.0
-        clipped = geometry.clip_convex(np.asarray(domain.vertices),
-                                       bx.as_polygon())
-        return max(geometry.polygon_area(clipped), 0.0) if len(clipped) >= 3 else 0.0
+        if domain.dim == 2:
+            return geometry.overlap_area(domain.vertices, bx.as_polygon())
+        a, b = float(domain.bounds[0]), float(domain.bounds[1])
+        return max(0.0, min(b, float(bx.hi[0])) - max(a, float(bx.lo[0])))
 
-    return clip_area(outer) - clip_area(inner)
+    return measure(box.expanded(width)) - measure(box.expanded(-width))
 
 
 def gamma_affine_minimization_study(family: MeshFamily, z, xi, eps: float,
@@ -533,21 +524,26 @@ class EdiAudit:
                 "residual": self.residual, "nodes": len(self.times)}
 
 
+def check_edi_steps(steps: int) -> None:
+    """Reject a step count M that the audit and its control cannot share."""
+    if steps < 4 or steps % 4 != 0:
+        raise ValueError(f"edi steps M must be a positive multiple of 4 (an even "
+                         f"number of Simpson steps at M and M/2), got {steps}")
+
+
 def edi_audit(generator: Generator, m0: DiscreteMeasure, T: float,
               steps: int) -> EdiAudit:
     """Audit the entropy balance H(m_T) + int (dual + half Fisher) = H(m_0).
 
     Needs the dense spectral oracle (at most EXACT_DENSE_LIMIT cells),
     strictly positive initial masses (blend toward the stationary measure
-    first otherwise) and steps a multiple of 4.  The residual along exact
-    flows is pure quadrature error and shrinks at fourth order under node
-    doubling; control_residual, the balance on every other node with its own
-    dual solves, equals the residual of an audit at steps // 2, which may
-    share the generator and its eigendecomposition.
+    first otherwise) and steps a positive multiple of 4.  The residual
+    along exact flows is pure quadrature error and shrinks at fourth order
+    under node doubling; control_residual, the balance on every other node
+    with its own dual solves, equals the residual of an audit at steps // 2,
+    which may share the generator and its eigendecomposition.
     """
-    if steps % 4 != 0:
-        raise ValueError(f"edi_audit needs an even number of Simpson steps at "
-                         f"steps and steps // 2: a multiple of 4, got {steps}")
+    check_edi_steps(steps)
     if np.any(np.asarray(getattr(m0, "masses", m0)) <= 0.0):
         raise ValueError("initial measure must be positive on every cell "
                          "(blend toward the stationary measure first)")

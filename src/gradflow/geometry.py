@@ -2,8 +2,11 @@
 
 All polygons are (k, 2) float arrays with vertices in counter-clockwise
 order.  Routines assume convexity and do not re-check it; callers own that
-invariant.  Everything here is pure and allocation-light so it can sit in
-inner loops of mesh construction and overlap integration.
+invariant.  The per-polygon measures (`polygon_area`, `polygon_diameter`,
+`polygon_centroids`, `signed_edge_distances`) take one polygon (m, 2) or a
+stack (c, m, 2) of polygons with m vertices each, and compute each row of a
+stack as for that polygon alone; a mesh calls them once per vertex-count
+group.  Clipping works one polygon at a time.
 """
 from __future__ import annotations
 
@@ -12,10 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def polygon_area(verts: np.ndarray) -> float:
-    """Signed shoelace area (positive for counter-clockwise order)."""
-    x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def polygon_area(verts: np.ndarray):
+    """Signed shoelace area (positive for counter-clockwise order): a float
+    for one polygon, a (c,) array for a stack."""
+    x, y = verts[..., 0], verts[..., 1]
+    area = 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y,
+                        axis=-1)
+    return float(area) if area.ndim == 0 else area
 
 
 def polygon_centroids(polys: np.ndarray) -> np.ndarray:
@@ -35,10 +41,12 @@ def polygon_centroids(polys: np.ndarray) -> np.ndarray:
     return center
 
 
-def polygon_diameter(verts: np.ndarray) -> float:
-    # max vertex-to-vertex distance; for convex polygons this is the diameter
-    d = verts[:, None, :] - verts[None, :, :]
-    return float(np.sqrt((d * d).sum(-1)).max())
+def polygon_diameter(verts: np.ndarray):
+    """Largest vertex-to-vertex distance, the diameter of a convex polygon: a
+    float for one polygon, a (c,) array for a stack."""
+    d = verts[..., :, None, :] - verts[..., None, :, :]
+    diam = np.sqrt((d * d).sum(-1)).max(axis=(-2, -1))
+    return float(diam) if diam.ndim == 0 else diam
 
 
 def ensure_ccw(verts: np.ndarray) -> np.ndarray:
@@ -123,6 +131,13 @@ def clip_convex(subject: np.ndarray, clipper: np.ndarray,
     return out
 
 
+def overlap_area(subject: np.ndarray, clipper: np.ndarray) -> float:
+    """Area of the intersection of two convex polygons (0 when clipping
+    leaves fewer than three vertices)."""
+    clipped = clip_convex(subject, clipper)
+    return max(polygon_area(clipped), 0.0) if len(clipped) >= 3 else 0.0
+
+
 def signed_edge_distances(verts: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Distance of p to each edge's supporting line, positive on the inside.
 
@@ -141,11 +156,6 @@ def signed_edge_distances(verts: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def point_in_convex(verts: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.all(signed_edge_distances(verts, p) >= -tol))
-
-
-def inradius_from(verts: np.ndarray, p: np.ndarray) -> float:
-    """Radius of the largest ball centred at p inside the convex polygon."""
-    return max(float(signed_edge_distances(verts, p).min()), 0.0)
 
 
 def line_section(verts: np.ndarray, normal: np.ndarray, offset: float,

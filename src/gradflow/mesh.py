@@ -19,6 +19,8 @@ ORTHOGONALITY_TOL = 1e-9
 VOLUME_RTOL = 1e-10
 VERTEX_MERGE_TOL = 1e-12
 FACE_DROP_FACTOR = 1e-12
+# a cell meets a box when their overlap exceeds this share of the cell volume
+OVERLAP_SHARE = 1e-14
 
 
 class MeshError(ValueError):
@@ -258,7 +260,9 @@ class Mesh:
             if self.dim == 1:
                 diam = self.cell_bounds[:, 1] - self.cell_bounds[:, 0]
             else:
-                diam = [geometry.polygon_diameter(p) for p in self.cell_polygons]
+                diam = np.empty(self.n_cells)
+                for cells, stack in self.polygon_groups:
+                    diam[cells] = geometry.polygon_diameter(stack)
             self._cell_diameters = _frozen(diam)
         return self._cell_diameters
 
@@ -687,8 +691,11 @@ def build_voronoi_mesh(sites, domain) -> Mesh:
             raise MeshError(f"site {i} produced a degenerate Voronoi cell")
         polys.append(poly)
 
-    volumes = np.array([geometry.polygon_area(p) for p in polys])
-    mesh_size = max(geometry.polygon_diameter(p) for p in polys)
+    volumes = np.empty(n)
+    mesh_size = 0.0
+    for cells, stack in _group_polygons(polys):
+        volumes[cells] = geometry.polygon_area(stack)
+        mesh_size = max(mesh_size, float(geometry.polygon_diameter(stack).max()))
     drop = FACE_DROP_FACTOR * mesh_size
     fc, fa, fd, fe = [], [], [], []
     for i in range(n - 1):
@@ -742,8 +749,13 @@ def regularity_report(mesh: Mesh) -> RegularityReport:
         hi = mesh.cell_bounds[:, 1] - mesh.sites[:, 0]
         inradii = np.maximum(np.minimum(lo, hi), 0.0)
     else:
-        inradii = np.array([geometry.inradius_from(poly, site) for poly, site
-                            in zip(mesh.cell_polygons, mesh.sites)])
+        # the distance from the site to the nearest edge line, as
+        # max(r, 0.0), which keeps -0.0
+        inradii = np.empty(mesh.n_cells)
+        for cells, stack in mesh.polygon_groups:
+            r = geometry.signed_edge_distances(
+                stack, mesh.sites[cells].T[:, :, None]).min(axis=1)
+            inradii[cells] = np.where(0.0 > r, 0.0, r)
     zeta_inner = float(inradii.min()) / size
     if mesh.n_faces:
         zeta_area = float(mesh.face_areas.min()) / size ** (mesh.dim - 1)
@@ -779,15 +791,15 @@ def isotropy_defect(mesh: Mesh, weights, pi) -> np.ndarray:
 # -- region selection (shared by functionals and diagnostics) -------------------
 
 
-def cell_box_overlap(mesh: Mesh, k: int, box: Box) -> float:
-    """Measure of cell k intersected with an open axis-aligned box."""
+def cell_box_overlaps(mesh: Mesh, box: Box) -> np.ndarray:
+    """Measure of each cell intersected with an open axis-aligned box."""
     if mesh.dim == 1:
-        lo, hi = mesh.cell_bounds[k]
-        return max(0.0, min(hi, box.hi[0]) - max(lo, box.lo[0]))
-    clipped = geometry.clip_convex(mesh.cell_polygons[k], box.as_polygon())
-    if len(clipped) < 3:
-        return 0.0
-    return max(geometry.polygon_area(clipped), 0.0)
+        lo, hi = mesh.cell_bounds[:, 0], mesh.cell_bounds[:, 1]
+        overlap = np.minimum(hi, box.hi[0]) - np.maximum(lo, box.lo[0])
+        return np.where(overlap > 0.0, overlap, 0.0)
+    clipper = box.as_polygon()
+    return np.array([geometry.overlap_area(poly, clipper)
+                     for poly in mesh.cell_polygons])
 
 
 def cells_meeting(mesh: Mesh, region) -> np.ndarray:
@@ -798,23 +810,15 @@ def cells_meeting(mesh: Mesh, region) -> np.ndarray:
     """
     if region is None:
         return np.ones(mesh.n_cells, dtype=bool)
-    box = Box.coerce(region)
-    tol = 1e-14
-    mask = np.zeros(mesh.n_cells, dtype=bool)
-    for k in range(mesh.n_cells):
-        mask[k] = cell_box_overlap(mesh, k, box) > tol * float(mesh.volumes[k])
-    return mask
+    return cell_box_overlaps(mesh, Box.coerce(region)) > OVERLAP_SHARE * mesh.volumes
 
 
 def cells_inside(mesh: Mesh, region) -> np.ndarray:
     """Boolean mask of cells whose closure is contained in the open box."""
     box = Box.coerce(region)
+    groups = ([(np.arange(mesh.n_cells), mesh.cell_bounds[:, :, None])]
+              if mesh.dim == 1 else mesh.polygon_groups)      # (c, m, d) vertices
     mask = np.zeros(mesh.n_cells, dtype=bool)
-    for k in range(mesh.n_cells):
-        if mesh.dim == 1:
-            lo, hi = mesh.cell_bounds[k]
-            pts = np.array([[lo], [hi]])
-        else:
-            pts = mesh.cell_polygons[k]
-        mask[k] = bool(np.all(pts > box.lo) and np.all(pts < box.hi))
+    for cells, stack in groups:
+        mask[cells] = np.all((stack > box.lo) & (stack < box.hi), axis=(1, 2))
     return mask

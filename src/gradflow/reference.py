@@ -161,9 +161,6 @@ class DiscreteMeasure:
             raise ValueError("cannot normalize a zero measure")
         return DiscreteMeasure(arr / total)
 
-    def density(self, pi: "DiscreteMeasure") -> np.ndarray:
-        return self.masses / pi.masses
-
     def __len__(self) -> int:
         return len(self.masses)
 
@@ -176,7 +173,6 @@ class FaceWeights:
     w: np.ndarray
     S: np.ndarray
     sigma_sites: np.ndarray
-    mean_kind: str
     face_cells: np.ndarray
     pi: DiscreteMeasure
 
@@ -242,8 +238,7 @@ def face_weights(mesh: Mesh, potential: Potential,
     s = (mean_value(mean_kind, sigma[fc[:, 0]], sigma[fc[:, 1]])
          if len(fc) else np.zeros(0))
     w = mesh.transmissibilities() * s
-    return FaceWeights(w=w, S=s, sigma_sites=sigma, mean_kind=mean_kind,
-                       face_cells=fc, pi=pi)
+    return FaceWeights(w=w, S=s, sigma_sites=sigma, face_cells=fc, pi=pi)
 
 
 # -- projection and embedding -----------------------------------------------------
@@ -285,14 +280,6 @@ def density_from_token(token: str, dim: int) -> PointFunction:
             raise ValueError("the linear density is one-dimensional")
         return PointFunction(lambda p: 2.0 * p[:, 0])
     raise ValueError(f"unknown density {token!r}")
-
-
-def write_measure_csv(path, m: DiscreteMeasure) -> None:
-    """Serialize a discrete measure as (cell id, mass) rows."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("cell,mass\n")
-        for k, mass in enumerate(m.masses):
-            fh.write(f"{k},{float(mass)!r}\n")
 
 
 def read_measure_csv(path) -> DiscreteMeasure:

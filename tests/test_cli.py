@@ -8,6 +8,7 @@ import pytest
 from gradflow import cli, experiments
 from gradflow.cli import main
 from gradflow.dual_action import ConjugateGradientError
+from gradflow.mesh import Mesh
 
 
 def run(args, tmp_path, name="out"):
@@ -59,6 +60,20 @@ class TestMeshCommand:
                        "--zeta-min", "0.9"], tmp_path)
         assert code == 0  # below-threshold quality warns, never errors
         assert "warning" in capsys.readouterr().err
+
+    def test_failed_mesh_write_leaves_no_file(self, tmp_path, capsys,
+                                              monkeypatch):
+        def partial_write(self, path):
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write("gradflow-mesh 1\ndim 2\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Mesh, "write", partial_write)
+        code, out = run(["mesh", "--kind", "cartesian", "--n", "3"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: disk full"]
+        assert not (out / "mesh.txt").exists()
+        assert not list(out.glob(".gradflow-*"))
 
     def test_round_trip_through_cli_file(self, tmp_path):
         code, out = run(["mesh", "--kind", "cartesian", "--n", "3"], tmp_path)
@@ -187,15 +202,15 @@ class TestEdiCommand:
         # pi with the face weights, then the initial blend's projected density
         assert len(passes) == 2
 
-    @pytest.mark.parametrize("steps", ["258", "6", "0"])
+    @pytest.mark.parametrize("steps", ["258", "6", "0", "-4"])
     def test_steps_not_multiple_of_four_exit_2(self, tmp_path, capsys, steps):
         # checked before the mesh is read: the named mesh file is absent
         code, out = run(["edi", "--mesh", str(tmp_path / "absent.txt"),
                          "--M", steps], tmp_path)
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: --M must be a positive multiple of 4 (Simpson's rule at "
-            f"M and M/2), got {steps}"]
+            f"error: edi steps M must be a positive multiple of 4 (an even "
+            f"number of Simpson steps at M and M/2), got {steps}"]
         assert not out.exists()
 
 

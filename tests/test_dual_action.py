@@ -33,7 +33,7 @@ class TestAssembleOnsager:
     def test_constants_in_kernel(self, chain10):
         mesh, _, pi, weights = chain10
         op = assemble_onsager(mesh, weights, pi, pi)
-        assert np.abs(op.apply(np.full(mesh.n_cells, 3.0))).max() <= 1e-13
+        assert np.abs(op.matrix @ np.full(mesh.n_cells, 3.0)).max() <= 1e-13
 
     def test_symmetry_and_psd(self, grid4):
         mesh, _, pi, weights = grid4
@@ -169,7 +169,7 @@ class TestDualAction:
         generator = gf.assemble_generator(mesh, weights, pi)
         m = gf.project_measure(mesh, lambda x: 1.0 + 0.5 * math.cos(math.pi * x))
         blend = DiscreteMeasure(0.9 * m.masses + 0.1 * pi.masses)
-        mdot = generator.apply(blend)
+        mdot = generator.matrix @ blend.masses
         half_fisher = 0.5 * gf.fisher(blend, weights, pi)
         value = dual_action(blend, mdot, weights, pi, mesh=mesh)
         assert value == pytest.approx(half_fisher, abs=1e-8 * (1 + half_fisher))
@@ -310,7 +310,7 @@ class TestOnsagerPattern:
         assert op.n_components > 1
         for label in range(op.n_components):
             constant = (op.component == label).astype(float)
-            assert np.abs(op.apply(constant)).max() <= 4 * np.finfo(float).eps * scale
+            assert np.abs(op.matrix @ constant).max() <= 4 * np.finfo(float).eps * scale
 
     def test_zero_mass_cells_take_labels_from_live_faces(self, chain10):
         mesh, _, pi, weights = chain10
@@ -359,7 +359,7 @@ class TestWarmStartedChain:
             m = DiscreteMeasure.normalized(masses)
             op = assemble_onsager(mesh, weights, m, pi, pattern=pattern)
             assert op.n_components == 1 + len(zero_cells)
-            sigma = op.apply(rng.standard_normal(mesh.n_cells))
+            sigma = op.matrix @ rng.standard_normal(mesh.n_cells)
             counts = np.bincount(op.component, minlength=op.n_components)
             for x0 in (None, guess):
                 got = _solve_cg(op, sigma, x0, counts)

@@ -86,6 +86,13 @@ class TestFamilies:
         with pytest.raises(ValueError):
             ex.family_from_token("fractal:1..2")
 
+    def test_token_without_sizes_takes_the_family_defaults(self):
+        assert ex.family_from_token("uniform1d").labels == [16, 32, 64, 128, 256]
+        assert ex.family_from_token("cartesian").labels == [4, 8, 16, 32]
+        assert ex.family_from_token("voronoi").labels == [16, 36, 64, 144]
+        for token in ("flattened", "anisotropic"):
+            assert ex.family_from_token(token).labels == [16, 32, 64, 128]
+
     @pytest.mark.parametrize("token", ["uniform1d:0..16", "cartesian:-4..16",
                                        "cartesian:64..16"])
     def test_bad_size_range_rejected(self, token):
@@ -234,7 +241,7 @@ class TestEdiAudit:
         with pytest.raises(ValueError, match="even"):
             ex.edi_audit(gf.build_generator(mesh, pot), pi, T=0.1, steps=7)
 
-    @pytest.mark.parametrize("steps", [6, 10])
+    @pytest.mark.parametrize("steps", [6, 10, 0, -4])
     def test_steps_not_multiple_of_four_rejected(self, two_cell, steps):
         mesh, pot, pi, _ = two_cell
         with pytest.raises(ValueError, match="multiple of 4"):

@@ -135,7 +135,7 @@ class TestFisher:
         mesh, _, pi, weights = chain10
         rng = np.random.default_rng(4)
         m = DiscreteMeasure.normalized(rng.uniform(0.1, 1.0, mesh.n_cells))
-        r = m.density(pi)
+        r = m.masses / pi.masses
         via_action = 2.0 * gf.action(m, -np.log(r), weights, pi)
         assert gf.fisher(m, weights, pi) == pytest.approx(via_action, rel=1e-12)
         # face-sum form with nonnegative terms
@@ -191,7 +191,7 @@ class TestFisherSqrtGap:
         mesh, _, pi, weights = grid4
         rng = np.random.default_rng(13)
         m = DiscreteMeasure.normalized(rng.uniform(0.1, 1.0, mesh.n_cells))
-        r = m.density(pi)
+        r = m.masses / pi.masses
         lhs = gf.action(m, -np.log(r), weights, pi, kernel="sqrt_logarithmic")
         rhs = 4.0 * gf.action(pi, np.sqrt(r), weights, pi)
         assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -40,12 +40,15 @@ def test_clip_convex_overlap():
 def test_point_in_convex_and_inradius():
     assert geometry.point_in_convex(SQUARE, np.array([0.25, 0.75]))
     assert not geometry.point_in_convex(SQUARE, np.array([1.25, 0.5]))
-    assert geometry.inradius_from(SQUARE, np.array([0.5, 0.5])) \
-        == pytest.approx(0.5)
-    assert geometry.inradius_from(SQUARE, np.array([0.1, 0.5])) \
-        == pytest.approx(0.1)
+    # the inradius at p is the smallest signed distance to an edge line
+    def inradius(p):
+        return geometry.signed_edge_distances(SQUARE, np.array(p)).min()
+
+    assert inradius([0.5, 0.5]) == pytest.approx(0.5)
+    assert inradius([0.1, 0.5]) == pytest.approx(0.1)
     # boundary point: inscribed ball degenerates
-    assert geometry.inradius_from(SQUARE, np.array([0.0, 0.5])) == 0.0
+    assert inradius([0.0, 0.5]) == 0.0
+    assert inradius([1.25, 0.5]) == pytest.approx(-0.25)
 
 
 def test_line_section():

@@ -105,6 +105,6 @@ def test_fisher_nonnegative_and_gap_bound(values):
 @given(st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=8,
                 max_size=8))
 def test_generator_conserves_mass(values):
-    rate = _GEN.apply(np.array(values))
+    rate = _GEN.matrix @ np.array(values)
     scale = max(float(np.abs(rate).max()), 1.0)
     assert abs(float(rate.sum())) <= 1e-13 * scale
