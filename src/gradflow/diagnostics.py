@@ -308,8 +308,7 @@ def path_constants(mesh: Mesh, sample: int = PATH_SAMPLE_COUNT,
         paths = _paths(mesh, route, start[block], goal[block], size)
         hops[block] = (paths >= 0).sum(axis=1) - 1
         lengths[block] = _lengths(mesh.sites, paths)
-    dist = np.array([float(np.linalg.norm(d))
-                     for d in mesh.sites[start] - mesh.sites[goal]])
+    dist = geometry.distances(mesh.sites[start], mesh.sites[goal])
     return PathConstants(c_count=float(np.max(hops * size / dist)),
                          c_length=float(np.max(lengths / dist)),
                          n_pairs=len(start))

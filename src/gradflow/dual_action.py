@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .functionals import _masses, _weights, mean_value, weights_cells
+from .functionals import _masses, mean_value
 from .mesh import Mesh
 
 BALANCE_TOL = 1e-10
@@ -74,9 +74,9 @@ def onsager_pattern(face_cells, n: int) -> OnsagerPattern:
 
 
 def assemble_onsager(mesh: Mesh | None, weights, m, pi,
-                     kernel: str = "logarithmic",
                      pattern: OnsagerPattern | None = None) -> OnsagerOperator:
-    """Build B(m) from face conductances theta(r_K, r_L) w_KL.
+    """Build B(m) from face conductances theta(r_K, r_L) w_KL, theta the
+    logarithmic mean and w the `FaceWeights`.
 
     The mesh argument is accepted for symmetry with the other assembly
     routines but only the cell count is needed, so None is allowed.  Many m
@@ -84,15 +84,14 @@ def assemble_onsager(mesh: Mesh | None, weights, m, pi,
     """
     mm = _masses(m)
     pp = _masses(pi)
-    w = _weights(weights)
-    fc = weights_cells(weights)
+    w, fc = weights.w, weights.face_cells
     n = mesh.n_cells if mesh is not None else len(mm)
     if pattern is None:
         pattern = onsager_pattern(fc, n)
     elif len(pattern.indptr) != n + 1 or pattern.slots.shape[1] != len(fc):
         raise ValueError("the Onsager pattern was built for another face graph")
     r = mm / pp
-    theta = (mean_value(kernel, r[fc[:, 0]], r[fc[:, 1]])
+    theta = (mean_value("logarithmic", r[fc[:, 0]], r[fc[:, 1]])
              if len(fc) else np.zeros(0))
     cond = theta * w
     data = np.zeros(len(pattern.indices))
@@ -112,7 +111,7 @@ def assemble_onsager(mesh: Mesh | None, weights, m, pi,
                            component=labels, n_components=int(n_comp))
 
 
-def dual_action(m, sigma, weights=None, pi=None, kernel: str = "logarithmic",
+def dual_action(m, sigma, weights=None, pi=None,
                 operator: OnsagerOperator | None = None,
                 mesh: Mesh | None = None,
                 initial_guess: np.ndarray | None = None,
@@ -130,7 +129,7 @@ def dual_action(m, sigma, weights=None, pi=None, kernel: str = "logarithmic",
     if operator is None:
         if weights is None or pi is None:
             raise ValueError("pass weights and pi, or a prebuilt operator")
-        operator = assemble_onsager(mesh, weights, m, pi, kernel)
+        operator = assemble_onsager(mesh, weights, m, pi)
     n = operator.n
 
     def pack(value, f=None):

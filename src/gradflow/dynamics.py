@@ -140,7 +140,6 @@ class Trajectory:
     times: np.ndarray
     masses: np.ndarray           # (nodes, n_cells)
     scheme: str
-    generator: Generator
 
     def measure(self, i: int) -> DiscreteMeasure:
         return DiscreteMeasure(self.masses[i])
@@ -182,5 +181,4 @@ def solve_trajectory(m0, T: float, steps: int, generator: Generator,
         step = _theta_stepper(generator, T / steps, _THETA[scheme])
         for i in range(1, steps + 1):
             masses[i] = step(masses[i - 1]).masses
-    return Trajectory(times=times, masses=masses, scheme=scheme,
-                      generator=generator)
+    return Trajectory(times=times, masses=masses, scheme=scheme)

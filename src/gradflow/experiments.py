@@ -48,17 +48,14 @@ class MeshFamily:
         return meshes
 
 
-def uniform_interval_family(sizes=(16, 32, 64, 128, 256),
-                            interval=(0.0, 1.0)) -> MeshFamily:
+def uniform_interval_family(sizes=(16, 32, 64, 128, 256)) -> MeshFamily:
     return MeshFamily("uniform1d", list(sizes),
-                      [lambda n=n: build_interval_mesh(n, interval=interval)
-                       for n in sizes])
+                      [lambda n=n: build_interval_mesh(n) for n in sizes])
 
 
-def cartesian_family(sizes=(4, 8, 16, 32), rect=(0.0, 0.0, 1.0, 1.0)) -> MeshFamily:
+def cartesian_family(sizes=(4, 8, 16, 32)) -> MeshFamily:
     return MeshFamily("cartesian", list(sizes),
-                      [lambda n=n: build_cartesian_mesh(n, n, rect=rect)
-                       for n in sizes])
+                      [lambda n=n: build_cartesian_mesh(n, n) for n in sizes])
 
 
 def _jittered_sites(g: int, jitter: float, seed: int) -> np.ndarray:
@@ -69,11 +66,10 @@ def _jittered_sites(g: int, jitter: float, seed: int) -> np.ndarray:
     return base + offsets
 
 
-def jittered_voronoi_family(sizes=(16, 36, 64, 144), jitter=0.35,
-                            seed=42) -> MeshFamily:
+def jittered_voronoi_family(sizes=(16, 36, 64, 144), seed=42) -> MeshFamily:
     def builder(n):
         g = max(2, round(math.sqrt(n)))
-        return build_voronoi_mesh(_jittered_sites(g, jitter, seed),
+        return build_voronoi_mesh(_jittered_sites(g, 0.35, seed),
                                   Domain.rectangle(0.0, 0.0, 1.0, 1.0))
 
     return MeshFamily("voronoi", list(sizes),
@@ -89,14 +85,13 @@ def _staggered_sites(nx: int, ny: int) -> np.ndarray:
     return sites
 
 
-def flattened_voronoi_family(sizes=(16, 32, 64, 128),
-                             aspect=4.0) -> MeshFamily:
-    """Anisotropic staggered family: cells roughly `aspect` times wider than
+def flattened_voronoi_family(sizes=(16, 32, 64, 128)) -> MeshFamily:
+    """Anisotropic staggered family: cells roughly four times wider than
     tall, with alternate rows offset by a quarter cell.  The second-moment
     isotropy defect of this pattern stays bounded away from zero."""
 
     def builder(n):
-        nx = max(1, round(math.sqrt(n / aspect)))
+        nx = max(1, round(math.sqrt(n / 4.0)))
         ny = max(2, round(n / nx))
         return build_voronoi_mesh(_staggered_sites(nx, ny),
                                   Domain.rectangle(0.0, 0.0, 1.0, 1.0))
@@ -214,9 +209,7 @@ def _reference_rule(domain: Domain, resolution: int):
     rectangular = len(verts) == 4 and np.allclose(
         np.sort(verts, axis=0), np.sort(corners, axis=0))
     if not rectangular:
-        # Domain.contains(p, tol=0.0) for every point at once
-        dist = geometry.signed_edge_distances(verts, points.T[:, :, None])
-        points = points[np.all(dist >= 0.0, axis=1)]
+        points = points[domain.contains(points, tol=0.0)]
     return points, np.full(len(points), cell)
 
 
@@ -439,15 +432,9 @@ def gamma_affine_minimization_study(family: MeshFamily, z, xi, eps: float,
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     box = Box.from_center(z_arr, eps)
     margin = 1e-9 * max(domain.diameter, 1.0)
-    corners = ([box.lo, box.hi] if domain.dim == 1 else
-               list(box.as_polygon()))
-    for corner in corners:
-        probe = np.atleast_1d(corner)
-        inside = (domain.bounds[0] + margin < probe[0] < domain.bounds[1] - margin
-                  if domain.dim == 1 else
-                  domain.contains(probe, tol=-margin))
-        if not inside:
-            raise ValueError("the cube must be compactly contained in the domain")
+    corners = np.array([box.lo, box.hi]) if domain.dim == 1 else box.as_polygon()
+    if not domain.contains(corners, tol=-margin).all():
+        raise ValueError("the cube must be compactly contained in the domain")
     reference = eps ** domain.dim * float(xi_arr @ xi_arr)
 
     def one(mesh: Mesh) -> StudyRow:

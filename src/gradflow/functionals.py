@@ -1,7 +1,8 @@
 """Entropy, action, Fisher information, and Dirichlet energies on cell data.
 
 All reductions run in fixed (face-index) order so that reported values are
-bit-stable across runs on one platform.
+bit-stable across runs on one platform.  The weights argument is a
+`reference.FaceWeights`: its conductances `w` and their `face_cells`.
 """
 from __future__ import annotations
 
@@ -23,10 +24,6 @@ _LOG_MEAN_SWITCH = 1e-4
 
 def _masses(m) -> np.ndarray:
     return np.asarray(getattr(m, "masses", m), dtype=float)
-
-
-def _weights(w) -> np.ndarray:
-    return np.asarray(getattr(w, "w", w), dtype=float)
 
 
 def log_mean(a, b):
@@ -110,8 +107,7 @@ def _graph_energy(f: np.ndarray, conductance: np.ndarray,
     return 0.5 * float(np.sum(conductance * df * df))
 
 
-def action(m, f, weights, pi, kernel: str = "logarithmic",
-           face_cells: np.ndarray | None = None) -> float:
+def action(m, f, weights, pi, kernel: str = "logarithmic") -> float:
     """Discrete transport action: the weighted Dirichlet form of f at m.
 
     Equals 1/4 of the ordered double sum of (f(K)-f(L))^2 theta(r_K, r_L) w_KL
@@ -119,18 +115,10 @@ def action(m, f, weights, pi, kernel: str = "logarithmic",
     """
     mm = _masses(m)
     pp = _masses(pi)
-    w = _weights(weights)
-    fc = face_cells if face_cells is not None else weights_cells(weights)
+    w, fc = weights.w, weights.face_cells
     r = mm / pp
     theta = mean_value(kernel, r[fc[:, 0]], r[fc[:, 1]]) if len(fc) else np.zeros(0)
     return _graph_energy(np.asarray(f, dtype=float), theta * w, fc)
-
-
-def weights_cells(weights) -> np.ndarray:
-    fc = getattr(weights, "face_cells", None)
-    if fc is None:
-        raise ValueError("weights must carry face_cells (use FaceWeights)")
-    return np.asarray(fc, dtype=np.int64)
 
 
 def fisher(m, weights, pi) -> float:
@@ -141,8 +129,7 @@ def fisher(m, weights, pi) -> float:
     """
     mm = _masses(m)
     pp = _masses(pi)
-    w = _weights(weights)
-    fc = weights_cells(weights)
+    w, fc = weights.w, weights.face_cells
     if len(fc) == 0:
         return 0.0
     r = mm / pp
@@ -177,8 +164,7 @@ def fisher_sqrt_gap(m, weights, pi) -> FisherGap:
     pp = _masses(pi)
     if np.any(mm <= 0.0):
         raise ValueError("fisher_sqrt_gap needs strictly positive masses")
-    w = _weights(weights)
-    fc = weights_cells(weights)
+    w, fc = weights.w, weights.face_cells
     r = mm / pp
     half_fisher = 0.5 * fisher(m, weights, pi)
     dirichlet = _graph_energy(np.sqrt(r), w, fc)  # action at m = pi, theta = 1

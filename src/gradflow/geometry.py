@@ -1,18 +1,35 @@
-"""Convex planar geometry: areas, clipping, overlaps, and segment tests.
+"""Convex planar geometry: areas, clipping, overlaps, segment tests and
+site distances.
 
-All polygons are (k, 2) float arrays with vertices in counter-clockwise
-order.  Routines assume convexity and do not re-check it; callers own that
-invariant.  The per-polygon measures (`polygon_area`, `polygon_diameter`,
-`polygon_centroids`, `signed_edge_distances`) take one polygon (m, 2) or a
-stack (c, m, 2) of polygons with m vertices each, and compute each row of a
-stack as for that polygon alone; a mesh calls them once per vertex-count
-group.  Clipping works one polygon at a time.
+`row_dot` is the row-by-row dot product of stacked vectors and `distances`
+the Euclidean distance of each row pair, its square root; they round as
+`np.dot` and `np.linalg.norm` do on one row.  All polygons are (k, 2) float
+arrays with vertices in counter-clockwise order.  Routines assume convexity
+and do not re-check it; callers own that invariant.  The per-polygon
+measures (`polygon_area`, `polygon_diameter`, `polygon_centroids`,
+`signed_edge_distances`) take one polygon (m, 2) or a stack (c, m, 2) of
+polygons with m vertices each, and compute each row of a stack as for that
+polygon alone; a mesh calls them once per vertex-count group.  Clipping
+works one polygon at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] (or a[i] @ b for one vector b): the stacked matmul runs the
+    same dot product per row as a loop, so it rounds the same."""
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a[i] - b[i]| per row of (N, d) points; each equals
+    np.linalg.norm(a[i] - b[i]), the square root of the same dot product."""
+    d = a - b
+    return np.sqrt(row_dot(d, d))
 
 
 def polygon_area(verts: np.ndarray):
@@ -154,10 +171,6 @@ def signed_edge_distances(verts: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (ex * (p[1] - a[..., 1]) - ey * (p[0] - a[..., 0])) / ln
 
 
-def point_in_convex(verts: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> bool:
-    return bool(np.all(signed_edge_distances(verts, p) >= -tol))
-
-
 def line_section(verts: np.ndarray, normal: np.ndarray, offset: float,
                  tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray] | None:
     """Segment cut out of a convex polygon by the line {normal·x = offset}.
@@ -268,16 +281,9 @@ class Box:
             return Box(np.array([arr[0], arr[1]]), np.array([arr[2], arr[3]]))
         raise ValueError("region must be (a, b) or (x0, y0, x1, y1)")
 
-    @property
-    def dim(self) -> int:
-        return int(self.lo.size)
-
     def as_polygon(self) -> np.ndarray:
         (x0, y0), (x1, y1) = self.lo, self.hi
         return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
-
-    def measure(self) -> float:
-        return float(np.prod(np.maximum(self.hi - self.lo, 0.0)))
 
     def expanded(self, delta: float) -> "Box":
         return Box(self.lo - delta, self.hi + delta)

@@ -191,11 +191,15 @@ class Domain:
             return self.volume
         return geometry.polygon_diameter(self.vertices)
 
-    def contains(self, p, tol: float = 1e-9) -> bool:
+    def contains(self, points, tol: float = 1e-9) -> np.ndarray:
+        """Boolean mask of the (N, d) points within tol of the domain; a
+        negative tol asks for that much room inside."""
+        points = np.asarray(points, dtype=float)
         if self.dim == 1:
-            x = float(np.atleast_1d(p)[0])
-            return self.bounds[0] - tol <= x <= self.bounds[1] + tol
-        return geometry.point_in_convex(self.vertices, np.asarray(p, dtype=float), tol)
+            lo, hi = self.bounds
+            return (lo - tol <= points[:, 0]) & (points[:, 0] <= hi + tol)
+        dist = geometry.signed_edge_distances(self.vertices, points.T[:, :, None])
+        return np.all(dist >= -tol, axis=1)
 
 
 class Mesh:
@@ -234,10 +238,14 @@ class Mesh:
                 for k, poly in zip(cells.tolist(), stack):
                     self.cell_polygons[k] = poly
         n_faces = 0 if face_cells is None else len(face_cells)
-        self.face_cells = _frozen(np.asarray(face_cells, dtype=np.int64).reshape(n_faces, 2),
-                                  dtype=np.int64)
-        self.face_areas = _frozen(np.asarray(face_areas, dtype=float).reshape(n_faces))
-        self.face_dists = _frozen(np.asarray(face_dists, dtype=float).reshape(n_faces))
+
+        def faces(values, shape, dtype=float):     # omitted: no faces
+            values = np.asarray([] if values is None else values, dtype=dtype)
+            return _frozen(values.reshape(shape), dtype)
+
+        self.face_cells = faces(face_cells, (n_faces, 2), np.int64)
+        self.face_areas = faces(face_areas, n_faces)
+        self.face_dists = faces(face_dists, n_faces)
         self._face_endpoints = (_frozen(face_endpoints) if face_endpoints is not None
                                 else None)
         self._face_graph: FaceGraph | None = None
@@ -270,13 +278,16 @@ class Mesh:
         """Cell quadrature table of a rule, built on first use and frozen.
 
         d=1: Gauss-Legendre with `order` points per cell (5 by default).
-        d=2: the triangle rule of `order` (1 to 3, default 1) on each cell's
-        fan around its centroid.
+        d=2: the triangle rule of `order` (1, 2 or 3, default 1) on each
+        cell's fan around its centroid.
         """
         if self.dim == 1:
             rule = 5 if order is None else max(int(order), 1)
+        elif order in (None, 1, 2, 3):
+            rule = order or 1
         else:
-            rule = min(max(order or 1, 1), 3)
+            raise ValueError(f"quadrature order {order!r} on a 2d mesh: "
+                             "use None, 1, 2 or 3")
         if rule not in self._quadrature:
             self._quadrature[rule] = (
                 _interval_table(self.cell_bounds, rule) if self.dim == 1
@@ -515,15 +526,21 @@ def build_interval_mesh(n: int, breakpoints=None, interval=(0.0, 1.0)) -> Mesh:
     if abs(pts[0] - a) > 1e-12 * max(1.0, abs(a)) or \
        abs(pts[-1] - b) > 1e-12 * max(1.0, abs(b)):
         raise MeshError("breakpoints do not span the requested interval")
-    domain = Domain.interval(pts[0], pts[-1])
-    sites = 0.5 * (pts[:-1] + pts[1:])
-    volumes = np.diff(pts)
-    bounds = np.column_stack([pts[:-1], pts[1:]])
-    face_cells = np.column_stack([np.arange(n - 1), np.arange(1, n)])
-    face_areas = np.ones(max(n - 1, 0))
-    face_dists = sites[1:] - sites[:-1]
-    mesh = Mesh(1, domain, sites[:, None], volumes, cell_bounds=bounds,
-                face_cells=face_cells, face_areas=face_areas, face_dists=face_dists)
+    return _interval_cells(Domain.interval(pts[0], pts[-1]),
+                           0.5 * (pts[:-1] + pts[1:]), np.arange(n), pts)
+
+
+def _interval_cells(domain: Domain, sites: np.ndarray, order: np.ndarray,
+                    cuts: np.ndarray) -> Mesh:
+    """The validated 1D mesh whose cell order[i] is [cuts[i], cuts[i + 1]]
+    with site sites[order[i]]; faces join coordinate neighbours."""
+    xs = sites[order]
+    bounds = np.empty((len(sites), 2))
+    bounds[order, 0] = cuts[:-1]
+    bounds[order, 1] = cuts[1:]
+    mesh = Mesh(1, domain, sites[:, None], bounds[:, 1] - bounds[:, 0],
+                cell_bounds=bounds, face_cells=np.column_stack([order[:-1], order[1:]]),
+                face_areas=np.ones(len(sites) - 1), face_dists=xs[1:] - xs[:-1])
     mesh.validate()
     return mesh
 
@@ -563,12 +580,6 @@ def build_cartesian_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
                 face_endpoints=fe[inside])
     mesh.validate()
     return mesh
-
-
-def _row_gaps(pts: np.ndarray, i: int) -> np.ndarray:
-    """Distances from site i to the sites after it, for preselection only."""
-    d = pts[i + 1:] - pts[i]
-    return np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
 # clip_halfplane evaluates s = v·n - c with n = x_j - x_i, c = 0.5 (n·a)
@@ -649,39 +660,19 @@ def build_voronoi_mesh(sites, domain) -> Mesh:
         raise MeshError("site dimension does not match the domain")
     scale = max(domain.diameter, 1.0)
     site_tol = 1e-12 * scale
-    # pairwise-distinct sites; the row test only preselects, with a relative
-    # slack far above the few-ulp spread between norm evaluations, and the
-    # scalar norm decides, so the first pair (i, j) reported is unchanged
     for i in range(n - 1):
-        near = np.flatnonzero(_row_gaps(pts, i) <= site_tol * (1.0 + 1e-9))
-        for j in (near + i + 1).tolist():
-            if np.linalg.norm(pts[i] - pts[j]) <= site_tol:
-                raise MeshError(f"duplicate sites {i} and {j}")
-    # Domain.contains(p, tol=site_tol) for every site at once
-    if dim == 1:
-        lo, hi = domain.bounds
-        outside = ~((lo - site_tol <= pts[:, 0]) & (pts[:, 0] <= hi + site_tol))
-    else:
-        dist = geometry.signed_edge_distances(domain.vertices, pts.T[:, :, None])
-        outside = ~np.all(dist >= -site_tol, axis=1)
+        near = np.flatnonzero(geometry.distances(pts[i + 1:], pts[i]) <= site_tol)
+        if len(near):
+            raise MeshError(f"duplicate sites {i} and {int(near[0]) + i + 1}")
+    outside = ~domain.contains(pts, tol=site_tol)
     if outside.any():
         raise MeshError(f"site {int(outside.argmax())} lies outside the domain")
 
     if dim == 1:
         order = np.argsort(pts[:, 0], kind="stable")
         xs = pts[order, 0]
-        cuts = np.concatenate([[domain.bounds[0]], 0.5 * (xs[:-1] + xs[1:]),
-                               [domain.bounds[1]]])
-        bounds = np.empty((n, 2))
-        bounds[order, 0] = cuts[:-1]
-        bounds[order, 1] = cuts[1:]
-        volumes = bounds[:, 1] - bounds[:, 0]
-        fc = np.column_stack([order[:-1], order[1:]])
-        fd = xs[1:] - xs[:-1]
-        mesh = Mesh(1, domain, pts, volumes, cell_bounds=bounds,
-                    face_cells=fc, face_areas=np.ones(max(n - 1, 0)), face_dists=fd)
-        mesh.validate()
-        return mesh
+        return _interval_cells(domain, pts[:, 0], order, np.concatenate(
+            [[domain.bounds[0]], 0.5 * (xs[:-1] + xs[1:]), [domain.bounds[1]]]))
 
     merge_tol = VERTEX_MERGE_TOL * scale
     polys: list[np.ndarray] = []
@@ -699,12 +690,9 @@ def build_voronoi_mesh(sites, domain) -> Mesh:
     drop = FACE_DROP_FACTOR * mesh_size
     fc, fa, fd, fe = [], [], [], []
     for i in range(n - 1):
-        # preselect by the row gaps, then apply the scalar rule as before
-        near = np.flatnonzero(_row_gaps(pts, i) <= 2.0 * mesh_size * (1.0 + 1e-9))
-        for j in (near + i + 1).tolist():
-            gap = float(np.linalg.norm(pts[i] - pts[j]))
-            if gap > 2.0 * mesh_size:
-                continue
+        gaps = geometry.distances(pts[i + 1:], pts[i])
+        near = np.flatnonzero(gaps <= 2.0 * mesh_size)
+        for j, gap in zip((near + i + 1).tolist(), gaps[near].tolist()):
             normal = pts[j] - pts[i]
             offset = 0.5 * float(normal @ (pts[i] + pts[j]))
             seg = geometry.line_section(polys[i], normal, offset, site_tol)
@@ -772,7 +760,7 @@ def isotropy_defect(mesh: Mesh, weights, pi) -> np.ndarray:
     compared against pi(K) I; the defect is max(lambda_max(M_K/pi(K) - I), 0).
     The mesh-level figure is the sup over cells.
     """
-    w = np.asarray(getattr(weights, "w", weights), dtype=float)
+    w = weights.w
     masses = np.asarray(getattr(pi, "masses", pi), dtype=float)
     if np.any(masses <= 0.0):
         raise ValueError("reference measure must be positive on every cell")

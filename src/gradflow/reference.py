@@ -6,12 +6,13 @@ site values entering the weights from one pass, so they share Z on one mesh.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .functionals import mean_value
+from .geometry import row_dot
 from .mesh import Mesh
 
 MASS_TOL = 1e-12
@@ -30,7 +31,6 @@ class Potential:
 
     name: str
     fn: Callable | None = None
-    params: dict = field(default_factory=dict)
     batch: Callable | None = None
 
     def __post_init__(self):
@@ -70,20 +70,13 @@ def _pointwise(g: Callable, points: np.ndarray) -> np.ndarray:
     return np.array([g(x) for x in points], dtype=float)
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i] @ b[i] (or a[i] @ b for one vector b): the stacked matmul runs the
-    same dot product per row as a loop, so it rounds the same."""
-    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
-
-
 def zero_potential() -> Potential:
     return Potential("zero", batch=lambda p: np.zeros(len(p)))
 
 
 def linear_potential(a=1.0) -> Potential:
     vec = np.atleast_1d(np.asarray(a, dtype=float))
-    return Potential("linear", params={"a": tuple(vec)},
-                     batch=lambda p: _row_dot(p, vec))
+    return Potential("linear", batch=lambda p: row_dot(p, vec))
 
 
 def quadratic_potential(center=0.5) -> Potential:
@@ -91,19 +84,18 @@ def quadratic_potential(center=0.5) -> Potential:
 
     def batch(p):
         d = p - c
-        return 0.5 * _row_dot(d, d)
+        return 0.5 * row_dot(d, d)
 
-    return Potential("quadratic", params={"center": tuple(c)}, batch=batch)
+    return Potential("quadratic", batch=batch)
 
 
-def double_well_potential(height=2.0, center=0.5, width=0.25) -> Potential:
-    h, c, w = float(height), float(center), float(width)
+def double_well_potential(height=2.0) -> Potential:
+    h, c, w = float(height), 0.5, 0.25
 
     def batch(p):
         return np.sum(h * ((p - c) ** 2 - w * w) ** 2 / w ** 4, axis=1)
 
-    return Potential("double-well", params={"height": h, "center": c,
-                                            "width": w}, batch=batch)
+    return Potential("double-well", batch=batch)
 
 
 def potential_from_token(token: str, dim: int) -> Potential:
@@ -200,7 +192,7 @@ def cell_integrals(mesh: Mesh, g: Callable, order: int | None = None) -> np.ndar
     out = np.empty(mesh.n_cells)
     for n, cells in table.groups:
         idx = table.offsets[cells][:, None] + np.arange(n)
-        out[cells] = _row_dot(table.weights[idx], values[idx])
+        out[cells] = row_dot(table.weights[idx], values[idx])
     return out
 
 

@@ -251,7 +251,7 @@ class TestTrajectories:
         masses = rng.random((4, 13))
         masses[1, :8] = [-0.0, 0.0, 5e-324, 1e-300, 1.0, 2.0, 1e16, 1 / 3]
         traj = dynamics.Trajectory(np.linspace(0.0, 0.3, 4), masses,
-                                   "implicit_euler", None)
+                                   "implicit_euler")
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         traj.export_csv(new)
         old_export(traj, old)

@@ -349,6 +349,39 @@ class TestValidateErrors:
             mesh.validate()
 
 
+class TestConstructorDefaults:
+    def test_one_cell_meshes_need_no_face_arguments(self):
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        meshes = [gf.Mesh(1, Domain.interval(0.0, 1.0), [[0.5]], [1.0],
+                          cell_bounds=[[0.0, 1.0]]),
+                  gf.Mesh(2, Domain.polygon(square), [[0.5, 0.5]], [1.0],
+                          cell_polygons=[square])]
+        for mesh in meshes:
+            mesh.validate()
+            assert mesh.n_faces == 0
+            assert mesh.face_cells.shape == (0, 2)
+            assert mesh.face_cells.dtype == np.int64
+            assert mesh.face_areas.shape == mesh.face_dists.shape == (0,)
+
+    def test_faces_without_their_measures_rejected(self):
+        with pytest.raises(ValueError):
+            gf.Mesh(1, Domain.interval(0.0, 1.0), [[0.25], [0.75]], [0.5, 0.5],
+                    cell_bounds=[[0.0, 0.5], [0.5, 1.0]], face_cells=[[0, 1]])
+
+
+class TestQuadratureOrder:
+    @pytest.mark.parametrize("order", [0, -5, 4, 7])
+    def test_2d_order_outside_the_rules_rejected(self, order):
+        mesh = gf.build_cartesian_mesh(2, 2)
+        with pytest.raises(ValueError, match="use None, 1, 2 or 3"):
+            mesh.quadrature(order)
+
+    def test_2d_orders_accepted(self):
+        mesh = gf.build_cartesian_mesh(2, 2)
+        counts = [len(mesh.quadrature(order).nodes) for order in (None, 1, 2, 3)]
+        assert counts == [16, 16, 48, 112]
+
+
 class TestRegionSelection:
     def test_open_interval_rule(self):
         mesh = gf.build_interval_mesh(4)

@@ -371,7 +371,7 @@ def test_sites_outside_the_domain_name_the_first(sites, domain):
     pts = np.asarray(sites, dtype=float).reshape(len(sites), -1)
     site_tol = 1e-12 * max(domain.diameter, 1.0)
     first = next(i for i in range(len(pts))
-                 if not domain.contains(pts[i], tol=site_tol))
+                 if not domain.contains(pts[i:i + 1], tol=site_tol)[0])
     with pytest.raises(MeshError, match=f"^site {first} lies outside the domain$"):
         gf.build_voronoi_mesh(sites, domain)
 
@@ -379,7 +379,7 @@ def test_sites_outside_the_domain_name_the_first(sites, domain):
 def test_site_within_the_domain_tolerance_accepted():
     domain = Domain.rectangle(0.0, 0.0, 1.0, 1.0)
     sites = np.array([[0.25, 0.5], [1.0 + 5e-13, 0.5]])
-    assert domain.contains(sites[1], tol=1e-12 * domain.diameter)
+    assert domain.contains(sites[1:], tol=1e-12 * domain.diameter)[0]
     assert gf.build_voronoi_mesh(sites, domain).n_cells == 2
 
 

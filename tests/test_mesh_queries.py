@@ -182,8 +182,7 @@ def test_inradius_keeps_a_negative_zero():
     r = geometry.signed_edge_distances(diamond, site).min()
     assert r == 0.0 and np.signbit(r)
     mesh = gf.Mesh(2, gf.Domain.polygon(diamond), [site], [2.0],
-                   cell_polygons=[diamond], face_cells=np.zeros((0, 2)),
-                   face_areas=[], face_dists=[])
+                   cell_polygons=[diamond])
     mesh.validate()
     zeta = gf.regularity_report(mesh).zeta_inner
     assert _bits(zeta) == _bits(_reference_inradius(diamond, site) / 2.0)
