@@ -8,6 +8,7 @@ be shared freely across concurrent readers.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,7 +229,19 @@ class Mesh:
         self.domain = domain
         self.sites = _frozen(np.atleast_2d(np.asarray(sites, dtype=float)))
         self.volumes = _frozen(volumes)
+        n = len(self.sites)
+        if self.volumes.shape != (n,):
+            raise MeshError(f"volumes has shape {self.volumes.shape}, expected "
+                            f"({n},): one per site")
         self.cell_bounds = _frozen(cell_bounds) if cell_bounds is not None else None
+        if self.dim == 1 and (self.cell_bounds is None or self.cell_bounds.shape != (n, 2)):
+            got = None if self.cell_bounds is None else self.cell_bounds.shape
+            raise MeshError(f"a 1d mesh needs cell_bounds of shape ({n}, 2), one "
+                            f"(lo, hi) row per site; got {got}")
+        if self.dim == 2 and (cell_polygons is None or len(cell_polygons) != n):
+            got = None if cell_polygons is None else len(cell_polygons)
+            raise MeshError(f"a 2d mesh needs cell_polygons, one polygon per site: "
+                            f"expected {n}, got {got}")
         self.polygon_groups = None
         self.cell_polygons = None
         if cell_polygons is not None:
@@ -239,15 +252,18 @@ class Mesh:
                     self.cell_polygons[k] = poly
         n_faces = 0 if face_cells is None else len(face_cells)
 
-        def faces(values, shape, dtype=float):     # omitted: no faces
+        def faces(name, values, shape, dtype=float):     # omitted: no faces
             values = np.asarray([] if values is None else values, dtype=dtype)
+            if values.size != np.prod(shape):
+                raise MeshError(f"{name} has shape {values.shape}, but face_cells "
+                                f"lists {n_faces} faces: expected shape {shape}")
             return _frozen(values.reshape(shape), dtype)
 
-        self.face_cells = faces(face_cells, (n_faces, 2), np.int64)
-        self.face_areas = faces(face_areas, n_faces)
-        self.face_dists = faces(face_dists, n_faces)
-        self._face_endpoints = (_frozen(face_endpoints) if face_endpoints is not None
-                                else None)
+        self.face_cells = faces("face_cells", face_cells, (n_faces, 2), np.int64)
+        self.face_areas = faces("face_areas", face_areas, (n_faces,))
+        self.face_dists = faces("face_dists", face_dists, (n_faces,))
+        self._face_endpoints = (faces("face_endpoints", face_endpoints, (n_faces, 2, 2))
+                                if face_endpoints is not None else None)
         self._face_graph: FaceGraph | None = None
         self._cell_diameters: np.ndarray | None = None
         self._quadrature: dict[int, QuadratureTable] = {}
@@ -594,6 +610,10 @@ def build_cartesian_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
 # scalar s is negative too, and then the clip keeps every vertex.
 _SKIP_MARGIN = 2.0 ** -49
 _FIRST_WINDOW = 8
+# a 2D build with fewer sites clips its cells in-process: starting the
+# forked workers costs 12-20 ms, about what two of them save on 64
+# jittered sites (measured on two CPUs)
+PARALLEL_MIN_SITES = 64
 
 
 def _voronoi_cell(pts: np.ndarray, i: int, domain_vertices: np.ndarray,
@@ -640,6 +660,42 @@ def _voronoi_cell(pts: np.ndarray, i: int, domain_vertices: np.ndarray,
     return poly
 
 
+def _voronoi_cells(pts: np.ndarray, sites: range, domain_vertices: np.ndarray,
+                   merge_tol: float) -> list[np.ndarray]:
+    return [_voronoi_cell(pts, i, domain_vertices, merge_tol) for i in sites]
+
+
+def _voronoi_polygons(pts: np.ndarray, domain_vertices: np.ndarray,
+                      merge_tol: float) -> list[np.ndarray]:
+    """The cell of every site, in site order.
+
+    From PARALLEL_MIN_SITES sites on, with more than one allowed CPU and a
+    `fork` start method, forked workers, one per CPU, each clip a strided
+    block of the sites.  A cell is the same clip sequence over the same
+    inputs in any process, so the polygons are bit for bit those of the
+    in-process loop.  Fork, not spawn: a spawned worker imports numpy,
+    scipy and gradflow afresh, which takes longer than the cells it would
+    clip; the executor forks its workers before it starts its own threads,
+    and they run only numpy and the clipping code.
+    """
+    n = len(pts)
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if n >= PARALLEL_MIN_SITES and workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            context = multiprocessing.get_context("fork")
+            polys: list = [None] * n
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                blocks = [pool.submit(_voronoi_cells, pts, range(w, n, workers),
+                                      domain_vertices, merge_tol)
+                          for w in range(workers)]
+                for w, block in enumerate(blocks):
+                    polys[w::workers] = block.result()
+            return polys
+    return _voronoi_cells(pts, range(n), domain_vertices, merge_tol)
+
+
 def build_voronoi_mesh(sites, domain) -> Mesh:
     """Voronoi cells of the given sites, clipped to a convex domain.
 
@@ -674,13 +730,10 @@ def build_voronoi_mesh(sites, domain) -> Mesh:
         return _interval_cells(domain, pts[:, 0], order, np.concatenate(
             [[domain.bounds[0]], 0.5 * (xs[:-1] + xs[1:]), [domain.bounds[1]]]))
 
-    merge_tol = VERTEX_MERGE_TOL * scale
-    polys: list[np.ndarray] = []
-    for i in range(n):
-        poly = _voronoi_cell(pts, i, domain.vertices, merge_tol)
+    polys = _voronoi_polygons(pts, domain.vertices, VERTEX_MERGE_TOL * scale)
+    for i, poly in enumerate(polys):
         if len(poly) < 3 or geometry.polygon_area(poly) <= 0.0:
             raise MeshError(f"site {i} produced a degenerate Voronoi cell")
-        polys.append(poly)
 
     volumes = np.empty(n)
     mesh_size = 0.0
@@ -779,15 +832,41 @@ def isotropy_defect(mesh: Mesh, weights, pi) -> np.ndarray:
 # -- region selection (shared by functionals and diagnostics) -------------------
 
 
+# clip_convex clips by the box edges in turn.  An edge's normal has one
+# nonzero component n_j, so its test is s = fl(fl(n_j v_j) - fl(n_j a_j))
+# for a vertex v and the edge's coordinate a_j; rounding is monotone, so a
+# vertex beyond the edge line by more than u (|v_j| + |a_j|) gets s > 0 and
+# is dropped (u = 2^-53, no underflow assumed).  A clip creates vertices
+# x_i + t (x_j - x_i) with t in [0, 1] and three roundings, each within
+# 5.01 u M of the segment, where M bounds every |coordinate| of the cell
+# and the box.  So a cell whose vertices lie beyond one edge by more than
+# 3 * 5.01 u M (the clips before it) + 2 u M keeps none at that edge, and
+# overlap_area returns 0.0.  A margin of 32 u M covers that and the
+# rounding of the bounding-box test.
+_BOX_MARGIN = 2.0 ** -48
+
+
 def cell_box_overlaps(mesh: Mesh, box: Box) -> np.ndarray:
-    """Measure of each cell intersected with an open axis-aligned box."""
+    """Measure of each cell intersected with an open axis-aligned box.
+
+    A cell whose vertex bounding box lies beyond one box edge by more than
+    the rounding margin above is 0.0 without a clip.
+    """
     if mesh.dim == 1:
         lo, hi = mesh.cell_bounds[:, 0], mesh.cell_bounds[:, 1]
         overlap = np.minimum(hi, box.hi[0]) - np.maximum(lo, box.lo[0])
         return np.where(overlap > 0.0, overlap, 0.0)
     clipper = box.as_polygon()
-    return np.array([geometry.overlap_area(poly, clipper)
-                     for poly in mesh.cell_polygons])
+    proper = bool(np.all(box.lo < box.hi))    # else an edge clips nothing
+    overlaps = np.zeros(mesh.n_cells)
+    for cells, stack in mesh.polygon_groups:
+        lo, hi = stack.min(axis=1), stack.max(axis=1)               # (c, 2)
+        scale = np.maximum(np.abs(stack).max(axis=(1, 2)), np.abs(clipper).max())
+        margin = _BOX_MARGIN * scale[:, None]
+        apart = proper & ((hi < box.lo - margin) | (lo > box.hi + margin)).any(axis=1)
+        for k, poly in zip(cells[~apart].tolist(), stack[~apart]):
+            overlaps[k] = geometry.overlap_area(poly, clipper)
+    return overlaps
 
 
 def cells_meeting(mesh: Mesh, region) -> np.ndarray:

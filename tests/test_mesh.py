@@ -368,6 +368,35 @@ class TestConstructorDefaults:
             gf.Mesh(1, Domain.interval(0.0, 1.0), [[0.25], [0.75]], [0.5, 0.5],
                     cell_bounds=[[0.0, 0.5], [0.5, 1.0]], face_cells=[[0, 1]])
 
+    def test_1d_mesh_without_cell_bounds_rejected(self):
+        with pytest.raises(MeshError, match=r"cell_bounds of shape \(2, 2\).*got None"):
+            gf.Mesh(1, Domain.interval(0.0, 1.0), [[0.25], [0.75]], [0.5, 0.5],
+                    face_cells=[[0, 1]], face_areas=[1.0], face_dists=[0.5])
+
+    def test_volumes_of_another_length_rejected(self):
+        # three volumes summing to the domain's would pass validate
+        with pytest.raises(MeshError, match=r"volumes has shape \(3,\), expected \(2,\)"):
+            gf.Mesh(1, Domain.interval(0.0, 1.0), [[0.25], [0.75]], [0.5, 0.25, 0.25],
+                    cell_bounds=[[0.0, 0.5], [0.5, 1.0]])
+
+    def test_2d_mesh_without_cell_polygons_rejected(self):
+        with pytest.raises(MeshError, match="cell_polygons, one polygon per site: "
+                                            "expected 1, got None"):
+            gf.Mesh(2, Domain.rectangle(0.0, 0.0, 1.0, 1.0), [[0.5, 0.5]], [1.0])
+
+    @pytest.mark.parametrize("name", ["face_areas", "face_dists", "face_endpoints"])
+    def test_face_arrays_of_another_length_rejected(self, name):
+        faces = {"face_cells": [[0, 1]], "face_areas": [1.0], "face_dists": [0.5],
+                 "face_endpoints": [[[0.5, 0.0], [0.5, 1.0]]]}
+        faces[name] = faces[name] * 2
+        shape = r"\(1, 2, 2\)" if name == "face_endpoints" else r"\(1,\)"
+        with pytest.raises(MeshError, match=rf"{name} has shape .* lists 1 faces: "
+                                            rf"expected shape {shape}"):
+            gf.Mesh(2, Domain.rectangle(0.0, 0.0, 1.0, 1.0), [[0.25, 0.5], [0.75, 0.5]],
+                    [0.5, 0.5], cell_polygons=[[[0.0, 0.0], [0.5, 0.0], [0.5, 1.0], [0.0, 1.0]],
+                                               [[0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 1.0]]],
+                    **faces)
+
 
 class TestQuadratureOrder:
     @pytest.mark.parametrize("order", [0, -5, 4, 7])

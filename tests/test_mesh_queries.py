@@ -124,11 +124,14 @@ def _bits(values):
 
 def _boxes(mesh):
     """The site-0 cubes of `condition_report`, which reach outside the
-    domain, and boxes with edges on the cartesian grid lines."""
+    domain, and boxes with edges on the cartesian grid lines and one ulp
+    to either side of them."""
     boxes = [Box.from_center(mesh.sites[0], eps) for eps in (0.2, 0.1, 0.05)]
     if mesh.dim == 1:
         return boxes + [Box.coerce((0.25, 0.75)), Box.coerce((-1.0, 2.0))]
-    return boxes + [Box.coerce((0.25, 0.25, 0.75, 0.75)),
+    grid = np.array([0.25, 0.25, 0.75, 0.75])
+    return boxes + [Box.coerce(grid), Box.coerce(np.nextafter(grid, 0.0)),
+                    Box.coerce(np.nextafter(grid, 1.0)),
                     Box.coerce((0.0, 0.0, 0.5, 1.0)), Box.coerce((-1.0, -1.0, 2.0, 2.0))]
 
 
@@ -201,6 +204,50 @@ def test_box_overlaps_are_the_per_cell_clips(mesh):
         assert cells_meeting(mesh, box).tolist() == meets
         assert (cells_inside(mesh, box).tolist()
                 == _reference_cells_inside(mesh, box).tolist())
+
+
+def _centred_boxes(mesh, count):
+    """Boxes at the eps of `condition_report` centred at `count` sites, at
+    `count` cell corners and at `count` points of the domain boundary."""
+    cells = np.linspace(0, mesh.n_cells - 1, count).astype(int)
+    boundary = [(0.5, 0.0), (1.0, 0.37), (0.0, 1.0)][:count]
+    centres = [*mesh.sites[cells], *(mesh.cell_polygons[k][0] for k in cells), *boundary]
+    return [Box.from_center(c, eps) for c in centres for eps in (0.2, 0.1, 0.05)]
+
+
+@pytest.mark.parametrize("name, count", [("cartesian-96", 1), ("jittered-196", 3)])
+def test_far_cells_skip_the_clip(name, count, monkeypatch):
+    mesh = (gf.build_cartesian_mesh(96, 96) if name == "cartesian-96" else
+            gf.build_voronoi_mesh(_jittered_sites(14, 0.35, 42),
+                                  gf.Domain.rectangle(0, 0, 1, 1)))
+    boxes = _centred_boxes(mesh, count)
+    want = [[_reference_cell_box_overlap(mesh, k, box) for k in range(mesh.n_cells)]
+            for box in boxes]
+    calls = []
+    clip = geometry.overlap_area
+    monkeypatch.setattr(geometry, "overlap_area",
+                        lambda *args: calls.append(1) or clip(*args))
+    for box, overlaps in zip(boxes, want):
+        del calls[:]
+        assert _bits(cell_box_overlaps(mesh, box)) == _bits(overlaps)
+        # the cells clipped are those near the box, not all of them
+        assert np.count_nonzero(overlaps) <= len(calls) < mesh.n_cells // 2
+
+
+def test_degenerate_box_clips_every_cell(monkeypatch):
+    # a box of width 0 has edges that clip nothing and an inverted box
+    # flips its half-planes, so neither skips a cell
+    mesh = gf.build_cartesian_mesh(8, 8)
+    calls = []
+    clip = geometry.overlap_area
+    monkeypatch.setattr(geometry, "overlap_area",
+                        lambda *args: calls.append(1) or clip(*args))
+    for box in (Box(np.array([0.5, 0.2]), np.array([0.5, 0.8])),
+                Box(np.array([0.6, 0.2]), np.array([0.4, 0.8]))):
+        del calls[:]
+        want = [_reference_cell_box_overlap(mesh, k, box) for k in range(mesh.n_cells)]
+        assert _bits(cell_box_overlaps(mesh, box)) == _bits(want)
+        assert len(calls) == mesh.n_cells
 
 
 def test_grid_line_box_on_cartesian_8():

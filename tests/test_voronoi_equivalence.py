@@ -1,11 +1,12 @@
 """The Voronoi build and the clipping kernel against their all-pairs originals.
 
-`build_voronoi_mesh` skips bisectors that cannot cut and `clip_halfplane`
-runs on Python floats; both must reproduce, byte for byte, the straight
-all-pairs clipping loop and the array-scalar clipping kernel kept below as
-reference copies.
+`build_voronoi_mesh` skips bisectors that cannot cut, clips the cells of
+large site sets in forked workers, and `clip_halfplane` runs on Python
+floats; all must reproduce, byte for byte, the straight all-pairs clipping
+loop and the array-scalar clipping kernel kept below as reference copies.
 """
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ import pytest
 import gradflow as gf
 from gradflow import experiments as ex
 from gradflow import geometry
-from gradflow.mesh import (FACE_DROP_FACTOR, VERTEX_MERGE_TOL, Domain, Mesh,
-                           MeshError)
+from gradflow.mesh import (FACE_DROP_FACTOR, PARALLEL_MIN_SITES, VERTEX_MERGE_TOL,
+                           Domain, Mesh, MeshError)
 
 
 # -- reference copies of the all-pairs build and its clipping kernel -----------
@@ -126,6 +127,8 @@ CASES = {
     "grid-6x6": lambda: (_exact_grid(6), _unit_square()),
     "hexagon": lambda: (np.random.default_rng(9).uniform(-0.4, 0.4, size=(10, 2)),
                         _hexagon()),
+    "hexagon-120": lambda: (np.random.default_rng(11).uniform(-0.6, 0.6, size=(120, 2)),
+                            _hexagon()),
     "two-sites": lambda: (np.array([[0.25, 0.5], [0.75, 0.5]]), _unit_square()),
     "three-sites": lambda: (np.array([[0.2, 0.3], [0.7, 0.4], [0.45, 0.8]]),
                             _unit_square()),
@@ -133,9 +136,16 @@ CASES = {
 }
 
 
+# built in forked workers wherever fork is available
+FORKED_CASES = ("jittered-196", "hexagon-120")
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_mesh_file_byte_identical(case, tmp_path):
+def test_mesh_file_byte_identical(case, tmp_path, monkeypatch):
+    # two allowed CPUs, so that the large cases fork on any machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     sites, domain = CASES[case]()
+    assert (len(sites) >= PARALLEL_MIN_SITES) == (case in FORKED_CASES)
     gf.build_voronoi_mesh(sites, domain).write(tmp_path / "new.txt")
     _reference_build_voronoi_mesh(sites, domain).write(tmp_path / "reference.txt")
     assert (tmp_path / "new.txt").read_bytes() == \
