@@ -166,7 +166,7 @@ def cmd_edi(args) -> int:
 
 def cmd_gamma(args) -> int:
     family = experiments.family_from_token(args.family, seed=args.seed)
-    dim = 1 if family.name == "uniform1d" else 2
+    dim = family.dim
     if args.mode == "affine":
         z = [float(v) for v in args.z.split(",")] if args.z else [0.5] * dim
         xi = [float(v) for v in args.xi.split(",")] if args.xi else [1.0] * dim
@@ -219,7 +219,7 @@ def _phi_from_token(token: str, dim: int):
 
 def cmd_converge(args) -> int:
     family = experiments.family_from_token(args.family, seed=args.seed)
-    dim = 1 if family.name == "uniform1d" else 2
+    dim = family.dim
     potential = potential_from_token(args.potential, dim)
     study = experiments.evolutionary_convergence_study(
         family, potential, args.rho0, args.T, mean_kind=args.mean)

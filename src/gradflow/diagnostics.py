@@ -15,7 +15,7 @@ import numpy as np
 from . import geometry
 from .geometry import Box
 from .functionals import _masses, dirichlet_energy
-from .mesh import OVERLAP_SHARE, Mesh, cell_box_overlaps, cells_meeting
+from .mesh import OVERLAP_SHARE, Mesh, cell_box_overlaps
 
 PATH_SAMPLE_LIMIT = 200
 PATH_SAMPLE_COUNT = 10_000
@@ -321,44 +321,42 @@ class HolderModulus:
     ratio: float
 
 
-def l2_holder_modulus(mesh: Mesh, f, h, m, pi, region=None,
+def l2_holder_modulus(mesh: Mesh, f, h, m, pi,
                       kind: str = "logarithmic") -> HolderModulus:
     """Exact shifted-difference mass of a piecewise-constant field.
 
-    Computes sum over selected cell pairs of |K ∩ (L + h)| (f(L) - f(K))^2,
+    Computes sum over all cell pairs of |K ∩ (L + h)| (f(L) - f(K))^2,
     the overlap form of the squared L2 increment of Q_T f, and compares it
-    with (|h| (|h| v [T]) / k) F_T(f, A) where k is the density lower bound.
+    with (|h| (|h| v [T]) / k) F_T(f) where k is the density lower bound.
     """
     ff = np.asarray(f, dtype=float)
     hv = np.atleast_1d(np.asarray(h, dtype=float))
     h_norm = float(np.linalg.norm(hv))
     if h_norm >= mesh.domain.diameter:
         raise ValueError("the shift must be shorter than the domain diameter")
-    keep = cells_meeting(mesh, region)
-    idx = np.flatnonzero(keep)
     value = 0.0
     if h_norm > 0.0:
         if mesh.dim == 1:
-            lo = mesh.cell_bounds[idx, 0]
-            hi = mesh.cell_bounds[idx, 1]
-            for a, i in enumerate(idx):
-                o_lo = np.maximum(lo[a], lo + hv[0])
-                o_hi = np.minimum(hi[a], hi + hv[0])
+            lo = mesh.cell_bounds[:, 0]
+            hi = mesh.cell_bounds[:, 1]
+            for i in range(mesh.n_cells):
+                o_lo = np.maximum(lo[i], lo + hv[0])
+                o_hi = np.minimum(hi[i], hi + hv[0])
                 olap = np.maximum(o_hi - o_lo, 0.0)
-                df = ff[idx] - ff[i]
+                df = ff - ff[i]
                 value += float(np.sum(olap * df * df))
         else:
             boxes = np.empty((mesh.n_cells, 2, 2))       # per cell: lo, hi
             for cells, stack in mesh.polygon_groups:
                 boxes[cells, 0], boxes[cells, 1] = stack.min(axis=1), stack.max(axis=1)
-            lo_shift = boxes[idx, 0] + hv
-            hi_shift = boxes[idx, 1] + hv
-            for i in idx:
+            lo_shift = boxes[:, 0] + hv
+            hi_shift = boxes[:, 1] + hv
+            for i in range(mesh.n_cells):
                 lo_i, hi_i = boxes[i]
                 # the shifted boxes of cells j that can overlap cell i
-                meets = ((ff[idx] != ff[i]) & ~np.any(lo_shift >= hi_i, axis=1)
+                meets = ((ff != ff[i]) & ~np.any(lo_shift >= hi_i, axis=1)
                          & ~np.any(hi_shift <= lo_i, axis=1))
-                for j in idx[meets]:
+                for j in np.flatnonzero(meets):
                     # |K_i ∩ (K_j + h)|
                     olap = geometry.overlap_area(mesh.cell_polygons[i],
                                                  mesh.cell_polygons[j] + hv[None, :])
@@ -371,7 +369,7 @@ def l2_holder_modulus(mesh: Mesh, f, h, m, pi, region=None,
     if k_lower <= 0.0:
         raise ValueError("density lower bound must be positive")
     size = mesh.size()
-    energy = dirichlet_energy(mesh, ff, mm, kind=kind, region=region)
+    energy = dirichlet_energy(mesh, ff, mm, kind=kind)
     bound = h_norm * max(h_norm, size) / k_lower * energy
     ratio = value / bound if bound > 0.0 else (0.0 if value == 0.0 else float("inf"))
     return HolderModulus(value=value, bound=bound, ratio=ratio)

@@ -34,19 +34,12 @@ class OnsagerOperator:
     """Sparse symmetric PSD operator with constants-per-component kernel."""
 
     matrix: sp.csr_matrix
-    conductance: np.ndarray      # theta(r_K, r_L) w_KL per face
-    face_cells: np.ndarray
     component: np.ndarray        # component label per cell (theta w > 0 graph)
     n_components: int
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def quadratic_form(self, f) -> float:
-        """<f, B f>; equals 2 * action(m, f)."""
-        ff = np.asarray(f, dtype=float)
-        return float(ff @ (self.matrix @ ff))
 
 
 @dataclass(frozen=True)
@@ -107,8 +100,8 @@ def assemble_onsager(mesh: Mesh | None, weights, m, pi,
         adjacency = sp.coo_matrix((cond[live], (fc[live, 0], fc[live, 1])),
                                   shape=(n, n))
         n_comp, labels = csgraph.connected_components(adjacency, directed=False)
-    return OnsagerOperator(matrix=matrix, conductance=cond, face_cells=fc,
-                           component=labels, n_components=int(n_comp))
+    return OnsagerOperator(matrix=matrix, component=labels,
+                           n_components=int(n_comp))
 
 
 def dual_action(m, sigma, weights=None, pi=None,

@@ -86,10 +86,9 @@ def assemble_generator(mesh: Mesh, weights, pi: DiscreteMeasure) -> Generator:
 
 
 def build_generator(mesh: Mesh, potential: Potential,
-                    mean_kind: str = "logarithmic",
-                    quad_order: int | None = None) -> Generator:
+                    mean_kind: str = "logarithmic") -> Generator:
     """The one set-up of (mesh, potential): weights and pi from one pass."""
-    weights = face_weights(mesh, potential, mean_kind, quad_order)
+    weights = face_weights(mesh, potential, mean_kind)
     return assemble_generator(mesh, weights, weights.pi)
 
 

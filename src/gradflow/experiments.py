@@ -32,14 +32,16 @@ from .dynamics import Generator, build_generator, solve_trajectory
 
 @dataclass
 class MeshFamily:
-    """Named vanishing sequence of meshes (sizes strictly decreasing)."""
+    """Named vanishing sequence of meshes of one dimension: make(label) for
+    each label, their sizes strictly decreasing."""
 
     name: str
+    dim: int
     labels: list
-    builders: list = field(repr=False)
+    make: Callable = field(repr=False)
 
     def build(self) -> list[Mesh]:
-        meshes = [b() for b in self.builders]
+        meshes = [self.make(label) for label in self.labels]
         sizes = [m.size() for m in meshes]
         for a, b in zip(sizes, sizes[1:]):
             if not b < a:
@@ -49,13 +51,12 @@ class MeshFamily:
 
 
 def uniform_interval_family(sizes=(16, 32, 64, 128, 256)) -> MeshFamily:
-    return MeshFamily("uniform1d", list(sizes),
-                      [lambda n=n: build_interval_mesh(n) for n in sizes])
+    return MeshFamily("uniform1d", 1, list(sizes), build_interval_mesh)
 
 
 def cartesian_family(sizes=(4, 8, 16, 32)) -> MeshFamily:
-    return MeshFamily("cartesian", list(sizes),
-                      [lambda n=n: build_cartesian_mesh(n, n) for n in sizes])
+    return MeshFamily("cartesian", 2, list(sizes),
+                      lambda n: build_cartesian_mesh(n, n))
 
 
 def _jittered_sites(g: int, jitter: float, seed: int) -> np.ndarray:
@@ -72,8 +73,7 @@ def jittered_voronoi_family(sizes=(16, 36, 64, 144), seed=42) -> MeshFamily:
         return build_voronoi_mesh(_jittered_sites(g, 0.35, seed),
                                   Domain.rectangle(0.0, 0.0, 1.0, 1.0))
 
-    return MeshFamily("voronoi", list(sizes),
-                      [lambda n=n: builder(n) for n in sizes])
+    return MeshFamily("voronoi", 2, list(sizes), builder)
 
 
 def _staggered_sites(nx: int, ny: int) -> np.ndarray:
@@ -96,8 +96,7 @@ def flattened_voronoi_family(sizes=(16, 32, 64, 128)) -> MeshFamily:
         return build_voronoi_mesh(_staggered_sites(nx, ny),
                                   Domain.rectangle(0.0, 0.0, 1.0, 1.0))
 
-    return MeshFamily("flattened", list(sizes),
-                      [lambda n=n: builder(n) for n in sizes])
+    return MeshFamily("flattened", 2, list(sizes), builder)
 
 
 def family_from_token(token: str, seed: int = 42) -> MeshFamily:
@@ -205,11 +204,7 @@ def _reference_rule(domain: Domain, resolution: int):
     cell = (x1 - x0) * (y1 - y0) / (resolution * resolution)
     gx, gy = np.meshgrid(xs, ys)
     points = np.column_stack([gx.ravel(), gy.ravel()])
-    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
-    rectangular = len(verts) == 4 and np.allclose(
-        np.sort(verts, axis=0), np.sort(corners, axis=0))
-    if not rectangular:
-        points = points[domain.contains(points, tol=0.0)]
+    points = points[domain.contains(points, tol=0.0)]
     return points, np.full(len(points), cell)
 
 
@@ -237,14 +232,11 @@ def continuum_entropy(mu: Callable, potential: Potential, domain: Domain,
 
 def continuum_fisher(mu: Callable, potential: Potential, domain: Domain,
                      resolution: int = 4096) -> float:
-    """4 int |d/dx sqrt(mu/sigma)|^2 sigma dx (central differences)."""
+    """4 int |grad sqrt(mu/sigma)|^2 sigma dx: eight times the Dirichlet
+    reference of sqrt(mu/sigma) against sigma, on the same fine rule."""
     sigma = stationary_density(potential, domain, resolution)
-    x, w = _reference_rule(domain, resolution)
-    h = 1e-6
-    left = np.sqrt(_pointwise(mu, x - h) / _pointwise(sigma, x - h))
-    right = np.sqrt(_pointwise(mu, x + h) / _pointwise(sigma, x + h))
-    return 4.0 * float(np.sum(w * ((right - left) / (2 * h)) ** 2
-                              * _pointwise(sigma, x)))
+    root = PointFunction(lambda p: np.sqrt(_pointwise(mu, p) / sigma.batch(p)))
+    return 8.0 * continuous_dirichlet(root, sigma, domain, resolution=resolution)
 
 
 def continuum_dual(mu: Callable, eta: Callable, potential: Potential,
@@ -372,7 +364,6 @@ def wasserstein_1d(p: Density1D, q: Density1D) -> float:
 
 def gamma_energy_study(family: MeshFamily, phi: Callable, potential: Potential,
                        m_rule: str = "stationary", mu: Callable | None = None,
-                       kind: str = "logarithmic",
                        grad: Callable | None = None) -> StudyResult:
     """Embedded Dirichlet energies of the projected test function vs the limit.
 
@@ -392,7 +383,7 @@ def gamma_energy_study(family: MeshFamily, phi: Callable, potential: Potential,
     def one(mesh: Mesh) -> StudyRow:
         pi = discretize_reference(mesh, potential)
         m = pi if m_rule == "stationary" else project_measure(mesh, mu)
-        value = dirichlet_energy(mesh, project_function(mesh, phi), m, kind=kind)
+        value = dirichlet_energy(mesh, project_function(mesh, phi), m)
         return StudyRow(mesh_size=mesh.size(), value=value, reference=reference,
                         error=abs(value - reference))
 
@@ -400,7 +391,7 @@ def gamma_energy_study(family: MeshFamily, phi: Callable, potential: Potential,
     _attach_orders(rows)
     return StudyResult("gamma_energy",
                        {"family": family.name, "m_rule": m_rule,
-                        "potential": potential.name, "kind": kind}, rows)
+                        "potential": potential.name, "kind": "logarithmic"}, rows)
 
 
 def _boundary_layer_measure(domain: Domain, box: Box, width: float) -> float:
@@ -417,8 +408,8 @@ def _boundary_layer_measure(domain: Domain, box: Box, width: float) -> float:
     return measure(box.expanded(width)) - measure(box.expanded(-width))
 
 
-def gamma_affine_minimization_study(family: MeshFamily, z, xi, eps: float,
-                                    kind: str = "logarithmic") -> StudyResult:
+def gamma_affine_minimization_study(family: MeshFamily, z, xi,
+                                    eps: float) -> StudyResult:
     """Localized energy of the projected affine field against eps^d |xi|^2.
 
     The affine field is discrete-harmonic away from the cube boundary (a
@@ -426,11 +417,11 @@ def gamma_affine_minimization_study(family: MeshFamily, z, xi, eps: float,
     energy, in the face-sum normalization, converges to eps^d |xi|^2 with a
     discrepancy controlled by the measured boundary-layer volume.
     """
-    meshes = family.build()
-    domain = meshes[0].domain
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     box = Box.from_center(z_arr, eps)
+    meshes = family.build()
+    domain = meshes[0].domain
     margin = 1e-9 * max(domain.diameter, 1.0)
     corners = np.array([box.lo, box.hi]) if domain.dim == 1 else box.as_polygon()
     if not domain.contains(corners, tol=-margin).all():
@@ -440,7 +431,7 @@ def gamma_affine_minimization_study(family: MeshFamily, z, xi, eps: float,
     def one(mesh: Mesh) -> StudyRow:
         pi = DiscreteMeasure(mesh.volumes / mesh.volumes.sum())
         f = (mesh.sites - z_arr[None, :]) @ xi_arr
-        value = 2.0 * dirichlet_energy(mesh, f, pi, kind=kind, region=box)
+        value = 2.0 * dirichlet_energy(mesh, f, pi, region=box)
         interior = np.flatnonzero(cells_inside(mesh, box))
         faces, neighbours = (table[interior] for table in mesh.face_graph().padded())
         trans = mesh.transmissibilities()
@@ -724,8 +715,7 @@ def _evolutionary_study_2d(family: MeshFamily, potential: Potential, rho0,
 
 
 def lower_bound_trend_study(family: MeshFamily, mu: Callable, eta: Callable,
-                            potential: Potential | None = None,
-                            mean_kind: str = "logarithmic") -> StudyResult:
+                            potential: Potential | None = None) -> StudyResult:
     """Entropy, Fisher and dual action of projected data against continuum values.
 
     Rows carry the signed entropy deficit in `error` (negative values witness
@@ -741,7 +731,7 @@ def lower_bound_trend_study(family: MeshFamily, mu: Callable, eta: Callable,
     a_ref = continuum_dual(mu, eta, potential, domain)
 
     def one(mesh: Mesh) -> StudyRow:
-        weights = face_weights(mesh, potential, mean_kind)
+        weights = face_weights(mesh, potential)
         pi = weights.pi
         m = project_measure(mesh, mu)
         h_val = entropy(m, pi)
@@ -765,13 +755,12 @@ def lower_bound_trend_study(family: MeshFamily, mu: Callable, eta: Callable,
 # -- isotropy contrast ------------------------------------------------------------------
 
 
-def isotropy_study(family: MeshFamily,
-                   potential: Potential | None = None) -> StudyResult:
-    """Sup isotropy defect per family member (recorded, compared at sizes)."""
-    potential = potential or zero_potential()
+def isotropy_study(family: MeshFamily) -> StudyResult:
+    """Sup isotropy defect per family member at V = 0 (recorded, compared at
+    sizes)."""
 
     def one(mesh: Mesh) -> StudyRow:
-        weights = face_weights(mesh, potential)
+        weights = face_weights(mesh, zero_potential())
         defect = float(isotropy_defect(mesh, weights, weights.pi).max())
         return StudyRow(mesh_size=mesh.size(), value=defect, reference=0.0,
                         error=defect)

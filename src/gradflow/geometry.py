@@ -14,6 +14,7 @@ works one polygon at a time.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,8 +134,7 @@ def clip_halfplane(verts: np.ndarray, normal: np.ndarray, offset: float,
     return np.asarray(_merge_close(out, merge_tol), dtype=float)
 
 
-def clip_convex(subject: np.ndarray, clipper: np.ndarray,
-                merge_tol: float = 1e-12) -> np.ndarray:
+def clip_convex(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
     """Intersection of two convex polygons by sequential half-plane clipping."""
     out = subject
     k = len(clipper)
@@ -144,7 +144,7 @@ def clip_convex(subject: np.ndarray, clipper: np.ndarray,
         a = clipper[i]
         e = clipper[(i + 1) % k] - a
         normal = np.array([e[1], -e[0]])  # outward for ccw clipper
-        out = clip_halfplane(out, normal, float(normal @ a), merge_tol)
+        out = clip_halfplane(out, normal, float(normal @ a))
     return out
 
 
@@ -266,6 +266,10 @@ class Box:
 
     @staticmethod
     def from_center(center, side: float) -> "Box":
+        """The box of edge length `side` around `center`; the side must be
+        finite and positive."""
+        if not (math.isfinite(side) and side > 0.0):
+            raise ValueError(f"a box side must be finite and positive, got {side!r}")
         c = np.atleast_1d(np.asarray(center, dtype=float))
         h = 0.5 * float(side)
         return Box(c - h, c + h)

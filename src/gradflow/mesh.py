@@ -8,6 +8,7 @@ be shared freely across concurrent readers.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -163,6 +164,8 @@ class Domain:
 
     @staticmethod
     def interval(a: float, b: float) -> "Domain":
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise MeshError(f"interval endpoints must be finite, got [{a}, {b}]")
         if not b > a:
             raise MeshError(f"degenerate interval [{a}, {b}]")
         return Domain(1, bounds=_frozen([a, b]))
@@ -175,7 +178,10 @@ class Domain:
 
     @staticmethod
     def polygon(vertices) -> "Domain":
-        verts = geometry.ensure_ccw(np.asarray(vertices, dtype=float))
+        verts = np.asarray(vertices, dtype=float)
+        if not np.all(np.isfinite(verts)):
+            raise MeshError("domain polygon vertices must be finite")
+        verts = geometry.ensure_ccw(verts)
         if len(verts) < 3 or geometry.polygon_area(verts) <= 0.0:
             raise MeshError("domain polygon must have positive area")
         return Domain(2, vertices=_frozen(verts))
@@ -365,6 +371,12 @@ class Mesh:
 
     def validate(self) -> None:
         """Check the structural invariants; raise MeshError on violation."""
+        for name in ("volumes", "face_areas", "face_dists"):
+            values = getattr(self, name)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if len(bad):
+                raise MeshError(f"{name}[{bad[0]}] is {float(values[bad[0]])!r}; "
+                                f"it must be finite")
         vol = float(self.volumes.sum())
         if abs(vol - self.domain.volume) > VOLUME_RTOL * max(abs(self.domain.volume), 1e-300):
             raise MeshError(f"cell volumes sum to {vol!r}, domain volume is "

@@ -21,24 +21,14 @@ S_MEAN_KINDS = ("min", "max", "arithmetic", "geometric", "harmonic", "logarithmi
 
 @dataclass(frozen=True)
 class Potential:
-    """Driving potential V on the closed domain.
-
-    The built-ins give only `batch`, V over an (N, d) array of points, and
-    a call at one point evaluates it on one row.  User code may give only
-    `fn`, V at one point; it is then evaluated point by point.  Where both
-    are given, `batch` is used.
-    """
+    """Driving potential V on the closed domain, given by `batch`, V over an
+    (N, d) array of points; a call at one point evaluates it on one row."""
 
     name: str
-    fn: Callable | None = None
-    batch: Callable | None = None
-
-    def __post_init__(self):
-        if self.fn is None and self.batch is None:
-            raise ValueError(f"potential {self.name!r} needs fn or batch")
+    batch: Callable
 
     def __call__(self, x):
-        return self.fn(x) if self.batch is None else _at_point(self.batch, x)
+        return _at_point(self.batch, x)
 
 
 @dataclass(frozen=True)
@@ -163,16 +153,13 @@ class FaceWeights:
     and the reference measure pi normalised by the same Z."""
 
     w: np.ndarray
-    S: np.ndarray
-    sigma_sites: np.ndarray
     face_cells: np.ndarray
     pi: DiscreteMeasure
 
     def __post_init__(self):
-        for name in ("w", "S", "sigma_sites"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        w = np.asarray(self.w, dtype=float)
+        w.setflags(write=False)
+        object.__setattr__(self, "w", w)
         fc = np.asarray(self.face_cells, dtype=np.int64)
         fc.setflags(write=False)
         object.__setattr__(self, "face_cells", fc)
@@ -204,16 +191,13 @@ def _boltzmann(potential: Potential) -> PointFunction:
 # -- reference measure and weights ----------------------------------------------
 
 
-def discretize_reference(mesh: Mesh, potential: Potential,
-                         quad_order: int | None = None) -> DiscreteMeasure:
+def discretize_reference(mesh: Mesh, potential: Potential) -> DiscreteMeasure:
     """Cell masses of exp(-V) dx / Z, normalized exactly after quadrature."""
-    vals = cell_integrals(mesh, _boltzmann(potential), quad_order)
-    return DiscreteMeasure.normalized(vals)
+    return DiscreteMeasure.normalized(cell_integrals(mesh, _boltzmann(potential)))
 
 
 def face_weights(mesh: Mesh, potential: Potential,
-                 mean_kind: str = "logarithmic",
-                 quad_order: int | None = None) -> FaceWeights:
+                 mean_kind: str = "logarithmic") -> FaceWeights:
     """TPFA conductances from site values of the stationary density.
 
     S_KL is the chosen mean of sigma(x_K) and sigma(x_L).  One quadrature
@@ -223,14 +207,14 @@ def face_weights(mesh: Mesh, potential: Potential,
         raise ValueError(f"unknown mean kind {mean_kind!r}")
 
     boltzmann = _boltzmann(potential)
-    vals = cell_integrals(mesh, boltzmann, quad_order)
+    vals = cell_integrals(mesh, boltzmann)
     pi = DiscreteMeasure.normalized(vals)
     sigma = _pointwise(boltzmann, mesh.sites) / float(vals.sum())
     fc = mesh.face_cells
     s = (mean_value(mean_kind, sigma[fc[:, 0]], sigma[fc[:, 1]])
          if len(fc) else np.zeros(0))
     w = mesh.transmissibilities() * s
-    return FaceWeights(w=w, S=s, sigma_sites=sigma, face_cells=fc, pi=pi)
+    return FaceWeights(w=w, face_cells=fc, pi=pi)
 
 
 # -- projection and embedding -----------------------------------------------------

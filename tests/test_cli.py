@@ -137,6 +137,37 @@ class TestSolveCommand:
         assert capsys.readouterr().err.splitlines() == [message]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, section, column, message", [
+        ("solve", "faces", 2, "error: face_areas[5] is nan; it must be finite"),
+        ("diagnose", "cells", 3, "error: volumes[5] is nan; it must be finite"),
+    ])
+    def test_non_finite_mesh_file_exit_2_before_set_up(
+            self, tmp_path, capsys, monkeypatch, command, section, column,
+            message):
+        code, meshdir = run(["mesh", "--kind", "cartesian", "--n", "4"],
+                            tmp_path, name="meshdir")
+        assert code == 0
+        lines = (meshdir / "mesh.txt").read_text().split("\n")
+        start = next(i for i, line in enumerate(lines)
+                     if line.startswith(section + " "))
+        fields = lines[start + 6].split()
+        fields[column] = "nan"
+        lines[start + 6] = " ".join(fields)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines))
+
+        def no_set_up(*args, **kwargs):
+            raise AssertionError("set-up reached with a non-finite mesh")
+
+        monkeypatch.setattr(cli, "build_generator", no_set_up)
+        monkeypatch.setattr(cli, "discretize_reference", no_set_up)
+        capsys.readouterr()
+        extra = ["--T", "0.01", "--M", "2"] if command == "solve" else []
+        code, out = run([command, "--mesh", str(bad), *extra], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
     @pytest.mark.parametrize("vertices", ["0", "1 0.5 0.5",
                                           "2 0.4 0.4 0.6 0.4"])
     def test_cell_with_too_few_vertices_exit_2(self, tmp_path, capsys,

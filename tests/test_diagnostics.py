@@ -6,6 +6,7 @@ import pytest
 import gradflow as gf
 from gradflow.diagnostics import (condition_report, good_path,
                                   l2_holder_modulus, path_constants)
+from gradflow.geometry import Box
 from gradflow.reference import DiscreteMeasure
 
 
@@ -45,6 +46,15 @@ class TestConditionReport:
         row = rep.pc_profile[0]
         r = m.masses / pi.masses
         assert row.sup == row.inf == pytest.approx(r[0])
+
+    def test_negative_cube_side_rejected(self):
+        mesh = gf.build_cartesian_mesh(8, 8)
+        pi = gf.discretize_reference(mesh, gf.zero_potential())
+        with pytest.raises(ValueError, match="finite and positive"):
+            condition_report(mesh, pi, pi, cube_centers=[(0.5, 0.5)],
+                             eps_list=[-0.1])
+        with pytest.raises(ValueError, match="finite and positive"):
+            gf.mesh.cell_box_overlaps(mesh, Box.from_center((0.5, 0.5), -0.2))
 
     def test_profile_shrinks_toward_point_value(self):
         mesh = gf.build_interval_mesh(64)

@@ -11,6 +11,7 @@ import gradflow as gf
 from gradflow import experiments
 from gradflow.dual_action import (_solve_cg, assemble_onsager, dual_action,
                                   onsager_pattern)
+from gradflow.functionals import mean_value
 from gradflow.reference import DiscreteMeasure
 
 
@@ -27,7 +28,7 @@ class TestAssembleOnsager:
         op = assemble_onsager(mesh, weights, m, pi)
         for _ in range(5):
             f = rng.standard_normal(mesh.n_cells)
-            assert op.quadratic_form(f) == pytest.approx(
+            assert float(f @ (op.matrix @ f)) == pytest.approx(
                 2.0 * gf.action(m, f, weights, pi), rel=1e-12)
 
     def test_constants_in_kernel(self, chain10):
@@ -44,7 +45,7 @@ class TestAssembleOnsager:
         assert np.abs(dense - dense.T).max() <= 1e-13
         for _ in range(5):
             f = rng.standard_normal(mesh.n_cells)
-            assert op.quadratic_form(f) >= -1e-13
+            assert float(f @ (op.matrix @ f)) >= -1e-13
 
     def test_zero_mass_cell_gives_zero_row(self, chain10):
         mesh, _, pi, weights = chain10
@@ -188,10 +189,17 @@ class TestDualAction:
         assert warm == pytest.approx(value, rel=1e-12)
 
 
-def coo_onsager(op, n):
+def conductance(weights, m, pi):
+    """theta(r_K, r_L) w_KL per face, r = m/pi, theta the logarithmic mean."""
+    r = m.masses / pi.masses
+    fc = weights.face_cells
+    return mean_value("logarithmic", r[fc[:, 0]], r[fc[:, 1]]) * weights.w
+
+
+def coo_onsager(weights, m, pi, n):
     """Reference for the pattern assembly: B by a COO -> CSR build of the face
     conductances, labels from the connected components of the live faces."""
-    c, fc = op.conductance, op.face_cells
+    c, fc = conductance(weights, m, pi), weights.face_cells
     k, l = fc[:, 0], fc[:, 1]
     matrix = sp.coo_matrix((np.concatenate([c, c, -c, -c]),
                             (np.concatenate([k, l, k, l]),
@@ -256,7 +264,7 @@ class TestOnsagerPattern:
             m = DiscreteMeasure.normalized(rng.uniform(0.05, 1.0, mesh.n_cells))
             for op in (assemble_onsager(mesh, weights, m, pi),
                        assemble_onsager(mesh, weights, m, pi, pattern=pattern)):
-                ref, n_comp, labels = coo_onsager(op, mesh.n_cells)
+                ref, n_comp, labels = coo_onsager(weights, m, pi, mesh.n_cells)
                 for name in ("data", "indices", "indptr"):
                     got, want = getattr(op.matrix, name), getattr(ref, name)
                     assert got.dtype == want.dtype
@@ -275,7 +283,7 @@ class TestOnsagerPattern:
         rng = np.random.default_rng(12)
         m = DiscreteMeasure.normalized(rng.uniform(0.1, 1.0, mesh.n_cells))
         op = assemble_onsager(mesh, weights, m, pi)
-        ref, _, labels = coo_onsager(op, mesh.n_cells)
+        ref, _, labels = coo_onsager(weights, m, pi, mesh.n_cells)
         assert np.array_equal(op.matrix.indptr, ref.indptr)
         assert np.array_equal(op.matrix.indices, ref.indices)
         off = op.matrix.indices != np.repeat(np.arange(mesh.n_cells),
@@ -284,7 +292,7 @@ class TestOnsagerPattern:
         diag, ref_diag = op.matrix.diagonal(), ref.diagonal()
         assert np.abs(diag - ref_diag).max() <= 1e-15 * np.abs(ref_diag).max()
         # each diagonal entry is its faces' conductances summed in face order
-        fc, c = op.face_cells, op.conductance
+        fc, c = weights.face_cells, conductance(weights, m, pi)
         for cell in np.flatnonzero(degree >= 9):
             total = 0.0
             for face in np.flatnonzero(fc[:, 0] == cell):
@@ -318,9 +326,9 @@ class TestOnsagerPattern:
         assert pattern.n_components == 1
         masses = np.full(mesh.n_cells, 1.0 / (mesh.n_cells - 1))
         masses[3] = 0.0
-        op = assemble_onsager(mesh, weights, DiscreteMeasure(masses), pi,
-                              pattern=pattern)
-        _, n_comp, labels = coo_onsager(op, mesh.n_cells)
+        m = DiscreteMeasure(masses)
+        op = assemble_onsager(mesh, weights, m, pi, pattern=pattern)
+        _, n_comp, labels = coo_onsager(weights, m, pi, mesh.n_cells)
         assert op.n_components == n_comp == 3
         assert op.component.tobytes() == labels.tobytes()
         assert list(op.component) == [0, 0, 0, 1, 2, 2, 2, 2, 2, 2]

@@ -222,7 +222,7 @@ class TestTrajectories:
     def test_dense_oracle_cell_cap(self):
         mesh = gf.build_interval_mesh(2001)
         pot = gf.zero_potential()
-        pi = gf.discretize_reference(mesh, pot, quad_order=1)
+        pi = gf.discretize_reference(mesh, pot)
         gen = gf.assemble_generator(mesh, gf.face_weights(mesh, pot), pi)
         with pytest.raises(ValueError, match="dense"):
             gf.solve_trajectory(pi, 0.1, 2, gen, scheme="exact_dense")
@@ -384,7 +384,7 @@ class TestThetaStepper:
 class TestDenseOracleLimit:
     def test_one_message_before_eigh(self, monkeypatch):
         mesh = gf.build_interval_mesh(EXACT_DENSE_LIMIT + 1)
-        gen = gf.build_generator(mesh, gf.zero_potential(), quad_order=1)
+        gen = gf.build_generator(mesh, gf.zero_potential())
 
         def no_eigh(*args):
             raise AssertionError("eigh called above the dense limit")
@@ -411,7 +411,7 @@ class TestDenseOracleLimit:
         picked = []
         for n in (AUTO_DENSE_LIMIT, AUTO_DENSE_LIMIT + 1):
             mesh = gf.build_interval_mesh(n)
-            weights = gf.face_weights(mesh, gf.zero_potential(), quad_order=1)
+            weights = gf.face_weights(mesh, gf.zero_potential())
             gen = gf.assemble_generator(mesh, weights, weights.pi)
             picked.append(gf.solve_trajectory(weights.pi, 0.1, 1, gen).scheme)
         assert picked == ["exact_dense", "implicit_euler"]

@@ -9,7 +9,8 @@ from gradflow.dynamics import EXACT_DENSE_LIMIT
 from gradflow.experiments import Density1D, wasserstein_1d
 from gradflow.geometry import Box
 from gradflow.mesh import cells_inside
-from gradflow.reference import DiscreteMeasure, initial_measure_from_token
+from gradflow.reference import (DiscreteMeasure, PointFunction, _pointwise,
+                                initial_measure_from_token)
 
 
 class TestWasserstein1D:
@@ -98,6 +99,14 @@ class TestFamilies:
     def test_bad_size_range_rejected(self, token):
         with pytest.raises(ValueError, match="a..b"):
             ex.family_from_token(token)
+
+    @pytest.mark.parametrize("token, dim", [
+        ("uniform1d:8..16", 1), ("cartesian:2..4", 2), ("voronoi:16", 2),
+        ("flattened:16", 2)])
+    def test_family_knows_its_dimension(self, token, dim):
+        fam = ex.family_from_token(token)
+        assert fam.dim == dim
+        assert all(mesh.dim == dim for mesh in fam.build())
 
     def test_deterministic_jitter(self):
         a = ex.jittered_voronoi_family((36,)).build()[0]
@@ -191,6 +200,12 @@ class TestGammaAffineStudy:
                 residual = max(residual, abs(acc))
             assert row.extras["interior_cells"] > 0
             assert row.extras["harmonicity_residual"] == residual
+
+    @pytest.mark.parametrize("eps", [-0.5, 0.0, math.inf, math.nan])
+    def test_side_not_finite_and_positive_rejected(self, eps):
+        fam = ex.uniform_interval_family((16, 32))
+        with pytest.raises(ValueError, match="finite and positive"):
+            ex.gamma_affine_minimization_study(fam, 0.5, 1.0, eps)
 
     def test_cube_outside_rejected(self):
         fam = ex.uniform_interval_family((8,))
@@ -294,7 +309,7 @@ class TestEdiAudit:
 
     def test_cell_cap_rejected(self):
         mesh = gf.build_interval_mesh(EXACT_DENSE_LIMIT + 1)
-        gen = gf.build_generator(mesh, gf.zero_potential(), quad_order=1)
+        gen = gf.build_generator(mesh, gf.zero_potential())
         with pytest.raises(ValueError, match=str(EXACT_DENSE_LIMIT)):
             ex.edi_audit(gen, gen.pi, T=0.1, steps=8)
 
@@ -308,12 +323,11 @@ class TestEdiOnAnisotropicMesh:
     def test_balance_and_identity_hold_off_grid(self):
         # end to end on a skewed Voronoi mesh with a curved potential; the
         # coarse centroid rule cannot pass the 1e-8 projection mass check on
-        # skewed cells, so the degree-5 rule is selected explicitly
+        # skewed cells, so the projection selects the degree-5 rule
         from gradflow.reference import density_from_token
 
         mesh = ex.flattened_voronoi_family((36,)).build()[0]
-        gen = gf.build_generator(mesh, gf.quadratic_potential([0.4, 0.6]),
-                                 quad_order=3)
+        gen = gf.build_generator(mesh, gf.quadratic_potential([0.4, 0.6]))
         proj = gf.project_measure(mesh, density_from_token("cosine", 2),
                                   quad_order=3)
         m0 = DiscreteMeasure(0.9 * proj.masses + 0.1 * gen.pi.masses)
@@ -391,10 +405,11 @@ class TestEvolutionaryStudy:
     def test_cartesian_family_built_once(self):
         fam = ex.cartesian_family((4, 8))
         built = []
-        fam.builders = [lambda b=b: built.append(b) or b() for b in fam.builders]
+        make = fam.make
+        fam.make = lambda n: built.append(n) or make(n)
         ex.evolutionary_convergence_study(fam, gf.zero_potential(), "cosine",
                                           T=0.05, t_nodes=5)
-        assert len(built) == 2
+        assert built == [4, 8]
 
 
 class TestLowerBoundTrend:
@@ -548,6 +563,18 @@ def _old_gauss_rule(a, b, cells, points=4):
             (half[:, None] * gw[None, :]).ravel())
 
 
+def _old_continuum_fisher(mu, potential, domain, resolution):
+    """Reference copy of the former 1D Fisher reference: its own central
+    difference of sqrt(mu/sigma) at x -+ h."""
+    sigma = ex.stationary_density(potential, domain, resolution)
+    x, w = ex._reference_rule(domain, resolution)
+    h = 1e-6
+    left = np.sqrt(_pointwise(mu, x - h) / _pointwise(sigma, x - h))
+    right = np.sqrt(_pointwise(mu, x + h) / _pointwise(sigma, x + h))
+    return 4.0 * float(np.sum(w * ((right - left) / (2 * h)) ** 2
+                              * _pointwise(sigma, x)))
+
+
 def _old_continuum_entropy(mu, potential, resolution):
     """Reference copy of the former per-point entropy loop on [0, 1]."""
     x, w = _old_gauss_rule(0.0, 1.0, resolution)
@@ -621,6 +648,28 @@ class TestContinuumReferences:
             -math.pi ** 2 * 0.05) * math.cos(math.pi * x), pot, 512)
         value = ex.continuum_entropy(mu, pot, gf.Domain.interval(0.0, 1.0), 512)
         assert value == pytest.approx(old, rel=1e-13)
+
+    @pytest.mark.parametrize("resolution", [256, 4096])
+    @pytest.mark.parametrize("potential", ["zero", "linear", "quadratic",
+                                           "double-well"])
+    def test_fisher_1d_matches_the_former_difference_bits(self, potential,
+                                                          resolution):
+        pot = gf.reference.potential_from_token(potential, 1)
+        domain = gf.Domain.interval(0.0, 1.0)
+        for mu in (ex.heat_cosine_density(0.02),
+                   lambda x: 1.0 + 0.3 * math.sin(math.pi * (x - 0.5))):
+            value = ex.continuum_fisher(mu, pot, domain, resolution)
+            assert value == _old_continuum_fisher(mu, pot, domain, resolution)
+
+    def test_fisher_2d_product_cosine_closed_form(self):
+        # mu = (1 + a cos pi x)(1 + a cos pi y), V = 0: 4 int |grad sqrt mu|^2
+        # = 2 pi^2 (1 - sqrt(1 - a^2)); a derivative along (1, 1) gives 4.64
+        a = 0.5
+        mu = PointFunction(lambda p: np.prod(1.0 + a * np.cos(np.pi * p), axis=1))
+        value = ex.continuum_fisher(mu, gf.zero_potential(),
+                                    gf.Domain.rectangle(0.0, 0.0, 1.0, 1.0), 256)
+        exact = 2.0 * math.pi ** 2 * (1.0 - math.sqrt(1.0 - a * a))
+        assert value == pytest.approx(exact, rel=1e-9)
 
     def test_square_dirichlet_matches_old_loop(self):
         pot = gf.quadratic_potential([0.3, 0.6])

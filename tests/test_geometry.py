@@ -160,6 +160,12 @@ def test_box_helpers():
         Box.coerce((1.0, 2.0, 3.0))
 
 
+@pytest.mark.parametrize("side", [-0.2, 0.0, math.inf, math.nan])
+def test_box_side_must_be_finite_and_positive(side):
+    with pytest.raises(ValueError, match="finite and positive"):
+        Box.from_center([0.5, 0.5], side)
+
+
 def test_merge_close_vertices():
     poly = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
                      [1.0, 1.0 + 1e-15]])

@@ -349,6 +349,50 @@ class TestValidateErrors:
             mesh.validate()
 
 
+def _edited_mesh_file(tmp_path, section, row, column, value):
+    """A 4x4 cartesian mesh.txt with one number of one cell or face row
+    replaced."""
+    path = tmp_path / "mesh.txt"
+    gf.build_cartesian_mesh(4, 4).write(path)
+    lines = path.read_text().split("\n")
+    start = next(i for i, line in enumerate(lines) if line.startswith(section + " "))
+    fields = lines[start + 1 + row].split()
+    fields[column] = value
+    lines[start + 1 + row] = " ".join(fields)
+    path.write_text("\n".join(lines))
+    return path
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("section, column, value, message", [
+        ("faces", 2, "nan", r"face_areas\[5\] is nan"),
+        ("faces", 2, "inf", r"face_areas\[5\] is inf"),
+        ("faces", 3, "nan", r"face_dists\[5\] is nan"),
+        ("faces", 3, "-inf", r"face_dists\[5\] is -inf"),
+        ("cells", 3, "nan", r"volumes\[5\] is nan"),
+        ("cells", 3, "inf", r"volumes\[5\] is inf"),
+    ])
+    def test_mesh_file_rejected(self, tmp_path, section, column, value, message):
+        path = _edited_mesh_file(tmp_path, section, 5, column, value)
+        with pytest.raises(MeshError, match=message + "; it must be finite"):
+            Mesh.read(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_domain_rejected(self, value):
+        with pytest.raises(MeshError, match="vertices must be finite"):
+            Domain.polygon([[0.0, 0.0], [1.0, 0.0], [1.0, value], [0.0, 1.0]])
+        with pytest.raises(MeshError, match="endpoints must be finite"):
+            Domain.interval(0.0, value)
+        with pytest.raises(MeshError):
+            Domain.rectangle(0.0, 0.0, 1.0, value)
+
+    def test_finite_domain_messages_unchanged(self):
+        with pytest.raises(MeshError, match=r"degenerate interval \[1.0, 0.0\]"):
+            Domain.interval(1.0, 0.0)
+        with pytest.raises(MeshError, match="positive area"):
+            Domain.polygon([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+
+
 class TestConstructorDefaults:
     def test_one_cell_meshes_need_no_face_arguments(self):
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

@@ -266,9 +266,14 @@ def test_containment_matches_the_inline_tests(case):
 
 
 def test_reference_rule_keeps_the_points_of_the_inline_test():
-    for domain in (Domain.polygon([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]),
-                   Domain.polygon([[0.5, 0.0], [1.0, 0.3], [0.8, 1.0],
-                                   [0.1, 0.9], [0.0, 0.2]])):
+    others = [Domain.polygon([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]),
+              Domain.polygon([[0.5, 0.0], [1.0, 0.3], [0.8, 1.0],
+                              [0.1, 0.9], [0.0, 0.2]])]
+    rectangles = [Domain.rectangle(0.0, 0.0, 1.0, 1.0),
+                  Domain.rectangle(-0.3, 0.2, 1.7, 0.45),
+                  Domain.polygon([[2.0, 1.0], [2.0, 3.0], [-1.0, 3.0], [-1.0, 1.0]])]
+    for domain, rectangle in ([(d, False) for d in others]
+                              + [(d, True) for d in rectangles]):
         points, weights = ex._reference_rule(domain, 64)
         verts = domain.vertices
         x0, y0 = verts.min(axis=0)
@@ -281,6 +286,8 @@ def test_reference_rule_keeps_the_points_of_the_inline_test():
         want = grid[np.all(dist >= 0.0, axis=1)]
         assert _bits(points) == _bits(want)
         assert len(weights) == len(want)
+        if rectangle:                       # every midpoint of the grid
+            assert _bits(points) == _bits(grid)
 
 
 def _reference_cube_inside(domain, box, margin):

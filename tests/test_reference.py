@@ -33,11 +33,11 @@ class TestDiscretizeReference:
         rng = np.random.default_rng(0)
         coeffs = rng.standard_normal(3)
 
-        def v(x):
-            return float(coeffs[0] * x[0] + coeffs[1] * x[1]
-                         + coeffs[2] * x[0] * x[1])
+        def v(p):
+            return (coeffs[0] * p[:, 0] + coeffs[1] * p[:, 1]
+                    + coeffs[2] * p[:, 0] * p[:, 1])
 
-        pi = gf.discretize_reference(mesh, gf.Potential("random", v))
+        pi = gf.discretize_reference(mesh, gf.Potential("random", batch=v))
         assert pi.masses.sum() == pytest.approx(1.0, abs=1e-15)
         assert np.all(pi.masses > 0.0)
 
@@ -79,6 +79,13 @@ class TestCellQuadrature:
             assert np.allclose(vals, oracle, rtol=1e-12)
 
 
+def _site_sigma(mesh, pot):
+    """sigma(x_K) = exp(-V(x_K))/Z per site, Z by the mesh's default rule: the
+    site values face_weights takes its means of."""
+    boltzmann = reference._boltzmann(pot)
+    return boltzmann.batch(mesh.sites) / float(cell_integrals(mesh, boltzmann).sum())
+
+
 class TestFaceWeights:
     def test_flat_two_cell(self, two_cell):
         _, _, _, weights = two_cell
@@ -98,11 +105,12 @@ class TestFaceWeights:
         pot = gf.linear_potential(2.0)
         weights = gf.face_weights(mesh, pot, "geometric")
         z = float(cell_integrals(mesh, lambda x: np.exp(-pot(x))).sum())
+        trans = mesh.transmissibilities()
         for f, (k, l) in enumerate(mesh.face_cells):
             vk = 2.0 * mesh.sites[k, 0]
             vl = 2.0 * mesh.sites[l, 0]
             expected = math.exp(-(vk + vl) / 2.0) / z
-            assert weights.S[f] == pytest.approx(expected, rel=1e-13)
+            assert weights.w[f] == pytest.approx(trans[f] * expected, rel=1e-13)
 
     def test_sandwich_every_kind(self):
         mesh = gf.build_cartesian_mesh(3, 3)
@@ -110,12 +118,13 @@ class TestFaceWeights:
         for kind in ("min", "max", "arithmetic", "geometric", "harmonic",
                      "logarithmic"):
             weights = gf.face_weights(mesh, pot, kind)
-            sig = weights.sigma_sites
+            sig = _site_sigma(mesh, pot)
             k, l = mesh.face_cells[:, 0], mesh.face_cells[:, 1]
             lo = np.minimum(sig[k], sig[l])
             hi = np.maximum(sig[k], sig[l])
-            assert np.all(weights.S >= lo - 1e-15)
-            assert np.all(weights.S <= hi + 1e-15)
+            s = weights.w / mesh.transmissibilities()
+            assert np.all(s >= lo - 1e-15)
+            assert np.all(s <= hi + 1e-15)
             assert np.all(weights.w > 0.0)
 
     def test_unknown_kind_rejected(self, two_cell):
@@ -124,19 +133,19 @@ class TestFaceWeights:
             gf.face_weights(mesh, pot, "median")
 
 
-def _two_pass_face_weights(mesh, pot, mean_kind, quad_order):
+def _two_pass_face_weights(mesh, pot, mean_kind):
     """Reference copy of the former face weights: Z from a second pass."""
     from gradflow.functionals import mean_value
     from gradflow.reference import cell_integrals
 
-    z = float(cell_integrals(mesh, lambda x: np.exp(-pot(x)), quad_order).sum())
+    z = float(cell_integrals(mesh, lambda x: np.exp(-pot(x))).sum())
     if mesh.dim == 1:
         sigma = np.array([np.exp(-pot(float(x[0]))) for x in mesh.sites]) / z
     else:
         sigma = np.array([np.exp(-pot(x)) for x in mesh.sites]) / z
     fc = mesh.face_cells
     s = mean_value(mean_kind, sigma[fc[:, 0]], sigma[fc[:, 1]])
-    return mesh.transmissibilities() * s, s, sigma
+    return mesh.transmissibilities() * s
 
 
 _ONE_PASS_MESHES = {
@@ -148,21 +157,17 @@ _ONE_PASS_MESHES = {
 
 
 class TestOnePassSetup:
-    @pytest.mark.parametrize("quad_order", [None, 3])
     @pytest.mark.parametrize("potential", ["zero", "linear", "quadratic",
                                            "double-well"])
     @pytest.mark.parametrize("kind", sorted(_ONE_PASS_MESHES))
-    def test_pi_and_weights_match_two_pass(self, kind, potential, quad_order):
+    def test_pi_and_weights_match_two_pass(self, kind, potential):
         mesh = _ONE_PASS_MESHES[kind]()
         pot = potential_from_token(potential, mesh.dim)
-        weights = gf.face_weights(mesh, pot, "logarithmic", quad_order)
-        pi = gf.discretize_reference(mesh, pot, quad_order)
+        weights = gf.face_weights(mesh, pot, "logarithmic")
+        pi = gf.discretize_reference(mesh, pot)
         assert np.array_equal(weights.pi.masses, pi.masses)
-        w, s, sigma = _two_pass_face_weights(mesh, pot, "logarithmic",
-                                             quad_order)
-        assert np.array_equal(weights.w, w)
-        assert np.array_equal(weights.S, s)
-        assert np.array_equal(weights.sigma_sites, sigma)
+        assert np.array_equal(weights.w,
+                              _two_pass_face_weights(mesh, pot, "logarithmic"))
 
     def test_one_quadrature_pass(self, monkeypatch):
         from gradflow import reference
@@ -351,16 +356,16 @@ class TestBatchedQuadrature:
 
         vals = _old_cell_integrals(mesh, boltzmann, order)
         assert np.array_equal(cell_integrals(mesh, boltzmann, order), vals)
+        if order is not None:
+            return          # pi and the weights take the mesh's default rule
         pi = DiscreteMeasure.normalized(vals)
-        assert np.array_equal(gf.discretize_reference(mesh, pot, order).masses,
+        assert np.array_equal(gf.discretize_reference(mesh, pot).masses,
                               pi.masses)
         sigma = _old_pointwise(mesh, boltzmann, mesh.sites) / float(vals.sum())
         s = mean_value("logarithmic", sigma[mesh.face_cells[:, 0]],
                        sigma[mesh.face_cells[:, 1]])
-        weights = gf.face_weights(mesh, pot, "logarithmic", order)
+        weights = gf.face_weights(mesh, pot, "logarithmic")
         assert np.array_equal(weights.pi.masses, pi.masses)
-        assert np.array_equal(weights.sigma_sites, sigma)
-        assert np.array_equal(weights.S, s)
         assert np.array_equal(weights.w, mesh.transmissibilities() * s)
 
     @pytest.mark.parametrize("order", _QUAD_ORDERS)
@@ -405,10 +410,8 @@ class TestBatchedQuadrature:
             assert np.array_equal([g(x) for x in points], expected), token
             assert all(type(g(x)) is float for x in points[:3])
 
-    def test_potential_needs_a_form(self):
-        with pytest.raises(ValueError, match="needs fn or batch"):
-            gf.Potential("empty")
-        user = gf.Potential("user", lambda x: 2.0 * float(np.atleast_1d(x)[0]))
+    def test_potential_is_its_array_form(self):
+        user = gf.Potential("user", lambda p: 2.0 * p[:, 0])
         assert user(0.25) == 0.5
         assert np.array_equal(reference._pointwise(user, np.array([[0.25], [1.0]])),
                               [0.5, 2.0])
@@ -425,12 +428,6 @@ class TestBatchedQuadrature:
         vals = cell_integrals(mesh, g, order)
         assert len(calls) == len(mesh.quadrature(order).nodes)
         assert np.array_equal(vals, _old_cell_integrals(mesh, g, order))
-        user = gf.Potential("user", lambda x: float(np.sum(np.atleast_1d(x))))
-        assert user.batch is None
-        assert np.array_equal(
-            gf.discretize_reference(mesh, user, order).masses,
-            DiscreteMeasure.normalized(_old_cell_integrals(
-                mesh, lambda x: np.exp(-user(x)), order)).masses)
 
     def test_table_built_once_per_rule(self, monkeypatch):
         from gradflow import mesh as mesh_module
@@ -441,14 +438,15 @@ class TestBatchedQuadrature:
                             lambda *a: builds.append(1) or original(*a))
         mesh = gf.build_cartesian_mesh(4, 3)
         pot = gf.quadratic_potential([0.3, 0.7])
+        rho = density_from_token("cosine", 2)
+        gf.discretize_reference(mesh, pot)
+        gf.face_weights(mesh, pot)
         for order in (None, 1):             # both resolve to the degree-1 rule
-            gf.discretize_reference(mesh, pot, order)
-            gf.face_weights(mesh, pot, quad_order=order)
-            gf.project_measure(mesh, density_from_token("cosine", 2), order)
+            gf.project_measure(mesh, rho, order)
         assert len(builds) == 1
         assert mesh.quadrature(None) is mesh.quadrature(1)
-        gf.discretize_reference(mesh, pot, 3)
-        gf.discretize_reference(mesh, pot, 3)
+        gf.project_measure(mesh, rho, 3)
+        gf.project_measure(mesh, rho, 3)
         assert len(builds) == 2
         other = gf.build_cartesian_mesh(4, 3)
         assert other.quadrature(3) is not mesh.quadrature(3)
@@ -540,8 +538,7 @@ class TestRefinementConsistency:
         for n in (8, 16, 32, 64):
             mesh = gf.build_interval_mesh(n)
             pi = gf.discretize_reference(mesh, pot)
-            weights = gf.face_weights(mesh, pot)
-            err = np.abs(pi.masses / mesh.volumes - weights.sigma_sites).max()
+            err = np.abs(pi.masses / mesh.volumes - _site_sigma(mesh, pot)).max()
             errors.append(err)
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert errors[-1] <= errors[0] / 4.0
