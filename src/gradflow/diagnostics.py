@@ -276,15 +276,15 @@ class PathConstants:
     n_pairs: int
 
 
-def path_constants(mesh: Mesh, sample: int = PATH_SAMPLE_COUNT,
-                   seed: int = PATH_SEED) -> PathConstants:
+def path_constants(mesh: Mesh) -> PathConstants:
     """Worst path-count and path-length ratios over sampled cell pairs.
 
     All ordered pairs are used up to PATH_SAMPLE_LIMIT cells; larger meshes
-    sample `sample` pairs with a fixed-seed generator.  The good paths of
-    all pairs are found in lockstep with numpy, _PATH_BLOCK pairs at a time
-    (which bounds the search's memory), and give the same cells and lengths
-    as `good_path` pair by pair.
+    sample PATH_SAMPLE_COUNT pairs with a generator seeded by PATH_SEED,
+    both read at call time.  The good paths of all pairs are found in
+    lockstep with numpy, _PATH_BLOCK pairs at a time (which bounds the
+    search's memory), and give the same cells and lengths as `good_path`
+    pair by pair.
     """
     n = mesh.n_cells
     if n < 2:
@@ -292,9 +292,9 @@ def path_constants(mesh: Mesh, sample: int = PATH_SAMPLE_COUNT,
     if n <= PATH_SAMPLE_LIMIT:
         start, goal = np.triu_indices(n, k=1)
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(PATH_SEED)
         pairs = []
-        while len(pairs) < sample:
+        while len(pairs) < PATH_SAMPLE_COUNT:
             i, j = rng.integers(0, n, size=2)
             if i != j:
                 pairs.append((int(i), int(j)))

@@ -84,8 +84,7 @@ def assemble_onsager(mesh: Mesh | None, weights, m, pi,
     elif len(pattern.indptr) != n + 1 or pattern.slots.shape[1] != len(fc):
         raise ValueError("the Onsager pattern was built for another face graph")
     r = mm / pp
-    theta = (mean_value("logarithmic", r[fc[:, 0]], r[fc[:, 1]])
-             if len(fc) else np.zeros(0))
+    theta = mean_value("logarithmic", r[fc[:, 0]], r[fc[:, 1]])
     cond = theta * w
     data = np.zeros(len(pattern.indices))
     data[pattern.slots[2:]] = -cond           # (k,l) and (l,k)

@@ -109,7 +109,7 @@ def family_from_token(token: str, seed: int = 42) -> MeshFamily:
         return cartesian_family(**sized)
     if name == "voronoi":
         return jittered_voronoi_family(**sized, seed=seed)
-    if name in ("flattened", "anisotropic"):
+    if name == "flattened":
         return flattened_voronoi_family(**sized)
     raise ValueError(f"unknown family {token!r}")
 
@@ -576,6 +576,11 @@ def _is_cosine_token(rho0) -> tuple[bool, float]:
     return False, 0.0
 
 
+# time nodes of an evolutionary study, 0 and T included: an even number of
+# intervals, as Simpson's rule needs
+T_NODES = 17
+
+
 def _richardson_reference_1d(potential: Potential, rho0: Callable, T: float,
                              t_nodes: int, n_fine: int, mean_kind: str
                              ) -> tuple[list[Density1D], DiscreteMeasure]:
@@ -603,16 +608,18 @@ def _richardson_reference_1d(potential: Potential, rho0: Callable, T: float,
 
 
 def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
-                                   rho0, T: float, t_nodes: int = 17,
+                                   rho0, T: float,
                                    mean_kind: str = "logarithmic") -> StudyResult:
     """Solution error of the discrete flow against a continuum reference.
 
     d=1 rows report sup_t of the exact quadratic Wasserstein distance between
     the embedded discrete solution and the reference (spectral cosine solution
-    when V = 0, Richardson fine-mesh solution otherwise) on a t_nodes grid,
-    plus entropy excess and the two dissipation integrals.  Families other
-    than uniform1d are 2d and must be cartesian (see _evolutionary_study_2d).
+    when V = 0, Richardson fine-mesh solution otherwise) on a grid of T_NODES
+    times (read at call time), plus entropy excess and the two dissipation
+    integrals.  Families other than uniform1d are 2d and must be cartesian
+    (see _evolutionary_study_2d).
     """
+    t_nodes = T_NODES
     if family.name != "uniform1d":
         if family.name != "cartesian":
             raise ValueError(f"2d evolutionary convergence needs a cartesian "

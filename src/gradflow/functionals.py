@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import Box
 from .mesh import Mesh, cells_meeting
 
 KERNEL_KINDS = ("logarithmic", "sqrt_logarithmic", "arithmetic", "geometric",
@@ -101,23 +102,22 @@ def entropy(m, pi) -> float:
 def _graph_energy(f: np.ndarray, conductance: np.ndarray,
                   face_cells: np.ndarray) -> float:
     """1/2 sum over faces of c_f (f(K) - f(L))^2, fixed summation order."""
-    if len(face_cells) == 0:
-        return 0.0
     df = f[face_cells[:, 0]] - f[face_cells[:, 1]]
     return 0.5 * float(np.sum(conductance * df * df))
 
 
-def action(m, f, weights, pi, kernel: str = "logarithmic") -> float:
+def action(m, f, weights, pi) -> float:
     """Discrete transport action: the weighted Dirichlet form of f at m.
 
     Equals 1/4 of the ordered double sum of (f(K)-f(L))^2 theta(r_K, r_L) w_KL
-    with densities r = m/pi; constants are a gauge (zero energy).
+    with densities r = m/pi and theta the logarithmic mean; constants are a
+    gauge (zero energy).
     """
     mm = _masses(m)
     pp = _masses(pi)
     w, fc = weights.w, weights.face_cells
     r = mm / pp
-    theta = mean_value(kernel, r[fc[:, 0]], r[fc[:, 1]]) if len(fc) else np.zeros(0)
+    theta = mean_value("logarithmic", r[fc[:, 0]], r[fc[:, 1]])
     return _graph_energy(np.asarray(f, dtype=float), theta * w, fc)
 
 
@@ -130,8 +130,6 @@ def fisher(m, weights, pi) -> float:
     mm = _masses(m)
     pp = _masses(pi)
     w, fc = weights.w, weights.face_cells
-    if len(fc) == 0:
-        return 0.0
     r = mm / pp
     rk, rl = r[fc[:, 0]], r[fc[:, 1]]
     if np.any((rk > 0.0) != (rl > 0.0)):
@@ -176,10 +174,10 @@ def fisher_sqrt_gap(m, weights, pi) -> FisherGap:
 
 
 def dirichlet_energy(mesh: Mesh, f, m, kind: str = "logarithmic",
-                     region=None) -> float:
+                     region: Box | None = None) -> float:
     """Discrete Dirichlet energy with conductances from Lebesgue densities.
 
-    U_KL is the chosen mean of m(K)/|K| and m(L)/|L|; with `region` given,
+    U_KL is the chosen mean of m(K)/|K| and m(L)/|L|; with a `region` box,
     only cells whose closure meets the open box are kept and a face counts
     when both its cells are kept.
     """
@@ -190,8 +188,6 @@ def dirichlet_energy(mesh: Mesh, f, m, kind: str = "logarithmic",
         keep = cells_meeting(mesh, region)
         sel = keep[fc[:, 0]] & keep[fc[:, 1]]
         fc = fc[sel]
-    if len(fc) == 0:
-        return 0.0
     dens = mm / mesh.volumes
     u = mean_value(kind, dens[fc[:, 0]], dens[fc[:, 1]])
     trans = mesh.face_areas / mesh.face_dists

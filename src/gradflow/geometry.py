@@ -274,17 +274,6 @@ class Box:
         h = 0.5 * float(side)
         return Box(c - h, c + h)
 
-    @staticmethod
-    def coerce(region) -> "Box":
-        if isinstance(region, Box):
-            return region
-        arr = np.asarray(region, dtype=float).ravel()
-        if arr.size == 2:
-            return Box(np.array([arr[0]]), np.array([arr[1]]))
-        if arr.size == 4:
-            return Box(np.array([arr[0], arr[1]]), np.array([arr[2], arr[3]]))
-        raise ValueError("region must be (a, b) or (x0, y0, x1, y1)")
-
     def as_polygon(self) -> np.ndarray:
         (x0, y0), (x1, y1) = self.lo, self.hi
         return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])

@@ -36,12 +36,9 @@ def _frozen(arr, dtype=float) -> np.ndarray:
 
 
 # Symmetric rules on a triangle by order: barycentric nodes, and weights
-# summing to one; exact for degree 1, 2 and 5.
+# summing to one; exact for degree 1 and 5.
 _TRI_RULES = {
     1: (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
-    2: (np.array([[2 / 3, 1 / 6, 1 / 6],
-                  [1 / 6, 2 / 3, 1 / 6],
-                  [1 / 6, 1 / 6, 2 / 3]]), np.full(3, 1 / 3)),
     3: (np.array([[1 / 3, 1 / 3, 1 / 3],
                   [0.797426985353087, 0.101286507323456, 0.101286507323456],
                   [0.101286507323456, 0.797426985353087, 0.101286507323456],
@@ -299,17 +296,17 @@ class Mesh:
     def quadrature(self, order: int | None = None) -> QuadratureTable:
         """Cell quadrature table of a rule, built on first use and frozen.
 
-        d=1: Gauss-Legendre with `order` points per cell (5 by default).
-        d=2: the triangle rule of `order` (1, 2 or 3, default 1) on each
-        cell's fan around its centroid.
+        d=1: 5-point Gauss-Legendre on each cell, the one rule (order None).
+        d=2: the triangle rule of `order` (None or 1: degree 1; 3: degree 5)
+        on each cell's fan around its centroid.
         """
-        if self.dim == 1:
-            rule = 5 if order is None else max(int(order), 1)
-        elif order in (None, 1, 2, 3):
+        if self.dim == 1 and order is None:
+            rule = 5
+        elif self.dim == 2 and order in (None, 1, 3):
             rule = order or 1
         else:
-            raise ValueError(f"quadrature order {order!r} on a 2d mesh: "
-                             "use None, 1, 2 or 3")
+            raise ValueError(f"quadrature order {order!r} on a {self.dim}d mesh: "
+                             f"use {'None' if self.dim == 1 else 'None, 1 or 3'}")
         if rule not in self._quadrature:
             self._quadrature[rule] = (
                 _interval_table(self.cell_bounds, rule) if self.dim == 1
@@ -533,18 +530,14 @@ class Mesh:
 def build_interval_mesh(n: int, breakpoints=None, interval=(0.0, 1.0)) -> Mesh:
     """Partition [a, b] into n cells with sites at the cell midpoints.
 
-    `breakpoints` may be a length n+1 increasing sequence or a callable
-    index -> coordinate; by default the grid is uniform.
+    `breakpoints` is a length n+1 increasing array; by default the grid is
+    uniform.
     """
     if n < 1:
         raise MeshError("n must be a positive integer")
     a, b = float(interval[0]), float(interval[1])
-    if breakpoints is None:
-        pts = np.linspace(a, b, n + 1)
-    elif callable(breakpoints):
-        pts = np.array([float(breakpoints(i)) for i in range(n + 1)])
-    else:
-        pts = np.asarray(breakpoints, dtype=float)
+    pts = (np.linspace(a, b, n + 1) if breakpoints is None
+           else np.asarray(breakpoints, dtype=float))
     if pts.shape != (n + 1,):
         raise MeshError(f"expected {n + 1} breakpoints, got {pts.shape}")
     steps = ~(pts[1:] > pts[:-1])
@@ -709,21 +702,16 @@ def _voronoi_polygons(pts: np.ndarray, domain_vertices: np.ndarray,
 
 
 def build_voronoi_mesh(sites, domain) -> Mesh:
-    """Voronoi cells of the given sites, clipped to a convex domain.
+    """Voronoi cells of the (n, d) sites, clipped to a convex `Domain`.
 
     Orthogonality of site segments to faces holds by construction (faces lie
     on perpendicular bisectors).  Faces with measure below
     FACE_DROP_FACTOR * [T]^(d-1) are dropped.
     """
     pts = np.atleast_2d(np.asarray(sites, dtype=float))
-    if pts.shape[0] == 1 and pts.shape[1] > 2:
-        pts = pts.T
     n, dim = pts.shape
     if dim not in (1, 2):
         raise MeshError("only dimensions 1 and 2 are supported")
-    if not isinstance(domain, Domain):
-        domain = (Domain.interval(*np.ravel(domain)) if dim == 1
-                  else Domain.polygon(domain))
     if domain.dim != dim:
         raise MeshError("site dimension does not match the domain")
     scale = max(domain.diameter, 1.0)
@@ -881,20 +869,17 @@ def cell_box_overlaps(mesh: Mesh, box: Box) -> np.ndarray:
     return overlaps
 
 
-def cells_meeting(mesh: Mesh, region) -> np.ndarray:
-    """Boolean mask of cells whose closure meets the open box `region`.
+def cells_meeting(mesh: Mesh, box: Box) -> np.ndarray:
+    """Boolean mask of cells whose closure meets the open box.
 
     For convex cells and an open box this is equivalent to a positive
     overlap measure, which is how it is evaluated.
     """
-    if region is None:
-        return np.ones(mesh.n_cells, dtype=bool)
-    return cell_box_overlaps(mesh, Box.coerce(region)) > OVERLAP_SHARE * mesh.volumes
+    return cell_box_overlaps(mesh, box) > OVERLAP_SHARE * mesh.volumes
 
 
-def cells_inside(mesh: Mesh, region) -> np.ndarray:
+def cells_inside(mesh: Mesh, box: Box) -> np.ndarray:
     """Boolean mask of cells whose closure is contained in the open box."""
-    box = Box.coerce(region)
     groups = ([(np.arange(mesh.n_cells), mesh.cell_bounds[:, :, None])]
               if mesh.dim == 1 else mesh.polygon_groups)      # (c, m, d) vertices
     mask = np.zeros(mesh.n_cells, dtype=bool)

@@ -106,7 +106,7 @@ def potential_from_token(token: str, dim: int) -> Potential:
         if len(c) != dim:
             raise ValueError(f"quadratic potential needs a {dim}-d center")
         return quadratic_potential(c)
-    if name in ("double-well", "double_well"):
+    if name == "double-well":
         h = float(arg) if arg else 2.0
         return double_well_potential(height=h)
     raise ValueError(f"unknown potential {token!r}")
@@ -211,8 +211,7 @@ def face_weights(mesh: Mesh, potential: Potential,
     pi = DiscreteMeasure.normalized(vals)
     sigma = _pointwise(boltzmann, mesh.sites) / float(vals.sum())
     fc = mesh.face_cells
-    s = (mean_value(mean_kind, sigma[fc[:, 0]], sigma[fc[:, 1]])
-         if len(fc) else np.zeros(0))
+    s = mean_value(mean_kind, sigma[fc[:, 0]], sigma[fc[:, 1]])
     w = mesh.transmissibilities() * s
     return FaceWeights(w=w, face_cells=fc, pi=pi)
 

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse import csgraph
+from scipy.sparse.linalg import splu
 
 import gradflow as gf
 from gradflow import experiments
 from gradflow.dual_action import (_solve_cg, assemble_onsager, dual_action,
                                   onsager_pattern)
 from gradflow.functionals import mean_value
-from gradflow.reference import DiscreteMeasure
+from gradflow.reference import DiscreteMeasure, initial_measure_from_token
 
 
 class TestAssembleOnsager:
@@ -403,3 +404,76 @@ class TestWarmStartedChain:
         nodes = experiments._dual_nodes(generator, masses)
         assert np.all(np.isfinite(nodes))
         assert len(calls) == 1
+
+
+# -- the CG dual against a grounded direct solve ---------------------------------------
+
+
+def grounded_dual(weights, m, pi, sigma):
+    """<sigma, f>/2 with B(m) f = sigma solved by sparse LU after grounding
+    the first cell of each component (f = 0 there); B is the COO reference."""
+    n = len(sigma)
+    matrix, _, labels = coo_onsager(weights, m, pi, n)
+    keep = np.ones(n, dtype=bool)
+    keep[np.unique(labels, return_index=True)[1]] = False
+    f = np.zeros(n)
+    if keep.any():
+        reduced = matrix.tocsc()[keep][:, keep].tocsc()
+        f[keep] = splu(reduced).solve(sigma[keep])
+    return 0.5 * float(sigma @ f)
+
+
+def _flow_chain(mesh, potential, m0_token, T, steps, quad_order=None):
+    """The generator and exact-flow nodes of an edi or converge run."""
+    generator = gf.build_generator(mesh, potential)
+    m0 = initial_measure_from_token(m0_token, mesh, generator.pi, quad_order)
+    trajectory = gf.solve_trajectory(m0, T, steps, generator, scheme="exact_dense")
+    return generator, trajectory.masses
+
+
+_CHAINS = {
+    # converge uniform1d:16..256 --potential quadratic --rho0 cosine: the
+    # 256-cell mesh on the study's 17 time nodes
+    "study-1d-256": lambda: _flow_chain(
+        gf.build_interval_mesh(256), gf.quadratic_potential(0.5),
+        "projected:cosine", 0.1, 16),
+    # edi --kind cartesian --n 20 --M 256: 257 nodes
+    "edi-2d": lambda: _flow_chain(
+        gf.build_cartesian_mesh(20, 20), gf.zero_potential(),
+        "blend:cosine:0.9", 0.5, 256),
+    # the degree-5 rule: the degree-1 one misses unit mass on these cells
+    "voronoi-100-quadratic": lambda: _flow_chain(
+        gf.build_voronoi_mesh(experiments._jittered_sites(10, 0.35, 42),
+                              gf.Domain.rectangle(0.0, 0.0, 1.0, 1.0)),
+        gf.quadratic_potential([0.5, 0.5]), "blend:cosine:0.9", 0.1, 16,
+        quad_order=3),
+}
+
+
+class TestGroundedDirectSolve:
+    @pytest.mark.parametrize("name", sorted(_CHAINS))
+    def test_warm_started_chain_matches_direct_solves(self, name):
+        generator, masses = _CHAINS[name]()
+        weights, pi = generator.weights, generator.pi
+        nodes = experiments._dual_nodes(generator, masses)
+        for value, m_i in zip(nodes, masses):
+            m = DiscreteMeasure(m_i)
+            direct = grounded_dual(weights, m, pi, generator.matrix @ m_i)
+            assert abs(value - direct) <= 1e-10 * abs(direct)
+
+    def test_zero_mass_split_graph(self):
+        # a zero cell cuts the 40-cell chain into three components
+        mesh = gf.build_interval_mesh(40)
+        weights = gf.face_weights(mesh, gf.quadratic_potential(0.3))
+        pi = weights.pi
+        rng = np.random.default_rng(16)
+        masses = rng.uniform(0.2, 1.0, mesh.n_cells)
+        masses[20] = 0.0
+        m = DiscreteMeasure.normalized(masses)
+        op = assemble_onsager(mesh, weights, m, pi)
+        assert op.n_components == 3
+        for _ in range(4):
+            sigma = op.matrix @ rng.standard_normal(mesh.n_cells)
+            direct = grounded_dual(weights, m, pi, sigma)
+            value = dual_action(m, sigma, weights, pi, operator=op)
+            assert abs(value - direct) <= 1e-10 * abs(direct)

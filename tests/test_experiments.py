@@ -91,8 +91,9 @@ class TestFamilies:
         assert ex.family_from_token("uniform1d").labels == [16, 32, 64, 128, 256]
         assert ex.family_from_token("cartesian").labels == [4, 8, 16, 32]
         assert ex.family_from_token("voronoi").labels == [16, 36, 64, 144]
-        for token in ("flattened", "anisotropic"):
-            assert ex.family_from_token(token).labels == [16, 32, 64, 128]
+        assert ex.family_from_token("flattened").labels == [16, 32, 64, 128]
+        with pytest.raises(ValueError, match="unknown family"):
+            ex.family_from_token("anisotropic")
 
     @pytest.mark.parametrize("token", ["uniform1d:0..16", "cartesian:-4..16",
                                        "cartesian:64..16"])
@@ -347,11 +348,12 @@ class TestEdiOnAnisotropicMesh:
 
 
 class TestEvolutionaryStudy:
-    def test_stationary_initial_data_zero_error(self):
+    def test_stationary_initial_data_zero_error(self, monkeypatch):
+        monkeypatch.setattr(ex, "T_NODES", 5)
         fam = ex.uniform_interval_family((8, 16))
         study = ex.evolutionary_convergence_study(fam, gf.zero_potential(),
-                                                  "uniform", T=0.05,
-                                                  t_nodes=5)
+                                                  "uniform", T=0.05)
+        assert study.params["t_nodes"] == 5
         assert all(row.error <= 1e-9 for row in study.rows)
 
     def test_cosine_reference_amplitude(self):
@@ -372,10 +374,11 @@ class TestEvolutionaryStudy:
             assert row.extras["dual_integral"] == pytest.approx(
                 row.extras["fisher_integral"], rel=1e-6)
 
-    def test_richardson_route_for_nonzero_potential(self):
+    def test_richardson_route_for_nonzero_potential(self, monkeypatch):
+        monkeypatch.setattr(ex, "T_NODES", 9)
         fam = ex.uniform_interval_family((16, 32))
         study = ex.evolutionary_convergence_study(
-            fam, gf.linear_potential(1.0), "cosine", T=0.05, t_nodes=9)
+            fam, gf.linear_potential(1.0), "cosine", T=0.05)
         errors = study.column("error")
         assert errors[1] < errors[0]
 
@@ -391,24 +394,27 @@ class TestEvolutionaryStudy:
         built, build = [], ex.build_interval_mesh
         monkeypatch.setattr(ex, "build_interval_mesh",
                             lambda n, **kw: built.append(n) or build(n, **kw))
+        monkeypatch.setattr(ex, "T_NODES", 9)
         ex.evolutionary_convergence_study(ex.uniform_interval_family((16, 32)),
-                                          pot, "cosine", T=0.05, t_nodes=9)
+                                          pot, "cosine", T=0.05)
         assert sorted(n for n in built if n > 32) == [64, 128]
 
-    def test_cartesian_l1_route(self):
+    def test_cartesian_l1_route(self, monkeypatch):
+        monkeypatch.setattr(ex, "T_NODES", 5)
         fam = ex.cartesian_family((4, 8))
         study = ex.evolutionary_convergence_study(fam, gf.zero_potential(),
-                                                  "cosine", T=0.05, t_nodes=5)
+                                                  "cosine", T=0.05)
         errors = study.column("error")
         assert errors[1] < errors[0]
 
-    def test_cartesian_family_built_once(self):
+    def test_cartesian_family_built_once(self, monkeypatch):
+        monkeypatch.setattr(ex, "T_NODES", 5)
         fam = ex.cartesian_family((4, 8))
         built = []
         make = fam.make
         fam.make = lambda n: built.append(n) or make(n)
         ex.evolutionary_convergence_study(fam, gf.zero_potential(), "cosine",
-                                          T=0.05, t_nodes=5)
+                                          T=0.05)
         assert built == [4, 8]
 
 

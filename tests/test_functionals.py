@@ -5,7 +5,8 @@ import pytest
 
 import gradflow as gf
 from gradflow.functionals import log_mean, mean_value, KERNEL_KINDS
-from gradflow.reference import DiscreteMeasure
+from gradflow.geometry import Box
+from gradflow.reference import S_MEAN_KINDS, DiscreteMeasure, potential_from_token
 
 
 class TestLogMean:
@@ -187,12 +188,14 @@ class TestFisherSqrtGap:
             assert gap.gap <= gap.bound * (1.0 + 1e-12) + 1e-15
 
     def test_sqrt_kernel_identity(self, grid4):
-        # action with the sqrt-log kernel at (m, -log r) equals 4 E_pi(sqrt r)
+        # the energy with the sqrt-log kernel at (m, -log r) equals
+        # 4 E_pi(sqrt r); with V = 0, r is the Lebesgue density of m and the
+        # face weights are the transmissibilities
         mesh, _, pi, weights = grid4
         rng = np.random.default_rng(13)
         m = DiscreteMeasure.normalized(rng.uniform(0.1, 1.0, mesh.n_cells))
         r = m.masses / pi.masses
-        lhs = gf.action(m, -np.log(r), weights, pi, kernel="sqrt_logarithmic")
+        lhs = gf.dirichlet_energy(mesh, -np.log(r), m, kind="sqrt_logarithmic")
         rhs = 4.0 * gf.action(pi, np.sqrt(r), weights, pi)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -216,7 +219,8 @@ class TestDirichletEnergy:
         pi = gf.discretize_reference(mesh, gf.zero_potential())
         f = gf.project_function(mesh, lambda x: x)
         # cells 0 and 1 selected, the single face between them contributes
-        value = gf.dirichlet_energy(mesh, f, pi, region=(0.0, 0.5))
+        value = gf.dirichlet_energy(mesh, f, pi,
+                                    region=Box(np.array([0.0]), np.array([0.5])))
         h = 0.25
         assert value == pytest.approx(0.5 * h * h / h, abs=1e-15)
 
@@ -224,7 +228,8 @@ class TestDirichletEnergy:
         mesh, _, pi, _ = grid4
         f = np.ones(mesh.n_cells)
         assert gf.dirichlet_energy(mesh, f, pi) == 0.0
-        assert gf.dirichlet_energy(mesh, f, pi, region=(0.1, 0.1, 0.6, 0.7)) == 0.0
+        box = Box(np.array([0.1, 0.1]), np.array([0.6, 0.7]))
+        assert gf.dirichlet_energy(mesh, f, pi, region=box) == 0.0
 
 
 class TestContinuousDirichlet:
@@ -262,3 +267,40 @@ class TestContinuousDirichlet:
             lambda p: float(p[0]), lambda p: 1.0, domain,
             grad=lambda p: np.array([1.0, 0.0]), resolution=512)
         assert value == pytest.approx(0.25, rel=5e-3)
+
+
+_NO_FACE_MESHES = {
+    "interval-1": lambda: gf.build_interval_mesh(1),
+    "voronoi-1": lambda: gf.build_voronoi_mesh([[0.3, 0.6]],
+                                               gf.Domain.rectangle(0, 0, 1, 1)),
+    "cartesian-1x1": lambda: gf.build_cartesian_mesh(1, 1),
+}
+
+
+@pytest.mark.parametrize("potential", ["zero", "quadratic"])
+@pytest.mark.parametrize("name", sorted(_NO_FACE_MESHES))
+def test_every_functional_on_a_mesh_without_faces(name, potential):
+    mesh = _NO_FACE_MESHES[name]()
+    assert mesh.n_faces == 0
+    pot = potential_from_token(potential, mesh.dim)
+    pi = gf.discretize_reference(mesh, pot)
+    assert pi.masses.tolist() == [1.0]
+    for kind in S_MEAN_KINDS:
+        weights = gf.face_weights(mesh, pot, kind)
+        assert weights.w.shape == (0,) and weights.face_cells.shape == (0, 2)
+        assert weights.pi.masses.tolist() == [1.0]
+    f = np.array([2.5])
+    assert gf.entropy(pi, pi) == 0.0
+    assert gf.action(pi, f, weights, pi) == 0.0
+    assert gf.fisher(pi, weights, pi) == 0.0
+    gap = gf.fisher_sqrt_gap(pi, weights, pi)
+    assert (gap.fisher_half, gap.dirichlet_sqrt, gap.gap, gap.bound) == (0.0,) * 4
+    for region in (None, Box.from_center(mesh.sites[0], 0.5)):
+        assert gf.dirichlet_energy(mesh, f, pi, region=region) == 0.0
+    op = gf.assemble_onsager(mesh, weights, pi, pi)
+    assert op.matrix.toarray().tolist() == [[0.0]]
+    assert (op.n_components, op.component.tolist()) == (1, [0])
+    assert gf.dual_action(pi, np.zeros(1), weights, pi, operator=op) == 0.0
+    assert gf.dual_action(pi, np.zeros(1), weights, pi, mesh=mesh) == 0.0
+    with pytest.warns(UserWarning, match="unbalanced"):
+        assert gf.dual_action(pi, np.array([0.1]), weights, pi, mesh=mesh) == math.inf

@@ -152,12 +152,9 @@ def test_shared_edge():
 def test_box_helpers():
     box = Box.from_center([0.5, 0.5], 0.5)
     assert np.allclose(box.as_polygon()[0], [0.25, 0.25])
-    same = Box.coerce((0.25, 0.25, 0.75, 0.75))
-    assert np.allclose(same.lo, box.lo)
-    one_d = Box.coerce((0.0, 0.5))
-    assert (one_d.lo.tolist(), one_d.hi.tolist()) == ([0.0], [0.5])
-    with pytest.raises(ValueError):
-        Box.coerce((1.0, 2.0, 3.0))
+    assert (box.lo.tolist(), box.hi.tolist()) == ([0.25, 0.25], [0.75, 0.75])
+    grown = box.expanded(0.25)
+    assert (grown.lo.tolist(), grown.hi.tolist()) == ([0.0, 0.0], [1.0, 1.0])
 
 
 @pytest.mark.parametrize("side", [-0.2, 0.0, math.inf, math.nan])

@@ -239,14 +239,16 @@ class TestLockstepWalk:
                 assert gf.good_path(mesh, i, j).cells == path[0]
                 break
 
-    def test_sampled_pairs_above_the_limit(self):
+    def test_sampled_pairs_above_the_limit(self, monkeypatch):
         mesh = gf.build_cartesian_mesh(16, 16)
         assert mesh.n_cells > diagnostics.PATH_SAMPLE_LIMIT
         pairs = _sampled_pairs(mesh.n_cells, 300, 5)
         adjacency = _reference_adjacency(mesh)
         paths = [_reference_good_path(mesh, adjacency, i, j) for i, j in pairs]
         want = _reference_path_constants(mesh, pairs, paths)
-        got = gf.path_constants(mesh, sample=300, seed=5)
+        monkeypatch.setattr(diagnostics, "PATH_SAMPLE_COUNT", 300)
+        monkeypatch.setattr(diagnostics, "PATH_SEED", 5)
+        got = gf.path_constants(mesh)
         assert got == want
         assert got.n_pairs == 300
 

@@ -6,6 +6,7 @@ import pytest
 import gradflow as gf
 from gradflow import geometry
 from gradflow.experiments import _jittered_sites
+from gradflow.geometry import Box
 from gradflow.mesh import MeshError, Domain, Mesh, cells_meeting
 
 
@@ -28,9 +29,13 @@ class TestIntervalMesh:
         mesh = gf.build_interval_mesh(4, breakpoints=[0.0, 0.1, 0.3, 0.6, 1.0])
         assert np.allclose(mesh.face_dists, [0.15, 0.25, 0.35])
 
-    def test_breakpoints_callable(self):
-        mesh = gf.build_interval_mesh(4, breakpoints=lambda i: (i / 4.0) ** 2)
+    def test_breakpoints_squared_grading(self):
+        mesh = gf.build_interval_mesh(4, breakpoints=(np.arange(5) / 4.0) ** 2)
         assert mesh.volumes[0] == pytest.approx(1 / 16)
+
+    def test_breakpoints_callable_rejected(self):
+        with pytest.raises(TypeError):
+            gf.build_interval_mesh(4, breakpoints=lambda i: (i / 4.0) ** 2)
 
     def test_non_monotone_rejected_with_index(self):
         with pytest.raises(MeshError, match="index 2"):
@@ -443,25 +448,30 @@ class TestConstructorDefaults:
 
 
 class TestQuadratureOrder:
-    @pytest.mark.parametrize("order", [0, -5, 4, 7])
+    @pytest.mark.parametrize("order", [0, -5, 2, 4, 7])
     def test_2d_order_outside_the_rules_rejected(self, order):
         mesh = gf.build_cartesian_mesh(2, 2)
-        with pytest.raises(ValueError, match="use None, 1, 2 or 3"):
+        with pytest.raises(ValueError, match="on a 2d mesh: use None, 1 or 3"):
             mesh.quadrature(order)
 
     def test_2d_orders_accepted(self):
         mesh = gf.build_cartesian_mesh(2, 2)
-        counts = [len(mesh.quadrature(order).nodes) for order in (None, 1, 2, 3)]
-        assert counts == [16, 16, 48, 112]
+        counts = [len(mesh.quadrature(order).nodes) for order in (None, 1, 3)]
+        assert counts == [16, 16, 112]
 
 
 class TestRegionSelection:
     def test_open_interval_rule(self):
         mesh = gf.build_interval_mesh(4)
-        mask = cells_meeting(mesh, (0.0, 0.5))
+        mask = cells_meeting(mesh, Box(np.array([0.0]), np.array([0.5])))
         # the cell [1/2, 3/4] touches (0, 1/2) only at the excluded endpoint
         assert mask.tolist() == [True, True, False, False]
 
     def test_whole_domain_none(self, grid4):
-        mesh = grid4[0]
-        assert cells_meeting(mesh, None).all()
+        # region=None keeps every cell, as a box around the domain does
+        mesh, _, pi, _ = grid4
+        whole = Box(np.array([-1.0, -1.0]), np.array([2.0, 2.0]))
+        assert cells_meeting(mesh, whole).all()
+        f = np.arange(mesh.n_cells, dtype=float) ** 2
+        assert (gf.dirichlet_energy(mesh, f, pi)
+                == gf.dirichlet_energy(mesh, f, pi, region=whole) > 0.0)

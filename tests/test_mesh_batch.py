@@ -365,15 +365,24 @@ def test_non_monotone_breakpoints_name_the_first_index(breakpoints, index):
 @pytest.mark.parametrize("sites, domain", [
     (np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.9], [1.3, 0.5], [0.4, 0.1],
                [-0.2, 0.5]]), Domain.rectangle(0.0, 0.0, 1.0, 1.0)),
-    (np.array([0.5, 0.2, 0.9, 1.3, 0.4, -0.2]), Domain.interval(0.0, 1.0)),
+    (np.array([[0.5], [0.2], [0.9], [1.3], [0.4], [-0.2]]), Domain.interval(0.0, 1.0)),
 ])
 def test_sites_outside_the_domain_name_the_first(sites, domain):
-    pts = np.asarray(sites, dtype=float).reshape(len(sites), -1)
+    pts = np.asarray(sites, dtype=float)
     site_tol = 1e-12 * max(domain.diameter, 1.0)
     first = next(i for i in range(len(pts))
                  if not domain.contains(pts[i:i + 1], tol=site_tol)[0])
     with pytest.raises(MeshError, match=f"^site {first} lies outside the domain$"):
         gf.build_voronoi_mesh(sites, domain)
+
+
+@pytest.mark.parametrize("sites, message", [
+    ([0.2, 0.5, 0.9], "only dimensions 1 and 2 are supported"),
+    ([0.3, 0.7], "site dimension does not match the domain"),   # one 2D site
+])
+def test_flat_1d_sites_rejected(sites, message):
+    with pytest.raises(MeshError, match=message):
+        gf.build_voronoi_mesh(sites, Domain.interval(0.0, 1.0))
 
 
 def test_site_within_the_domain_tolerance_accepted():

@@ -98,7 +98,7 @@ def _unsorted_voronoi_1d():
 
 MESHES_1D = {
     "uniform-40": lambda: gf.build_interval_mesh(40),
-    "graded-40": lambda: gf.build_interval_mesh(40, lambda i: (i / 40) ** 2),
+    "graded-40": lambda: gf.build_interval_mesh(40, (np.arange(41) / 40) ** 2),
     "voronoi1d-unsorted-40": _unsorted_voronoi_1d,
 }
 MESHES_2D = {
@@ -128,11 +128,13 @@ def _boxes(mesh):
     to either side of them."""
     boxes = [Box.from_center(mesh.sites[0], eps) for eps in (0.2, 0.1, 0.05)]
     if mesh.dim == 1:
-        return boxes + [Box.coerce((0.25, 0.75)), Box.coerce((-1.0, 2.0))]
-    grid = np.array([0.25, 0.25, 0.75, 0.75])
-    return boxes + [Box.coerce(grid), Box.coerce(np.nextafter(grid, 0.0)),
-                    Box.coerce(np.nextafter(grid, 1.0)),
-                    Box.coerce((0.0, 0.0, 0.5, 1.0)), Box.coerce((-1.0, -1.0, 2.0, 2.0))]
+        return boxes + [Box(np.array([0.25]), np.array([0.75])),
+                        Box(np.array([-1.0]), np.array([2.0]))]
+    lo, hi = np.full(2, 0.25), np.full(2, 0.75)
+    return boxes + [Box(lo, hi), Box(np.nextafter(lo, 0.0), np.nextafter(hi, 0.0)),
+                    Box(np.nextafter(lo, 1.0), np.nextafter(hi, 1.0)),
+                    Box(np.array([0.0, 0.0]), np.array([0.5, 1.0])),
+                    Box(np.full(2, -1.0), np.full(2, 2.0))]
 
 
 # -- per-cell geometry --------------------------------------------------------------
@@ -252,7 +254,7 @@ def test_degenerate_box_clips_every_cell(monkeypatch):
 
 def test_grid_line_box_on_cartesian_8():
     mesh = gf.build_cartesian_mesh(8, 8)
-    box = Box.coerce((0.25, 0.25, 0.75, 0.75))
+    box = Box(np.full(2, 0.25), np.full(2, 0.75))
     overlaps = cell_box_overlaps(mesh, box)
     # 4 x 4 cells inside, the 20 cells around them touch it only on an edge
     assert np.count_nonzero(overlaps) == 16
@@ -304,7 +306,7 @@ def test_1d_path_constants_are_the_chain(name, monkeypatch):
         assert (got.c_count, got.c_length, got.n_pairs) == (*want, len(start))
 
 
-def test_1d_sampled_pairs_above_the_limit():
+def test_1d_sampled_pairs_above_the_limit(monkeypatch):
     breakpoints = np.cumsum(np.r_[0.0, np.random.default_rng(2).uniform(1.0, 3.0, 240)])
     mesh = gf.build_interval_mesh(240, breakpoints / breakpoints[-1])
     sample = 3000
@@ -315,6 +317,8 @@ def test_1d_sampled_pairs_above_the_limit():
         if i != j:
             pairs.append((int(i), int(j)))
     start, goal = np.array(pairs).T
-    got = gf.path_constants(mesh, sample=sample, seed=11)
+    monkeypatch.setattr(diagnostics, "PATH_SAMPLE_COUNT", sample)
+    monkeypatch.setattr(diagnostics, "PATH_SEED", 11)
+    got = gf.path_constants(mesh)
     assert (got.c_count, got.c_length) == _reference_path_constants(mesh, start, goal)
     assert got.n_pairs == sample
