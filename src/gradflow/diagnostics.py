@@ -346,23 +346,26 @@ def l2_holder_modulus(mesh: Mesh, f, h, m, pi,
                 df = ff - ff[i]
                 value += float(np.sum(olap * df * df))
         else:
+            polys, counts = mesh.padded_polygons()
             boxes = np.empty((mesh.n_cells, 2, 2))       # per cell: lo, hi
             for cells, stack in mesh.polygon_groups:
                 boxes[cells, 0], boxes[cells, 1] = stack.min(axis=1), stack.max(axis=1)
             lo_shift = boxes[:, 0] + hv
             hi_shift = boxes[:, 1] + hv
-            for i in range(mesh.n_cells):
-                lo_i, hi_i = boxes[i]
-                # the shifted boxes of cells j that can overlap cell i
-                meets = ((ff != ff[i]) & ~np.any(lo_shift >= hi_i, axis=1)
-                         & ~np.any(hi_shift <= lo_i, axis=1))
-                for j in np.flatnonzero(meets):
-                    # |K_i ∩ (K_j + h)|
-                    olap = geometry.overlap_area(mesh.cell_polygons[i],
-                                                 mesh.cell_polygons[j] + hv[None, :])
-                    if olap > 0.0:
-                        df = float(ff[j] - ff[i])
-                        value += olap * df * df
+            for lo in range(0, mesh.n_cells, _PATH_BLOCK):
+                block = slice(lo, lo + _PATH_BLOCK)
+                # pairs (i, j), in that order, whose shifted box of cell j
+                # can overlap cell i
+                meets = ((ff != ff[block, None])
+                         & ~np.any(lo_shift >= boxes[block, None, 1], axis=2)
+                         & ~np.any(hi_shift <= boxes[block, None, 0], axis=2))
+                i, j = np.nonzero(meets)
+                i += lo
+                # |K_i ∩ (K_j + h)|
+                olap = geometry.overlap_area(polys[i], counts[i], polys[j] + hv, counts[j])
+                df = ff[j] - ff[i]
+                for term in (olap * df * df)[olap > 0.0].tolist():
+                    value += term
     mm = _masses(m)
     pp = _masses(pi)
     k_lower = float((mm / pp).min())

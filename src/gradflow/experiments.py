@@ -401,7 +401,9 @@ def _boundary_layer_measure(domain: Domain, box: Box, width: float) -> float:
         if np.any(bx.hi <= bx.lo):
             return 0.0
         if domain.dim == 2:
-            return geometry.overlap_area(domain.vertices, bx.as_polygon())
+            verts = domain.vertices
+            return float(geometry.overlap_area(verts[None], np.array([len(verts)]),
+                                               bx.as_polygon()[None], np.array([4]))[0])
         a, b = float(domain.bounds[0]), float(domain.bounds[1])
         return max(0.0, min(b, float(bx.hi[0])) - max(a, float(bx.lo[0])))
 

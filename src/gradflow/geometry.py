@@ -10,7 +10,9 @@ measures (`polygon_area`, `polygon_diameter`, `polygon_centroids`,
 `signed_edge_distances`) take one polygon (m, 2) or a stack (c, m, 2) of
 polygons with m vertices each, and compute each row of a stack as for that
 polygon alone; a mesh calls them once per vertex-count group.  Clipping
-works one polygon at a time.
+works on padded stacks: (c, V, 2) polygons with a (c,) vertex count each,
+padding zero; one `clip_halfplane` pass clips every row by its own
+half-plane, and computes each row as for that polygon alone.
 """
 from __future__ import annotations
 
@@ -90,6 +92,9 @@ def _far_apart(dx: float, dy: float, tol: float) -> bool:
 
 
 def _merge_close(points: list, tol: float) -> list:
+    """Drop each vertex within tol of the last one kept, then the last one
+    kept if it lies within tol of the first: the merge of one polygon's
+    vertices, on Python floats."""
     kept = [points[0]]
     for v in points[1:]:
         last = kept[-1]
@@ -102,57 +107,93 @@ def _merge_close(points: list, tol: float) -> list:
     return kept
 
 
-def merge_close_vertices(verts: np.ndarray, tol: float) -> np.ndarray:
-    """Drop consecutive vertices closer than tol (wrapping around)."""
-    if len(verts) == 0:
-        return verts.reshape(0, 2)
-    kept = _merge_close(np.asarray(verts, dtype=float).tolist(), tol)
-    return np.asarray(kept, dtype=float).reshape(-1, 2)
+def clip_halfplane(polys: np.ndarray, counts: np.ndarray, normals: np.ndarray,
+                   offsets: np.ndarray, merge_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Intersect each convex polygon of a stack with its own half-plane
+    {x : normals[r]·x <= offsets[r]}, then merge close vertices.
+
+    `polys` is (c, V, 2) with counts[r] vertices in row r.  Returns the
+    clipped stack, zero-padded to its longest row, and its (c,) counts.
+    Each row is the Sutherland-Hodgman pass on that polygon alone: every
+    vertex that is inside, each followed by the point where its edge
+    crosses the line, merged as `_merge_close` does.
+    """
+    c, v = polys.shape[:2]
+    live = np.arange(v) < counts[:, None]
+    polys = np.where(live[..., None], polys, 0.0)     # no arithmetic on padding warns
+    # the stacked matmul rounds each row as verts @ normal does, except a
+    # lone vertex, for which verts @ normal is the dot product row_dot takes
+    s = np.matmul(polys, normals[:, :, None])[..., 0]
+    lone = counts == 1
+    if lone.any():
+        s[lone, 0] = row_dot(polys[lone, 0], normals[lone])
+    s -= offsets[:, None]
+    nxt = np.arange(1, v + 1)
+    nxt = np.where(nxt < counts[:, None], nxt, 0)
+    s_next = np.take_along_axis(s, nxt, axis=1)
+    inside = s <= 0.0
+    cross = live & (inside != (s_next <= 0.0))
+    t = np.divide(s, s - s_next, out=np.zeros_like(s), where=cross)
+    hits = polys + t[..., None] * (np.take_along_axis(polys, nxt[..., None], axis=1)
+                                   - polys)
+    keep = np.stack([live & inside, cross], axis=2).reshape(c, 2 * v)
+    counts = keep.sum(axis=1)
+    width = int(counts.max(initial=0))
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :width]
+    out = np.take_along_axis(np.stack([polys, hits], axis=2).reshape(c, 2 * v, 2),
+                             order[..., None], axis=1)
+    if width == 0:
+        return out, counts
+    pos = np.arange(width)
+    # np.hypot(dx, dy) > tol is what _far_apart decides
+    gap = out[:, 1:] - out[:, :-1]
+    close = (pos[1:] < counts[:, None]) & ~(np.hypot(gap[..., 0], gap[..., 1]) > merge_tol)
+    chained = close.any(axis=1)
+    wrap = out[:, 0] - out[np.arange(c), np.maximum(counts - 1, 0)]
+    counts -= (counts > 1) & ~chained & ~(np.hypot(wrap[:, 0], wrap[:, 1]) > merge_tol)
+    for r in np.flatnonzero(chained).tolist():
+        kept = _merge_close(out[r, :counts[r]].tolist(), merge_tol)
+        out[r, :len(kept)] = kept
+        counts[r] = len(kept)
+    width = int(counts.max())
+    out = out[:, :width]
+    out[pos[:width] >= counts[:, None]] = 0.0
+    return out, counts
 
 
-def clip_halfplane(verts: np.ndarray, normal: np.ndarray, offset: float,
-                   merge_tol: float = 1e-12) -> np.ndarray:
-    """Intersect a convex polygon with the half-plane {x : normal·x <= offset}."""
-    if len(verts) == 0:
-        return verts
-    s = (verts @ normal - offset).tolist()
-    pts = verts.tolist()
-    out: list[list[float]] = []
-    k = len(pts)
-    for i in range(k):
-        j = (i + 1) % k
-        si, sj = s[i], s[j]
-        if si <= 0.0:
-            out.append(pts[i])
-        if (si <= 0.0) != (sj <= 0.0):
-            # Python floats round each operation like float64 arrays do
-            t = si / (si - sj)
-            (xi, yi), (xj, yj) = pts[i], pts[j]
-            out.append([xi + t * (xj - xi), yi + t * (yj - yi)])
-    if not out:
-        return np.empty((0, 2))
-    return np.asarray(_merge_close(out, merge_tol), dtype=float)
+def clip_convex(subjects: np.ndarray, counts: np.ndarray, clippers: np.ndarray,
+                clipper_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intersection of each convex subject with its convex clipper, both
+    padded stacks with their counts: one batched half-plane clip per
+    clipper edge, over the rows whose clipper has that edge."""
+    out, counts = subjects, counts.copy()
+    for e in range(clippers.shape[1]):
+        rows = np.flatnonzero(e < clipper_counts)
+        a = clippers[rows, e]
+        edge = clippers[rows, (e + 1) % clipper_counts[rows]] - a
+        normals = np.column_stack([edge[:, 1], -edge[:, 0]])   # outward for ccw
+        part, part_counts = clip_halfplane(out[rows], counts[rows], normals,
+                                           row_dot(normals, a), 1e-12)
+        width = max(out.shape[1], part.shape[1])
+        out = np.pad(out, ((0, 0), (0, width - out.shape[1]), (0, 0)))
+        out[rows] = 0.0
+        out[rows, :part.shape[1]] = part
+        counts[rows] = part_counts
+    return out, counts
 
 
-def clip_convex(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
-    """Intersection of two convex polygons by sequential half-plane clipping."""
-    out = subject
-    k = len(clipper)
-    for i in range(k):
-        if len(out) == 0:
-            break
-        a = clipper[i]
-        e = clipper[(i + 1) % k] - a
-        normal = np.array([e[1], -e[0]])  # outward for ccw clipper
-        out = clip_halfplane(out, normal, float(normal @ a))
-    return out
-
-
-def overlap_area(subject: np.ndarray, clipper: np.ndarray) -> float:
-    """Area of the intersection of two convex polygons (0 when clipping
-    leaves fewer than three vertices)."""
-    clipped = clip_convex(subject, clipper)
-    return max(polygon_area(clipped), 0.0) if len(clipped) >= 3 else 0.0
+def overlap_area(subjects: np.ndarray, counts: np.ndarray, clippers: np.ndarray,
+                 clipper_counts: np.ndarray) -> np.ndarray:
+    """Area of each subject's intersection with its clipper, (c,): 0 where
+    clipping leaves fewer than three vertices.  Areas are taken per group of
+    equal vertex count, so each sums as for its polygon alone."""
+    clipped, left = clip_convex(subjects, counts, clippers, clipper_counts)
+    areas = np.zeros(len(left))
+    for m in np.unique(left[left >= 3]).tolist():
+        rows = np.flatnonzero(left == m)
+        area = polygon_area(clipped[rows, :m])
+        areas[rows] = np.where(0.0 > area, 0.0, area)    # max(area, 0.0)
+    return areas
 
 
 def signed_edge_distances(verts: np.ndarray, p: np.ndarray) -> np.ndarray:

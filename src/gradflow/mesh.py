@@ -9,7 +9,6 @@ be shared freely across concurrent readers.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,6 +291,16 @@ class Mesh:
                     diam[cells] = geometry.polygon_diameter(stack)
             self._cell_diameters = _frozen(diam)
         return self._cell_diameters
+
+    def padded_polygons(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, V, 2) cell polygons zero-padded to the most vertices, and
+        their (n,) vertex counts: the stack the batched clips take (d=2)."""
+        polys = np.zeros((self.n_cells, self.polygon_groups[-1][1].shape[1], 2))
+        counts = np.empty(self.n_cells, dtype=np.int64)
+        for cells, stack in self.polygon_groups:
+            polys[cells, :stack.shape[1]] = stack
+            counts[cells] = stack.shape[1]
+        return polys, counts
 
     def quadrature(self, order: int | None = None) -> QuadratureTable:
         """Cell quadrature table of a rule, built on first use and frozen.
@@ -603,102 +612,22 @@ def build_cartesian_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
     return mesh
 
 
-# clip_halfplane evaluates s = v·n - c with n = x_j - x_i, c = 0.5 (n·a)
-# and a = x_i + x_j.  A 2-term dot product rounded in any order, with or
-# without FMA, is within gamma_2 of its exact value relative to the sum of
-# the absolute products, and the subtraction adds one rounding, so the
-# computed s is within gamma_3 (P + Q) of the exact s, where
-# P = |v_0 n_0| + |v_1 n_1|, Q = 0.5 (|n_0 a_0| + |n_1 a_1|),
-# gamma_k = k u / (1 - k u) and u = 2^-53 (no underflow assumed).  Two
-# evaluations thus differ by less than 7u (P + Q).  The batched bound
-# s + 16u (P + Q), itself off by a few u (P + Q), is negative only when the
-# scalar s is negative too, and then the clip keeps every vertex.
-_SKIP_MARGIN = 2.0 ** -49
-_FIRST_WINDOW = 8
-# a 2D build with fewer sites clips its cells in-process: starting the
-# forked workers costs 12-20 ms, about what two of them save on 64
-# jittered sites (measured on two CPUs)
-PARALLEL_MIN_SITES = 64
-
-
-def _voronoi_cell(pts: np.ndarray, i: int, domain_vertices: np.ndarray,
-                  merge_tol: float) -> np.ndarray:
-    """Domain polygon clipped by the bisectors of site i, in site order.
-
-    Bisector j is skipped only when the current polygon lies inside it by
-    more than the rounding margin above and merging its vertices drops none:
-    clip_halfplane would then return the polygon unchanged, so the result
-    is identical to clipping against all n - 1 bisectors.  The test runs
-    on a window of the next bisectors, which doubles while none of them
-    can cut, so each clip costs O(1) batched work.
-    """
-    others = np.flatnonzero(np.arange(len(pts)) != i)
-    normals = (pts[others] - pts[i]).T.copy()
-    mids = (pts[others] + pts[i]).T
-    offsets = 0.5 * (normals * mids).sum(axis=0)
-    # the margin scaled by a power of two, so the scaling is exact
-    margin_normals = _SKIP_MARGIN * np.abs(normals)
-    margin_offsets = 0.5 * _SKIP_MARGIN * (np.abs(normals) * np.abs(mids)).sum(axis=0)
-    poly = np.asarray(domain_vertices, dtype=float)
-    stable = None   # whether merging drops none of poly's vertices
-    pos, width = 0, _FIRST_WINDOW
-    while pos < len(others) and len(poly):
-        end = min(pos + width, len(others))
-        upper = (poly @ normals[:, pos:end] - offsets[pos:end]
-                 + np.abs(poly) @ margin_normals[:, pos:end] + margin_offsets[pos:end])
-        cuts = ~(upper < 0.0).all(axis=0)   # nan counts as a cut
-        skip = int(cuts.argmax()) if cuts.any() else end - pos
-        if skip:
-            if stable is None:
-                stable = len(geometry.merge_close_vertices(poly, merge_tol)) == len(poly)
-            if stable:
-                pos += skip
-                if pos == end:
-                    width *= 2
-                    continue
-        j = int(others[pos])
-        normal = pts[j] - pts[i]
-        offset = 0.5 * float(normal @ (pts[i] + pts[j]))
-        poly = geometry.clip_halfplane(poly, normal, offset, merge_tol)
-        stable = None
-        pos, width = pos + 1, _FIRST_WINDOW
-    return poly
-
-
-def _voronoi_cells(pts: np.ndarray, sites: range, domain_vertices: np.ndarray,
-                   merge_tol: float) -> list[np.ndarray]:
-    return [_voronoi_cell(pts, i, domain_vertices, merge_tol) for i in sites]
-
-
 def _voronoi_polygons(pts: np.ndarray, domain_vertices: np.ndarray,
                       merge_tol: float) -> list[np.ndarray]:
-    """The cell of every site, in site order.
-
-    From PARALLEL_MIN_SITES sites on, with more than one allowed CPU and a
-    `fork` start method, forked workers, one per CPU, each clip a strided
-    block of the sites.  A cell is the same clip sequence over the same
-    inputs in any process, so the polygons are bit for bit those of the
-    in-process loop.  Fork, not spawn: a spawned worker imports numpy,
-    scipy and gradflow afresh, which takes longer than the cells it would
-    clip; the executor forks its workers before it starts its own threads,
-    and they run only numpy and the clipping code.
-    """
+    """The cell of every site, in site order: the domain clipped by the
+    bisectors of the other sites in site order.  All cells are clipped in
+    lockstep, n - 1 batched passes; pass t clips cell i by the bisector of
+    site t + (t >= i)."""
     n = len(pts)
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if n >= PARALLEL_MIN_SITES and workers > 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            context = multiprocessing.get_context("fork")
-            polys: list = [None] * n
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                blocks = [pool.submit(_voronoi_cells, pts, range(w, n, workers),
-                                      domain_vertices, merge_tol)
-                          for w in range(workers)]
-                for w, block in enumerate(blocks):
-                    polys[w::workers] = block.result()
-            return polys
-    return _voronoi_cells(pts, range(n), domain_vertices, merge_tol)
+    polys = np.broadcast_to(domain_vertices, (n, *domain_vertices.shape))
+    counts = np.full(n, polys.shape[1])
+    cells = np.arange(n)
+    for t in range(n - 1):
+        other = pts[t + (t >= cells)]
+        normals = other - pts
+        polys, counts = geometry.clip_halfplane(
+            polys, counts, normals, 0.5 * geometry.row_dot(normals, pts + other), merge_tol)
+    return [poly[:m] for poly, m in zip(polys, counts.tolist())]
 
 
 def build_voronoi_mesh(sites, domain) -> Mesh:
@@ -832,41 +761,16 @@ def isotropy_defect(mesh: Mesh, weights, pi) -> np.ndarray:
 # -- region selection (shared by functionals and diagnostics) -------------------
 
 
-# clip_convex clips by the box edges in turn.  An edge's normal has one
-# nonzero component n_j, so its test is s = fl(fl(n_j v_j) - fl(n_j a_j))
-# for a vertex v and the edge's coordinate a_j; rounding is monotone, so a
-# vertex beyond the edge line by more than u (|v_j| + |a_j|) gets s > 0 and
-# is dropped (u = 2^-53, no underflow assumed).  A clip creates vertices
-# x_i + t (x_j - x_i) with t in [0, 1] and three roundings, each within
-# 5.01 u M of the segment, where M bounds every |coordinate| of the cell
-# and the box.  So a cell whose vertices lie beyond one edge by more than
-# 3 * 5.01 u M (the clips before it) + 2 u M keeps none at that edge, and
-# overlap_area returns 0.0.  A margin of 32 u M covers that and the
-# rounding of the bounding-box test.
-_BOX_MARGIN = 2.0 ** -48
-
-
 def cell_box_overlaps(mesh: Mesh, box: Box) -> np.ndarray:
-    """Measure of each cell intersected with an open axis-aligned box.
-
-    A cell whose vertex bounding box lies beyond one box edge by more than
-    the rounding margin above is 0.0 without a clip.
-    """
+    """Measure of each cell intersected with an open axis-aligned box."""
     if mesh.dim == 1:
         lo, hi = mesh.cell_bounds[:, 0], mesh.cell_bounds[:, 1]
         overlap = np.minimum(hi, box.hi[0]) - np.maximum(lo, box.lo[0])
         return np.where(overlap > 0.0, overlap, 0.0)
-    clipper = box.as_polygon()
-    proper = bool(np.all(box.lo < box.hi))    # else an edge clips nothing
-    overlaps = np.zeros(mesh.n_cells)
-    for cells, stack in mesh.polygon_groups:
-        lo, hi = stack.min(axis=1), stack.max(axis=1)               # (c, 2)
-        scale = np.maximum(np.abs(stack).max(axis=(1, 2)), np.abs(clipper).max())
-        margin = _BOX_MARGIN * scale[:, None]
-        apart = proper & ((hi < box.lo - margin) | (lo > box.hi + margin)).any(axis=1)
-        for k, poly in zip(cells[~apart].tolist(), stack[~apart]):
-            overlaps[k] = geometry.overlap_area(poly, clipper)
-    return overlaps
+    polys, counts = mesh.padded_polygons()
+    n = mesh.n_cells
+    return geometry.overlap_area(polys, counts, np.broadcast_to(box.as_polygon(), (n, 4, 2)),
+                                 np.full(n, 4))
 
 
 def cells_meeting(mesh: Mesh, box: Box) -> np.ndarray:

@@ -23,19 +23,30 @@ def test_diameter():
     assert geometry.polygon_diameter(SQUARE) == pytest.approx(math.sqrt(2))
 
 
+def _one(poly):
+    """A stack of one polygon and its count."""
+    return poly[None], np.array([len(poly)])
+
+
 def test_clip_halfplane():
-    half = geometry.clip_halfplane(SQUARE, np.array([1.0, 0.0]), 0.5)
-    assert geometry.polygon_area(half) == pytest.approx(0.5)
-    empty = geometry.clip_halfplane(SQUARE, np.array([1.0, 0.0]), -0.5)
-    assert len(empty) == 0
+    half, count = geometry.clip_halfplane(*_one(SQUARE), np.array([[1.0, 0.0]]),
+                                          np.array([0.5]), 1e-12)
+    assert count.tolist() == [4]
+    assert geometry.polygon_area(half[0]) == pytest.approx(0.5)
+    empty, count = geometry.clip_halfplane(*_one(SQUARE), np.array([[1.0, 0.0]]),
+                                           np.array([-0.5]), 1e-12)
+    assert count.tolist() == [0] and empty.shape == (1, 0, 2)
 
 
 def test_clip_convex_overlap():
     shifted = SQUARE + np.array([0.5, 0.25])
-    overlap = geometry.clip_convex(SQUARE, shifted)
-    assert geometry.polygon_area(overlap) == pytest.approx(0.5 * 0.75)
-    disjoint = geometry.clip_convex(SQUARE, SQUARE + 2.0)
-    assert len(disjoint) == 0
+    overlap, count = geometry.clip_convex(*_one(SQUARE), *_one(shifted))
+    assert geometry.polygon_area(overlap[0, :count[0]]) == pytest.approx(0.5 * 0.75)
+    assert geometry.overlap_area(*_one(SQUARE), *_one(shifted)) == \
+        pytest.approx([0.5 * 0.75])
+    _, count = geometry.clip_convex(*_one(SQUARE), *_one(SQUARE + 2.0))
+    assert count.tolist() == [0]
+    assert geometry.overlap_area(*_one(SQUARE), *_one(SQUARE + 2.0)).tolist() == [0.0]
 
 
 def test_point_in_convex_and_inradius():
@@ -164,10 +175,11 @@ def test_box_side_must_be_finite_and_positive(side):
 
 
 def test_merge_close_vertices():
+    # a clip by the half-plane 0·x <= 1 keeps every vertex and merges
     poly = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
                      [1.0, 1.0 + 1e-15]])
-    merged = geometry.merge_close_vertices(poly, 1e-12)
-    assert len(merged) == 3
+    _, count = geometry.clip_halfplane(*_one(poly), np.zeros((1, 2)), np.ones(1), 1e-12)
+    assert count.tolist() == [3]
 
 
 def test_segment_params_broadcast_is_the_per_segment_form():

@@ -33,11 +33,52 @@ def _reference_inradius(verts, p):
     return max(float(geometry.signed_edge_distances(verts, p).min()), 0.0)
 
 
+def _reference_clip_halfplane(verts, normal, offset, merge_tol=1e-12):
+    if len(verts) == 0:
+        return verts
+    s = (verts @ normal - offset).tolist()
+    pts = verts.tolist()
+    out = []
+    k = len(pts)
+    for i in range(k):
+        j = (i + 1) % k
+        si, sj = s[i], s[j]
+        if si <= 0.0:
+            out.append(pts[i])
+        if (si <= 0.0) != (sj <= 0.0):
+            t = si / (si - sj)
+            (xi, yi), (xj, yj) = pts[i], pts[j]
+            out.append([xi + t * (xj - xi), yi + t * (yj - yi)])
+    if not out:
+        return np.empty((0, 2))
+    kept = [out[0]]
+    for v in out[1:]:
+        if np.hypot(v[0] - kept[-1][0], v[1] - kept[-1][1]) > merge_tol:
+            kept.append(v)
+    if len(kept) > 1 and not np.hypot(kept[0][0] - kept[-1][0],
+                                      kept[0][1] - kept[-1][1]) > merge_tol:
+        kept.pop()
+    return np.asarray(kept, dtype=float)
+
+
+def _reference_clip_convex(subject, clipper):
+    out = subject
+    k = len(clipper)
+    for i in range(k):
+        if len(out) == 0:
+            break
+        a = clipper[i]
+        e = clipper[(i + 1) % k] - a
+        normal = np.array([e[1], -e[0]])
+        out = _reference_clip_halfplane(out, normal, float(normal @ a))
+    return out
+
+
 def _reference_cell_box_overlap(mesh, k, box):
     if mesh.dim == 1:
         lo, hi = mesh.cell_bounds[k]
         return max(0.0, min(hi, box.hi[0]) - max(lo, box.lo[0]))
-    clipped = geometry.clip_convex(mesh.cell_polygons[k], box.as_polygon())
+    clipped = _reference_clip_convex(mesh.cell_polygons[k], box.as_polygon())
     if len(clipped) < 3:
         return 0.0
     return max(_reference_area(clipped), 0.0)
@@ -81,7 +122,7 @@ def _reference_boundary_layer(domain, box, width):
     def clip_area(bx):
         if np.any(bx.hi <= bx.lo):
             return 0.0
-        clipped = geometry.clip_convex(np.asarray(domain.vertices), bx.as_polygon())
+        clipped = _reference_clip_convex(np.asarray(domain.vertices), bx.as_polygon())
         return max(_reference_area(clipped), 0.0) if len(clipped) >= 3 else 0.0
 
     return clip_area(outer) - clip_area(inner)
@@ -218,38 +259,25 @@ def _centred_boxes(mesh, count):
 
 
 @pytest.mark.parametrize("name, count", [("cartesian-96", 1), ("jittered-196", 3)])
-def test_far_cells_skip_the_clip(name, count, monkeypatch):
+def test_far_cells_skip_the_clip(name, count):
+    # cells far from the box, which the batched clip empties, overlap it by
+    # +0.0 as the per-cell clip gives
     mesh = (gf.build_cartesian_mesh(96, 96) if name == "cartesian-96" else
             gf.build_voronoi_mesh(_jittered_sites(14, 0.35, 42),
                                   gf.Domain.rectangle(0, 0, 1, 1)))
-    boxes = _centred_boxes(mesh, count)
-    want = [[_reference_cell_box_overlap(mesh, k, box) for k in range(mesh.n_cells)]
-            for box in boxes]
-    calls = []
-    clip = geometry.overlap_area
-    monkeypatch.setattr(geometry, "overlap_area",
-                        lambda *args: calls.append(1) or clip(*args))
-    for box, overlaps in zip(boxes, want):
-        del calls[:]
-        assert _bits(cell_box_overlaps(mesh, box)) == _bits(overlaps)
-        # the cells clipped are those near the box, not all of them
-        assert np.count_nonzero(overlaps) <= len(calls) < mesh.n_cells // 2
-
-
-def test_degenerate_box_clips_every_cell(monkeypatch):
-    # a box of width 0 has edges that clip nothing and an inverted box
-    # flips its half-planes, so neither skips a cell
-    mesh = gf.build_cartesian_mesh(8, 8)
-    calls = []
-    clip = geometry.overlap_area
-    monkeypatch.setattr(geometry, "overlap_area",
-                        lambda *args: calls.append(1) or clip(*args))
-    for box in (Box(np.array([0.5, 0.2]), np.array([0.5, 0.8])),
-                Box(np.array([0.6, 0.2]), np.array([0.4, 0.8]))):
-        del calls[:]
+    for box in _centred_boxes(mesh, count):
         want = [_reference_cell_box_overlap(mesh, k, box) for k in range(mesh.n_cells)]
         assert _bits(cell_box_overlaps(mesh, box)) == _bits(want)
-        assert len(calls) == mesh.n_cells
+
+
+def test_degenerate_box_clips_every_cell():
+    # a box of width 0 has edges that clip nothing and an inverted box
+    # flips its half-planes
+    mesh = gf.build_cartesian_mesh(8, 8)
+    for box in (Box(np.array([0.5, 0.2]), np.array([0.5, 0.8])),
+                Box(np.array([0.6, 0.2]), np.array([0.4, 0.8]))):
+        want = [_reference_cell_box_overlap(mesh, k, box) for k in range(mesh.n_cells)]
+        assert _bits(cell_box_overlaps(mesh, box)) == _bits(want)
 
 
 def test_grid_line_box_on_cartesian_8():
@@ -267,6 +295,36 @@ def test_boundary_layer_is_the_old_closure(mesh):
         for width in (0.01, 0.1, 0.3, 1.5):
             assert _bits(_boundary_layer_measure(mesh.domain, box, width)) \
                 == _bits(_reference_boundary_layer(mesh.domain, box, width))
+
+
+def _reference_holder_value(mesh, f, h):
+    """The shifted-overlap sum of `l2_holder_modulus`, one pair at a time."""
+    boxes = np.array([[p.min(axis=0), p.max(axis=0)] for p in mesh.cell_polygons])
+    lo_shift, hi_shift = boxes[:, 0] + h, boxes[:, 1] + h
+    value = 0.0
+    for i in range(mesh.n_cells):
+        lo_i, hi_i = boxes[i]
+        meets = ((f != f[i]) & ~np.any(lo_shift >= hi_i, axis=1)
+                 & ~np.any(hi_shift <= lo_i, axis=1))
+        for j in np.flatnonzero(meets):
+            clipped = _reference_clip_convex(mesh.cell_polygons[i],
+                                             mesh.cell_polygons[j] + h[None, :])
+            olap = max(_reference_area(clipped), 0.0) if len(clipped) >= 3 else 0.0
+            if olap > 0.0:
+                df = float(f[j] - f[i])
+                value += olap * df * df
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(MESHES_2D))
+def test_holder_overlaps_are_the_per_pair_clips(name):
+    mesh = MESHES_2D[name]()
+    f = np.sin(7.0 * mesh.sites[:, 0]) + mesh.sites[:, 1] ** 2
+    pi = np.asarray(mesh.volumes) / np.sum(mesh.volumes)
+    for h in ([0.05, 0.0], [0.03, -0.11], [-0.2, 0.25]):
+        h = np.array(h)
+        got = diagnostics.l2_holder_modulus(mesh, f, h, pi, pi).value
+        assert _bits(got) == _bits(_reference_holder_value(mesh, f, h))
 
 
 # -- 1D good paths ----------------------------------------------------------------------

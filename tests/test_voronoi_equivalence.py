@@ -1,12 +1,16 @@
 """The Voronoi build and the clipping kernel against their all-pairs originals.
 
-`build_voronoi_mesh` skips bisectors that cannot cut, clips the cells of
-large site sets in forked workers, and `clip_halfplane` runs on Python
-floats; all must reproduce, byte for byte, the straight all-pairs clipping
-loop and the array-scalar clipping kernel kept below as reference copies.
+`build_voronoi_mesh` clips every cell in lockstep, one batched
+`clip_halfplane` pass per bisector, on padded stacks; it must reproduce,
+byte for byte, the straight all-pairs loop of one-polygon clips and the
+one-polygon clipping kernel kept below as reference copies.
 """
 import math
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +18,7 @@ import pytest
 import gradflow as gf
 from gradflow import experiments as ex
 from gradflow import geometry
-from gradflow.mesh import (FACE_DROP_FACTOR, PARALLEL_MIN_SITES, VERTEX_MERGE_TOL,
-                           Domain, Mesh, MeshError)
+from gradflow.mesh import FACE_DROP_FACTOR, VERTEX_MERGE_TOL, Domain, Mesh, MeshError
 
 
 # -- reference copies of the all-pairs build and its clipping kernel -----------
@@ -133,27 +136,51 @@ CASES = {
     "three-sites": lambda: (np.array([[0.2, 0.3], [0.7, 0.4], [0.45, 0.8]]),
                             _unit_square()),
     "flattened-36": lambda: _sites_and_domain(ex.flattened_voronoi_family((36,))),
+    # co-circular sites, whose cells merge vertices in many rows
+    "grid-14": lambda: (_exact_grid(14), _unit_square()),
+    # cells with 9 and 10 faces
+    "random-150": lambda: (np.random.default_rng(3).random((150, 2)), _unit_square()),
+    "jittered-400": lambda: (ex._jittered_sites(20, 0.35, 42), _unit_square()),
 }
 
 
-# built in forked workers wherever fork is available
-FORKED_CASES = ("jittered-196", "hexagon-120")
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_mesh_file_byte_identical(case, tmp_path, monkeypatch):
-    # two allowed CPUs, so that the large cases fork on any machine
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_mesh_file_byte_identical(case, tmp_path):
     sites, domain = CASES[case]()
-    assert (len(sites) >= PARALLEL_MIN_SITES) == (case in FORKED_CASES)
     gf.build_voronoi_mesh(sites, domain).write(tmp_path / "new.txt")
     _reference_build_voronoi_mesh(sites, domain).write(tmp_path / "reference.txt")
     assert (tmp_path / "new.txt").read_bytes() == \
         (tmp_path / "reference.txt").read_bytes()
 
 
+def _stack(polys):
+    """Zero-padded (c, V, 2) stack and (c,) counts of a list of polygons."""
+    counts = np.array([len(p) for p in polys], dtype=np.int64)
+    stack = np.zeros((len(polys), int(counts.max(initial=0)), 2))
+    for row, poly in zip(stack, polys):
+        row[:len(poly)] = poly
+    return stack, counts
+
+
+def _clip_rows(polys, normals, offsets, tol):
+    """The kernel on a stack of the polygons: each row as an array."""
+    stack, counts = _stack(polys)
+    with np.errstate(all="raise"):
+        out, left = geometry.clip_halfplane(stack, counts, np.reshape(normals, (-1, 2)),
+                                            np.asarray(offsets, dtype=float), tol)
+    assert out.shape[1] == left.max(initial=0)
+    assert not any(row[m:].any() for row, m in zip(out, left))    # padding is zero
+    return [row[:m] for row, m in zip(out, left)]
+
+
+def _merge(polys, tol):
+    """A merge is a clip by the half-plane 0·x <= 1, which keeps every vertex."""
+    return _clip_rows(polys, np.zeros((len(polys), 2)), np.ones(len(polys)), tol)
+
+
 def test_clip_halfplane_bit_identical():
     rng = np.random.default_rng(2024)
+    cases = {tol: ([], [], []) for tol in (1e-12, 1e-3, 0.2)}
     for _ in range(2000):
         k = int(rng.integers(3, 9))
         angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, k))
@@ -166,32 +193,117 @@ def test_clip_halfplane_bit_identical():
             offset = float(rng.uniform(-1.0, 1.0))
         # large merge tolerances make the merge step drop vertices
         tol = float(rng.choice([1e-12, 1e-3, 0.2]))
-        got = geometry.clip_halfplane(poly, normal, offset, tol)
-        want = _reference_clip_halfplane(poly, normal, offset, tol)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        for column, value in zip(cases[tol], (poly, normal, offset)):
+            column.append(value)
+    for tol, (polys, normals, offsets) in cases.items():
+        got = _clip_rows(polys, normals, offsets, tol)
+        for row, poly, normal, offset in zip(got, polys, normals, offsets):
+            want = _reference_clip_halfplane(poly, normal, offset, tol)
+            assert row.shape == want.shape
+            assert row.tobytes() == want.tobytes()
+
+
+def test_clip_halfplane_stack_cases():
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    hexagon = 0.5 * np.column_stack([np.cos(np.pi / 3 * np.arange(6)),
+                                     np.sin(np.pi / 3 * np.arange(6))]) + 0.5
+    # the first and last vertices 1e-13 apart: the wrap pair merges
+    wrap = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1e-13, 0.0]])
+    # a chain of vertices each within the tolerance of the one before
+    chain = np.array([[0.0, 0.0], [0.6e-12, 0.0], [1.2e-12, 0.0], [1.0, 0.0],
+                      [1.0, 1.0], [0.0, 1.0]])
+    empty = np.empty((0, 2))
+    lone = np.array([[0.25, 0.75]])
+    # a lone vertex on the line as its dot product puts it, which the
+    # stacked matmul would put 5.6e-17 outside
+    point = np.array([[0.8217701239287258, -1.3812797174167781]])
+    through = np.array([0.6404226504432821, 0.10490011715303971])
+    cut = ([1.0, 0.0], 0.5)           # x <= 0.5
+    keep_all = ([0.0, 0.0], 1.0)
+    drop_all = ([1.0, 0.0], -1.0)
+    rows = [(square, cut), (empty, cut), (hexagon, cut), (wrap, keep_all),
+            (chain, keep_all), (lone, cut), (square, drop_all), (chain, cut),
+            (wrap, cut), (empty, keep_all), (point, (through, float(through @ point[0])))]
+    polys = [p for p, _ in rows]
+    normals = [plane[0] for _, plane in rows]
+    offsets = [plane[1] for _, plane in rows]
+    got = _clip_rows(polys, normals, offsets, 1e-12)
+    for row, poly, normal, offset in zip(got, polys, normals, offsets):
+        want = _reference_clip_halfplane(poly, np.array(normal), offset, 1e-12)
+        assert row.shape == want.reshape(-1, 2).shape
+        assert row.tobytes() == want.tobytes()
+    # the chain keeps its third vertex, 1.2e-12 from the first
+    assert [len(row) for row in got] == [4, 0, 5, 3, 5, 1, 0, 5, 3, 0, 1]
+    # a batch that clips to nothing, one with nothing to clip, and no rows
+    for polys in ([square, hexagon], [empty, empty]):
+        got = _clip_rows(polys, [drop_all[0]] * 2, [drop_all[1]] * 2, 1e-12)
+        assert [len(row) for row in got] == [0, 0]
+    assert _clip_rows([], np.empty((0, 2)), [], 1e-12) == []
 
 
 def test_merge_close_vertices_bit_identical():
     rng = np.random.default_rng(7)
+    cases = {tol: [] for tol in (1e-12, 1e-3, 0.5)}
     for _ in range(2000):
         k = int(rng.integers(1, 8))
         verts = np.cumsum(rng.normal(size=(k, 2)) * rng.choice([1e-13, 1e-3, 1.0],
                                                                  size=(k, 1)), axis=0)
-        tol = float(rng.choice([1e-12, 1e-3, 0.5]))
-        got = geometry.merge_close_vertices(verts, tol)
-        want = _reference_merge_close_vertices(verts, tol)
-        assert got.tobytes() == want.tobytes()
+        cases[float(rng.choice([1e-12, 1e-3, 0.5]))].append(verts)
+    for tol, polys in cases.items():
+        for got, verts in zip(_merge(polys, tol), polys):
+            assert got.tobytes() == _reference_merge_close_vertices(verts, tol).tobytes()
 
 
 def test_merge_decided_at_the_tolerance():
     # gaps equal to the tolerance, and one ulp either side, fall where hypot
     # puts them
     tol = 0.1
-    for gap in (np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0)):
-        verts = np.array([[0.0, 0.0], [gap, 0.0], [1.0, 0.5], [0.0, 1.0]])
-        assert geometry.merge_close_vertices(verts, tol).tobytes() == \
-            _reference_merge_close_vertices(verts, tol).tobytes()
+    polys = [np.array([[0.0, 0.0], [gap, 0.0], [1.0, 0.5], [0.0, 1.0]])
+             for gap in (np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0))]
+    for got, verts in zip(_merge(polys, tol), polys):
+        assert got.tobytes() == _reference_merge_close_vertices(verts, tol).tobytes()
+
+
+def _degenerate_sites(*pairs):
+    """100 jittered sites; each pair (i, x) puts site i 1e-12 below the
+    bottom edge at x and site i + 1 2e-12 above it, so that cell i is a
+    strip 5e-13 high, which the vertex merge collapses."""
+    sites = ex._jittered_sites(10, 0.35, 42).copy()
+    for i, x in pairs:
+        sites[i] = (x, -1e-12)
+        sites[i + 1] = (x, 2e-12)
+    return sites
+
+
+@pytest.mark.parametrize("pairs, site", [(((71, 0.3), (80, 0.7)), 71),
+                                         (((80, 0.7),), 80)])
+def test_degenerate_cell_named_in_site_order(pairs, site):
+    sites = _degenerate_sites(*pairs)
+    message = f"site {site} produced a degenerate Voronoi cell"
+    with pytest.raises(MeshError, match=message):
+        gf.build_voronoi_mesh(sites, _unit_square())
+    with pytest.raises(MeshError, match=message):
+        _reference_build_voronoi_mesh(sites, _unit_square())
+
+
+def test_build_starts_no_process_pool():
+    # scipy may import concurrent.futures; the build loads neither its
+    # process pool nor multiprocessing
+    code = """
+        import sys
+        import gradflow as gf
+        from gradflow.experiments import _jittered_sites
+        gf.build_voronoi_mesh(_jittered_sites(14, 0.35, 42),
+                              gf.Domain.rectangle(0.0, 0.0, 1.0, 1.0))
+        print(sorted(m for m in ("multiprocessing", "concurrent.futures.process")
+                     if m in sys.modules))
+    """
+    src = str(Path(gf.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120.0)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]
 
 
 def test_duplicate_sites_name_the_first_pair():
