@@ -27,12 +27,16 @@ from .reference import (PointFunction, discretize_reference, face_weights,
 
 
 def _atomic_write(path: str, write) -> None:
-    """Call write(tmp) on a temp file beside path, then rename it into place."""
+    """Call write(tmp) on a temp file beside path, then rename it into place
+    with the mode open(path, "w") would give (mkstemp creates it 0600)."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
                                prefix=".gradflow-")
     os.close(fd)
     try:
         write(tmp)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,11 +1,13 @@
 import json
 import math
+import multiprocessing
 import os
+import stat
 
 import numpy as np
 import pytest
 
-from gradflow import cli, experiments
+from gradflow import cli, dynamics, experiments
 from gradflow.cli import main
 from gradflow.dual_action import ConjugateGradientError
 from gradflow.mesh import Mesh
@@ -111,6 +113,39 @@ class TestSolveCommand:
         _, b = run(args, tmp_path, name="b")
         assert (a / "trajectory.csv").read_bytes() \
             == (b / "trajectory.csv").read_bytes()
+
+    def test_failed_trajectory_writer_leaves_nothing(self, tmp_path, capsys,
+                                                     monkeypatch):
+        write_nodes = dynamics._write_nodes
+
+        def full_after_first_range(fh, times, masses):
+            if times[0] > 0.0:
+                raise OSError("disk full")
+            write_nodes(fh, times, masses)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(dynamics, "_write_nodes", full_after_first_range)
+        code, out = run(["solve", "--kind", "uniform1d", "--n", "8",
+                         "--T", "0.1", "--M", "4"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: disk full"]
+        assert os.listdir(out) == []
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+    def test_outputs_take_the_umask_mode(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            code, out = run(["solve", "--kind", "uniform1d", "--n", "8",
+                             "--T", "0.1", "--M", "4"], tmp_path)
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()} \
+            == {"trajectory.csv": mode, "summary.json": mode}
 
     @pytest.mark.parametrize("mesh_args, face, edited, message", [
         (["--kind", "uniform1d", "--n", "4"], "2 3 ", "2 2 ",

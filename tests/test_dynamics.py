@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -239,23 +241,100 @@ class TestTrajectories:
 
 
     def test_export_csv_matches_row_writer(self, tmp_path):
-        # a reference copy of the former writer: one write per row
-        def old_export(traj, path):
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write("t,cell,mass\n")
-                for i, t in enumerate(traj.times):
-                    for k, mass in enumerate(traj.masses[i]):
-                        fh.write(f"{float(t)!r},{k},{float(mass)!r}\n")
-
-        rng = np.random.default_rng(3)
-        masses = rng.random((4, 13))
-        masses[1, :8] = [-0.0, 0.0, 5e-324, 1e-300, 1.0, 2.0, 1e16, 1 / 3]
-        traj = dynamics.Trajectory(np.linspace(0.0, 0.3, 4), masses,
-                                   "implicit_euler")
+        traj = _oracle_trajectory(4)
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         traj.export_csv(new)
-        old_export(traj, old)
+        _row_writer_export(traj, old)
         assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("nodes", [2, 3, 33])
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_split_export_matches_row_writer(self, tmp_path, monkeypatch,
+                                             cpus, nodes):
+        # more CPUs than nodes, and ranges of uneven length
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        traj = _oracle_trajectory(nodes)
+        (tmp_path / "new").mkdir()
+        new, old = tmp_path / "new" / "trajectory.csv", tmp_path / "old.csv"
+        traj.export_csv(new)
+        _row_writer_export(traj, old)
+        assert new.read_bytes() == old.read_bytes()
+        assert len(forks) == min(cpus, nodes) - 1
+        assert os.listdir(tmp_path / "new") == ["trajectory.csv"]
+        _assert_no_child_process()
+
+    @pytest.mark.parametrize("failing, how, message", [
+        ("later", "raise", "disk full"),
+        ("later", "exit", "the writer of trajectory nodes 3 to 5 exited "
+                          "with status 3"),
+        ("first", "raise", "disk full"),
+    ])
+    def test_failed_range_joins_every_writer(self, tmp_path, monkeypatch,
+                                             failing, how, message):
+        write_nodes = dynamics._write_nodes
+
+        def flaky(fh, times, masses):
+            if (times[0] == 0.0) == (failing == "first"):
+                if how == "exit":
+                    os._exit(3)
+                raise OSError("disk full")
+            write_nodes(fh, times, masses)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        monkeypatch.setattr(dynamics, "_write_nodes", flaky)
+        path = tmp_path / "trajectory.csv"
+        with pytest.raises(OSError, match=f"^{message}$"):
+            _oracle_trajectory(9).export_csv(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
+        _assert_no_child_process()
+
+    def test_failed_fork_joins_the_forked_writers(self, tmp_path, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def second_fork_fails():
+            forks.append(1)
+            if len(forks) == 2:
+                raise BlockingIOError("Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            _oracle_trajectory(9).export_csv(tmp_path / "trajectory.csv")
+        assert list(tmp_path.iterdir()) == []
+        assert len(os.listdir("/proc/self/fd")) == fds
+        _assert_no_child_process()
+
+
+def _oracle_trajectory(nodes):
+    rng = np.random.default_rng(3)
+    masses = rng.random((nodes, 13))
+    masses[1, :8] = [-0.0, 0.0, 5e-324, 1e-300, 1.0, 2.0, 1e16, 1 / 3]
+    return dynamics.Trajectory(np.linspace(0.0, 0.3, nodes), masses,
+                               "implicit_euler")
+
+
+def _row_writer_export(traj, path):
+    # a reference copy of the former writer: one write per row
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("t,cell,mass\n")
+        for i, t in enumerate(traj.times):
+            for k, mass in enumerate(traj.masses[i]):
+                fh.write(f"{float(t)!r},{k},{float(mass)!r}\n")
+
+
+def _assert_no_child_process():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # -- the theta-method stepper against the per-step spsolve steppers it replaced --
