@@ -170,23 +170,25 @@ def _solve_cg(operator: OnsagerOperator, b: np.ndarray, x0: np.ndarray | None,
     r = b - matrix @ x
     z = project(inv_diag * r)
     p = z.copy()
+    step = np.empty(n)   # alpha p, then alpha Ap: one buffer, no temporaries
     rz = float(r @ z)
     r_norm = math.sqrt(float(r @ r))
+    tol = CG_TOL * b_norm
     max_iter = MAX_ITER_FACTOR * n
     for _ in range(max_iter):
-        if r_norm <= CG_TOL * b_norm:
+        if r_norm <= tol:
             return x
         ap = matrix @ p
         pap = float(p @ ap)
         if pap <= 0.0:
             break
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=step)
         r_norm = math.sqrt(float(r @ r))
-        if r_norm <= CG_TOL * b_norm:
+        if r_norm <= tol:
             return x
-        z = project(inv_diag * r)
+        project(np.multiply(inv_diag, r, out=z))   # z, in place
         rz_next = float(r @ z)
         if rz <= 0.0:
             break

@@ -7,6 +7,7 @@ dense spectral oracle used for high-accuracy trajectories.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import shutil
@@ -17,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .forked import allowed_cpus, run_jobs
 from .reference import DiscreteMeasure, FaceWeights, Potential, face_weights
 from .mesh import Mesh
 
@@ -149,36 +151,45 @@ class Trajectory:
     def export_csv(self, path) -> None:
         """Rows t,cell,mass in node order, floats as repr.
 
-        The nodes are cut into contiguous ranges, one per CPU in
-        os.sched_getaffinity(0) and at most one per node.  The parent
-        writes the header and the first range into path; each later range
-        is formatted by a forked writer into a part file beside path, and
-        the parent joins the writers in order and appends their parts.  The
-        bytes do not depend on the CPU count.  A writer that fails makes
-        this raise OSError, once every writer is joined and every part file
-        removed.
+        The nodes are cut into contiguous ranges, one per allowed CPU
+        (forked.allowed_cpus) and at most one per node.  The caller writes
+        the header and the first range into path; each later range is
+        formatted by a forked job (forked.run_jobs) into a part file beside
+        path, which the caller then appends in node order.  The bytes do not
+        depend on the CPU count.  A failed range raises once every job is
+        joined and every part file removed.
         """
         nodes = len(self.times)
-        cpus = (len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity") else 1)
-        ranges = max(1, min(nodes, cpus))
+        ranges = max(1, min(nodes, allowed_cpus()))
         bounds = [nodes * i // ranges for i in range(ranges + 1)]
-        writers = []
+        directory = os.path.dirname(os.path.abspath(path))
+        parts = []
+
+        def write(target, a, b):
+            with open(target, "w", encoding="ascii") as fh:
+                if a == 0:
+                    fh.write("t,cell,mass\n")
+                _write_nodes(fh, self.times[a:b], self.masses[a:b])
+            return b""
+
         try:
+            jobs = [("the writer of the first trajectory nodes",
+                     functools.partial(write, path, 0, bounds[1]))]
             for a, b in zip(bounds[1:-1], bounds[2:]):
-                writers.append(_Writer(path, self, a, b))
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write("t,cell,mass\n")
-                _write_nodes(fh, self.times[:bounds[1]],
-                             self.masses[:bounds[1]])
+                fd, part = tempfile.mkstemp(dir=directory,
+                                            prefix=".gradflow-part-")
+                os.close(fd)
+                parts.append(part)
+                jobs.append((f"the writer of trajectory nodes {a} to {b - 1}",
+                             functools.partial(write, part, a, b)))
+            run_jobs(jobs)
             with open(path, "ab") as fh:
-                for writer in writers:
-                    writer.join()
-                    with open(writer.part, "rb") as part:
-                        shutil.copyfileobj(part, fh)
+                for part in parts:
+                    with open(part, "rb") as src:
+                        shutil.copyfileobj(src, fh)
         finally:
-            for writer in writers:
-                writer.close()
+            for part in parts:
+                os.unlink(part)
 
 
 def _write_nodes(fh, times: np.ndarray, masses: np.ndarray) -> None:
@@ -188,65 +199,6 @@ def _write_nodes(fh, times: np.ndarray, masses: np.ndarray) -> None:
         head = repr(t)
         fh.write("".join([f"{head}{k}{mass!r}\n"
                           for k, mass in zip(cells, row.tolist())]))
-
-
-class _Writer:
-    """A forked process that writes the nodes a..b-1 of a trajectory to a
-    part file beside path, with _write_nodes, and reports its exception's
-    text on a pipe.
-
-    The child only formats floats and writes files: it calls no BLAS and
-    takes no lock another thread may hold, so forking a process that runs
-    BLAS threads is safe for it.
-    """
-
-    def __init__(self, path, trajectory: Trajectory, a: int, b: int):
-        self.nodes = f"{a} to {b - 1}"
-        fd, self.part = tempfile.mkstemp(
-            dir=os.path.dirname(os.path.abspath(path)), prefix=".gradflow-part-")
-        os.close(fd)
-        fds = ()
-        try:
-            fds = self.pipe, report = os.pipe()
-            self.pid = os.fork()
-        except BaseException:
-            for fd in fds:
-                os.close(fd)
-            os.unlink(self.part)
-            raise
-        if self.pid == 0:  # the child never returns: it reports and exits
-            status = 1
-            try:
-                os.close(self.pipe)
-                with open(self.part, "w", encoding="ascii") as fh:
-                    _write_nodes(fh, trajectory.times[a:b],
-                                 trajectory.masses[a:b])
-                status = 0
-            except BaseException as exc:
-                os.write(report, (str(exc) or type(exc).__name__).encode()[:4096])
-            finally:
-                os._exit(status)
-        os.close(report)
-
-    def join(self) -> None:
-        """Wait for the writer once; raise OSError if it failed."""
-        if self.pid is None:
-            return
-        with os.fdopen(self.pipe, "rb") as pipe:
-            message = pipe.read().decode(errors="replace")
-        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        if status != 0:
-            raise OSError(message or f"the writer of trajectory nodes "
-                          f"{self.nodes} exited with status {status}")
-
-    def close(self) -> None:
-        """Join the writer, ignoring its failure, and remove the part file."""
-        try:
-            self.join()
-        except OSError:
-            pass
-        os.unlink(self.part)
 
 
 def solve_trajectory(m0, T: float, steps: int, generator: Generator,

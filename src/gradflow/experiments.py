@@ -25,6 +25,7 @@ from .reference import (DiscreteMeasure, PointFunction, Potential,
 from .functionals import dirichlet_energy, entropy, fisher
 from .dual_action import assemble_onsager, dual_action, onsager_pattern
 from .dynamics import Generator, build_generator, solve_trajectory
+from .forked import run_jobs
 
 
 # -- mesh families ---------------------------------------------------------------
@@ -522,6 +523,13 @@ def edi_audit(generator: Generator, m0: DiscreteMeasure, T: float,
     under node doubling; control_residual, the balance on every other node
     with its own dual solves, equals the residual of an audit at steps // 2,
     which may share the generator and its eigendecomposition.
+
+    The dual solves form two warm-started chains, the main one over every
+    node and the control one over the even nodes.  With more than one
+    allowed CPU the control chain runs in a forked child (forked.run_jobs)
+    while the caller runs the main one; the bits do not depend on the CPU
+    count.  A failure in either chain is raised here with its type and
+    message, once the child is joined.
     """
     check_edi_steps(steps)
     if np.any(np.asarray(getattr(m0, "masses", m0)) <= 0.0):
@@ -530,13 +538,18 @@ def edi_audit(generator: Generator, m0: DiscreteMeasure, T: float,
     weights, pi = generator.weights, generator.pi
     trajectory = solve_trajectory(m0, T, steps, generator, scheme="exact_dense")
     masses = trajectory.masses
-    dual_nodes = _dual_nodes(generator, masses)
+    # the even nodes of the exact flow are the nodes of the flow at steps // 2;
+    # each chain warm-starts in its own node order, so its bits do not depend
+    # on where it runs
+    dual_nodes, control_bytes = run_jobs([
+        ("the EDI main chain", lambda: _dual_nodes(generator, masses)),
+        ("the EDI control chain",
+         lambda: _dual_nodes(generator, masses[::2]).tobytes())])
+    control_dual = np.frombuffer(control_bytes)
     fisher_nodes = np.array([0.5 * fisher(m_i, weights, pi) for m_i in masses])
     action_integral = _simpson(dual_nodes, T)
     fisher_integral = _simpson(fisher_nodes, T)
-    # the even nodes of the exact flow are the nodes of the flow at steps // 2;
     # copied, because a strided dot product may sum in another order
-    control_dual = _dual_nodes(generator, masses[::2])
     control_fisher = np.ascontiguousarray(fisher_nodes[::2])
     h0 = entropy(m0, pi)
     ht = entropy(trajectory.measure(steps), pi)

@@ -3,6 +3,9 @@ import math
 import multiprocessing
 import os
 import stat
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from gradflow import cli, dynamics, experiments
 from gradflow.cli import main
 from gradflow.dual_action import ConjugateGradientError
 from gradflow.mesh import Mesh
+from test_dynamics import _assert_no_child_process
 
 
 def run(args, tmp_path, name="out"):
@@ -268,6 +272,28 @@ class TestEdiCommand:
         # pi with the face weights, then the initial blend's projected density
         assert len(passes) == 2
 
+    def test_piped_stdout_printed_once(self, tmp_path):
+        # the forked control chain leaves with os._exit: a line buffered
+        # before the fork is not flushed by the child as well
+        code = textwrap.dedent(f"""
+            import os, sys
+            os.sched_getaffinity = lambda pid: {{0, 1}}
+            from gradflow.cli import main
+            print("before the fork")
+            sys.exit(main(["edi", "--kind", "cartesian", "--n", "4",
+                           "--M", "16", "--out", {str(tmp_path / "out")!r}]))
+            """)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)   # stdout block-buffered on a pipe
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              stdout=subprocess.PIPE, text=True, timeout=120)
+        assert done.returncode == 0
+        lines = done.stdout.splitlines()
+        assert lines[0] == "before the fork"
+        assert len(lines) == 2 and lines[1].startswith("edi: residual=")
+
     @pytest.mark.parametrize("steps", ["258", "6", "0", "-4"])
     def test_steps_not_multiple_of_four_exit_2(self, tmp_path, capsys, steps):
         # checked before the mesh is read: the named mesh file is absent
@@ -403,17 +429,30 @@ class TestConvergeCommand:
         assert not out.exists()
 
     def test_solver_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+        parent, dual_action = os.getpid(), experiments.dual_action
+
         def stalled(*args, **kwargs):
+            if only_in_child and os.getpid() == parent:
+                return dual_action(*args, **kwargs)
             raise ConjugateGradientError("no convergence in 160 iterations, "
                                          "relative residual 1.017e-11")
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         monkeypatch.setattr(experiments, "dual_action", stalled)
-        code, out = run(["converge", "--family", "uniform1d:16"], tmp_path)
-        assert code == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: no convergence in 160 iterations, "
-            "relative residual 1.017e-11"]
-        assert not out.exists()
+        # every dual solve of converge stalls; of edi, only the control
+        # chain's, in its forked child
+        for only_in_child, args in [
+                (False, ["converge", "--family", "uniform1d:16"]),
+                (True, ["edi", "--kind", "cartesian", "--n", "4",
+                        "--M", "16"])]:
+            code, out = run(args, tmp_path, name=args[0])
+            assert code == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "error: no convergence in 160 iterations, "
+                "relative residual 1.017e-11"]
+            assert not out.exists()
+            _assert_no_child_process()
 
 
 class TestDiagnoseCommand:

@@ -1,16 +1,20 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 import gradflow as gf
 from gradflow import experiments as ex
+from gradflow.dual_action import ConjugateGradientError
 from gradflow.dynamics import EXACT_DENSE_LIMIT
+from gradflow.forked import run_jobs
 from gradflow.experiments import Density1D, wasserstein_1d
 from gradflow.geometry import Box
 from gradflow.mesh import cells_inside
 from gradflow.reference import (DiscreteMeasure, PointFunction, _pointwise,
                                 initial_measure_from_token)
+from test_dynamics import _assert_no_child_process
 
 
 class TestWasserstein1D:
@@ -313,6 +317,111 @@ class TestEdiAudit:
         gen = gf.build_generator(mesh, gf.zero_potential())
         with pytest.raises(ValueError, match=str(EXACT_DENSE_LIMIT)):
             ex.edi_audit(gen, gen.pi, T=0.1, steps=8)
+
+
+def _cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+
+
+def _audit_5x5(steps=32):
+    mesh = gf.build_cartesian_mesh(5, 5)
+    gen = gf.build_generator(mesh, gf.quadratic_potential([0.4, 0.6]))
+    m0 = initial_measure_from_token("blend:cosine:0.9", mesh, gen.pi)
+    return ex.edi_audit(gen, m0, T=0.25, steps=steps)
+
+
+def _assert_same_audit(one, other):
+    for name, value in vars(one).items():
+        assert (np.asarray(value).tobytes()
+                == np.asarray(getattr(other, name)).tobytes()), name
+
+
+class TestForkedControlChain:
+    """The control chain runs in a forked child when two CPUs are allowed."""
+
+    STALL = "no convergence in 250 iterations, relative residual 1.017e-11"
+
+    def _stall_control_chain(self, monkeypatch, stall):
+        dual_nodes = ex._dual_nodes
+
+        def stalled(generator, masses):   # the control chain has 17 nodes
+            if len(masses) == 17:
+                stall()
+            return dual_nodes(generator, masses)
+
+        monkeypatch.setattr(ex, "_dual_nodes", stalled)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_audit_bytes_on_any_cpu_count(self, monkeypatch, cpus):
+        _cpus(monkeypatch, 1)
+        serial = _audit_5x5()
+        _cpus(monkeypatch, cpus)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        _assert_same_audit(_audit_5x5(), serial)
+        assert len(forks) == min(cpus, 2) - 1
+        _assert_no_child_process()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_control_chain_stall_raises_its_error(self, monkeypatch, cpus):
+        def stall():
+            raise ConjugateGradientError(self.STALL)
+
+        _cpus(monkeypatch, cpus)
+        self._stall_control_chain(monkeypatch, stall)
+        with pytest.raises(ConjugateGradientError, match=f"^{self.STALL}$"):
+            _audit_5x5()
+        _assert_no_child_process()
+
+    def test_control_chain_exit_names_the_chain(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        self._stall_control_chain(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(OSError, match="^the EDI control chain exited "
+                                          "with status 3$"):
+            _audit_5x5()
+        _assert_no_child_process()
+
+    def test_failed_fork_leaks_nothing(self, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            _audit_5x5()
+        assert len(os.listdir("/proc/self/fd")) == fds
+        _assert_no_child_process()
+
+    def test_forked_chain_after_threaded_eigh(self, monkeypatch):
+        # OpenBLAS shuts its thread pool down before a fork, so a child may
+        # run threaded BLAS and LAPACK after the parent did
+        _cpus(monkeypatch, 1)
+        serial = _audit_5x5()
+        a = np.random.default_rng(5).random((400, 400))
+        a += a.T
+        evals = np.linalg.eigh(a)[0]
+        _cpus(monkeypatch, 2)
+        _assert_same_audit(_audit_5x5(), serial)
+        assert run_jobs([
+            ("the parent's eigh", lambda: np.linalg.eigh(a)[0].tobytes()),
+            ("a child's eigh", lambda: np.linalg.eigh(a)[0].tobytes()),
+        ]) == [evals.tobytes()] * 2
+        _assert_no_child_process()
+
+    def test_unpicklable_child_error_comes_back_as_text(self, monkeypatch):
+        class Local(Exception):   # a local class does not pickle
+            pass
+
+        def fail():
+            raise Local("the chain broke")
+
+        _cpus(monkeypatch, 2)
+        with pytest.raises(OSError, match="^the chain broke$"):
+            run_jobs([("the caller's job", lambda: None),
+                      ("a failing job", fail)])
+        _assert_no_child_process()
 
 
 def test_density1d_shape_validation():
