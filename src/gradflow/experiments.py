@@ -24,8 +24,9 @@ from .reference import (DiscreteMeasure, PointFunction, Potential,
                         _boltzmann, _pointwise)
 from .functionals import dirichlet_energy, entropy, fisher
 from .dual_action import assemble_onsager, dual_action, onsager_pattern
-from .dynamics import Generator, build_generator, solve_trajectory
-from .forked import run_jobs
+from .dynamics import (EXACT_DENSE_LIMIT, Generator, build_generator,
+                       solve_trajectory)
+from .forked import allowed_cpus, run_jobs
 
 
 # -- mesh families ---------------------------------------------------------------
@@ -484,6 +485,36 @@ def _dual_nodes(generator: Generator, masses: np.ndarray) -> np.ndarray:
     return nodes
 
 
+def _dual_chains(chains: list[tuple[str, Generator, np.ndarray]]
+                 ) -> list[np.ndarray]:
+    """[_dual_nodes(generator, masses) for each (label, generator, masses)],
+    the chains cut into one group per allowed CPU.
+
+    Largest chain (cells x nodes) first, each goes onto the lightest group,
+    so the first group, which the caller runs, holds the largest chain;
+    forked.run_jobs runs each later group in a forked child, named by its
+    chains' labels.  Each chain warm-starts in its own node order, so the
+    bits do not depend on the CPU count.  Nothing here decomposes a dense
+    matrix: a child's BLAS would compete with the caller's for the CPUs.
+    """
+    weight = [gen.n * len(masses) for _, gen, masses in chains]
+    groups: list[list[int]] = [[] for _ in range(min(allowed_cpus(),
+                                                     len(chains)))]
+    for i in sorted(range(len(chains)), key=lambda i: -weight[i]):
+        min(groups, key=lambda g: sum(weight[j] for j in g)).append(i)
+
+    def run(group: list[int]) -> bytes:
+        return b"".join(_dual_nodes(*chains[i][1:]).tobytes() for i in group)
+
+    bodies = run_jobs([(" and ".join(chains[i][0] for i in group),
+                        lambda group=group: run(group)) for group in groups])
+    nodes = {}
+    for group, body in zip(groups, bodies):
+        ends = np.cumsum([len(chains[i][2]) for i in group])[:-1]
+        nodes.update(zip(group, np.split(np.frombuffer(body), ends)))
+    return [nodes[i] for i in range(len(chains))]
+
+
 @dataclass
 class EdiAudit:
     """Entropy balance along an exact trajectory with Simpson time quadrature."""
@@ -526,7 +557,7 @@ def edi_audit(generator: Generator, m0: DiscreteMeasure, T: float,
 
     The dual solves form two warm-started chains, the main one over every
     node and the control one over the even nodes.  With more than one
-    allowed CPU the control chain runs in a forked child (forked.run_jobs)
+    allowed CPU the control chain runs in a forked child (_dual_chains)
     while the caller runs the main one; the bits do not depend on the CPU
     count.  A failure in either chain is raised here with its type and
     message, once the child is joined.
@@ -538,14 +569,10 @@ def edi_audit(generator: Generator, m0: DiscreteMeasure, T: float,
     weights, pi = generator.weights, generator.pi
     trajectory = solve_trajectory(m0, T, steps, generator, scheme="exact_dense")
     masses = trajectory.masses
-    # the even nodes of the exact flow are the nodes of the flow at steps // 2;
-    # each chain warm-starts in its own node order, so its bits do not depend
-    # on where it runs
-    dual_nodes, control_bytes = run_jobs([
-        ("the EDI main chain", lambda: _dual_nodes(generator, masses)),
-        ("the EDI control chain",
-         lambda: _dual_nodes(generator, masses[::2]).tobytes())])
-    control_dual = np.frombuffer(control_bytes)
+    # the even nodes of the exact flow are the nodes of the flow at steps // 2
+    dual_nodes, control_dual = _dual_chains([
+        ("the EDI main chain", generator, masses),
+        ("the EDI control chain", generator, masses[::2])])
     fisher_nodes = np.array([0.5 * fisher(m_i, weights, pi) for m_i in masses])
     action_integral = _simpson(dual_nodes, T)
     fisher_integral = _simpson(fisher_nodes, T)
@@ -631,8 +658,12 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
     the embedded discrete solution and the reference (spectral cosine solution
     when V = 0, Richardson fine-mesh solution otherwise) on a grid of T_NODES
     times (read at call time), plus entropy excess and the two dissipation
-    integrals.  Families other than uniform1d are 2d and must be cartesian
-    (see _evolutionary_study_2d).
+    integrals.  The Richardson reference solves on 4 x max(sizes) and
+    2 x max(sizes) cells with the dense oracle, so a family whose 4 x max
+    exceeds EXACT_DENSE_LIMIT is refused before any mesh is built.  The
+    members' dual chains run through _dual_chains, on every allowed CPU.
+    Families other than uniform1d are 2d and must be cartesian (see
+    _evolutionary_study_2d).
     """
     t_nodes = T_NODES
     if family.name != "uniform1d":
@@ -641,12 +672,19 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
                              f"family, got {family.name!r}")
         return _evolutionary_study_2d(family, potential, rho0, T, t_nodes,
                                       mean_kind)
+    is_cos, amp = _is_cosine_token(rho0)
+    spectral = is_cos and potential.name == "zero"
+    n_fine = 4 * max(int(n) for n in family.labels)
+    if not spectral and n_fine > EXACT_DENSE_LIMIT:
+        raise ValueError(
+            f"the 1d Richardson reference needs 4 x {n_fine // 4} = {n_fine} "
+            f"cells, beyond the dense spectral oracle's {EXACT_DENSE_LIMIT}: "
+            f"uniform1d sizes must be at most {EXACT_DENSE_LIMIT // 4}")
     meshes = family.build()
     domain = meshes[0].domain
-    is_cos, amp = _is_cosine_token(rho0)
     unit = (abs(float(domain.bounds[0])) <= 1e-15
             and abs(float(domain.bounds[1]) - 1.0) <= 1e-15)
-    closed_form = is_cos and potential.name == "zero" and unit
+    closed_form = spectral and unit
     rho0_fn = (density_from_token(rho0, 1) if isinstance(rho0, str) else rho0)
     times = np.linspace(0.0, T, t_nodes)
     if closed_form:
@@ -655,18 +693,24 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
                                           potential, domain, 1024)
                         for t in times]
     else:
-        n_fine = min(1024, 4 * max(int(n) for n in family.labels))
         refs, ref_pi = _richardson_reference_1d(potential, rho0_fn, T,
                                                 t_nodes, n_fine, mean_kind)
         entropy_refs = [entropy(DiscreteMeasure.normalized(
             r.values * np.diff(r.edges)), ref_pi) for r in refs]
+    # every dense eigh runs here, before _dual_chains forks
+    generators = [build_generator(mesh, potential, mean_kind)
+                  for mesh in meshes]
+    trajectories = [solve_trajectory(project_measure(mesh, rho0_fn), T,
+                                     t_nodes - 1, generator,
+                                     scheme="exact_dense")
+                    for mesh, generator in zip(meshes, generators)]
+    dual_nodes = _dual_chains([
+        (f"the dual chain on {mesh.n_cells} cells", generator, traj.masses)
+        for mesh, generator, traj in zip(meshes, generators, trajectories)])
 
-    def one(mesh: Mesh) -> StudyRow:
-        generator = build_generator(mesh, potential, mean_kind)
+    def one(mesh: Mesh, generator: Generator, traj,
+            duals: np.ndarray) -> StudyRow:
         weights, pi = generator.weights, generator.pi
-        m0 = project_measure(mesh, rho0_fn)
-        traj = solve_trajectory(m0, T, t_nodes - 1, generator,
-                                scheme="exact_dense")
         sup_w2 = 0.0
         entropy_excess = 0.0
         for i in range(t_nodes):
@@ -674,16 +718,16 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
             sup_w2 = max(sup_w2, wasserstein_1d(disc, refs[i]))
             entropy_excess = max(entropy_excess,
                                  entropy(traj.measure(i), pi) - entropy_refs[i])
-        dual_integral = _simpson(_dual_nodes(generator, traj.masses), T)
         fisher_integral = _simpson(np.array(
             [0.5 * fisher(m_i, weights, pi) for m_i in traj.masses]), T)
         return StudyRow(mesh_size=mesh.size(), value=sup_w2, reference=0.0,
                         error=sup_w2,
                         extras={"entropy_excess": entropy_excess,
-                                "dual_integral": dual_integral,
+                                "dual_integral": _simpson(duals, T),
                                 "fisher_integral": fisher_integral})
 
-    rows = [one(mesh) for mesh in meshes]
+    rows = [one(*member) for member in
+            zip(meshes, generators, trajectories, dual_nodes)]
     _attach_orders(rows)
     return StudyResult("evolutionary",
                        {"family": family.name, "potential": potential.name,

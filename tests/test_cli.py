@@ -428,6 +428,27 @@ class TestConvergeCommand:
         assert capsys.readouterr().err.splitlines() == [message]
         assert not out.exists()
 
+    def test_richardson_reference_past_the_dense_cap_exit_2(
+            self, tmp_path, capsys, monkeypatch):
+        # the reference solves on 4 x 512 = 2048 cells, past
+        # EXACT_DENSE_LIMIT: refused before any mesh is built, where a
+        # reference capped at 1024 cells once let the 512-cell member be
+        # measured against the 512-cell solve its own extrapolation used
+        def no_build(self):
+            raise AssertionError("a mesh was built before the family was "
+                                 "checked")
+
+        monkeypatch.setattr(experiments.MeshFamily, "build", no_build)
+        code, out = run(["converge", "--family", "uniform1d:32..512",
+                         "--potential", "quadratic", "--check"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the 1d Richardson reference needs 4 x 512 = 2048 cells, "
+            f"beyond the dense spectral oracle's {dynamics.EXACT_DENSE_LIMIT}: "
+            f"uniform1d sizes must be at most "
+            f"{dynamics.EXACT_DENSE_LIMIT // 4}"]
+        assert not out.exists()
+
     def test_solver_failure_exit_2(self, tmp_path, capsys, monkeypatch):
         parent, dual_action = os.getpid(), experiments.dual_action
 

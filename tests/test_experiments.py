@@ -1,13 +1,15 @@
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import gradflow as gf
 from gradflow import experiments as ex
+from gradflow.cli import main
 from gradflow.dual_action import ConjugateGradientError
-from gradflow.dynamics import EXACT_DENSE_LIMIT
+from gradflow.dynamics import EXACT_DENSE_LIMIT, Generator
 from gradflow.forked import run_jobs
 from gradflow.experiments import Density1D, wasserstein_1d
 from gradflow.geometry import Box
@@ -421,6 +423,94 @@ class TestForkedControlChain:
         with pytest.raises(OSError, match="^the chain broke$"):
             run_jobs([("the caller's job", lambda: None),
                       ("a failing job", fail)])
+        _assert_no_child_process()
+
+
+def _study_1d_csv(tmp_path, sizes=(16, 32, 64, 128)):
+    study = ex.evolutionary_convergence_study(
+        ex.uniform_interval_family(sizes), gf.quadratic_potential(), "cosine",
+        T=0.1)
+    path = tmp_path / "converge.csv"
+    study.to_csv(path)
+    return path.read_bytes()
+
+
+class TestForkedStudyChains:
+    """The 1D study's member chains run on every allowed CPU, through the
+    scheduler the EDI audit shares."""
+
+    STALL = "no convergence in 160 iterations, relative residual 1.017e-11"
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_study_bytes_on_any_cpu_count(self, tmp_path, monkeypatch, cpus):
+        _cpus(monkeypatch, 1)
+        serial = _study_1d_csv(tmp_path)
+        _cpus(monkeypatch, cpus)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert _study_1d_csv(tmp_path) == serial
+        assert len(forks) == min(cpus, 4) - 1     # one group per chain at most
+        _assert_no_child_process()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_largest_chain_in_the_caller_arrays_in_input_order(
+            self, monkeypatch, cpus):
+        parent = os.getpid()
+
+        def nodes(generator, masses):   # [ran in the caller, n, n, ...]
+            out = np.full(len(masses), float(generator.n))
+            out[0] = os.getpid() == parent
+            return out
+
+        monkeypatch.setattr(ex, "_dual_nodes", nodes)
+        _cpus(monkeypatch, cpus)
+        cells, lengths = [32, 256, 16, 128, 64], [9, 17, 33, 5, 17]
+        chains = [(f"the chain on {n} cells", SimpleNamespace(n=n),
+                   np.zeros((k, n))) for n, k in zip(cells, lengths)]
+        result = ex._dual_chains(chains)
+        assert [len(a) for a in result] == lengths
+        assert [a[1:].tolist() for a in result] == [
+            [float(n)] * (k - 1) for n, k in zip(cells, lengths)]
+        assert [a[0] for a in result] == [n == 256 for n in cells]
+        _assert_no_child_process()
+
+    def test_member_stall_comes_back_from_the_child(self, tmp_path, capsys,
+                                                     monkeypatch):
+        parent, dual_nodes = os.getpid(), ex._dual_nodes
+
+        def stalled(generator, masses):  # the smallest chain, in the child
+            if generator.n == 16:
+                assert os.getpid() != parent
+                raise ConjugateGradientError(self.STALL)
+            return dual_nodes(generator, masses)
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(ex, "_dual_nodes", stalled)
+        with pytest.raises(ConjugateGradientError, match=f"^{self.STALL}$"):
+            _study_1d_csv(tmp_path, sizes=(16, 32))
+        _assert_no_child_process()
+        out = tmp_path / "converge"
+        assert main(["converge", "--family", "uniform1d:16..64", "--potential",
+                     "quadratic", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {self.STALL}"]
+        assert not out.exists()
+        _assert_no_child_process()
+
+    def test_no_dense_eigh_in_a_forked_job(self, tmp_path, monkeypatch):
+        parent, symmetric_eig = os.getpid(), Generator.symmetric_eig
+
+        def in_the_caller(self):
+            if os.getpid() != parent:
+                raise AssertionError("a dense eigh ran in a forked job")
+            return symmetric_eig(self)
+
+        monkeypatch.setattr(Generator, "symmetric_eig", in_the_caller)
+        _cpus(monkeypatch, 2)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        _study_1d_csv(tmp_path, sizes=(16, 32, 64))
+        _audit_5x5()
+        assert len(forks) == 2
         _assert_no_child_process()
 
 
