@@ -15,6 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
+# the kernel of csr_matrix @ vector, without its dispatch; a private entry
+# point, pinned by tests/test_dual_action.py::TestCsrKernel
+from scipy.sparse._sparsetools import csr_matvec
 
 from .functionals import _masses, mean_value
 from .mesh import Mesh
@@ -27,19 +30,6 @@ MAX_ITER_FACTOR = 10
 
 class ConjugateGradientError(RuntimeError):
     """CG failed to reach the requested residual within the iteration cap."""
-
-
-@dataclass
-class OnsagerOperator:
-    """Sparse symmetric PSD operator with constants-per-component kernel."""
-
-    matrix: sp.csr_matrix
-    component: np.ndarray        # component label per cell (theta w > 0 graph)
-    n_components: int
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -66,6 +56,43 @@ def onsager_pattern(face_cells, n: int) -> OnsagerPattern:
     return OnsagerPattern(csr.indptr, csr.indices, slots, labels, int(n_comp))
 
 
+@dataclass
+class OnsagerOperator:
+    """B(m) as CSR data on its pattern, with the component labels of the
+    faces of positive conductance: B's kernel is constants per component."""
+
+    data: np.ndarray
+    pattern: OnsagerPattern
+    component: np.ndarray
+    n_components: int
+
+    @property
+    def n(self) -> int:
+        return len(self.pattern.indptr) - 1
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """B as a scipy matrix, built on each access around data."""
+        return sp.csr_matrix((self.data, self.pattern.indices.copy(),
+                              self.pattern.indptr.copy()),  # scipy may sort them
+                             shape=(self.n, self.n))
+
+    def diagonal(self) -> np.ndarray:
+        """B's diagonal, read through the (k,k) and (l,l) slots."""
+        diag = np.zeros(self.n)   # 0 on a cell without faces
+        slots = self.pattern.slots[:2]
+        diag[self.pattern.indices[slots]] = self.data[slots]
+        return diag
+
+    def matvec(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """B v, written into out: the kernel call that matrix @ v makes
+        after scipy's dispatch, so the same bits."""
+        out.fill(0.0)   # csr_matvec adds into its output
+        n, pattern = self.n, self.pattern
+        csr_matvec(n, n, pattern.indptr, pattern.indices, self.data, v, out)
+        return out
+
+
 def assemble_onsager(mesh: Mesh | None, weights, m, pi,
                      pattern: OnsagerPattern | None = None) -> OnsagerOperator:
     """Build B(m) from face conductances theta(r_K, r_L) w_KL, theta the
@@ -73,34 +100,49 @@ def assemble_onsager(mesh: Mesh | None, weights, m, pi,
 
     The mesh argument is accepted for symmetry with the other assembly
     routines but only the cell count is needed, so None is allowed.  Many m
-    on one face graph can share its `onsager_pattern`.
+    on one face graph can share its `onsager_pattern`, or be assembled
+    together by `onsager_operators`.
     """
     mm = _masses(m)
-    pp = _masses(pi)
-    w, fc = weights.w, weights.face_cells
     n = mesh.n_cells if mesh is not None else len(mm)
     if pattern is None:
-        pattern = onsager_pattern(fc, n)
-    elif len(pattern.indptr) != n + 1 or pattern.slots.shape[1] != len(fc):
+        pattern = onsager_pattern(weights.face_cells, n)
+    return onsager_operators(pattern, weights, mm[None], pi)[0]
+
+
+def onsager_operators(pattern: OnsagerPattern, weights, masses,
+                      pi) -> list[OnsagerOperator]:
+    """B(m) for each row m of masses (nodes, cells), all on one pattern.
+
+    Each diagonal entry sums its faces' conductances over the (k,k) slots,
+    then the (l,l) slots, in face order: one bincount over (node, slot)
+    for every node.  The component labels are the pattern's where every
+    face conducts, and those of the conducting faces otherwise.
+    """
+    mm = np.asarray(masses, dtype=float)
+    w, fc = weights.w, weights.face_cells
+    nodes, n = mm.shape
+    if len(pattern.indptr) != n + 1 or pattern.slots.shape[1] != len(fc):
         raise ValueError("the Onsager pattern was built for another face graph")
-    r = mm / pp
-    theta = mean_value("logarithmic", r[fc[:, 0]], r[fc[:, 1]])
-    cond = theta * w
-    data = np.zeros(len(pattern.indices))
-    data[pattern.slots[2:]] = -cond           # (k,l) and (l,k)
-    np.add.at(data, pattern.slots[0], cond)   # (k,k), then (l,l), in face order;
-    np.add.at(data, pattern.slots[1], cond)   # numpy 2.4 misbroadcasts a 2-D index
-    matrix = sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()),
-                           shape=(n, n))  # copies: scipy may sort them in place
-    live = cond > 0.0
-    if live.all():
-        n_comp, labels = pattern.n_components, pattern.component
-    else:
-        adjacency = sp.coo_matrix((cond[live], (fc[live, 0], fc[live, 1])),
-                                  shape=(n, n))
-        n_comp, labels = csgraph.connected_components(adjacency, directed=False)
-    return OnsagerOperator(matrix=matrix, component=labels,
-                           n_components=int(n_comp))
+    r = mm / _masses(pi)
+    cond = mean_value("logarithmic", r[:, fc[:, 0]], r[:, fc[:, 1]]) * w
+    nnz = len(pattern.indices)
+    bins = np.arange(nodes)[:, None] * nnz + pattern.slots[:2].ravel()
+    data = np.bincount(bins.ravel(), weights=np.tile(cond, 2).ravel(),
+                       minlength=nodes * nnz).reshape(nodes, nnz)
+    data[:, pattern.slots[2:]] = -cond[:, None]   # (k,l) and (l,k)
+    operators = []
+    for data_i, cond_i in zip(data, cond):
+        live = cond_i > 0.0
+        if live.all():
+            n_comp, labels = pattern.n_components, pattern.component
+        else:
+            adjacency = sp.coo_matrix((cond_i[live], (fc[live, 0], fc[live, 1])),
+                                      shape=(n, n))
+            n_comp, labels = csgraph.connected_components(adjacency,
+                                                          directed=False)
+        operators.append(OnsagerOperator(data_i, pattern, labels, int(n_comp)))
+    return operators
 
 
 def dual_action(m, sigma, weights=None, pi=None,
@@ -152,8 +194,9 @@ def dual_action(m, sigma, weights=None, pi=None,
 
 def _solve_cg(operator: OnsagerOperator, b: np.ndarray, x0: np.ndarray | None,
               counts: np.ndarray) -> np.ndarray:
-    matrix = operator.matrix
-    labels, n_comp = operator.component, operator.n_components
+    # bincount casts its labels to intp on every call otherwise
+    labels = operator.component.astype(np.intp, copy=False)
+    n_comp = operator.n_components
 
     def project(v: np.ndarray) -> np.ndarray:  # in place: B's kernel is constants
         sums = np.bincount(labels, weights=v, minlength=n_comp)
@@ -161,41 +204,43 @@ def _solve_cg(operator: OnsagerOperator, b: np.ndarray, x0: np.ndarray | None,
         return v
 
     n = operator.n
-    diag = np.asarray(matrix.diagonal())
+    product = np.empty(n)   # B v: the one output of every kernel call
+    matvec = operator.matvec
+    diag = operator.diagonal()
     inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 0.0)
-    b_norm = math.sqrt(float(b @ b))
+    b_norm = math.sqrt(float(b.dot(b)))
     if b_norm == 0.0:
         return np.zeros(n)
     x = np.zeros(n) if x0 is None else project(np.array(x0, dtype=float))
-    r = b - matrix @ x
+    r = b - matvec(x, product)
     z = project(inv_diag * r)
     p = z.copy()
     step = np.empty(n)   # alpha p, then alpha Ap: one buffer, no temporaries
-    rz = float(r @ z)
-    r_norm = math.sqrt(float(r @ r))
+    rz = float(r.dot(z))
+    r_norm = math.sqrt(float(r.dot(r)))
     tol = CG_TOL * b_norm
     max_iter = MAX_ITER_FACTOR * n
     for _ in range(max_iter):
         if r_norm <= tol:
             return x
-        ap = matrix @ p
-        pap = float(p @ ap)
+        ap = matvec(p, product)
+        pap = float(p.dot(ap))
         if pap <= 0.0:
             break
         alpha = rz / pap
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, ap, out=step)
-        r_norm = math.sqrt(float(r @ r))
+        r_norm = math.sqrt(float(r.dot(r)))
         if r_norm <= tol:
             return x
         project(np.multiply(inv_diag, r, out=z))   # z, in place
-        rz_next = float(r @ z)
+        rz_next = float(r.dot(z))
         if rz <= 0.0:
             break
         p *= rz_next / rz   # z + beta p, in place: IEEE addition commutes
         p += z
         rz = rz_next
-    residual = float(np.linalg.norm(b - matrix @ x)) / b_norm
+    residual = float(np.linalg.norm(b - matvec(x, product))) / b_norm
     if residual <= CG_TOL * 10.0:
         return x
     raise ConjugateGradientError(

@@ -23,7 +23,7 @@ from .reference import (DiscreteMeasure, PointFunction, Potential,
                         project_function, project_measure, zero_potential,
                         _boltzmann, _pointwise)
 from .functionals import dirichlet_energy, entropy, fisher
-from .dual_action import assemble_onsager, dual_action, onsager_pattern
+from .dual_action import dual_action, onsager_operators, onsager_pattern
 from .dynamics import (EXACT_DENSE_LIMIT, Generator, build_generator,
                        solve_trajectory)
 from .forked import allowed_cpus, run_jobs
@@ -471,17 +471,26 @@ def _simpson(values: np.ndarray, T: float) -> float:
     return float((w * (T / steps / 3.0)) @ values)
 
 
+# nodes per batched Onsager assembly in a dual chain: a whole 257-node chain
+# at once costs as much time and more memory
+_CHAIN_BLOCK = 32
+
+
 def _dual_nodes(generator: Generator, masses: np.ndarray) -> np.ndarray:
     """Dual action at (m, dm/dt) per trajectory node on one Onsager pattern,
-    each CG solve warm-started from the previous node's solution."""
+    each CG solve warm-started from the previous node's solution; the
+    operators are assembled _CHAIN_BLOCK nodes at a time."""
     weights, pi = generator.weights, generator.pi
     pattern = onsager_pattern(weights.face_cells, generator.n)
     nodes, guess = np.empty(len(masses)), None
-    for i, m_i in enumerate(masses):
-        operator = assemble_onsager(None, weights, m_i, pi, pattern=pattern)
-        nodes[i], guess = dual_action(m_i, generator.matrix @ m_i, weights, pi,
-                                      operator=operator, initial_guess=guess,
-                                      return_solution=True)
+    for lo in range(0, len(masses), _CHAIN_BLOCK):
+        block = masses[lo:lo + _CHAIN_BLOCK]
+        operators = onsager_operators(pattern, weights, block, pi)
+        for i, (m_i, operator) in enumerate(zip(block, operators), lo):
+            nodes[i], guess = dual_action(m_i, generator.matrix @ m_i, weights,
+                                          pi, operator=operator,
+                                          initial_guess=guess,
+                                          return_solution=True)
     return nodes
 
 

@@ -10,8 +10,8 @@ from scipy.sparse.linalg import splu
 
 import gradflow as gf
 from gradflow import experiments
-from gradflow.dual_action import (_solve_cg, assemble_onsager, dual_action,
-                                  onsager_pattern)
+from gradflow.dual_action import (OnsagerOperator, _solve_cg, assemble_onsager,
+                                  dual_action, onsager_operators, onsager_pattern)
 from gradflow.functionals import mean_value
 from gradflow.reference import DiscreteMeasure, initial_measure_from_token
 
@@ -477,3 +477,157 @@ class TestGroundedDirectSolve:
             direct = grounded_dual(weights, m, pi, sigma)
             value = dual_action(m, sigma, weights, pi, operator=op)
             assert abs(value - direct) <= 1e-10 * abs(direct)
+
+
+# -- the batched chain against the per-node one, byte for byte ---------------------------
+
+
+def add_at_operator(weights, m, pi, pattern):
+    """Reference for onsager_operators: the per-node assembly it replaced, with
+    np.add.at over the (k,k), then the (l,l), slots and a component search
+    unless every face conducts."""
+    r = m / pi.masses
+    fc = weights.face_cells
+    cond = mean_value("logarithmic", r[fc[:, 0]], r[fc[:, 1]]) * weights.w
+    data = np.zeros(len(pattern.indices))
+    data[pattern.slots[2:]] = -cond
+    np.add.at(data, pattern.slots[0], cond)
+    np.add.at(data, pattern.slots[1], cond)
+    live = cond > 0.0
+    if live.all():
+        n_comp, labels = pattern.n_components, pattern.component
+    else:
+        n = len(m)
+        adjacency = sp.coo_matrix((cond[live], (fc[live, 0], fc[live, 1])),
+                                  shape=(n, n))
+        n_comp, labels = csgraph.connected_components(adjacency, directed=False)
+    return OnsagerOperator(data, pattern, labels, int(n_comp))
+
+
+def per_node_chain(generator, masses):
+    """Reference for experiments._dual_nodes: one add_at_operator per node,
+    each dual_action solve warm-started from the previous node's solution."""
+    weights, pi = generator.weights, generator.pi
+    pattern = onsager_pattern(weights.face_cells, generator.n)
+    nodes, guess = np.empty(len(masses)), None
+    for i, m_i in enumerate(masses):
+        operator = add_at_operator(weights, m_i, pi, pattern)
+        nodes[i], guess = dual_action(m_i, generator.matrix @ m_i, weights, pi,
+                                      operator=operator, initial_guess=guess,
+                                      return_solution=True)
+    return nodes
+
+
+def assert_same_operator(got, want):
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got.n_components == want.n_components
+    assert got.component.tobytes() == want.component.tobytes()
+
+
+def zero_mass_chain():
+    """A 40-cell quadratic-V chain of 41 random nodes, every third with three
+    zero-mass cells: those nodes take their own labels, and their duals are
+    +inf (sigma = L m charges the zero cells), so the next solve starts cold."""
+    mesh = gf.build_interval_mesh(40)
+    generator = gf.build_generator(mesh, gf.quadratic_potential(0.3))
+    rng = np.random.default_rng(17)
+    masses = rng.uniform(0.2, 1.0, (41, mesh.n_cells))
+    masses[::3, 19:22] = 0.0
+    return generator, masses / masses.sum(axis=1, keepdims=True)
+
+
+def stationary_chain():
+    """The exact flow toward pi on cartesian 8x8 with V = 0, 41 nodes, three
+    of them replaced by pi itself: there L pi = 0 exactly, so sigma = 0, the
+    dual is 0 and the next solve starts from zero."""
+    mesh = gf.build_cartesian_mesh(8, 8)
+    generator, masses = _flow_chain(mesh, gf.zero_potential(),
+                                    "blend:cosine:0.9", 0.2, 40)
+    masses = masses.copy()
+    masses[[5, 6, experiments._CHAIN_BLOCK]] = generator.pi.masses
+    return generator, masses
+
+
+class TestBatchedChain:
+    @pytest.mark.parametrize("name", sorted(_CHAINS) + ["zero-mass", "stationary"])
+    def test_chain_matches_the_per_node_chain_bytes(self, name):
+        make = {"zero-mass": zero_mass_chain, "stationary": stationary_chain,
+                **_CHAINS}[name]
+        generator, masses = make()
+        nodes = experiments._dual_nodes(generator, masses)
+        assert nodes.tobytes() == per_node_chain(generator, masses).tobytes()
+        if name == "edi-2d":   # crosses block edges
+            assert len(masses) > 2 * experiments._CHAIN_BLOCK
+        if name == "zero-mass":
+            assert np.isinf(nodes[::3]).all() and np.isfinite(nodes[1::3]).all()
+        if name == "stationary":
+            assert not np.any(generator.matrix @ generator.pi.masses)
+            assert np.count_nonzero(nodes == 0.0) == 3
+
+    def test_zero_mass_nodes_take_their_own_labels(self):
+        generator, masses = zero_mass_chain()
+        weights, pi = generator.weights, generator.pi
+        pattern = onsager_pattern(weights.face_cells, generator.n)
+        operators = onsager_operators(pattern, weights, masses, pi)
+        for m_i, got in zip(masses, operators):
+            assert_same_operator(got, add_at_operator(weights, m_i, pi, pattern))
+        assert [op.n_components for op in operators[:3]] == [5, 1, 1]
+
+    def test_high_degree_rows_match_the_add_at_assembly(self):
+        # the mesh of test_high_degree_rows_sum_in_face_order: cells with 9
+        # and 10 faces, so each diagonal entry sums up to 10 conductances
+        mesh = gf.build_voronoi_mesh(np.random.default_rng(3).random((150, 2)),
+                                     gf.Domain.rectangle(0, 0, 1, 1))
+        weights, pi = flat_weights(mesh)
+        pattern = onsager_pattern(weights.face_cells, mesh.n_cells)
+        rng = np.random.default_rng(18)
+        masses = rng.uniform(0.1, 1.0, (5, mesh.n_cells))
+        masses /= masses.sum(axis=1, keepdims=True)
+        for m_i, got in zip(masses, onsager_operators(pattern, weights, masses, pi)):
+            want = add_at_operator(weights, m_i, pi, pattern)
+            assert_same_operator(got, want)
+            assert_same_operator(assemble_onsager(mesh, weights, m_i, pi), want)
+
+
+# -- the private scipy kernel behind OnsagerOperator.matvec ----------------------------
+
+
+def split_operator():
+    """40 cells, a zero-mass cell at 20: three components."""
+    mesh = gf.build_interval_mesh(40)
+    weights = gf.face_weights(mesh, gf.quadratic_potential(0.3))
+    masses = np.random.default_rng(19).uniform(0.2, 1.0, mesh.n_cells)
+    masses[20] = 0.0
+    op = assemble_onsager(mesh, weights, DiscreteMeasure.normalized(masses),
+                          weights.pi)
+    assert op.n_components == 3
+    return op
+
+
+def chain_operator(name):
+    generator, masses = _CHAINS[name]()
+    return assemble_onsager(None, generator.weights, masses[len(masses) // 2],
+                            generator.pi)
+
+
+class TestCsrKernel:
+    """OnsagerOperator.matvec calls scipy.sparse._sparsetools.csr_matvec, a
+    private entry point: if a scipy release moves or changes it, these fail."""
+
+    @pytest.mark.parametrize("make, row_entries", [
+        (lambda: chain_operator("edi-2d"), 5),
+        (lambda: chain_operator("voronoi-100-quadratic"), 9),
+        (split_operator, 3)], ids=["edi-2d", "voronoi-100", "split"])
+    def test_matvec_is_the_matrix_product_bytes(self, make, row_entries):
+        op = make()
+        assert np.diff(op.pattern.indptr).max() == row_entries
+        assert op.diagonal().tobytes() == op.matrix.diagonal().tobytes()
+        rng = np.random.default_rng(20)
+        for _ in range(3):
+            v = rng.standard_normal(op.n)
+            out = np.full(op.n, np.nan)   # matvec must clear what it adds into
+            got = op.matvec(v, out)
+            assert got is out
+            assert got.tobytes() == (op.matrix @ v).tobytes(), (
+                "scipy.sparse._sparsetools.csr_matvec no longer computes "
+                "csr_matrix @ v bit for bit; OnsagerOperator.matvec relies on it")
