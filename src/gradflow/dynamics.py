@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .forked import allowed_cpus, run_jobs
 from .reference import DiscreteMeasure, FaceWeights, Potential, face_weights
@@ -56,15 +57,57 @@ class Generator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    def symmetrized(self) -> sp.csr_matrix:
+        """S = (A o R + (A o R)^T) / 2, R_kl = sqrt(pi_l) / sqrt(pi_k), on
+        the generator A's pattern: the generator in the sqrt(pi)-weighted
+        basis, symmetric because L is self-adjoint in the 1/pi inner product.
+
+        Each stored entry takes the operations of the dense form
+        A.toarray() * R, then 0.5 * (S + S^T), in that order, so toarray()
+        is that dense matrix bit for bit (the pattern of a generator is
+        symmetric, so no entry meets an implicit zero).
+        """
+        a = self.matrix.tocoo()
+        sqrt_pi = np.sqrt(self.pi.masses)
+        scaled = a.data * (sqrt_pi[a.col] / sqrt_pi[a.row])
+        sym = sp.csr_matrix((np.concatenate([scaled, scaled]),
+                             (np.concatenate([a.row, a.col]),
+                              np.concatenate([a.col, a.row]))), shape=a.shape)
+        sym.data *= 0.5
+        return sym
+
     def symmetric_eig(self):
-        """Eigendecomposition of the pi-symmetrized generator (cached)."""
+        """Eigendecomposition (evals ascending, C-ordered evecs, sqrt(pi)) of
+        the symmetrized generator, cached.
+
+        A tridiagonal S (n > 1 and every entry within one of the diagonal:
+        1D cells in coordinate order) goes to LAPACK's dstevd on its two
+        diagonals, every other S to np.linalg.eigh, which runs dsyevd on the
+        dense matrix.  The bits agree: dsyevd reduces S to tridiagonal form
+        with dsytrd, runs the same divide and conquer (dstedc) on it and
+        back-transforms with dormtr; on a tridiagonal S every Householder
+        tau is 0, so the diagonals pass through unchanged and dormtr applies
+        identities.  The one exception is scaling: the two routines rescale
+        differently (dlascl against dscal) when max|S| lies outside about
+        1e-146..1e146.
+        """
         if self._sym is None:
             _resolve_scheme("exact_dense", self.n)
-            sqrt_pi = np.sqrt(self.pi.masses)
-            sym = self.matrix.toarray() * (sqrt_pi[None, :] / sqrt_pi[:, None])
-            sym = 0.5 * (sym + sym.T)
-            evals, evecs = np.linalg.eigh(sym)
-            self._sym = (evals, evecs, sqrt_pi)
+            sym = self.symmetrized()
+            coo = sym.tocoo()
+            if self.n > 1 and np.all(np.abs(coo.row - coo.col) <= 1):
+                evals, evecs, info = lapack.dstevd(
+                    sym.diagonal(), sym.diagonal(-1), compute_v=1)
+                if info != 0:
+                    raise np.linalg.LinAlgError(
+                        f"the tridiagonal eigensolver (LAPACK dstevd) "
+                        f"failed with info {info}")
+                # numpy's evecs are C-ordered, scipy's Fortran-ordered; the
+                # products with evecs sum in an order that follows the layout
+                evecs = np.ascontiguousarray(evecs)
+            else:
+                evals, evecs = np.linalg.eigh(sym.toarray())
+            self._sym = (evals, evecs, np.sqrt(self.pi.masses))
         return self._sym
 
     def spectral_gap(self) -> float:

@@ -706,7 +706,9 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
                                                 t_nodes, n_fine, mean_kind)
         entropy_refs = [entropy(DiscreteMeasure.normalized(
             r.values * np.diff(r.edges)), ref_pi) for r in refs]
-    # every dense eigh runs here, before _dual_chains forks
+    # every eigendecomposition runs here, before _dual_chains forks: dstevd
+    # on these tridiagonal generators (Generator.symmetric_eig), so no
+    # child's BLAS competes with it
     generators = [build_generator(mesh, potential, mean_kind)
                   for mesh in meshes]
     trajectories = [solve_trajectory(project_measure(mesh, rho0_fn), T,

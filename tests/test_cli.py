@@ -255,6 +255,20 @@ class TestEdiCommand:
                       tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["solve", "edi"])
+    def test_single_cell_exit_0(self, tmp_path, command):
+        # one cell has no off-diagonal to hand to dstevd: its 1 x 1
+        # generator takes the dense route
+        code, out = run([command, "--kind", "uniform1d", "--n", "1",
+                         "--T", "0.1", "--M", "4"], tmp_path)
+        assert code == 0
+        if command == "edi":
+            assert json.loads((out / "summary.json").read_text())[
+                "residual"] == 0.0
+        else:
+            rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+            assert [row.split(",")[2] for row in rows] == ["1.0"] * 5
+
     def test_one_eigendecomposition_and_two_passes(self, tmp_path,
                                                    monkeypatch):
         from gradflow import reference
@@ -474,6 +488,34 @@ class TestConvergeCommand:
                 "relative residual 1.017e-11"]
             assert not out.exists()
             _assert_no_child_process()
+
+    def test_tridiagonal_eigensolver_only(self, tmp_path, monkeypatch):
+        # the benchmark's study-1d arguments: the 1024- and 512-cell
+        # Richardson references and the 5 members, all in the caller
+        calls = []
+        eigh, dstevd = np.linalg.eigh, dynamics.lapack.dstevd
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a: calls.append("eigh") or eigh(*a))
+        monkeypatch.setattr(dynamics.lapack, "dstevd",
+                            lambda d, e, **k: calls.append(len(d))
+                            or dstevd(d, e, **k))
+        code, _ = run(["converge", "--family", "uniform1d:16..256",
+                       "--potential", "quadratic", "--rho0", "cosine",
+                       "--T", "0.1", "--check"], tmp_path)
+        assert code == 0
+        assert calls == [1024, 512, 16, 32, 64, 128, 256]
+
+    def test_eigensolver_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics.lapack, "dstevd",
+                            lambda d, e, compute_v: (d, np.eye(len(d)), 2))
+        code, out = run(["converge", "--family", "uniform1d:16..32",
+                         "--potential", "quadratic"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the tridiagonal eigensolver (LAPACK dstevd) failed with "
+            "info 2"]
+        assert not out.exists()
+        _assert_no_child_process()
 
 
 class TestDiagnoseCommand:

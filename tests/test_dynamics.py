@@ -12,6 +12,7 @@ from gradflow import dynamics, reference
 from gradflow import experiments as ex
 from gradflow.dynamics import (AUTO_DENSE_LIMIT, EXACT_DENSE_LIMIT,
                                NEGATIVE_CLIP, step_crank_nicolson)
+from gradflow.mesh import Mesh
 from gradflow.reference import DiscreteMeasure
 
 
@@ -472,6 +473,7 @@ class TestDenseOracleLimit:
             raise AssertionError("quadrature inside the audit")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        monkeypatch.setattr(dynamics.lapack, "dstevd", no_eigh)
         monkeypatch.setattr(reference, "cell_integrals", no_quadrature)
         messages = []
         for call in (
@@ -494,3 +496,105 @@ class TestDenseOracleLimit:
             gen = gf.assemble_generator(mesh, weights, weights.pi)
             picked.append(gf.solve_trajectory(weights.pi, 0.1, 1, gen).scheme)
         assert picked == ["exact_dense", "implicit_euler"]
+
+
+# -- the eigendecomposition against the dense route every generator once took --
+
+
+def _dense_route(generator):
+    # a transcription of the former Generator.symmetric_eig
+    sqrt_pi = np.sqrt(generator.pi.masses)
+    sym = generator.matrix.toarray() * (sqrt_pi[None, :] / sqrt_pi[:, None])
+    sym = 0.5 * (sym + sym.T)
+    evals, evecs = np.linalg.eigh(sym)
+    return sym, (evals, evecs, sqrt_pi)
+
+
+def _dense_route_masses(generator, m0, T, steps):
+    # solve_trajectory's exact_dense nodes on the transcribed decomposition
+    _, (evals, evecs, sqrt_pi) = _dense_route(generator)
+    coeff = evecs.T @ (m0 / sqrt_pi)
+    masses = [m0]
+    for t in np.linspace(0.0, T, steps + 1)[1:]:
+        vals = sqrt_pi * (evecs @ (np.exp(evals * t) * coeff))
+        masses.append(_clip_measure(vals).masses)
+    return np.array(masses)
+
+
+def _faceless_interval(n):
+    # n cells of [0, 1] with no face between them: a generator of zeros
+    mesh = gf.build_interval_mesh(n)
+    return Mesh(1, mesh.domain, mesh.sites, mesh.volumes,
+                cell_bounds=mesh.cell_bounds)
+
+
+_SITES_1D = np.random.default_rng(0).random((50, 1))
+_POTENTIALS_1D = {"zero": gf.zero_potential, "quadratic": gf.quadratic_potential,
+                  "double-well": gf.double_well_potential}
+# name -> (mesh, potential, the LAPACK route it takes); uniform1d crosses
+# dstedc's SMLSIZ = 25 switch to divide and conquer
+_EIG_CASES = {
+    **{f"uniform1d-{n}-{v}": (lambda n=n: gf.build_interval_mesh(n),
+                              _POTENTIALS_1D[v],
+                              "eigh" if n == 1 else "dstevd")
+       for n in (1, 2, 3, 25, 26, 33, 129, 512, 1024, 2000)
+       for v in _POTENTIALS_1D},
+    "voronoi1d-sorted": (
+        lambda: gf.build_voronoi_mesh(np.sort(_SITES_1D, axis=0),
+                                      gf.Domain.interval(0.0, 1.0)),
+        gf.quadratic_potential, "dstevd"),
+    "cartesian-9x1": (lambda: gf.build_cartesian_mesh(9, 1),
+                      lambda: gf.quadratic_potential([0.3, 0.3]), "dstevd"),
+    "faceless-3": (lambda: _faceless_interval(3), gf.quadratic_potential,
+                   "dstevd"),
+    "voronoi1d-unsorted": (
+        lambda: gf.build_voronoi_mesh(_SITES_1D, gf.Domain.interval(0.0, 1.0)),
+        gf.quadratic_potential, "eigh"),
+    "cartesian-20x20": (lambda: gf.build_cartesian_mesh(20, 20),
+                        lambda: gf.quadratic_potential([0.3, 0.3]), "eigh"),
+    "voronoi-100": (
+        lambda: gf.build_voronoi_mesh(ex._jittered_sites(10, 0.35, 42),
+                                      gf.Domain.rectangle(0.0, 0.0, 1.0, 1.0)),
+        lambda: gf.quadratic_potential([0.3, 0.3]), "eigh"),
+}
+
+
+class TestSymmetricEig:
+    """Both LAPACK routes give the former dense route's bytes.  This pins
+    that numpy's LAPACK (dsyevd) and scipy's (dstevd) agree bit for bit on
+    tridiagonal matrices; they are separate OpenBLAS builds."""
+
+    @pytest.mark.parametrize("case", sorted(_EIG_CASES))
+    def test_same_bytes_as_the_dense_route(self, monkeypatch, case):
+        build, potential, route = _EIG_CASES[case]
+        gen = gf.build_generator(build(), potential())
+        routes = []
+        eigh, dstevd = np.linalg.eigh, dynamics.lapack.dstevd
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a: routes.append("eigh") or eigh(*a))
+        monkeypatch.setattr(dynamics.lapack, "dstevd",
+                            lambda *a, **k: routes.append("dstevd")
+                            or dstevd(*a, **k))
+        decomposition = gen.symmetric_eig()
+        assert routes == [route]
+        sym, expected = _dense_route(gen)
+        assert gen.symmetrized().toarray().tobytes() == sym.tobytes()
+        for got, want in zip(decomposition, expected):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        assert decomposition[1].flags.c_contiguous
+        rng = np.random.default_rng(gen.n)
+        m0 = DiscreteMeasure.normalized(rng.uniform(0.1, 1.0, gen.n))
+        traj = gf.solve_trajectory(m0, 0.1, 4, gen, scheme="exact_dense")
+        assert traj.masses.tobytes() == _dense_route_masses(
+            gen, m0.masses, 0.1, 4).tobytes()
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        gen = gf.build_generator(gf.build_interval_mesh(8),
+                                 gf.quadratic_potential())
+        monkeypatch.setattr(dynamics.lapack, "dstevd",
+                            lambda d, e, compute_v: (d, np.eye(len(d)), 3))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"LAPACK dstevd\) failed with info 3$"):
+            gen.symmetric_eig()
+        assert gen._sym is None
