@@ -93,21 +93,19 @@ class OnsagerOperator:
         return out
 
 
-def assemble_onsager(mesh: Mesh | None, weights, m, pi,
-                     pattern: OnsagerPattern | None = None) -> OnsagerOperator:
+def assemble_onsager(mesh: Mesh | None, weights, m, pi) -> OnsagerOperator:
     """Build B(m) from face conductances theta(r_K, r_L) w_KL, theta the
     logarithmic mean and w the `FaceWeights`.
 
     The mesh argument is accepted for symmetry with the other assembly
     routines but only the cell count is needed, so None is allowed.  Many m
-    on one face graph can share its `onsager_pattern`, or be assembled
-    together by `onsager_operators`.
+    on one face graph are assembled together, on one `onsager_pattern`, by
+    `onsager_operators`.
     """
     mm = _masses(m)
     n = mesh.n_cells if mesh is not None else len(mm)
-    if pattern is None:
-        pattern = onsager_pattern(weights.face_cells, n)
-    return onsager_operators(pattern, weights, mm[None], pi)[0]
+    return onsager_operators(onsager_pattern(weights.face_cells, n), weights,
+                             mm[None], pi)[0]
 
 
 def onsager_operators(pattern: OnsagerPattern, weights, masses,

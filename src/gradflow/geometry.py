@@ -73,24 +73,6 @@ def ensure_ccw(verts: np.ndarray) -> np.ndarray:
     return verts if polygon_area(verts) >= 0.0 else verts[::-1].copy()
 
 
-def _far_apart(dx: float, dy: float, tol: float) -> bool:
-    """np.hypot(dx, dy) > tol, decided without the ufunc call where clear.
-
-    dx*dx + dy*dy carries a relative error of at most 2u and hypot at most
-    one ulp, so outside a 1e-6 relative band around tol**2 the squared test
-    agrees with hypot; inside it, or where tol**2 would underflow, hypot
-    decides.
-    """
-    d2 = dx * dx + dy * dy
-    t2 = tol * tol
-    if tol > 1e-150:
-        if d2 > t2 * (1.0 + 1e-6):
-            return True
-        if d2 < t2 * (1.0 - 1e-6):
-            return False
-    return bool(np.hypot(dx, dy) > tol)
-
-
 def _merge_close(points: list, tol: float) -> list:
     """Drop each vertex within tol of the last one kept, then the last one
     kept if it lies within tol of the first: the merge of one polygon's
@@ -98,11 +80,11 @@ def _merge_close(points: list, tol: float) -> list:
     kept = [points[0]]
     for v in points[1:]:
         last = kept[-1]
-        if _far_apart(v[0] - last[0], v[1] - last[1], tol):
+        if np.hypot(v[0] - last[0], v[1] - last[1]) > tol:
             kept.append(v)
     if len(kept) > 1:
         first, last = kept[0], kept[-1]
-        if not _far_apart(first[0] - last[0], first[1] - last[1], tol):
+        if not np.hypot(first[0] - last[0], first[1] - last[1]) > tol:
             kept.pop()
     return kept
 
@@ -145,7 +127,7 @@ def clip_halfplane(polys: np.ndarray, counts: np.ndarray, normals: np.ndarray,
     if width == 0:
         return out, counts
     pos = np.arange(width)
-    # np.hypot(dx, dy) > tol is what _far_apart decides
+    # np.hypot(dx, dy) > tol is what _merge_close decides
     gap = out[:, 1:] - out[:, :-1]
     close = (pos[1:] < counts[:, None]) & ~(np.hypot(gap[..., 0], gap[..., 1]) > merge_tol)
     chained = close.any(axis=1)
@@ -210,39 +192,6 @@ def signed_edge_distances(verts: np.ndarray, p: np.ndarray) -> np.ndarray:
     ln = np.hypot(ex, ey)
     ln[ln == 0.0] = 1.0
     return (ex * (p[1] - a[..., 1]) - ey * (p[0] - a[..., 0])) / ln
-
-
-def line_section(verts: np.ndarray, normal: np.ndarray, offset: float,
-                 tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray] | None:
-    """Segment cut out of a convex polygon by the line {normal·x = offset}.
-
-    Returns the two endpoints (ordered along the line) or None when the
-    intersection is empty or a single point.  `normal` need not be unit.
-    """
-    nn = float(np.hypot(normal[0], normal[1]))
-    if nn == 0.0:
-        return None
-    unit = normal / nn
-    s = verts @ unit - offset / nn
-    pts: list[np.ndarray] = []
-    k = len(verts)
-    for i in range(k):
-        j = (i + 1) % k
-        si, sj = s[i], s[j]
-        if abs(si) <= tol:
-            pts.append(verts[i])
-        elif (si < -tol and sj > tol) or (si > tol and sj < -tol):
-            t = si / (si - sj)
-            pts.append(verts[i] + t * (verts[j] - verts[i]))
-    if len(pts) < 2:
-        return None
-    direction = np.array([-unit[1], unit[0]])
-    proj = np.array([float(p @ direction) for p in pts])
-    p0 = pts[int(np.argmin(proj))]
-    p1 = pts[int(np.argmax(proj))]
-    if np.hypot(p1[0] - p0[0], p1[1] - p0[1]) <= tol:
-        return None
-    return p0, p1
 
 
 def segment_params(p: np.ndarray, q: np.ndarray, a: np.ndarray,

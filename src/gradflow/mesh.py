@@ -613,11 +613,11 @@ def build_cartesian_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
 
 
 def _voronoi_polygons(pts: np.ndarray, domain_vertices: np.ndarray,
-                      merge_tol: float) -> list[np.ndarray]:
-    """The cell of every site, in site order: the domain clipped by the
-    bisectors of the other sites in site order.  All cells are clipped in
-    lockstep, n - 1 batched passes; pass t clips cell i by the bisector of
-    site t + (t >= i)."""
+                      merge_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cell of every site, in site order, as a padded (n, V, 2) stack and
+    its (n,) vertex counts: the domain clipped by the bisectors of the other
+    sites in site order.  All cells are clipped in lockstep, n - 1 batched
+    passes; pass t clips cell i by the bisector of site t + (t >= i)."""
     n = len(pts)
     polys = np.broadcast_to(domain_vertices, (n, *domain_vertices.shape))
     counts = np.full(n, polys.shape[1])
@@ -627,7 +627,32 @@ def _voronoi_polygons(pts: np.ndarray, domain_vertices: np.ndarray,
         normals = other - pts
         polys, counts = geometry.clip_halfplane(
             polys, counts, normals, 0.5 * geometry.row_dot(normals, pts + other), merge_tol)
-    return [poly[:m] for poly, m in zip(polys, counts.tolist())]
+    return polys, counts
+
+
+def _bisector_sections(poly: np.ndarray, site: np.ndarray, others: np.ndarray,
+                       tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Where the cell `poly` of `site` meets the bisector with each of the
+    (J, 2) `others`: the (J, 2, 2) extreme vertices within tol of that
+    bisector, ordered along it, and whether they lie more than tol apart.
+
+    The cell was clipped by each of these bisectors, so none of its vertices
+    lies beyond one, and the section is spanned by the vertices on the line.
+    The dot products round as `verts @ unit` and `np.dot` do on one pair.
+    """
+    normals = others - site
+    nn = np.hypot(normals[:, 0], normals[:, 1])
+    units = normals / nn[:, None]
+    offsets = 0.5 * geometry.row_dot(normals, site + others) / nn
+    on = np.abs(np.matmul(poly, units[:, :, None])[..., 0] - offsets[:, None]) <= tol
+    rows, verts = np.nonzero(on)                                    # on: (J, m)
+    along = np.zeros(on.shape)
+    along[on] = geometry.row_dot(poly[verts], np.column_stack([-units[rows, 1],
+                                                               units[rows, 0]]))
+    ends = poly[np.column_stack([np.where(on, along, np.inf).argmin(axis=1),
+                                 np.where(on, along, -np.inf).argmax(axis=1)])]
+    gap = ends[:, 1] - ends[:, 0]
+    return ends, np.hypot(gap[:, 0], gap[:, 1]) > tol
 
 
 def build_voronoi_mesh(sites, domain) -> Mesh:
@@ -659,38 +684,37 @@ def build_voronoi_mesh(sites, domain) -> Mesh:
         return _interval_cells(domain, pts[:, 0], order, np.concatenate(
             [[domain.bounds[0]], 0.5 * (xs[:-1] + xs[1:]), [domain.bounds[1]]]))
 
-    polys = _voronoi_polygons(pts, domain.vertices, VERTEX_MERGE_TOL * scale)
-    for i, poly in enumerate(polys):
-        if len(poly) < 3 or geometry.polygon_area(poly) <= 0.0:
-            raise MeshError(f"site {i} produced a degenerate Voronoi cell")
+    polys, counts = _voronoi_polygons(pts, domain.vertices, VERTEX_MERGE_TOL * scale)
+    volumes = np.zeros(n)                    # 0 for cells of fewer than 3 vertices
+    groups = [(np.flatnonzero(counts == m), m) for m in np.unique(counts[counts >= 3])]
+    for cells, m in groups:
+        volumes[cells] = geometry.polygon_area(polys[cells, :m])
+    degenerate = np.flatnonzero(volumes <= 0.0)
+    if len(degenerate):
+        raise MeshError(f"site {int(degenerate[0])} produced a degenerate Voronoi cell")
+    mesh_size = max(float(geometry.polygon_diameter(polys[cells, :m]).max())
+                    for cells, m in groups)
 
-    volumes = np.empty(n)
-    mesh_size = 0.0
-    for cells, stack in _group_polygons(polys):
-        volumes[cells] = geometry.polygon_area(stack)
-        mesh_size = max(mesh_size, float(geometry.polygon_diameter(stack).max()))
-    drop = FACE_DROP_FACTOR * mesh_size
-    fc, fa, fd, fe = [], [], [], []
-    for i in range(n - 1):
+    # faces (i, j), j > i: cell i against every candidate j in one section;
+    # the last cell has no candidates
+    pairs, dists, ends = [], [], []
+    for i in range(n):
         gaps = geometry.distances(pts[i + 1:], pts[i])
         near = np.flatnonzero(gaps <= 2.0 * mesh_size)
-        for j, gap in zip((near + i + 1).tolist(), gaps[near].tolist()):
-            normal = pts[j] - pts[i]
-            offset = 0.5 * float(normal @ (pts[i] + pts[j]))
-            seg = geometry.line_section(polys[i], normal, offset, site_tol)
-            if seg is None:
-                continue
-            length = float(np.hypot(*(seg[1] - seg[0])))
-            if length < drop:
-                continue
-            fc.append((i, j))
-            fa.append(length)
-            fd.append(gap)
-            fe.append([seg[0], seg[1]])
-    mesh = Mesh(2, domain, pts, volumes, cell_polygons=polys,
-                face_cells=np.array(fc, dtype=np.int64).reshape(-1, 2),
-                face_areas=fa, face_dists=fd,
-                face_endpoints=np.array(fe, dtype=float).reshape(-1, 2, 2))
+        seg, apart = _bisector_sections(polys[i, :counts[i]], pts[i],
+                                        pts[near + i + 1], site_tol)
+        near = near[apart]
+        pairs.append(np.column_stack([np.full(len(near), i), near + i + 1]))
+        dists.append(gaps[near])
+        ends.append(seg[apart])
+    ends = np.concatenate(ends)
+    gap = ends[:, 1] - ends[:, 0]
+    areas = np.hypot(gap[:, 0], gap[:, 1])
+    keep = areas >= FACE_DROP_FACTOR * mesh_size
+    mesh = Mesh(2, domain, pts, volumes,
+                cell_polygons=[poly[:m] for poly, m in zip(polys, counts.tolist())],
+                face_cells=np.concatenate(pairs)[keep], face_areas=areas[keep],
+                face_dists=np.concatenate(dists)[keep], face_endpoints=ends[keep])
     mesh.validate()
     return mesh
 

@@ -264,7 +264,7 @@ class TestOnsagerPattern:
         for _ in range(3):
             m = DiscreteMeasure.normalized(rng.uniform(0.05, 1.0, mesh.n_cells))
             for op in (assemble_onsager(mesh, weights, m, pi),
-                       assemble_onsager(mesh, weights, m, pi, pattern=pattern)):
+                       onsager_operators(pattern, weights, m.masses[None], pi)[0]):
                 ref, n_comp, labels = coo_onsager(weights, m, pi, mesh.n_cells)
                 for name in ("data", "indices", "indptr"):
                     got, want = getattr(op.matrix, name), getattr(ref, name)
@@ -310,8 +310,8 @@ class TestOnsagerPattern:
         fc = weights.face_cells
         masses[fc[(fc == 0).any(axis=1)].ravel()] = 0.0
         masses[0] = 1.0  # cell 0 keeps mass, cut off from the rest
-        op = assemble_onsager(mesh, weights, DiscreteMeasure.normalized(masses),
-                              pi, pattern=pattern)
+        op = onsager_operators(pattern, weights,
+                               DiscreteMeasure.normalized(masses).masses[None], pi)[0]
         dense = op.matrix.toarray()
         assert np.array_equal(dense, dense.T)
         scale = np.abs(dense).max()
@@ -328,7 +328,7 @@ class TestOnsagerPattern:
         masses = np.full(mesh.n_cells, 1.0 / (mesh.n_cells - 1))
         masses[3] = 0.0
         m = DiscreteMeasure(masses)
-        op = assemble_onsager(mesh, weights, m, pi, pattern=pattern)
+        op = onsager_operators(pattern, weights, m.masses[None], pi)[0]
         _, n_comp, labels = coo_onsager(weights, m, pi, mesh.n_cells)
         assert op.n_components == n_comp == 3
         assert op.component.tobytes() == labels.tobytes()
@@ -338,8 +338,8 @@ class TestOnsagerPattern:
         mesh, _, pi, weights = chain10
         other = grid4[3]
         with pytest.raises(ValueError, match="another face graph"):
-            assemble_onsager(mesh, weights, pi, pi,
-                             pattern=onsager_pattern(other.face_cells, 16))
+            onsager_operators(onsager_pattern(other.face_cells, 16), weights,
+                              pi.masses[None], pi)
 
 
 class TestWarmStartedChain:
@@ -366,7 +366,7 @@ class TestWarmStartedChain:
             masses = rng.uniform(0.2, 1.0, mesh.n_cells)
             masses[list(zero_cells)] = 0.0
             m = DiscreteMeasure.normalized(masses)
-            op = assemble_onsager(mesh, weights, m, pi, pattern=pattern)
+            op = onsager_operators(pattern, weights, m.masses[None], pi)[0]
             assert op.n_components == 1 + len(zero_cells)
             sigma = op.matrix @ rng.standard_normal(mesh.n_cells)
             counts = np.bincount(op.component, minlength=op.n_components)

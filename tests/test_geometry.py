@@ -65,18 +65,6 @@ def test_point_in_convex_and_inradius():
     assert inradius([1.25, 0.5]) == pytest.approx(-0.25)
 
 
-def test_line_section():
-    seg = geometry.line_section(SQUARE, np.array([1.0, 0.0]), 0.5)
-    p0, p1 = seg
-    assert np.allclose(sorted([p0[1], p1[1]]), [0.0, 1.0])
-    assert p0[0] == pytest.approx(0.5)
-    # line missing the polygon
-    assert geometry.line_section(SQUARE, np.array([1.0, 0.0]), 2.0) is None
-    # line through a single vertex only
-    diag = geometry.line_section(TRIANGLE, np.array([1.0, 1.0]), 1.0)
-    assert diag is not None  # the hypotenuse itself
-
-
 def test_segment_params():
     # the diagonal of the unit square against the anti-diagonal and the top edge
     t, u = geometry.segment_params(np.array([0.0, 0.0]), np.array([1.0, 1.0]),

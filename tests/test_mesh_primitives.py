@@ -17,6 +17,7 @@ from gradflow import experiments as ex
 from gradflow.experiments import _jittered_sites
 from gradflow.geometry import Box
 from gradflow.mesh import FACE_DROP_FACTOR, Domain, Mesh, MeshError
+from test_voronoi_equivalence import _reference_line_section
 
 UNIT_SQUARE = Domain.rectangle(0.0, 0.0, 1.0, 1.0)
 
@@ -74,7 +75,7 @@ def _reference_faces(pts, polys, mesh_size, site_tol):
                 continue
             normal = pts[j] - pts[i]
             offset = 0.5 * float(normal @ (pts[i] + pts[j]))
-            seg = geometry.line_section(polys[i], normal, offset, site_tol)
+            seg = _reference_line_section(polys[i], normal, offset, site_tol)
             if seg is None:
                 continue
             length = float(np.hypot(*(seg[1] - seg[0])))

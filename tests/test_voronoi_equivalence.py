@@ -1,9 +1,11 @@
 """The Voronoi build and the clipping kernel against their all-pairs originals.
 
 `build_voronoi_mesh` clips every cell in lockstep, one batched
-`clip_halfplane` pass per bisector, on padded stacks; it must reproduce,
-byte for byte, the straight all-pairs loop of one-polygon clips and the
-one-polygon clipping kernel kept below as reference copies.
+`clip_halfplane` pass per bisector, on padded stacks, and finds the faces of
+a cell with one batched section against all its candidates; it must
+reproduce, byte for byte, the straight all-pairs loop of one-polygon clips,
+the one-polygon clipping kernel and the general line section of one convex
+polygon, kept below as reference copies.
 """
 import math
 import os
@@ -18,7 +20,8 @@ import pytest
 import gradflow as gf
 from gradflow import experiments as ex
 from gradflow import geometry
-from gradflow.mesh import FACE_DROP_FACTOR, VERTEX_MERGE_TOL, Domain, Mesh, MeshError
+from gradflow.mesh import (FACE_DROP_FACTOR, VERTEX_MERGE_TOL, Domain, Mesh, MeshError,
+                           _bisector_sections)
 
 
 # -- reference copies of the all-pairs build and its clipping kernel -----------
@@ -51,6 +54,35 @@ def _reference_clip_halfplane(verts, normal, offset, merge_tol=1e-12):
             out.append(verts[i] + t * (verts[j] - verts[i]))
     return _reference_merge_close_vertices(
         np.asarray(out, dtype=float).reshape(-1, 2), merge_tol)
+
+
+def _reference_line_section(verts, normal, offset, tol=1e-12):
+    """Segment cut out of a convex polygon by the line {normal·x = offset},
+    ordered along the line, or None when empty or a single point."""
+    nn = float(np.hypot(normal[0], normal[1]))
+    if nn == 0.0:
+        return None
+    unit = normal / nn
+    s = verts @ unit - offset / nn
+    pts = []
+    k = len(verts)
+    for i in range(k):
+        j = (i + 1) % k
+        si, sj = s[i], s[j]
+        if abs(si) <= tol:
+            pts.append(verts[i])
+        elif (si < -tol and sj > tol) or (si > tol and sj < -tol):
+            t = si / (si - sj)
+            pts.append(verts[i] + t * (verts[j] - verts[i]))
+    if len(pts) < 2:
+        return None
+    direction = np.array([-unit[1], unit[0]])
+    proj = np.array([float(p @ direction) for p in pts])
+    p0 = pts[int(np.argmin(proj))]
+    p1 = pts[int(np.argmax(proj))]
+    if np.hypot(p1[0] - p0[0], p1[1] - p0[1]) <= tol:
+        return None
+    return p0, p1
 
 
 def _reference_build_voronoi_mesh(sites, domain):
@@ -86,7 +118,7 @@ def _reference_build_voronoi_mesh(sites, domain):
                 continue
             normal = pts[j] - pts[i]
             offset = 0.5 * float(normal @ (pts[i] + pts[j]))
-            seg = geometry.line_section(polys[i], normal, offset, section_tol)
+            seg = _reference_line_section(polys[i], normal, offset, section_tol)
             if seg is None:
                 continue
             length = float(np.hypot(*(seg[1] - seg[0])))
@@ -151,6 +183,46 @@ def test_mesh_file_byte_identical(case, tmp_path):
     _reference_build_voronoi_mesh(sites, domain).write(tmp_path / "reference.txt")
     assert (tmp_path / "new.txt").read_bytes() == \
         (tmp_path / "reference.txt").read_bytes()
+
+
+def test_no_vertex_beyond_a_candidate_bisector():
+    # the section takes a cell's vertices on each bisector and never
+    # interpolates a crossing: every cell was clipped by every bisector
+    for case in sorted(CASES):
+        sites, domain = CASES[case]()
+        mesh = gf.build_voronoi_mesh(sites, domain)
+        pts, tol = mesh.sites, 1e-12 * max(domain.diameter, 1.0)
+        for i, poly in enumerate(mesh.cell_polygons):
+            others = np.delete(pts, i, axis=0)
+            others = others[geometry.distances(others, pts[i]) <= 2.0 * mesh.size()]
+            normals = others - pts[i]
+            nn = np.hypot(normals[:, 0], normals[:, 1])
+            past = (poly @ (normals / nn[:, None]).T
+                    - 0.5 * geometry.row_dot(normals, pts[i] + others) / nn)
+            assert past.max(initial=-np.inf) <= tol, (case, i)
+
+
+def _sections(poly, site, others):
+    ends, apart = _bisector_sections(np.array(poly), np.array(site),
+                                     np.array(others, dtype=float).reshape(-1, 2), 1e-12)
+    return ends.tolist(), apart.tolist()
+
+
+def test_bisector_sections():
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    # an edge on the bisector x = 1, ordered along it; the line x = 2 misses
+    # the polygon and leaves no section
+    ends, apart = _sections(square, [0.5, 0.5], [[1.5, 0.5], [3.5, 0.5]])
+    assert ends[0] == [[1.0, 0.0], [1.0, 1.0]] and apart == [True, False]
+    # the hypotenuse x + y = 1; the line x = 1 through one vertex only
+    assert _sections(triangle, [0.0, 0.0], [1.0, 1.0]) == \
+        ([[[1.0, 0.0], [0.0, 1.0]]], [True])
+    assert _sections(triangle, [0.5, 0.25], [1.5, 0.25]) == \
+        ([[[1.0, 0.0], [1.0, 0.0]]], [False])
+    # no candidates: the last cell, or a lone site
+    ends, apart = _sections(square, [0.5, 0.5], [])
+    assert ends == [] and apart == []
 
 
 def _stack(polys):
