@@ -241,5 +241,7 @@ def _solve_cg(operator: OnsagerOperator, b: np.ndarray, x0: np.ndarray | None,
     residual = float(np.linalg.norm(b - matvec(x, product))) / b_norm
     if residual <= CG_TOL * 10.0:
         return x
+    if x0 is not None:   # a warm start that stalls: once more from zero
+        return _solve_cg(operator, b, None, counts)
     raise ConjugateGradientError(
         f"no convergence in {max_iter} iterations, relative residual {residual:.3e}")

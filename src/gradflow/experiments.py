@@ -23,7 +23,8 @@ from .reference import (DiscreteMeasure, PointFunction, Potential,
                         project_function, project_measure, zero_potential,
                         _boltzmann, _pointwise)
 from .functionals import dirichlet_energy, entropy, fisher
-from .dual_action import dual_action, onsager_operators, onsager_pattern
+from .dual_action import (OnsagerPattern, dual_action, onsager_operators,
+                          onsager_pattern)
 from .dynamics import (EXACT_DENSE_LIMIT, Generator, build_generator,
                        solve_trajectory)
 from .forked import allowed_cpus, run_jobs
@@ -471,57 +472,70 @@ def _simpson(values: np.ndarray, T: float) -> float:
     return float((w * (T / steps / 3.0)) @ values)
 
 
-# nodes per batched Onsager assembly in a dual chain: a whole 257-node chain
-# at once costs as much time and more memory
+# nodes per block of a dual chain.  A block is one batched Onsager assembly
+# and one run of warm-started solves, and the scheduler's unit of work: the
+# cut depends only on node indices, never on the CPU count.  Why 32: it
+# splits edi-2d's 386 solves 193/193 over two CPUs and keeps the bytes of
+# every recorded output (so does 64); blocks of 16 or 8 nodes, or fully
+# cold solves, move edi-2d's tol from 4.038615183018142e-09 to
+# 4.0386151811677705e-09.  A whole 257-node chain at once assembles no
+# faster and holds more memory.
 _CHAIN_BLOCK = 32
 
 
-def _dual_nodes(generator: Generator, masses: np.ndarray) -> np.ndarray:
-    """Dual action at (m, dm/dt) per trajectory node on one Onsager pattern,
-    each CG solve warm-started from the previous node's solution; the
-    operators are assembled _CHAIN_BLOCK nodes at a time."""
+def _dual_nodes(generator: Generator, pattern: OnsagerPattern,
+                masses: np.ndarray) -> np.ndarray:
+    """Dual action at (m, dm/dt) per node of one block of a chain, the
+    operators assembled at once on the generator's Onsager pattern; the
+    first CG solve starts from zero, each later one from the previous
+    node's solution."""
     weights, pi = generator.weights, generator.pi
-    pattern = onsager_pattern(weights.face_cells, generator.n)
+    operators = onsager_operators(pattern, weights, masses, pi)
     nodes, guess = np.empty(len(masses)), None
-    for lo in range(0, len(masses), _CHAIN_BLOCK):
-        block = masses[lo:lo + _CHAIN_BLOCK]
-        operators = onsager_operators(pattern, weights, block, pi)
-        for i, (m_i, operator) in enumerate(zip(block, operators), lo):
-            nodes[i], guess = dual_action(m_i, generator.matrix @ m_i, weights,
-                                          pi, operator=operator,
-                                          initial_guess=guess,
-                                          return_solution=True)
+    for i, (m_i, operator) in enumerate(zip(masses, operators)):
+        nodes[i], guess = dual_action(m_i, generator.matrix @ m_i, weights, pi,
+                                      operator=operator, initial_guess=guess,
+                                      return_solution=True)
     return nodes
 
 
 def _dual_chains(chains: list[tuple[str, Generator, np.ndarray]]
                  ) -> list[np.ndarray]:
-    """[_dual_nodes(generator, masses) for each (label, generator, masses)],
-    the chains cut into one group per allowed CPU.
+    """The dual action per node of each (label, generator, masses) chain.
 
-    Largest chain (cells x nodes) first, each goes onto the lightest group,
-    so the first group, which the caller runs, holds the largest chain;
-    forked.run_jobs runs each later group in a forked child, named by its
-    chains' labels.  Each chain warm-starts in its own node order, so the
-    bits do not depend on the CPU count.  Nothing here decomposes a dense
-    matrix: a child's BLAS would compete with the caller's for the CPUs.
+    Each chain is cut into blocks of _CHAIN_BLOCK consecutive nodes from
+    node 0, one _dual_nodes call each on the chain's one Onsager pattern.
+    The blocks are cut into one group per allowed CPU: largest block (cells
+    x nodes) first, each onto the lightest group, so the first group, which
+    the caller runs, holds the largest block; forked.run_jobs runs each
+    later group in a forked child, named by its blocks.  The cut does not
+    depend on the CPU count, so neither do the bits.  Nothing here
+    decomposes a dense matrix: a child's BLAS would compete with the
+    caller's for the CPUs.
     """
-    weight = [gen.n * len(masses) for _, gen, masses in chains]
+    patterns = [onsager_pattern(gen.weights.face_cells, gen.n)
+                for _, gen, _ in chains]
+    blocks = [(f"nodes {lo}-{min(lo + _CHAIN_BLOCK, len(masses)) - 1} of {label}",
+               gen, pattern, masses[lo:lo + _CHAIN_BLOCK])
+              for (label, gen, masses), pattern in zip(chains, patterns)
+              for lo in range(0, len(masses), _CHAIN_BLOCK)]
+    weight = [gen.n * len(part) for _, gen, _, part in blocks]
     groups: list[list[int]] = [[] for _ in range(min(allowed_cpus(),
-                                                     len(chains)))]
-    for i in sorted(range(len(chains)), key=lambda i: -weight[i]):
-        min(groups, key=lambda g: sum(weight[j] for j in g)).append(i)
+                                                     len(blocks)))]
+    for b in sorted(range(len(blocks)), key=lambda b: -weight[b]):
+        min(groups, key=lambda g: sum(weight[j] for j in g)).append(b)
 
     def run(group: list[int]) -> bytes:
-        return b"".join(_dual_nodes(*chains[i][1:]).tobytes() for i in group)
+        return b"".join(_dual_nodes(*blocks[b][1:]).tobytes() for b in group)
 
-    bodies = run_jobs([(" and ".join(chains[i][0] for i in group),
+    bodies = run_jobs([(" and ".join(blocks[b][0] for b in group),
                         lambda group=group: run(group)) for group in groups])
     nodes = {}
     for group, body in zip(groups, bodies):
-        ends = np.cumsum([len(chains[i][2]) for i in group])[:-1]
+        ends = np.cumsum([len(blocks[b][3]) for b in group])[:-1]
         nodes.update(zip(group, np.split(np.frombuffer(body), ends)))
-    return [nodes[i] for i in range(len(chains))]
+    return np.split(np.concatenate([nodes[b] for b in range(len(blocks))]),
+                    np.cumsum([len(masses) for _, _, masses in chains])[:-1])
 
 
 @dataclass
@@ -564,12 +578,13 @@ def edi_audit(generator: Generator, m0: DiscreteMeasure, T: float,
     with its own dual solves, equals the residual of an audit at steps // 2,
     which may share the generator and its eigendecomposition.
 
-    The dual solves form two warm-started chains, the main one over every
-    node and the control one over the even nodes.  With more than one
-    allowed CPU the control chain runs in a forked child (_dual_chains)
-    while the caller runs the main one; the bits do not depend on the CPU
-    count.  A failure in either chain is raised here with its type and
-    message, once the child is joined.
+    The dual solves form two chains, the main one over every node and the
+    control one over the even nodes, each warm-started within blocks of
+    _CHAIN_BLOCK nodes from its node 0.  With more than one allowed CPU
+    _dual_chains spreads the blocks over the caller and forked children
+    (at steps = 256, 193 solves each on two CPUs); the bits do not depend
+    on the CPU count.  A failure in any block is raised here with its type
+    and message, once every child is joined.
     """
     check_edi_steps(steps)
     if np.any(np.asarray(getattr(m0, "masses", m0)) <= 0.0):

@@ -12,7 +12,6 @@ import pytest
 
 from gradflow import cli, dynamics, experiments
 from gradflow.cli import main
-from gradflow.dual_action import ConjugateGradientError
 from gradflow.mesh import Mesh
 from test_dynamics import _assert_no_child_process
 
@@ -308,6 +307,31 @@ class TestEdiCommand:
         assert lines[0] == "before the fork"
         assert len(lines) == 2 and lines[1].startswith("edi: residual=")
 
+    @pytest.mark.parametrize("args", [
+        ["--kind", "cartesian", "--n", "20", "--M", "16", "--T", "10"],
+        ["--kind", "uniform1d", "--n", "64", "--M", "16", "--T", "5",
+         "--potential", "quadratic"]])
+    def test_stalled_warm_start_past_equilibration_exit_0(
+            self, tmp_path, monkeypatch, args):
+        # near pi a solve warm-started from the previous node stalled at the
+        # iteration cap (exit 2); it is retried from zero and converges.
+        # One CPU, so every retry runs in this process
+        module = sys.modules["gradflow.dual_action"]
+        solve_cg, cold = module._solve_cg, []
+
+        def counting(operator, b, x0, counts):
+            cold.append(x0 is None)
+            return solve_cg(operator, b, x0, counts)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(module, "_solve_cg", counting)
+        code, out = run(["edi", *args], tmp_path)
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["nodes"] == 17
+        # one block per chain starts from zero; the rest are retries
+        assert sum(cold) > 2
+
     @pytest.mark.parametrize("steps", ["258", "6", "0", "-4"])
     def test_steps_not_multiple_of_four_exit_2(self, tmp_path, capsys, steps):
         # checked before the mesh is read: the named mesh file is absent
@@ -464,28 +488,32 @@ class TestConvergeCommand:
         assert not out.exists()
 
     def test_solver_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a CG allowed no iteration stalls from a warm start and from zero
+        # alike, so the retry from zero stalls too, with residual exactly 1
+        module = sys.modules["gradflow.dual_action"]
         parent, dual_action = os.getpid(), experiments.dual_action
 
-        def stalled(*args, **kwargs):
-            if only_in_child and os.getpid() == parent:
-                return dual_action(*args, **kwargs)
-            raise ConjugateGradientError("no convergence in 160 iterations, "
-                                         "relative residual 1.017e-11")
+        def stalled_in_child(*args, **kwargs):
+            if os.getpid() != parent:   # gone with the child's os._exit
+                module.MAX_ITER_FACTOR = 0
+            return dual_action(*args, **kwargs)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
-        monkeypatch.setattr(experiments, "dual_action", stalled)
         # every dual solve of converge stalls; of edi, only the control
-        # chain's, in its forked child
-        for only_in_child, args in [
-                (False, ["converge", "--family", "uniform1d:16"]),
-                (True, ["edi", "--kind", "cartesian", "--n", "4",
-                        "--M", "16"])]:
-            code, out = run(args, tmp_path, name=args[0])
+        # chain's block, in its forked child
+        for args in (["converge", "--family", "uniform1d:16"],
+                     ["edi", "--kind", "cartesian", "--n", "4", "--M", "16"]):
+            with monkeypatch.context() as patch:
+                if args[0] == "converge":
+                    patch.setattr(module, "MAX_ITER_FACTOR", 0)
+                else:
+                    patch.setattr(experiments, "dual_action", stalled_in_child)
+                code, out = run(args, tmp_path, name=args[0])
             assert code == 2
             assert capsys.readouterr().err.splitlines() == [
-                "error: no convergence in 160 iterations, "
-                "relative residual 1.017e-11"]
+                "error: no convergence in 0 iterations, "
+                "relative residual 1.000e+00"]
             assert not out.exists()
             _assert_no_child_process()
 

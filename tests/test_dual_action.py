@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 from types import SimpleNamespace
 
@@ -10,7 +11,8 @@ from scipy.sparse.linalg import splu
 
 import gradflow as gf
 from gradflow import experiments
-from gradflow.dual_action import (OnsagerOperator, _solve_cg, assemble_onsager,
+from gradflow.dual_action import (MAX_ITER_FACTOR, ConjugateGradientError,
+                                  OnsagerOperator, _solve_cg, assemble_onsager,
                                   dual_action, onsager_operators, onsager_pattern)
 from gradflow.functionals import mean_value
 from gradflow.reference import DiscreteMeasure, initial_measure_from_token
@@ -356,6 +358,45 @@ class TestWarmStartedChain:
         assert guess.tobytes() == before
         assert not np.shares_memory(f, guess)
 
+    @staticmethod
+    def _system(grid4):
+        mesh, _, pi, weights = grid4
+        rng = np.random.default_rng(18)
+        m = DiscreteMeasure.normalized(rng.uniform(0.2, 1.0, mesh.n_cells))
+        op = assemble_onsager(mesh, weights, m, pi)
+        sigma = op.matrix @ rng.standard_normal(mesh.n_cells)
+        counts = np.bincount(op.component, minlength=op.n_components)
+        return op, sigma - sigma.mean(), counts, rng.standard_normal(mesh.n_cells)
+
+    def test_stalled_warm_start_retries_from_zero(self, grid4, monkeypatch):
+        # no iteration at all: the warm start stalls at once; the retry, the
+        # only call through the module attribute, gets the iteration cap back
+        op, sigma, counts, guess = self._system(grid4)
+        module = sys.modules["gradflow.dual_action"]
+        cold, retries = _solve_cg(op, sigma, None, counts), []
+
+        def retry(operator, b, x0, counts):
+            retries.append(x0)
+            monkeypatch.setattr(module, "MAX_ITER_FACTOR", MAX_ITER_FACTOR)
+            return _solve_cg(operator, b, x0, counts)
+
+        monkeypatch.setattr(module, "_solve_cg", retry)
+        monkeypatch.setattr(module, "MAX_ITER_FACTOR", 0)
+        assert _solve_cg(op, sigma, guess, counts).tobytes() == cold.tobytes()
+        assert retries == [None]
+
+    def test_stall_from_zero_raises(self, grid4, monkeypatch):
+        # the warm start and its retry from zero both stall: the retry's
+        # error, whose residual from x = 0 is exactly 1
+        op, sigma, counts, guess = self._system(grid4)
+        monkeypatch.setattr(sys.modules["gradflow.dual_action"],
+                            "MAX_ITER_FACTOR", 0)
+        for x0 in (guess, None):
+            with pytest.raises(ConjugateGradientError,
+                               match="^no convergence in 0 iterations, "
+                                     r"relative residual 1\.000e\+00$"):
+                _solve_cg(op, sigma, x0, counts)
+
     @pytest.mark.parametrize("zero_cells", [(), (5, 6, 9)])
     def test_solves_match_the_reference_cg_bytes(self, grid4, zero_cells):
         mesh, _, pi, weights = grid4
@@ -382,15 +423,20 @@ class TestWarmStartedChain:
         blend = DiscreteMeasure(0.9 * m0.masses + 0.1 * pi.masses)
         masses = gf.solve_trajectory(blend, 0.1, 8, generator,
                                      scheme="exact_dense").masses
-        first = experiments._dual_nodes(generator, masses)
-        assert first.tobytes() == experiments._dual_nodes(generator, masses).tobytes()
+        chains = [("the chain", generator, masses)]
+        first = experiments._dual_chains(chains)[0]
+        assert first.tobytes() == experiments._dual_chains(chains)[0].tobytes()
 
     def test_one_component_search_per_chain(self, grid4, monkeypatch):
+        # 40 nodes, two blocks, one pattern: no zero conductance, so no
+        # other search; one CPU, so every search runs in this process
         mesh, _, pi, weights = grid4
         generator = gf.assemble_generator(mesh, weights, pi)
         masses = np.array([DiscreteMeasure.normalized(
             np.random.default_rng(seed).uniform(0.2, 1.0, mesh.n_cells)).masses
-            for seed in range(6)])
+            for seed in range(40)])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
         # gradflow.dual_action is the function; the module is in sys.modules
         module = sys.modules["gradflow.dual_action"]
         calls = []
@@ -401,7 +447,7 @@ class TestWarmStartedChain:
 
         monkeypatch.setattr(module, "csgraph",
                             SimpleNamespace(connected_components=counting))
-        nodes = experiments._dual_nodes(generator, masses)
+        nodes = experiments._dual_chains([("the chain", generator, masses)])[0]
         assert np.all(np.isfinite(nodes))
         assert len(calls) == 1
 
@@ -455,7 +501,7 @@ class TestGroundedDirectSolve:
     def test_warm_started_chain_matches_direct_solves(self, name):
         generator, masses = _CHAINS[name]()
         weights, pi = generator.weights, generator.pi
-        nodes = experiments._dual_nodes(generator, masses)
+        nodes = experiments._dual_chains([(name, generator, masses)])[0]
         for value, m_i in zip(nodes, masses):
             m = DiscreteMeasure(m_i)
             direct = grounded_dual(weights, m, pi, generator.matrix @ m_i)
@@ -505,8 +551,9 @@ def add_at_operator(weights, m, pi, pattern):
 
 
 def per_node_chain(generator, masses):
-    """Reference for experiments._dual_nodes: one add_at_operator per node,
-    each dual_action solve warm-started from the previous node's solution."""
+    """Reference for one block of experiments._dual_nodes: one
+    add_at_operator per node, each dual_action solve warm-started from the
+    previous node's solution."""
     weights, pi = generator.weights, generator.pi
     pattern = onsager_pattern(weights.face_cells, generator.n)
     nodes, guess = np.empty(len(masses)), None
@@ -518,33 +565,50 @@ def per_node_chain(generator, masses):
     return nodes
 
 
+def per_block_chain(generator, masses):
+    """Reference for one chain of experiments._dual_chains: per_node_chain
+    over each block of _CHAIN_BLOCK consecutive nodes from node 0."""
+    block = experiments._CHAIN_BLOCK
+    return np.concatenate([per_node_chain(generator, masses[lo:lo + block])
+                           for lo in range(0, len(masses), block)])
+
+
 def assert_same_operator(got, want):
     assert got.data.tobytes() == want.data.tobytes()
     assert got.n_components == want.n_components
     assert got.component.tobytes() == want.component.tobytes()
 
 
+# the zero-mass nodes of zero_mass_chain: every third node, and the last node
+# of the first block and the first node of the second
+_SPECIAL_NODES = sorted({*range(0, 41, 3), experiments._CHAIN_BLOCK - 1,
+                         experiments._CHAIN_BLOCK})
+
+
 def zero_mass_chain():
-    """A 40-cell quadratic-V chain of 41 random nodes, every third with three
-    zero-mass cells: those nodes take their own labels, and their duals are
-    +inf (sigma = L m charges the zero cells), so the next solve starts cold."""
+    """A 40-cell quadratic-V chain of 41 random nodes, _SPECIAL_NODES with
+    three zero-mass cells: those nodes take their own labels, and their duals
+    are +inf (sigma = L m charges the zero cells), so the next solve starts
+    cold."""
     mesh = gf.build_interval_mesh(40)
     generator = gf.build_generator(mesh, gf.quadratic_potential(0.3))
     rng = np.random.default_rng(17)
     masses = rng.uniform(0.2, 1.0, (41, mesh.n_cells))
-    masses[::3, 19:22] = 0.0
+    masses[_SPECIAL_NODES, 19:22] = 0.0
     return generator, masses / masses.sum(axis=1, keepdims=True)
 
 
 def stationary_chain():
-    """The exact flow toward pi on cartesian 8x8 with V = 0, 41 nodes, three
-    of them replaced by pi itself: there L pi = 0 exactly, so sigma = 0, the
-    dual is 0 and the next solve starts from zero."""
+    """The exact flow toward pi on cartesian 8x8 with V = 0, 41 nodes, four
+    of them replaced by pi itself, the last node of the first block and the
+    first node of the second among them: there L pi = 0 exactly, so sigma =
+    0, the dual is 0 and the next solve starts from zero."""
     mesh = gf.build_cartesian_mesh(8, 8)
     generator, masses = _flow_chain(mesh, gf.zero_potential(),
                                     "blend:cosine:0.9", 0.2, 40)
     masses = masses.copy()
-    masses[[5, 6, experiments._CHAIN_BLOCK]] = generator.pi.masses
+    masses[[5, 6, experiments._CHAIN_BLOCK - 1,
+            experiments._CHAIN_BLOCK]] = generator.pi.masses
     return generator, masses
 
 
@@ -554,15 +618,16 @@ class TestBatchedChain:
         make = {"zero-mass": zero_mass_chain, "stationary": stationary_chain,
                 **_CHAINS}[name]
         generator, masses = make()
-        nodes = experiments._dual_nodes(generator, masses)
-        assert nodes.tobytes() == per_node_chain(generator, masses).tobytes()
+        nodes = experiments._dual_chains([(name, generator, masses)])[0]
+        assert nodes.tobytes() == per_block_chain(generator, masses).tobytes()
         if name == "edi-2d":   # crosses block edges
             assert len(masses) > 2 * experiments._CHAIN_BLOCK
         if name == "zero-mass":
-            assert np.isinf(nodes[::3]).all() and np.isfinite(nodes[1::3]).all()
+            assert np.flatnonzero(np.isinf(nodes)).tolist() == _SPECIAL_NODES
+            assert np.isfinite(np.delete(nodes, _SPECIAL_NODES)).all()
         if name == "stationary":
             assert not np.any(generator.matrix @ generator.pi.masses)
-            assert np.count_nonzero(nodes == 0.0) == 3
+            assert np.count_nonzero(nodes == 0.0) == 4
 
     def test_zero_mass_nodes_take_their_own_labels(self):
         generator, masses = zero_mass_chain()

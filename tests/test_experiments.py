@@ -280,6 +280,19 @@ class TestEdiAudit:
         assert audit.control_residual == half.residual
         assert audit.control_residual != audit.residual
 
+    def test_control_chain_across_block_edges_equals_half_step_audit(self):
+        # the control chain's 65 nodes are cut into blocks at nodes 32 and
+        # 64, as the half-step audit's main chain is: each block's first
+        # solve starts from zero in both
+        mesh = gf.build_interval_mesh(8)
+        gen = gf.build_generator(mesh, gf.linear_potential(1.0))
+        m0 = initial_measure_from_token("blend:cosine:0.9", mesh, gen.pi)
+        audit = ex.edi_audit(gen, m0, T=0.5, steps=128)
+        half = ex.edi_audit(gen, m0, T=0.5, steps=64)
+        assert len(half.times) > 2 * ex._CHAIN_BLOCK
+        assert audit.control_residual == half.residual
+        assert audit.control_residual != audit.residual
+
     def test_control_equals_half_step_audit_2d(self):
         mesh = gf.build_cartesian_mesh(6, 6)
         pot = gf.quadratic_potential([0.4, 0.6])
@@ -347,10 +360,10 @@ class TestForkedControlChain:
     def _stall_control_chain(self, monkeypatch, stall):
         dual_nodes = ex._dual_nodes
 
-        def stalled(generator, masses):   # the control chain has 17 nodes
-            if len(masses) == 17:
+        def stalled(generator, pattern, masses):   # the control chain is
+            if len(masses) == 17:                  # one block of 17 nodes
                 stall()
-            return dual_nodes(generator, masses)
+            return dual_nodes(generator, pattern, masses)
 
         monkeypatch.setattr(ex, "_dual_nodes", stalled)
 
@@ -362,7 +375,21 @@ class TestForkedControlChain:
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         _assert_same_audit(_audit_5x5(), serial)
-        assert len(forks) == min(cpus, 2) - 1
+        # three blocks: main chain nodes 0-31 and 32, control chain 0-16
+        assert len(forks) == min(cpus, 3) - 1
+        _assert_no_child_process()
+
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_audit_bytes_with_more_blocks_than_cpus(self, monkeypatch, cpus):
+        # 14 blocks: nine of the 257-node main chain, five of the 129-node
+        # control chain
+        _cpus(monkeypatch, 1)
+        serial = _audit_5x5(steps=256)
+        _cpus(monkeypatch, cpus)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        _assert_same_audit(_audit_5x5(steps=256), serial)
+        assert len(forks) == cpus - 1
         _assert_no_child_process()
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -379,8 +406,11 @@ class TestForkedControlChain:
     def test_control_chain_exit_names_the_chain(self, monkeypatch):
         _cpus(monkeypatch, 2)
         self._stall_control_chain(monkeypatch, lambda: os._exit(3))
-        with pytest.raises(OSError, match="^the EDI control chain exited "
-                                          "with status 3$"):
+        # the child runs the control chain's one block and the main chain's
+        # last, one-node block
+        with pytest.raises(OSError, match="^nodes 0-16 of the EDI control "
+                                          "chain and nodes 32-32 of the EDI "
+                                          "main chain exited with status 3$"):
             _audit_5x5()
         _assert_no_child_process()
 
@@ -457,32 +487,38 @@ class TestForkedStudyChains:
             self, monkeypatch, cpus):
         parent = os.getpid()
 
-        def nodes(generator, masses):   # [ran in the caller, n, n, ...]
+        def nodes(generator, pattern, masses):   # [ran in the caller, n, ...]
             out = np.full(len(masses), float(generator.n))
             out[0] = os.getpid() == parent
             return out
 
         monkeypatch.setattr(ex, "_dual_nodes", nodes)
         _cpus(monkeypatch, cpus)
-        cells, lengths = [32, 256, 16, 128, 64], [9, 17, 33, 5, 17]
-        chains = [(f"the chain on {n} cells", SimpleNamespace(n=n),
-                   np.zeros((k, n))) for n, k in zip(cells, lengths)]
+        # the 70-node chain is cut into blocks of 32, 32 and 6 nodes; the
+        # 256-cell chain's one block is the largest, the caller's alone
+        cells, lengths = [32, 256, 16, 128, 64], [9, 17, 70, 5, 17]
+        no_faces = SimpleNamespace(face_cells=np.empty((0, 2), dtype=int))
+        chains = [(f"the chain on {n} cells",
+                   SimpleNamespace(n=n, weights=no_faces), np.zeros((k, n)))
+                  for n, k in zip(cells, lengths)]
         result = ex._dual_chains(chains)
         assert [len(a) for a in result] == lengths
-        assert [a[1:].tolist() for a in result] == [
-            [float(n)] * (k - 1) for n, k in zip(cells, lengths)]
-        assert [a[0] for a in result] == [n == 256 for n in cells]
+        for a, n in zip(result, cells):
+            starts = np.arange(0, len(a), ex._CHAIN_BLOCK)
+            assert a[starts].tolist() == [n == 256] * len(starts)
+            assert np.delete(a, starts).tolist() == [float(n)] * (
+                len(a) - len(starts))
         _assert_no_child_process()
 
     def test_member_stall_comes_back_from_the_child(self, tmp_path, capsys,
                                                      monkeypatch):
         parent, dual_nodes = os.getpid(), ex._dual_nodes
 
-        def stalled(generator, masses):  # the smallest chain, in the child
-            if generator.n == 16:
+        def stalled(generator, pattern, masses):  # the smallest chain, in
+            if generator.n == 16:                 # the child
                 assert os.getpid() != parent
                 raise ConjugateGradientError(self.STALL)
-            return dual_nodes(generator, masses)
+            return dual_nodes(generator, pattern, masses)
 
         _cpus(monkeypatch, 2)
         monkeypatch.setattr(ex, "_dual_nodes", stalled)
