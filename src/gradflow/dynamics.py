@@ -7,11 +7,7 @@ dense spectral oracle used for high-accuracy trajectories.
 """
 from __future__ import annotations
 
-import functools
 import math
-import os
-import shutil
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .forked import allowed_cpus, run_jobs
+from .forked import run_jobs
 from .reference import DiscreteMeasure, FaceWeights, Potential, face_weights
 from .mesh import Mesh
 
@@ -192,56 +188,25 @@ class Trajectory:
         return DiscreteMeasure(self.masses[i])
 
     def export_csv(self, path) -> None:
-        """Rows t,cell,mass in node order, floats as repr.
-
-        The nodes are cut into contiguous ranges, one per allowed CPU
-        (forked.allowed_cpus) and at most one per node.  The caller writes
-        the header and the first range into path; each later range is
-        formatted by a forked job (forked.run_jobs) into a part file beside
-        path, which the caller then appends in node order.  The bytes do not
-        depend on the CPU count.  A failed range raises once every job is
-        joined and every part file removed.
-        """
-        nodes = len(self.times)
-        ranges = max(1, min(nodes, allowed_cpus()))
-        bounds = [nodes * i // ranges for i in range(ranges + 1)]
-        directory = os.path.dirname(os.path.abspath(path))
-        parts = []
-
-        def write(target, a, b):
-            with open(target, "w", encoding="ascii") as fh:
-                if a == 0:
-                    fh.write("t,cell,mass\n")
-                _write_nodes(fh, self.times[a:b], self.masses[a:b])
-            return b""
-
-        try:
-            jobs = [("the writer of the first trajectory nodes",
-                     functools.partial(write, path, 0, bounds[1]))]
-            for a, b in zip(bounds[1:-1], bounds[2:]):
-                fd, part = tempfile.mkstemp(dir=directory,
-                                            prefix=".gradflow-part-")
-                os.close(fd)
-                parts.append(part)
-                jobs.append((f"the writer of trajectory nodes {a} to {b - 1}",
-                             functools.partial(write, part, a, b)))
-            run_jobs(jobs)
-            with open(path, "ab") as fh:
-                for part in parts:
-                    with open(part, "rb") as src:
-                        shutil.copyfileobj(src, fh)
-        finally:
-            for part in parts:
-                os.unlink(part)
+        """Rows t,cell,mass in node order, floats as repr: the header, then
+        one forked.run_jobs job per node, so the bytes do not depend on the
+        CPU count.  A failed node raises once every child is joined."""
+        cells = [f",{k}," for k in range(self.masses.shape[1])]
+        jobs = [(f"the writer of trajectory node {i}", 1,
+                 lambda out, t=t, row=row: _write_node(out, cells, t, row))
+                for i, (t, row) in enumerate(zip(self.times.tolist(),
+                                                 self.masses))]
+        with open(path, "wb") as fh:
+            fh.write(b"t,cell,mass\n")
+            run_jobs(jobs, fh)
 
 
-def _write_nodes(fh, times: np.ndarray, masses: np.ndarray) -> None:
-    """Rows t,cell,mass of these nodes, floats as repr: one write per node."""
-    cells = [f",{k}," for k in range(masses.shape[1])]
-    for t, row in zip(times.tolist(), masses):
-        head = repr(t)
-        fh.write("".join([f"{head}{k}{mass!r}\n"
-                          for k, mass in zip(cells, row.tolist())]))
+def _write_node(out, cells: list[str], t: float, row: np.ndarray) -> None:
+    """Rows t,cell,mass of one node, floats as repr, in one write."""
+    head = repr(t)
+    rows = "".join([f"{head}{k}{mass!r}\n"
+                    for k, mass in zip(cells, row.tolist())])
+    out.write(rows.encode("ascii"))
 
 
 def solve_trajectory(m0, T: float, steps: int, generator: Generator,

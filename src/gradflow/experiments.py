@@ -7,6 +7,7 @@ Studies are deterministic for fixed seeds and reproduce byte-identical CSV.
 """
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -27,7 +28,7 @@ from .dual_action import (OnsagerPattern, dual_action, onsager_operators,
                           onsager_pattern)
 from .dynamics import (EXACT_DENSE_LIMIT, Generator, build_generator,
                        solve_trajectory)
-from .forked import allowed_cpus, run_jobs
+from .forked import run_jobs
 
 
 # -- mesh families ---------------------------------------------------------------
@@ -473,9 +474,9 @@ def _simpson(values: np.ndarray, T: float) -> float:
 
 
 # nodes per block of a dual chain.  A block is one batched Onsager assembly
-# and one run of warm-started solves, and the scheduler's unit of work: the
+# and one run of warm-started solves, and one job of forked.run_jobs: the
 # cut depends only on node indices, never on the CPU count.  Why 32: it
-# splits edi-2d's 386 solves 193/193 over two CPUs and keeps the bytes of
+# splits edi-2d's 386 solves 192/194 over two CPUs and keeps the bytes of
 # every recorded output (so does 64); blocks of 16 or 8 nodes, or fully
 # cold solves, move edi-2d's tol from 4.038615183018142e-09 to
 # 4.0386151811677705e-09.  A whole 257-node chain at once assembles no
@@ -504,37 +505,24 @@ def _dual_chains(chains: list[tuple[str, Generator, np.ndarray]]
     """The dual action per node of each (label, generator, masses) chain.
 
     Each chain is cut into blocks of _CHAIN_BLOCK consecutive nodes from
-    node 0, one _dual_nodes call each on the chain's one Onsager pattern.
-    The blocks are cut into one group per allowed CPU: largest block (cells
-    x nodes) first, each onto the lightest group, so the first group, which
-    the caller runs, holds the largest block; forked.run_jobs runs each
-    later group in a forked child, named by its blocks.  The cut does not
-    depend on the CPU count, so neither do the bits.  Nothing here
+    node 0, one _dual_nodes call each on the chain's one Onsager pattern
+    and one forked.run_jobs job weighted by cells x nodes.  The blocks do
+    not depend on the CPU count, so neither do the bits.  Nothing here
     decomposes a dense matrix: a child's BLAS would compete with the
     caller's for the CPUs.
     """
-    patterns = [onsager_pattern(gen.weights.face_cells, gen.n)
-                for _, gen, _ in chains]
-    blocks = [(f"nodes {lo}-{min(lo + _CHAIN_BLOCK, len(masses)) - 1} of {label}",
-               gen, pattern, masses[lo:lo + _CHAIN_BLOCK])
-              for (label, gen, masses), pattern in zip(chains, patterns)
-              for lo in range(0, len(masses), _CHAIN_BLOCK)]
-    weight = [gen.n * len(part) for _, gen, _, part in blocks]
-    groups: list[list[int]] = [[] for _ in range(min(allowed_cpus(),
-                                                     len(blocks)))]
-    for b in sorted(range(len(blocks)), key=lambda b: -weight[b]):
-        min(groups, key=lambda g: sum(weight[j] for j in g)).append(b)
-
-    def run(group: list[int]) -> bytes:
-        return b"".join(_dual_nodes(*blocks[b][1:]).tobytes() for b in group)
-
-    bodies = run_jobs([(" and ".join(blocks[b][0] for b in group),
-                        lambda group=group: run(group)) for group in groups])
-    nodes = {}
-    for group, body in zip(groups, bodies):
-        ends = np.cumsum([len(blocks[b][3]) for b in group])[:-1]
-        nodes.update(zip(group, np.split(np.frombuffer(body), ends)))
-    return np.split(np.concatenate([nodes[b] for b in range(len(blocks))]),
+    jobs = []
+    for label, gen, masses in chains:
+        pattern = onsager_pattern(gen.weights.face_cells, gen.n)
+        for lo in range(0, len(masses), _CHAIN_BLOCK):
+            block = masses[lo:lo + _CHAIN_BLOCK]
+            jobs.append((f"nodes {lo}-{lo + len(block) - 1} of {label}",
+                         gen.n * len(block),
+                         lambda out, gen=gen, pattern=pattern, block=block:
+                         out.write(_dual_nodes(gen, pattern, block).tobytes())))
+    out = io.BytesIO()
+    run_jobs(jobs, out)
+    return np.split(np.frombuffer(out.getbuffer()),
                     np.cumsum([len(masses) for _, _, masses in chains])[:-1])
 
 
@@ -582,9 +570,9 @@ def edi_audit(generator: Generator, m0: DiscreteMeasure, T: float,
     control one over the even nodes, each warm-started within blocks of
     _CHAIN_BLOCK nodes from its node 0.  With more than one allowed CPU
     _dual_chains spreads the blocks over the caller and forked children
-    (at steps = 256, 193 solves each on two CPUs); the bits do not depend
-    on the CPU count.  A failure in any block is raised here with its type
-    and message, once every child is joined.
+    (at steps = 256 on two CPUs, 192 solves in the caller, 194 in a child);
+    the bits do not depend on the CPU count.  A failure in any block is
+    raised here with its type and message, once every child is joined.
     """
     check_edi_steps(steps)
     if np.any(np.asarray(getattr(m0, "masses", m0)) <= 0.0):
@@ -684,7 +672,8 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
     times (read at call time), plus entropy excess and the two dissipation
     integrals.  The Richardson reference solves on 4 x max(sizes) and
     2 x max(sizes) cells with the dense oracle, so a family whose 4 x max
-    exceeds EXACT_DENSE_LIMIT is refused before any mesh is built.  The
+    exceeds EXACT_DENSE_LIMIT is refused before any mesh is built, and one
+    off [0, 1], where both references live, before any reference.  The
     members' dual chains run through _dual_chains, on every allowed CPU.
     Families other than uniform1d are 2d and must be cartesian (see
     _evolutionary_study_2d).
@@ -706,12 +695,13 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
             f"uniform1d sizes must be at most {EXACT_DENSE_LIMIT // 4}")
     meshes = family.build()
     domain = meshes[0].domain
-    unit = (abs(float(domain.bounds[0])) <= 1e-15
-            and abs(float(domain.bounds[1]) - 1.0) <= 1e-15)
-    closed_form = spectral and unit
+    a, b = (float(x) for x in domain.bounds)
+    if abs(a) > 1e-15 or abs(b - 1.0) > 1e-15:
+        raise ValueError(f"the 1d study's references live on [0, 1], not on "
+                         f"the family's interval [{a!r}, {b!r}]")
     rho0_fn = (density_from_token(rho0, 1) if isinstance(rho0, str) else rho0)
     times = np.linspace(0.0, T, t_nodes)
-    if closed_form:
+    if spectral:
         refs = [_cosine_density_1d_exact(t, 4096, amp) for t in times]
         entropy_refs = [continuum_entropy(heat_cosine_density(t, amp),
                                           potential, domain, 1024)
@@ -730,9 +720,13 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
                                      t_nodes - 1, generator,
                                      scheme="exact_dense")
                     for mesh, generator in zip(meshes, generators)]
+    # the finest member first, so that the caller runs the chain that
+    # outweighs the others: with it in a child, the chains of
+    # uniform1d:16..256 took 100 ms against 95 (medians, 2-core VM)
     dual_nodes = _dual_chains([
         (f"the dual chain on {mesh.n_cells} cells", generator, traj.masses)
-        for mesh, generator, traj in zip(meshes, generators, trajectories)])
+        for mesh, generator, traj in zip(meshes[::-1], generators[::-1],
+                                         trajectories[::-1])])[::-1]
 
     def one(mesh: Mesh, generator: Generator, traj,
             duals: np.ndarray) -> StudyRow:

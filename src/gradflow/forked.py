@@ -1,22 +1,26 @@
-"""Ordered jobs on every allowed CPU: the caller runs the first, forked
-children the rest.
+"""Ordered jobs on every allowed CPU, their output in job order.
 
-The children are plain `os.fork` processes, no `multiprocessing`.  Each
-later job returns bytes, which its child sends back on a pipe before it
-leaves with `os._exit`, so no Python buffer (stdout included) is flushed
-twice and no `atexit` handler runs in a child.  A child may call BLAS even
-when the caller has run threaded BLAS before: OpenBLAS registers a
-`pthread_atfork` handler that shuts its thread pool down before every fork,
-and the child starts a fresh pool on its first threaded call.
+The caller runs the first group of jobs (cut) on the output stream; each
+later group runs in a plain `os.fork` child on an anonymous temporary file,
+copied into the output once the child is joined.  A child's pipe carries
+only its status and exception; it leaves with `os._exit`, so no Python
+buffer is flushed twice and no `atexit` handler runs in it.  A child may
+call BLAS after the caller ran threaded BLAS: OpenBLAS's `pthread_atfork`
+handler shuts its thread pool down before every fork.
 """
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
 import pickle
-from typing import Callable, Sequence
+import shutil
+import tempfile
+from typing import BinaryIO, Callable, Sequence
 
-# (label, job): the label names the job when its child dies without a report
-Job = tuple[str, Callable[[], object]]
+# (label, weight, job): job(out) writes its bytes to out; the weight (>= 0)
+# is its share of the work; the label names it if its child dies silently
+Job = tuple[str, float, Callable[[BinaryIO], object]]
 
 
 def allowed_cpus() -> int:
@@ -26,50 +30,69 @@ def allowed_cpus() -> int:
             if hasattr(os, "sched_getaffinity") else 1)
 
 
-def run_jobs(jobs: Sequence[Job]) -> list:
-    """[job() for _, job in jobs], every job after the first returning bytes.
+def cut(weights: Sequence[float], parts: int) -> list[int]:
+    """Bounds [0, ..., len(weights)] of at most `parts` contiguous groups of
+    about equal weight: a job joins the slice of the total weight its
+    midpoint falls in, the earlier one on a boundary, and empty groups are
+    dropped.  Zero total weight makes one group."""
+    total = sum(weights)
+    ends = list(itertools.accumulate(weights, initial=0))
+    # ceil(parts * midpoint / total) - 1, exact for integer weights
+    group = [max(0, -(-parts * (a + b) // (2 * total)) - 1) if total else 0
+             for a, b in zip(ends, ends[1:])]
+    return ([0] + [i for i in range(1, len(group)) if group[i] > group[i - 1]]
+            + [len(group)])
 
-    With more than one allowed CPU each later job runs in a forked child,
-    all of them started before the caller runs the first job; otherwise the
-    caller runs every job in order.  A child's exception is re-raised here
-    with its type and message (an OSError with its text if it does not
-    survive pickling); a child that dies without reporting raises
-    OSError("<label> exited with status N").  The first failure in job order
-    is raised, once every child is joined and every pipe closed.
+
+def run_jobs(jobs: Sequence[Job], out: BinaryIO) -> None:
+    """Run job(out) for every job, in job order as far as out can tell.
+
+    Every group after the first (cut, at most allowed_cpus() groups) is
+    forked before the caller runs the first.  A child's exception comes
+    back with its type and message (an OSError with its text if it does not
+    pickle); a child that dies silently raises OSError("<first job> through
+    <last job> exited with status N").  The first failure in job order is
+    raised once every child is joined and every pipe and file closed.
     """
-    if len(jobs) < 2 or allowed_cpus() < 2:
-        return [job() for _, job in jobs]
+    bounds = cut([weight for _, weight, _ in jobs], allowed_cpus())
+    groups = [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
     children = []
     try:
-        for label, job in jobs[1:]:
-            children.append((label, *_fork(job)))
-        results = [jobs[0][1]()]
+        for group in groups[1:]:
+            children.append(_fork(group))
+        for _, _, job in groups[0]:
+            job(out)
         while children:
-            results.append(_join(*children.pop(0)))
-        return results
+            _join(*children.pop(0), out)
     finally:
-        for label, pid, pipe in children:
+        for child in children:
             try:
-                _join(label, pid, pipe)
+                _join(*child, None)
             except BaseException:
                 pass
 
 
-def _fork(job: Callable[[], bytes]) -> tuple[int, int]:
-    """Start job in a child; return its pid and the read end of its pipe."""
-    pipe, report = os.pipe()
-    try:
+def _fork(group: Sequence[Job]) -> tuple[str, int, int, BinaryIO]:
+    """Start a group in a child; return its name, pid, the read end of its
+    pipe and the temporary file it writes."""
+    name = (group[0][0] if len(group) == 1
+            else f"{group[0][0]} through {group[-1][0]}")
+    with contextlib.ExitStack() as opened:    # closed if the fork fails
+        tmp = opened.enter_context(tempfile.TemporaryFile())
+        pipe, report = os.pipe()
+        opened.callback(os.close, pipe)
+        opened.callback(os.close, report)
         pid = os.fork()
-    except BaseException:
-        os.close(pipe)
-        os.close(report)
-        raise
+        opened.pop_all()
     if pid == 0:  # the child never returns: it reports and exits
         status = 1
         try:
             os.close(pipe)
             try:
-                tag, body = b"R", job()
+                for _, _, job in group:
+                    job(tmp)
+                tmp.flush()
+                tag, body = b"R", b""
             except BaseException as exc:
                 tag, body = _pickled(exc)
             with os.fdopen(report, "wb") as fh:
@@ -79,7 +102,7 @@ def _fork(job: Callable[[], bytes]) -> tuple[int, int]:
         finally:
             os._exit(status)
     os.close(report)
-    return pid, pipe
+    return name, pid, pipe, tmp
 
 
 def _pickled(exc: BaseException) -> tuple[bytes, bytes]:
@@ -93,16 +116,21 @@ def _pickled(exc: BaseException) -> tuple[bytes, bytes]:
         return b"T", (str(exc) or type(exc).__name__).encode(errors="replace")
 
 
-def _join(label: str, pid: int, pipe: int) -> bytes:
-    """Wait for one child; return its bytes or raise what it reported."""
-    with os.fdopen(pipe, "rb") as fh:
+def _join(name: str, pid: int, pipe: int, tmp: BinaryIO,
+          out: BinaryIO | None) -> None:
+    """Wait for one child, then copy its file into out (unless None) or
+    raise what it reported; its pipe and file are closed either way."""
+    with tmp, os.fdopen(pipe, "rb") as fh:
         report = fh.read()
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    tag, body = report[:1], report[1:]
-    if tag == b"R" and status == 0:
-        return body
-    if tag == b"E":
-        raise pickle.loads(body)
-    if tag == b"T":
-        raise OSError(body.decode(errors="replace"))
-    raise OSError(f"{label} exited with status {status}")
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        tag, body = report[:1], report[1:]
+        if tag == b"R" and status == 0:
+            if out is not None:
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, out)
+            return
+        if tag == b"E":
+            raise pickle.loads(body)
+        if tag == b"T":
+            raise OSError(body.decode(errors="replace"))
+        raise OSError(f"{name} exited with status {status}")

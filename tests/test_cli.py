@@ -119,21 +119,24 @@ class TestSolveCommand:
 
     def test_failed_trajectory_writer_leaves_nothing(self, tmp_path, capsys,
                                                      monkeypatch):
-        write_nodes = dynamics._write_nodes
+        # two CPUs: the caller writes nodes 0-2, a child nodes 3-4 and fails
+        parent, write_node = os.getpid(), dynamics._write_node
 
-        def full_after_first_range(fh, times, masses):
-            if times[0] > 0.0:
+        def full_in_the_child(out, cells, t, row):
+            if os.getpid() != parent:
                 raise OSError("disk full")
-            write_nodes(fh, times, masses)
+            write_node(out, cells, t, row)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
-        monkeypatch.setattr(dynamics, "_write_nodes", full_after_first_range)
+        monkeypatch.setattr(dynamics, "_write_node", full_in_the_child)
+        fds = len(os.listdir("/proc/self/fd"))
         code, out = run(["solve", "--kind", "uniform1d", "--n", "8",
                          "--T", "0.1", "--M", "4"], tmp_path)
         assert code == 2
         assert capsys.readouterr().err.splitlines() == ["error: disk full"]
         assert os.listdir(out) == []
+        assert len(os.listdir("/proc/self/fd")) == fds
         assert multiprocessing.active_children() == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -663,3 +666,35 @@ class TestArguments:
 
 def test_unknown_command_exit_2(tmp_path):
     assert main(["frobnicate"]) == 2
+
+
+class TestKnownFailures:
+    """Runs that fail today and should exit 0.  Strict: the change that
+    fixes one flips it from xfail to a failure, and must unmark it."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "exit 2: the 256-cell dual chain's CG stops with no convergence "
+        "in 2560 iterations, relative residual 2.099e-11"))
+    def test_double_well_converge_check(self, tmp_path):
+        code, _ = run(["converge", "--family", "uniform1d:16..256",
+                       "--potential", "double-well", "--rho0", "cosine",
+                       "--T", "0.1", "--check"], tmp_path)
+        assert code == 0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "exit 3: residual -1.227e-06 against a tolerance of 7.813e-07"))
+    def test_quadratic_edi_check(self, tmp_path):
+        code, _ = run(["edi", "--kind", "cartesian", "--n", "20", "--M", "256",
+                       "--potential", "quadratic", "--check"], tmp_path)
+        assert code == 0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "exit 2: density has mass 1.0000886617933284, expected 1 to 1e-8"))
+    def test_voronoi_edi_check(self, tmp_path):
+        sites = tmp_path / "sites.csv"
+        sites.write_text("x,y\n" + "".join(
+            f"{x!r},{y!r}\n"
+            for x, y in np.random.default_rng(3).random((150, 2)).tolist()))
+        code, _ = run(["edi", "--kind", "voronoi", "--sites", str(sites),
+                       "--check"], tmp_path)
+        assert code == 0

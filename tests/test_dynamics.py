@@ -270,28 +270,32 @@ class TestTrajectories:
 
     @pytest.mark.parametrize("failing, how, message", [
         ("later", "raise", "disk full"),
-        ("later", "exit", "the writer of trajectory nodes 3 to 5 exited "
-                          "with status 3"),
+        ("later", "exit", "the writer of trajectory node 3 through the "
+                          "writer of trajectory node 5 exited with status 3"),
         ("first", "raise", "disk full"),
     ])
     def test_failed_range_joins_every_writer(self, tmp_path, monkeypatch,
                                              failing, how, message):
-        write_nodes = dynamics._write_nodes
+        # three CPUs: the caller writes nodes 0-2, children 3-5 and 6-8;
+        # "later" fails in both children, "first" at node 0, in the caller
+        parent, write_node = os.getpid(), dynamics._write_node
 
-        def flaky(fh, times, masses):
-            if (times[0] == 0.0) == (failing == "first"):
+        def flaky(out, cells, t, row):
+            if (os.getpid() != parent if failing == "later" else t == 0.0):
                 if how == "exit":
                     os._exit(3)
                 raise OSError("disk full")
-            write_nodes(fh, times, masses)
+            write_node(out, cells, t, row)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
-        monkeypatch.setattr(dynamics, "_write_nodes", flaky)
+        monkeypatch.setattr(dynamics, "_write_node", flaky)
         path = tmp_path / "trajectory.csv"
+        fds = len(os.listdir("/proc/self/fd"))
         with pytest.raises(OSError, match=f"^{message}$"):
             _oracle_trajectory(9).export_csv(path)
         assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
+        assert len(os.listdir("/proc/self/fd")) == fds
         _assert_no_child_process()
 
     def test_failed_fork_joins_the_forked_writers(self, tmp_path, monkeypatch):
@@ -310,7 +314,10 @@ class TestTrajectories:
         fds = len(os.listdir("/proc/self/fd"))
         with pytest.raises(BlockingIOError):
             _oracle_trajectory(9).export_csv(tmp_path / "trajectory.csv")
-        assert list(tmp_path.iterdir()) == []
+        # the header went in before the fork; the children's temporary files
+        # are anonymous, so nothing else is left
+        assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
+        assert (tmp_path / "trajectory.csv").read_bytes() == b"t,cell,mass\n"
         assert len(os.listdir("/proc/self/fd")) == fds
         _assert_no_child_process()
 

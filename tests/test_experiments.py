@@ -1,3 +1,4 @@
+import io
 import math
 import os
 from types import SimpleNamespace
@@ -15,7 +16,8 @@ from gradflow.experiments import Density1D, wasserstein_1d
 from gradflow.geometry import Box
 from gradflow.mesh import cells_inside
 from gradflow.reference import (DiscreteMeasure, PointFunction, _pointwise,
-                                initial_measure_from_token)
+                                initial_measure_from_token,
+                                potential_from_token)
 from test_dynamics import _assert_no_child_process
 
 
@@ -406,11 +408,11 @@ class TestForkedControlChain:
     def test_control_chain_exit_names_the_chain(self, monkeypatch):
         _cpus(monkeypatch, 2)
         self._stall_control_chain(monkeypatch, lambda: os._exit(3))
-        # the child runs the control chain's one block and the main chain's
-        # last, one-node block
-        with pytest.raises(OSError, match="^nodes 0-16 of the EDI control "
-                                          "chain and nodes 32-32 of the EDI "
-                                          "main chain exited with status 3$"):
+        # of 50 nodes the caller runs the main chain's first 32, the child
+        # its last, one-node block and the control chain's one block
+        with pytest.raises(OSError, match="^nodes 32-32 of the EDI main chain "
+                                          "through nodes 0-16 of the EDI "
+                                          "control chain exited with status 3$"):
             _audit_5x5()
         _assert_no_child_process()
 
@@ -436,23 +438,26 @@ class TestForkedControlChain:
         evals = np.linalg.eigh(a)[0]
         _cpus(monkeypatch, 2)
         _assert_same_audit(_audit_5x5(), serial)
-        assert run_jobs([
-            ("the parent's eigh", lambda: np.linalg.eigh(a)[0].tobytes()),
-            ("a child's eigh", lambda: np.linalg.eigh(a)[0].tobytes()),
-        ]) == [evals.tobytes()] * 2
+        def eigh(out):
+            out.write(np.linalg.eigh(a)[0].tobytes())
+
+        out = io.BytesIO()
+        run_jobs([("the parent's eigh", 1, eigh), ("a child's eigh", 1, eigh)],
+                 out)
+        assert out.getvalue() == evals.tobytes() * 2
         _assert_no_child_process()
 
     def test_unpicklable_child_error_comes_back_as_text(self, monkeypatch):
         class Local(Exception):   # a local class does not pickle
             pass
 
-        def fail():
+        def fail(out):
             raise Local("the chain broke")
 
         _cpus(monkeypatch, 2)
         with pytest.raises(OSError, match="^the chain broke$"):
-            run_jobs([("the caller's job", lambda: None),
-                      ("a failing job", fail)])
+            run_jobs([("the caller's job", 1, lambda out: None),
+                      ("a failing job", 1, fail)], io.BytesIO())
         _assert_no_child_process()
 
 
@@ -467,7 +472,7 @@ def _study_1d_csv(tmp_path, sizes=(16, 32, 64, 128)):
 
 class TestForkedStudyChains:
     """The 1D study's member chains run on every allowed CPU, through the
-    scheduler the EDI audit shares."""
+    cut the EDI audit shares (forked.run_jobs)."""
 
     STALL = "no convergence in 160 iterations, relative residual 1.017e-11"
 
@@ -494,8 +499,10 @@ class TestForkedStudyChains:
 
         monkeypatch.setattr(ex, "_dual_nodes", nodes)
         _cpus(monkeypatch, cpus)
-        # the 70-node chain is cut into blocks of 32, 32 and 6 nodes; the
-        # 256-cell chain's one block is the largest, the caller's alone
+        # the 70-node chain is cut into blocks of 32, 32 and 6 nodes; of
+        # 7488 cells x nodes, the caller's 2496 (three CPUs) or 3744 (two)
+        # hold the midpoints of the first two chains, the 256-cell one's
+        # at 2464, so the largest chain runs in the caller
         cells, lengths = [32, 256, 16, 128, 64], [9, 17, 70, 5, 17]
         no_faces = SimpleNamespace(face_cells=np.empty((0, 2), dtype=int))
         chains = [(f"the chain on {n} cells",
@@ -505,7 +512,7 @@ class TestForkedStudyChains:
         assert [len(a) for a in result] == lengths
         for a, n in zip(result, cells):
             starts = np.arange(0, len(a), ex._CHAIN_BLOCK)
-            assert a[starts].tolist() == [n == 256] * len(starts)
+            assert a[starts].tolist() == [n in (32, 256)] * len(starts)
             assert np.delete(a, starts).tolist() == [float(n)] * (
                 len(a) - len(starts))
         _assert_no_child_process()
@@ -633,6 +640,27 @@ class TestEvolutionaryStudy:
         ex.evolutionary_convergence_study(ex.uniform_interval_family((16, 32)),
                                           pot, "cosine", T=0.05)
         assert sorted(n for n in built if n > 32) == [64, 128]
+
+    @pytest.mark.parametrize("potential", ["zero", "quadratic"])
+    def test_non_unit_interval_rejected_before_any_reference(
+            self, monkeypatch, potential):
+        # both references live on [0, 1]: on [0, 2] the study died inside
+        # the Richardson reference with "density has mass 2.0", whatever V
+        work = []
+        monkeypatch.setattr(ex, "_richardson_reference_1d",
+                            lambda *a: work.append("reference"))
+        monkeypatch.setattr(ex, "_cosine_density_1d_exact",
+                            lambda *a: work.append("closed form"))
+        monkeypatch.setattr(Generator, "symmetric_eig",
+                            lambda self: work.append("eig"))
+        family = ex.MeshFamily("uniform1d", 1, [16, 32], lambda n:
+                               gf.build_interval_mesh(n, interval=(0.0, 2.0)))
+        with pytest.raises(ValueError, match=r"live on \[0, 1\], not on the "
+                                             r"family's interval \[0\.0, "
+                                             r"2\.0\]$"):
+            ex.evolutionary_convergence_study(
+                family, potential_from_token(potential, 1), "cosine", T=0.1)
+        assert work == []
 
     def test_cartesian_l1_route(self, monkeypatch):
         monkeypatch.setattr(ex, "T_NODES", 5)
