@@ -1,9 +1,9 @@
 """Command-line front end: reproducible runs with CSV/JSON outputs.
 
 Exit codes: 0 success, 2 invalid input or solver failure, 3 failed acceptance
-check (--check).
-Output files are written atomically (temp file + rename) so partial runs
-never leave truncated artifacts behind.
+check (--check).  A command does all of its work first; `main` then creates
+--out and writes each output atomically (temp file + rename), so a run that
+exits 2 before its writes creates no --out and a failed write no truncated file.
 """
 from __future__ import annotations
 
@@ -26,14 +26,21 @@ from .reference import (PointFunction, discretize_reference, face_weights,
                         initial_measure_from_token, potential_from_token)
 
 
-def _atomic_write(path: str, write) -> None:
-    """Call write(tmp) on a temp file beside path, then rename it into place
+def _atomic_write(path: str, content) -> None:
+    """Write content (a callback write(path), a dict as indented, key-sorted
+    JSON, or text) to a temp file beside path, then rename it into place
     with the mode open(path, "w") would give (mkstemp creates it 0600)."""
+    if isinstance(content, dict):
+        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
                                prefix=".gradflow-")
     os.close(fd)
     try:
-        write(tmp)
+        if isinstance(content, str):
+            with open(tmp, "w", encoding="ascii") as fh:
+                fh.write(content)
+        else:
+            content(tmp)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -44,16 +51,11 @@ def _atomic_write(path: str, write) -> None:
         raise
 
 
-def _write_text(path: str, text: str) -> None:
-    def write(tmp):
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(text)
-
-    _atomic_write(path, write)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _csv(header: str, *rows) -> str:
+    """CSV text: Python ints as they are, every other value repr(float(v))."""
+    return header + "\n" + "".join(
+        ",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row)
+        + "\n" for row in rows)
 
 
 def _load_sites(path: str) -> np.ndarray:
@@ -92,15 +94,8 @@ def _mesh_from_args(args) -> Mesh:
     raise ValueError("specify --mesh FILE or --kind with its parameters")
 
 
-def _out_dir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
-def cmd_mesh(args) -> int:
+def cmd_mesh(args) -> tuple[int, dict]:
     mesh = _mesh_from_args(args)
-    out = _out_dir(args)
-    _atomic_write(os.path.join(out, "mesh.txt"), mesh.write)
     report = regularity_report(mesh)
     if args.zeta_min is not None and report.zeta < args.zeta_min:
         # quality shortfall is reported, never a construction error
@@ -109,41 +104,34 @@ def cmd_mesh(args) -> int:
     potential = potential_from_token(args.potential, mesh.dim)
     weights = face_weights(mesh, potential, args.mean)
     defects = isotropy_defect(mesh, weights, weights.pi)
-    _write_text(os.path.join(out, "regularity.csv"),
-                "zeta_inner,zeta_area,zeta,mesh_size,cells,faces\n"
-                + ",".join(repr(v) for v in
-                           (report.zeta_inner, report.zeta_area, report.zeta,
-                            report.mesh_size))
-                + f",{mesh.n_cells},{mesh.n_faces}\n")
-    _write_text(os.path.join(out, "isotropy.csv"),
-                "cell,isotropy_defect\n" + "".join(
-                    f"{k},{float(d)!r}\n" for k, d in enumerate(defects)))
-    _write_json(os.path.join(out, "summary.json"),
-                {"command": "mesh", "cells": mesh.n_cells, "faces": mesh.n_faces,
-                 "zeta": report.zeta, "mesh_size": report.mesh_size,
-                 "sup_isotropy_defect": float(defects.max())})
     print(f"mesh: {mesh.n_cells} cells, {mesh.n_faces} faces, "
           f"zeta={report.zeta:.6g}, [T]={report.mesh_size:.6g}")
-    return 0
+    return 0, {
+        "mesh.txt": mesh.write,
+        "regularity.csv": _csv("zeta_inner,zeta_area,zeta,mesh_size,cells,faces",
+                               (report.zeta_inner, report.zeta_area, report.zeta,
+                                report.mesh_size, mesh.n_cells, mesh.n_faces)),
+        "isotropy.csv": _csv("cell,isotropy_defect", *enumerate(defects)),
+        "summary.json": {"command": "mesh", "cells": mesh.n_cells, "faces": mesh.n_faces,
+                         "zeta": report.zeta, "mesh_size": report.mesh_size,
+                         "sup_isotropy_defect": float(defects.max())}}
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, dict]:
     mesh = _mesh_from_args(args)
     generator = build_generator(
         mesh, potential_from_token(args.potential, mesh.dim), args.mean)
     m0 = initial_measure_from_token(args.m0, mesh, generator.pi)
     trajectory = solve_trajectory(m0, args.T, args.M, generator,
                                   scheme=args.scheme)
-    out = _out_dir(args)
-    _atomic_write(os.path.join(out, "trajectory.csv"), trajectory.export_csv)
-    _write_json(os.path.join(out, "summary.json"),
-                {"command": "solve", "scheme": trajectory.scheme,
-                 "T": args.T, "steps": args.M, "cells": mesh.n_cells})
     print(f"solve: {trajectory.scheme}, {args.M} steps to T={args.T}")
-    return 0
+    return 0, {"trajectory.csv": trajectory.export_csv,
+               "summary.json": {"command": "solve", "scheme": trajectory.scheme,
+                                "T": args.T, "steps": args.M,
+                                "cells": mesh.n_cells}}
 
 
-def cmd_edi(args) -> int:
+def cmd_edi(args) -> tuple[int, dict]:
     experiments.check_edi_steps(args.M)
     mesh = _mesh_from_args(args)
     generator = build_generator(
@@ -153,22 +141,18 @@ def cmd_edi(args) -> int:
     tol = max(abs(audit.control_residual - audit.residual) / 7.5,
               64.0 * np.finfo(float).eps * max(audit.entropy_start, 1.0))
     passed = (audit.residual >= -tol) and (abs(audit.residual) <= tol)
-    out = _out_dir(args)
-    _write_text(os.path.join(out, "edi.csv"),
-                "H0,HT,action_integral,fisher_integral,residual,tol\n"
-                + ",".join(repr(v) for v in
-                           (audit.entropy_start, audit.entropy_end,
-                            audit.action_integral, audit.fisher_integral,
-                            audit.residual, tol)) + "\n")
-    _write_json(os.path.join(out, "summary.json"),
-                {"command": "edi", **audit.summary(), "tol": tol,
-                 "pass": bool(passed)})
     print(f"edi: residual={audit.residual:.3e} (tol {tol:.3e}) "
           f"H0={audit.entropy_start:.6g}")
-    return 3 if args.check and not passed else 0
+    return 3 if args.check and not passed else 0, {
+        "edi.csv": _csv("H0,HT,action_integral,fisher_integral,residual,tol",
+                        (audit.entropy_start, audit.entropy_end,
+                         audit.action_integral, audit.fisher_integral,
+                         audit.residual, tol)),
+        "summary.json": {"command": "edi", **audit.summary(), "tol": tol,
+                         "pass": bool(passed)}}
 
 
-def cmd_gamma(args) -> int:
+def cmd_gamma(args) -> tuple[int, dict]:
     family = experiments.family_from_token(args.family, seed=args.seed)
     dim = family.dim
     if args.mode == "affine":
@@ -189,13 +173,11 @@ def cmd_gamma(args) -> int:
                                                grad=grad)
         errors = study.column("error")
         checks = bool(np.all(np.diff(errors) < 0.0))
-    out = _out_dir(args)
-    _atomic_write(os.path.join(out, "gamma.csv"), study.to_csv)
-    _write_json(os.path.join(out, "summary.json"),
-                {"command": "gamma", **study.summary(), "pass": bool(checks)})
     print(f"gamma[{args.mode}]: {len(study.rows)} rows, "
           f"final error {study.rows[-1].error:.3e}")
-    return 3 if args.check and not checks else 0
+    return 3 if args.check and not checks else 0, {
+        "gamma.csv": study.to_csv,
+        "summary.json": {"command": "gamma", **study.summary(), "pass": bool(checks)}}
 
 
 def _phi_from_token(token: str, dim: int):
@@ -221,7 +203,7 @@ def _phi_from_token(token: str, dim: int):
     raise ValueError(f"unknown test function {token!r}")
 
 
-def cmd_converge(args) -> int:
+def cmd_converge(args) -> tuple[int, dict]:
     family = experiments.family_from_token(args.family, seed=args.seed)
     dim = family.dim
     potential = potential_from_token(args.potential, dim)
@@ -230,16 +212,14 @@ def cmd_converge(args) -> int:
     errors = study.column("error")
     orders = study.column("order")[1:]
     passed = bool(np.all(np.diff(errors) < 0.0) and np.all(orders >= 1.0))
-    out = _out_dir(args)
-    _atomic_write(os.path.join(out, "converge.csv"), study.to_csv)
-    _write_json(os.path.join(out, "summary.json"),
-                {"command": "converge", **study.summary(), "pass": passed})
     print(f"converge: final sup error {study.rows[-1].error:.3e}, "
           f"orders {np.array2string(orders, precision=2)}")
-    return 3 if args.check and not passed else 0
+    return 3 if args.check and not passed else 0, {
+        "converge.csv": study.to_csv,
+        "summary.json": {"command": "converge", **study.summary(), "pass": passed}}
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args) -> tuple[int, dict]:
     mesh = _mesh_from_args(args)
     pi = discretize_reference(mesh,
                               potential_from_token(args.potential, mesh.dim))
@@ -252,27 +232,21 @@ def cmd_diagnose(args) -> int:
         cube_centers=[mesh.sites[0]],
         eps_list=[0.2, 0.1, 0.05])
     constants = diagnostics.path_constants(mesh)
-    out = _out_dir(args)
-    _atomic_write(os.path.join(out, "condition.csv"), report.to_csv)
-    _write_text(os.path.join(out, "paths.csv"),
-                f"c_count,c_length,pairs\n{constants.c_count!r},"
-                f"{constants.c_length!r},{constants.n_pairs}\n")
     hol = diagnostics.l2_holder_modulus(
         mesh, np.asarray(m0.masses) / pi.masses,
         np.full(mesh.dim, 0.5 * mesh.size()), m0, pi, kind=args.mean)
-    _write_text(os.path.join(out, "holder.csv"),
-                f"value,bound,ratio\n"
-                f"{hol.value!r},{hol.bound!r},{hol.ratio!r}\n")
-    _write_json(os.path.join(out, "summary.json"),
-                {"command": "diagnose", "k_lower": report.k_lower,
-                 "k_upper": report.k_upper,
-                 "neighbour_osc": report.neighbour_osc,
-                 "c_count": constants.c_count, "c_length": constants.c_length,
-                 "holder_ratio": hol.ratio})
     print(f"diagnose: k in [{report.k_lower:.4g}, {report.k_upper:.4g}], "
           f"osc={report.neighbour_osc:.4g}, paths ({constants.c_count:.3g}, "
           f"{constants.c_length:.3g})")
-    return 0
+    return 0, {
+        "condition.csv": report.to_csv,
+        "paths.csv": _csv("c_count,c_length,pairs", (
+            constants.c_count, constants.c_length, constants.n_pairs)),
+        "holder.csv": _csv("value,bound,ratio", (hol.value, hol.bound, hol.ratio)),
+        "summary.json": {"command": "diagnose", "k_lower": report.k_lower,
+                         "k_upper": report.k_upper, "neighbour_osc": report.neighbour_osc,
+                         "c_count": constants.c_count, "c_length": constants.c_length,
+                         "holder_ratio": hol.ratio}}
 
 
 def _add_mesh_options(p: argparse.ArgumentParser) -> None:
@@ -368,14 +342,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()    # one per process: a parser is a web of reference cycles
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        code, outputs = args.fn(args)
+        os.makedirs(args.out, exist_ok=True)
+        for name, content in outputs.items():
+            _atomic_write(os.path.join(args.out, name), content)
+        return code
     except (MeshError, ValueError, ConjugateGradientError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -120,7 +120,7 @@ def _walk(mesh: Mesh, faces: np.ndarray, neighbours: np.ndarray,
         done = cur[live] == goal[live]
         reached[live[done]] = True
         live = live[~done]
-        if not live.size or step == mesh.n_cells:
+        if not live.size or step == mesh.n_cells or not faces.shape[1]:
             break
         f, nb = faces[cur[live]], neighbours[cur[live]]            # (w, D)
         p0 = mesh.sites[start[live]][:, None]

@@ -217,34 +217,47 @@ def segment_params(p: np.ndarray, q: np.ndarray, a: np.ndarray,
     return t, u
 
 
-def shared_edge(pa: np.ndarray, pb: np.ndarray,
-                tol: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """Common boundary segment of two adjacent convex polygons, or None.
+def shared_edges(polys: np.ndarray, counts: np.ndarray, pairs: np.ndarray,
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(F, 2, 2) common boundary segments of the (F, 2) cell pairs (k, l) of
+    a padded stack (c, V, 2) of convex polygons with (c,) vertex counts, and
+    an (F,) flag, False where a pair has none.  Edge j of l overlaps edge i
+    of k on its projection onto i, trimmed to i, when both its ends lie
+    within tol of i's line; each pair takes the first strictly longest
+    overlap above tol in (i, j) order.  Dot products are `row_dot`'s stacked
+    matmul and min/max explicit comparisons: each pair rounds as a loop."""
+    def dot(x, d):          # x (F, V, 2) against d (F, V, V, 2)
+        return np.matmul(d[..., None, :], x[:, :, None, :, None])[..., 0, 0]
 
-    Looks for a pair of collinear, overlapping edges; returns the longest
-    overlap.  Used to reconstruct face geometry after mesh file round-trips.
-    """
-    best: tuple[np.ndarray, np.ndarray] | None = None
-    best_len = tol
-    ka, kb = len(pa), len(pb)
-    for i in range(ka):
-        a0, a1 = pa[i], pa[(i + 1) % ka]
-        e = a1 - a0
-        el = float(np.hypot(e[0], e[1]))
-        if el <= tol:
-            continue
-        u = e / el
-        n = np.array([-u[1], u[0]])
-        for j in range(kb):
-            b0, b1 = pb[j], pb[(j + 1) % kb]
-            if abs(float(n @ (b0 - a0))) > tol or abs(float(n @ (b1 - a0))) > tol:
-                continue
-            s0, s1 = float(u @ (b0 - a0)), float(u @ (b1 - a0))
-            lo, hi = max(0.0, min(s0, s1)), min(el, max(s0, s1))
-            if hi - lo > best_len:
-                best_len = hi - lo
-                best = (a0 + lo * u, a0 + hi * u)
-    return best
+    def edges(cells):       # their vertices, the next ones, and which are real
+        p, n, idx = polys[cells], counts[cells, None], np.arange(polys.shape[1])
+        nxt = np.where(idx + 1 < n, idx + 1, 0)
+        return p, np.take_along_axis(p, nxt[..., None], axis=1), idx < n
+
+    a0, a1, live_a = edges(pairs[:, 0])
+    b0, b1, live_b = edges(pairs[:, 1])
+    e = a1 - a0
+    el = np.hypot(e[..., 0], e[..., 1])
+    live_a &= ~(el <= tol)
+    u = e / np.where(live_a, el, 1.0)[..., None]
+    normal = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+    d0 = b0[:, None] - a0[:, :, None]
+    d1 = b1[:, None] - a0[:, :, None]
+    on = (live_a[:, :, None] & live_b[:, None, :]
+          & ~(np.abs(dot(normal, d0)) > tol) & ~(np.abs(dot(normal, d1)) > tol))
+    s0, s1 = dot(u, d0), dot(u, d1)
+    lo = np.where(s1 < s0, s1, s0)
+    lo = np.where(lo > 0.0, lo, 0.0)
+    hi = np.where(s1 > s0, s1, s0)
+    hi = np.where(hi < el[:, :, None], hi, el[:, :, None])
+    overlap = np.where(on & (hi - lo > tol), hi - lo, -np.inf).reshape(len(pairs), -1)
+    best = overlap.argmax(axis=1)
+    rows = np.arange(len(pairs))
+    i, j = np.divmod(best, polys.shape[1])
+    start, step = a0[rows, i], u[rows, i]
+    ends = np.stack([start + lo[rows, i, j][:, None] * step,
+                     start + hi[rows, i, j][:, None] * step], axis=1)
+    return ends, overlap[rows, best] > tol
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,9 @@ VERTEX_MERGE_TOL = 1e-12
 FACE_DROP_FACTOR = 1e-12
 # a cell meets a box when their overlap exceeds this share of the cell volume
 OVERLAP_SHARE = 1e-14
+# edge pairs per block of the face rebuild, 64 KiB per (pairs, 2) array: blocks
+# 8 times larger raised the peak RSS of reading back 196 cells by 2.2 MiB
+_FACE_BLOCK_PAIRS = 1 << 12
 
 
 class MeshError(ValueError):
@@ -363,13 +366,16 @@ class Mesh:
             raise MeshError("face endpoints are only defined for d=2")
         if self._face_endpoints is None:
             tol = 1e-9 * max(self.size(), 1e-30)
+            polys, counts = self.padded_polygons()
             ends = np.empty((self.n_faces, 2, 2))
-            for f, (k, l) in enumerate(self.face_cells):
-                seg = geometry.shared_edge(self.cell_polygons[int(k)],
-                                           self.cell_polygons[int(l)], tol)
-                if seg is None:
+            block = max(1, _FACE_BLOCK_PAIRS // polys.shape[1] ** 2)
+            for lo in range(0, self.n_faces, block):
+                ends[lo:lo + block], found = geometry.shared_edges(
+                    polys, counts, self.face_cells[lo:lo + block], tol)
+                if not found.all():
+                    f = lo + int(np.argmin(found))
+                    k, l = self.face_cells[f]
                     raise MeshError(f"cannot reconstruct face {f} between cells {k}, {l}")
-                ends[f, 0], ends[f, 1] = seg
             self._face_endpoints = _frozen(ends)
         return self._face_endpoints
 

@@ -257,6 +257,18 @@ class TestEdiCommand:
                       tmp_path)
         assert code == 2
 
+    def test_floor_tolerance_written_as_a_float(self, tmp_path):
+        # m0 = pi: the residual is rounding, so the 64 eps floor (a numpy
+        # scalar) sets the tolerance
+        code, out = run(["edi", "--kind", "uniform1d", "--n", "8", "--M", "8",
+                         "--m0", "stationary"], tmp_path)
+        assert code == 0
+        header, row = (out / "edi.csv").read_text().splitlines()
+        summary = json.loads((out / "summary.json").read_text())
+        values = dict(zip(header.split(","), map(float, row.split(","))))
+        assert values == {key: summary[key] for key in values}
+        assert values["tol"] == 64.0 * np.finfo(float).eps
+
     @pytest.mark.parametrize("command", ["solve", "edi"])
     def test_single_cell_exit_0(self, tmp_path, command):
         # one cell has no off-diagonal to hand to dstevd: its 1 x 1
@@ -573,6 +585,48 @@ class TestDiagnoseCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert 0.0 < summary["k_lower"] <= 1.0 <= summary["k_upper"]
         assert (out / "holder.csv").exists()
+
+    def test_mesh_file_without_faces_exit_2(self, tmp_path, capsys):
+        code, meshdir = run(["mesh", "--kind", "cartesian", "--nx", "2",
+                             "--ny", "1"], tmp_path, name="meshdir")
+        assert code == 0
+        head, faces = (meshdir / "mesh.txt").read_text().split("\nfaces ")
+        assert faces.splitlines()[0] == "1"
+        bad = tmp_path / "no-faces.txt"
+        bad.write_text(head + "\nfaces 0\n")
+        capsys.readouterr()
+        code, out = run(["diagnose", "--mesh", str(bad)], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: mesh graph is disconnected"]
+        assert not out.exists()
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("argv, message", [
+        (["mesh", "--kind", "cartesian", "--n", "4", "--potential", "bogus"],
+         "unknown potential 'bogus'"),
+        (["diagnose", "--kind", "cartesian", "--n", "2", "--m0", "file:{zero}"],
+         "density lower bound must be positive"),
+        (["solve", "--kind", "uniform1d", "--n", "4", "--m0",
+          "projected:bogus"], "unknown density 'bogus'"),
+        (["edi", "--kind", "uniform1d", "--n", "4", "--M", "4", "--m0",
+          "blend:bogus"], "unknown density 'bogus'"),
+        (["converge", "--family", "uniform1d:8..16", "--rho0", "bogus"],
+         "unknown density 'bogus'"),
+        (["gamma", "--family", "uniform1d:8..16", "--phi", "bogus"],
+         "unknown test function 'bogus'"),
+    ], ids=["mesh", "diagnose", "solve", "edi", "converge", "gamma"])
+    def test_failed_command_creates_no_out(self, tmp_path, capsys, argv,
+                                           message):
+        # cells 2 and 3 get no mass: the Holder bound, the last report,
+        # needs a positive density
+        zero = tmp_path / "zero.csv"
+        zero.write_text("cell,mass\n0,0.5\n1,0.5\n2,0\n3,0\n")
+        code, out = run([a.format(zero=zero) for a in argv], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
 
 class TestArguments:

@@ -140,12 +140,15 @@ def test_segment_params_parallel_and_threshold():
 def test_shared_edge():
     left = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 1.0], [0.0, 1.0]])
     right = np.array([[0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 1.0]])
-    seg = geometry.shared_edge(left, right, tol=1e-12)
-    assert seg is not None
-    p0, p1 = seg
-    assert p0[0] == pytest.approx(0.5) and p1[0] == pytest.approx(0.5)
-    assert abs(p1[1] - p0[1]) == pytest.approx(1.0)
-    assert geometry.shared_edge(left, left + 5.0, tol=1e-12) is None
+    # a triangle sharing half of left's right edge, padded to four vertices
+    # by one that would make the whole edge shared
+    tri = np.array([[0.5, 0.5], [1.0, 0.5], [0.5, 1.0], [0.5, 0.0]])
+    ends, found = geometry.shared_edges(
+        np.stack([left, right, left + 5.0, tri]), np.array([4, 4, 4, 3]),
+        np.array([[0, 1], [0, 2], [0, 3]]), tol=1e-12)
+    assert found.tolist() == [True, False, True]
+    assert ends[0].tolist() == [[0.5, 0.0], [0.5, 1.0]]
+    assert ends[2].tolist() == [[0.5, 0.5], [0.5, 1.0]]
 
 
 def test_box_helpers():

@@ -292,6 +292,18 @@ class TestLockstepWalk:
         with pytest.raises(ValueError, match="mesh graph is disconnected"):
             gf.path_constants(mesh)
 
+    def test_mesh_without_faces_is_disconnected(self):
+        # a zero-width face graph: the walk reaches nothing, so the
+        # breadth-first fallback names the mesh disconnected
+        grid = gf.build_cartesian_mesh(2, 1)
+        mesh = gf.Mesh(2, grid.domain, grid.sites, grid.volumes,
+                       cell_polygons=grid.cell_polygons)
+        assert mesh.face_graph().padded()[0].shape == (2, 0)
+        with pytest.raises(ValueError, match="mesh graph is disconnected"):
+            gf.good_path(mesh, 0, 1)
+        with pytest.raises(ValueError, match="mesh graph is disconnected"):
+            gf.path_constants(mesh)
+
     def test_one_size_call_per_path_constants(self, monkeypatch):
         mesh = MESHES["jittered-42"]()
         calls = []

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import gradflow as gf
-from gradflow import geometry
-from gradflow.experiments import _jittered_sites
+from gradflow import geometry, mesh as mesh_module
+from gradflow.experiments import _jittered_sites, flattened_voronoi_family
 from gradflow.geometry import Box
 from gradflow.mesh import MeshError, Domain, Mesh, cells_meeting
 
@@ -317,6 +317,74 @@ class TestMeshFile:
         path.write_text("not a mesh\n")
         with pytest.raises(MeshError):
             gf.Mesh.read(path)
+
+
+def _reference_shared_edge(pa, pb, tol):
+    """The per-pair face search the batched rebuild replaced: the longest
+    overlap of collinear edges, the first among equals, or None."""
+    best = None
+    best_len = tol
+    ka, kb = len(pa), len(pb)
+    for i in range(ka):
+        a0, a1 = pa[i], pa[(i + 1) % ka]
+        e = a1 - a0
+        el = float(np.hypot(e[0], e[1]))
+        if el <= tol:
+            continue
+        u = e / el
+        n = np.array([-u[1], u[0]])
+        for j in range(kb):
+            b0, b1 = pb[j], pb[(j + 1) % kb]
+            if abs(float(n @ (b0 - a0))) > tol or abs(float(n @ (b1 - a0))) > tol:
+                continue
+            s0, s1 = float(u @ (b0 - a0)), float(u @ (b1 - a0))
+            lo, hi = max(0.0, min(s0, s1)), min(el, max(s0, s1))
+            if hi - lo > best_len:
+                best_len = hi - lo
+                best = (a0 + lo * u, a0 + hi * u)
+    return best
+
+
+class TestFaceRebuild:
+    """Face endpoints of a mesh read from a file, rebuilt in blocks of faces,
+    against the per-pair search, byte for byte."""
+
+    MESHES = {
+        "cartesian-5x3": lambda: gf.build_cartesian_mesh(5, 3, (-1.0, 0.5, 2.0, 3.25)),
+        "cartesian-40": lambda: gf.build_cartesian_mesh(40, 40),   # > 1 block
+        "jittered-100": lambda: gf.build_voronoi_mesh(
+            _jittered_sites(10, 0.35, 42), Domain.rectangle(0, 0, 1, 1)),
+        "flattened-256": lambda: flattened_voronoi_family().make(256),
+        "random-150": lambda: gf.build_voronoi_mesh(
+            np.random.default_rng(3).random((150, 2)), Domain.rectangle(0, 0, 1, 1)),
+    }
+
+    @pytest.mark.parametrize("block", [None, 1])
+    @pytest.mark.parametrize("name", MESHES)
+    def test_matches_the_per_pair_search(self, tmp_path, monkeypatch, name, block):
+        if block:
+            monkeypatch.setattr(mesh_module, "_FACE_BLOCK_PAIRS", block)
+        path = tmp_path / "mesh.txt"
+        self.MESHES[name]().write(path)
+        mesh = Mesh.read(path)
+        tol = 1e-9 * mesh.size()
+        want = np.array([_reference_shared_edge(mesh.cell_polygons[k],
+                                                mesh.cell_polygons[l], tol)
+                         for k, l in mesh.face_cells.tolist()])
+        assert mesh.face_endpoints().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_first_face_without_a_shared_edge_named(self, monkeypatch, block):
+        if block:
+            monkeypatch.setattr(mesh_module, "_FACE_BLOCK_PAIRS", block)
+        grid = gf.build_cartesian_mesh(3, 1)
+        mesh = Mesh(2, grid.domain, grid.sites, grid.volumes,
+                    cell_polygons=grid.cell_polygons,
+                    face_cells=[[0, 1], [2, 0], [1, 2], [0, 2]],
+                    face_areas=[1.0] * 4, face_dists=[1.0] * 4)
+        with pytest.raises(MeshError, match="cannot reconstruct face 1 between "
+                                            "cells 2, 0"):
+            mesh.face_endpoints()
 
 
 class TestValidateErrors:
