@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 invalid input or solver failure, 3 failed acceptance
 check (--check).  A command does all of its work first; `main` then creates
---out and writes each output atomically (temp file + rename), so a run that
-exits 2 before its writes creates no --out and a failed write no truncated file.
+--out, writes every output to a temp file and renames each into place, so a
+run that exits 2 before its writes creates no --out, and a failed write
+leaves --out as it found it.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 
@@ -26,29 +28,54 @@ from .reference import (PointFunction, discretize_reference, face_weights,
                         initial_measure_from_token, potential_from_token)
 
 
-def _atomic_write(path: str, content) -> None:
-    """Write content (a callback write(path), a dict as indented, key-sorted
-    JSON, or text) to a temp file beside path, then rename it into place
-    with the mode open(path, "w") would give (mkstemp creates it 0600)."""
-    if isinstance(content, dict):
-        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               prefix=".gradflow-")
-    os.close(fd)
+def _write_outputs(out: str, outputs: dict) -> None:
+    """Write each output (a callback write(path), a dict as indented,
+    key-sorted JSON, or text) into a temporary directory in out, then
+    rename each into place.  A file of the same name is kept there by a
+    hard link until every rename is done.  If a write or a rename fails,
+    each output renamed into place is removed or its earlier file renamed
+    back, and the directories this call created are removed, so a failed
+    run leaves out as it found it."""
+    made = []   # the directories this call creates, out first
+    head = os.path.abspath(out)
+    while not os.path.isdir(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    stage, placed = None, []   # placed: (path, its earlier file or None)
     try:
-        if isinstance(content, str):
-            with open(tmp, "w", encoding="ascii") as fh:
-                fh.write(content)
-        else:
-            content(tmp)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        os.makedirs(out, exist_ok=True)
+        stage = tempfile.mkdtemp(dir=out, prefix=".gradflow-")
+        os.mkdir(os.path.join(stage, "new"))
+        os.mkdir(os.path.join(stage, "old"))
+        for name, content in outputs.items():
+            new = os.path.join(stage, "new", name)
+            if isinstance(content, dict):
+                content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+            if isinstance(content, str):
+                with open(new, "w", encoding="ascii") as fh:
+                    fh.write(content)
+            else:
+                content(new)
+        for name in outputs:
+            path, old = os.path.join(out, name), None
+            if os.path.lexists(path):
+                old = os.path.join(stage, "old", name)
+                os.link(path, old, follow_symlinks=False)
+            os.replace(os.path.join(stage, "new", name), path)
+            placed.append((path, old))
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for path, old in reversed(placed):
+            if old is None:
+                os.unlink(path)
+            else:
+                os.replace(old, path)
+        if stage is not None:
+            shutil.rmtree(stage)
+        for directory in made:
+            if os.path.isdir(directory):
+                os.rmdir(directory)
         raise
+    shutil.rmtree(stage)
 
 
 def _csv(header: str, *rows) -> str:
@@ -352,9 +379,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         code, outputs = args.fn(args)
-        os.makedirs(args.out, exist_ok=True)
-        for name, content in outputs.items():
-            _atomic_write(os.path.join(args.out, name), content)
+        _write_outputs(args.out, outputs)
         return code
     except (MeshError, ValueError, ConjugateGradientError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

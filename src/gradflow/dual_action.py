@@ -144,9 +144,8 @@ def onsager_operators(pattern: OnsagerPattern, weights, masses,
 
 
 def dual_action(m, sigma, weights=None, pi=None,
-                operator: OnsagerOperator | None = None,
-                mesh: Mesh | None = None,
-                initial_guess: np.ndarray | None = None,
+                operator: OnsagerOperator | list[OnsagerOperator] | None = None,
+                mesh: Mesh | None = None, initial_guess=None,
                 return_solution: bool = False):
     """Evaluate the dual action at a balanced cell field sigma.
 
@@ -156,38 +155,71 @@ def dual_action(m, sigma, weights=None, pi=None,
     sigma is unbalanced or has a component outside range(B) with relative
     norm above RANGE_TOL.  With return_solution the pair (value, f) comes
     back, which lets sequential callers warm-start the next solve.
+
+    A stack of k nodes on one Onsager pattern (m and sigma (k, n), operator
+    a list of k operators from onsager_operators, initial_guess None or a
+    list of k guesses, each None or an array) gives a (k,) array of values,
+    and with return_solution the list of solutions too, each row's bits
+    those of its own call: the connected rows are solved in lockstep by
+    _solve_cg_lockstep, and a row that needs no solve, or whose solve
+    leaves the regular path, alone by _solve_cg.
     """
     sig = np.asarray(sigma, dtype=float)
+    stack = sig.ndim == 2
     if operator is None:
-        if weights is None or pi is None:
-            raise ValueError("pass weights and pi, or a prebuilt operator")
+        if weights is None or pi is None or stack:
+            raise ValueError("pass weights and pi, or a prebuilt operator "
+                             "(a list of them for a stack)")
         operator = assemble_onsager(mesh, weights, m, pi)
-    n = operator.n
-
-    def pack(value, f=None):
-        return (value, f) if return_solution else value
-
-    if sig.shape != (n,):
-        raise ValueError("sigma has the wrong shape")
-    sig_norm1 = float(np.abs(sig).sum())
-    if sig_norm1 == 0.0:
-        return pack(0.0, np.zeros(n))
-    total = float(sig.sum())
-    if abs(total) > BALANCE_TOL * max(1.0, sig_norm1):
-        warnings.warn(f"sigma is unbalanced (sum {total:.3e}); the supremum "
-                      "over constants diverges", stacklevel=2)
-        return pack(math.inf)
-    labels, n_comp = operator.component, operator.n_components
-    comp_sums = np.bincount(labels, weights=sig, minlength=n_comp)
-    counts = np.bincount(labels, minlength=n_comp)
-    if n_comp > 1:
-        # zero-mass regions split the graph; sigma must balance on each piece
-        off_range = float(np.sqrt(np.sum(comp_sums ** 2 / counts)))
-        if off_range > RANGE_TOL * float(np.linalg.norm(sig)):
-            return pack(math.inf)
-    b = sig - (comp_sums / counts)[labels]  # exact range component
-    f = _solve_cg(operator, b, initial_guess, counts)
-    return pack(0.5 * float(sig @ f), f)
+    if stack:
+        operators, sigmas = list(operator), sig
+        guesses = ([None] * len(sig) if initial_guess is None
+                   else list(initial_guess))
+    else:
+        operators, sigmas, guesses = [operator], sig[None], [initial_guess]
+    if (len(operators) != len(sigmas) or len(guesses) != len(sigmas)
+            or any(op.pattern is not operators[0].pattern for op in operators)):
+        raise ValueError("a stack needs one operator and one guess per row, "
+                         "the operators on one Onsager pattern")
+    values, solutions, systems = np.zeros(len(sigmas)), [None] * len(sigmas), {}
+    for i, (sig_i, op) in enumerate(zip(sigmas, operators)):
+        if sig_i.shape != (op.n,):
+            raise ValueError("sigma has the wrong shape")
+        sig_norm1 = float(np.abs(sig_i).sum())
+        if sig_norm1 == 0.0:
+            solutions[i] = np.zeros(op.n)
+            continue
+        total = float(sig_i.sum())
+        if abs(total) > BALANCE_TOL * max(1.0, sig_norm1):
+            warnings.warn(f"sigma is unbalanced (sum {total:.3e}); the supremum "
+                          "over constants diverges", stacklevel=2)
+            values[i] = math.inf
+            continue
+        labels, n_comp = op.component, op.n_components
+        comp_sums = np.bincount(labels, weights=sig_i, minlength=n_comp)
+        counts = np.bincount(labels, minlength=n_comp)
+        if n_comp > 1:
+            # zero-mass regions split the graph; sigma must balance on each piece
+            off_range = float(np.sqrt(np.sum(comp_sums ** 2 / counts)))
+            if off_range > RANGE_TOL * float(np.linalg.norm(sig_i)):
+                values[i] = math.inf
+                continue
+        systems[i] = (sig_i - (comp_sums / counts)[labels],  # exact range part
+                      counts)
+    lockstep = [i for i in systems if operators[i].n_components == 1]
+    if len(lockstep) > 1:
+        solved = _solve_cg_lockstep([operators[i] for i in lockstep],
+                                    np.array([systems[i][0] for i in lockstep]),
+                                    [guesses[i] for i in lockstep])
+        for i, f in zip(lockstep, solved):
+            solutions[i] = f
+    for i, (b, counts) in systems.items():
+        if solutions[i] is None:   # alone, or off the lockstep's regular path
+            solutions[i] = _solve_cg(operators[i], b, guesses[i], counts)
+        values[i] = 0.5 * float(sigmas[i] @ solutions[i])
+    if not stack:
+        values, solutions = float(values[0]), solutions[0]
+    return (values, solutions) if return_solution else values
 
 
 def _solve_cg(operator: OnsagerOperator, b: np.ndarray, x0: np.ndarray | None,
@@ -245,3 +277,115 @@ def _solve_cg(operator: OnsagerOperator, b: np.ndarray, x0: np.ndarray | None,
         return _solve_cg(operator, b, None, counts)
     raise ConjugateGradientError(
         f"no convergence in {max_iter} iterations, relative residual {residual:.3e}")
+
+
+def _solve_cg_lockstep(operators: list[OnsagerOperator], b: np.ndarray,
+                       guesses: list) -> list:
+    """_solve_cg for each row of b (k, n), with its own operator (one
+    component each, all on one pattern) and warm start, in lockstep.
+
+    Each step makes one block-diagonal csr_matvec over the stacked B(m)
+    data (each row sums its entries from 0 in pattern order, as for one
+    row), three stacked dot products (a (1, n) by (n, 1) matmul per row,
+    BLAS ddot, as geometry.row_dot) and one csr_matvec of ones for the
+    sums that project z (each row summed from 0 in index order, as
+    bincount sums a bin), and each row does _solve_cg's operations in
+    _solve_cg's order, so its bits are those of _solve_cg.  A row leaves
+    when its residual is met, its x copied out; it stays in the stack as
+    NaN until every row has left.  A row that would take an irregular path
+    (b = 0, pAp <= 0, rz <= 0 or the iteration cap) comes back as None, to
+    be solved alone.
+    """
+    k, n = b.shape
+    pattern = operators[0].pattern
+    itype = pattern.indices.dtype
+    nnz = len(pattern.indices)
+    rows = np.arange(k)
+    # row c of the stack is block c of the block-diagonal pattern
+    indptr = np.append(rows[:, None] * nnz + pattern.indptr[:-1],
+                       k * nnz).astype(itype)
+    indices = (rows[:, None] * n + pattern.indices).ravel().astype(itype)
+    sum_ptr, sum_idx = (np.arange(k + 1) * n).astype(itype), np.arange(
+        k * n, dtype=itype)
+    ones = np.ones(k * n)
+    # vectors are (rows, 1, n) and per-row scalars (rows, 1, 1), so that the
+    # stacked matmul and the broadcasts take them as they are
+    data = np.array([op.data for op in operators])
+    diag = np.zeros((k, 1, n))   # OnsagerOperator.diagonal per row
+    slots = pattern.slots[:2]
+    diag[:, 0, pattern.indices[slots]] = data[:, slots]
+    inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 0.0)
+    b = b[:, None, :]
+
+    def column(v: np.ndarray) -> np.ndarray:   # each row as an (n, 1) matrix
+        return v.reshape(k, n, 1)
+
+    def project(v: np.ndarray) -> np.ndarray:  # in place, row by row
+        means = np.zeros((k, 1, 1))   # csr_matvec adds into its output
+        csr_matvec(k, k * n, sum_ptr, sum_idx, ones, v, means)
+        means /= n
+        v -= means
+        return v
+
+    x = np.zeros((k, 1, n))
+    for i, x0 in enumerate(guesses):
+        if x0 is not None:
+            x[i, 0] = x0
+    project(x)
+    product = np.zeros((k, 1, n))
+    csr_matvec(k * n, k * n, indptr, indices, data, x, product)
+    r = b - product
+    z = project(inv_diag * r)
+    p = z.copy()
+    step = np.empty_like(x)
+    ap_col, r_col, z_col = column(product), column(r), column(z)
+    # _solve_cg's three checks per row, pAp, the residual and rz, each met
+    # at or below its limit (0, tol, 0); no check meets a NaN limit
+    checks, limits = np.empty((k, 3, 1)), np.zeros((k, 3, 1))
+    pap, r_norm, rz = checks[:, :1], checks[:, 1:2], checks[:, 2:]
+    np.matmul(r, z_col, out=rz)
+    np.sqrt(np.matmul(r, r_col), out=r_norm)
+    b_norm = np.sqrt(np.matmul(b, column(b))).ravel()
+    limits[:, 1, 0] = CG_TOL * b_norm
+    solutions, live = [None] * k, k
+
+    def leave(stopped, done):
+        """Copy out the x of the rows done; the rows stopped get NaN limits
+        and a NaN p, so that they neither stop a later step nor slow it
+        down with subnormal numbers."""
+        nonlocal live
+        for j in np.flatnonzero(stopped):
+            if done[j]:
+                solutions[j] = x[j, 0].copy()
+            limits[j] = p[j] = math.nan
+            live -= 1
+
+    # _solve_cg returns zeros at once for b = 0, and x before its first step
+    # where the residual is already met
+    met = r_norm.ravel() <= limits[:, 1, 0]
+    leave(met | (b_norm == 0.0), met & (b_norm != 0.0))
+    stop = np.empty(checks.shape, dtype=bool)
+    # a row that leaves irregular may divide by zero before it leaves, and
+    # a row that left computes with NaN
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(MAX_ITER_FACTOR * n):
+            if not live:
+                break
+            product.fill(0.0)   # csr_matvec adds into its output
+            csr_matvec(k * n, k * n, indptr, indices, data, p, product)
+            np.matmul(p, ap_col, out=pap)
+            alpha = rz / pap
+            x += np.multiply(alpha, p, out=step)
+            r -= np.multiply(alpha, product, out=step)
+            np.sqrt(np.matmul(r, r_col), out=r_norm)
+            # in _solve_cg's order: pAp, the residual, then the previous rz
+            np.less_equal(checks, limits, out=stop)
+            project(np.multiply(inv_diag, r, out=z))
+            rz_next = np.matmul(r, z_col)
+            p *= rz_next / rz
+            p += z
+            rz[...] = rz_next
+            if np.count_nonzero(stop):
+                # done: the residual met after a step with pAp > 0
+                leave(stop.any(axis=(1, 2)), stop[:, 1, 0] & ~stop[:, 0, 0])
+    return solutions

@@ -8,6 +8,7 @@ Studies are deterministic for fixed seeds and reproduce byte-identical CSV.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -28,7 +29,7 @@ from .dual_action import (OnsagerPattern, dual_action, onsager_operators,
                           onsager_pattern)
 from .dynamics import (EXACT_DENSE_LIMIT, Generator, build_generator,
                        solve_trajectory)
-from .forked import run_jobs
+from .forked import run_groups
 
 
 # -- mesh families ---------------------------------------------------------------
@@ -473,31 +474,57 @@ def _simpson(values: np.ndarray, T: float) -> float:
     return float((w * (T / steps / 3.0)) @ values)
 
 
-# nodes per block of a dual chain.  A block is one batched Onsager assembly
-# and one run of warm-started solves, and one job of forked.run_jobs: the
-# cut depends only on node indices, never on the CPU count.  Why 32: it
-# splits edi-2d's 386 solves 192/194 over two CPUs and keeps the bytes of
-# every recorded output (so does 64); blocks of 16 or 8 nodes, or fully
-# cold solves, move edi-2d's tol from 4.038615183018142e-09 to
-# 4.0386151811677705e-09.  A whole 257-node chain at once assembles no
-# faster and holds more memory.
+# nodes per block of a dual chain, and per batched Onsager assembly.  A
+# block is one run of warm-started solves from zero: the cut depends only
+# on node indices, never on the CPU count.  Why 32: it splits edi-2d's 386
+# solves 192/194 over two CPUs and keeps the bytes of every recorded output
+# (so does 64); blocks of 16 or 8 nodes, or fully cold solves, move
+# edi-2d's tol from 4.038615183018142e-09 to 4.0386151811677705e-09.
 _CHAIN_BLOCK = 32
 
 
-def _dual_nodes(generator: Generator, pattern: OnsagerPattern,
-                masses: np.ndarray) -> np.ndarray:
-    """Dual action at (m, dm/dt) per node of one block of a chain, the
-    operators assembled at once on the generator's Onsager pattern; the
-    first CG solve starts from zero, each later one from the previous
-    node's solution."""
+def _dual_blocks(generator: Generator, pattern: OnsagerPattern,
+                 blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Dual action at (m, dm/dt) per node of each block of chains on one
+    generator and its Onsager pattern.  Round j solves node j of every
+    block that has one in one dual_action call on the stack, each
+    warm-started from its block's node j - 1 (node 0 from zero); a lone
+    block's stack of one is its plain CG solve.  The operators of the next
+    rounds are assembled at once, about _CHAIN_BLOCK nodes at a time: a
+    lone block in one batch, a stack of k blocks every
+    ceil(_CHAIN_BLOCK / k) rounds."""
     weights, pi = generator.weights, generator.pi
-    operators = onsager_operators(pattern, weights, masses, pi)
-    nodes, guess = np.empty(len(masses)), None
-    for i, (m_i, operator) in enumerate(zip(masses, operators)):
-        nodes[i], guess = dual_action(m_i, generator.matrix @ m_i, weights, pi,
-                                      operator=operator, initial_guess=guess,
-                                      return_solution=True)
+    nodes = [np.empty(len(block)) for block in blocks]
+    guesses = [None] * len(blocks)
+    assembled = 0   # the rounds whose operators are assembled
+    for j in range(max(map(len, blocks))):
+        live = [i for i, block in enumerate(blocks) if j < len(block)]
+        if j == assembled:
+            assembled += -(-_CHAIN_BLOCK // len(live))
+            keys = [(i, jj) for i in live
+                    for jj in range(j, min(assembled, len(blocks[i])))]
+            operators = dict(zip(keys, onsager_operators(
+                pattern, weights, np.array([blocks[i][jj] for i, jj in keys]),
+                pi)))
+        masses = np.array([blocks[i][j] for i in live])
+        values, solutions = dual_action(
+            masses, np.array([generator.matrix @ m_i for m_i in masses]),
+            operator=[operators[i, j] for i in live],
+            initial_guess=[guesses[i] for i in live], return_solution=True)
+        for i, value, f in zip(live, values, solutions):
+            nodes[i][j], guesses[i] = value, f
     return nodes
+
+
+def _dual_share(share: list, out) -> None:
+    """Write the node values of a share's (generator, pattern, block)
+    blocks to out in share order: one _dual_blocks call per run of blocks
+    on one pattern (the EDI audit's two chains share theirs)."""
+    for _, run in itertools.groupby(share, key=lambda block: id(block[1])):
+        run = list(run)
+        gen, pattern, _ = run[0]
+        nodes = _dual_blocks(gen, pattern, [block for *_, block in run])
+        out.write(np.concatenate(nodes).tobytes())
 
 
 def _dual_chains(chains: list[tuple[str, Generator, np.ndarray]]
@@ -505,23 +532,24 @@ def _dual_chains(chains: list[tuple[str, Generator, np.ndarray]]
     """The dual action per node of each (label, generator, masses) chain.
 
     Each chain is cut into blocks of _CHAIN_BLOCK consecutive nodes from
-    node 0, one _dual_nodes call each on the chain's one Onsager pattern
-    and one forked.run_jobs job weighted by cells x nodes.  The blocks do
-    not depend on the CPU count, so neither do the bits.  Nothing here
-    decomposes a dense matrix: a child's BLAS would compete with the
-    caller's for the CPUs.
+    node 0, on its generator's one Onsager pattern, and forked.run_groups
+    cuts the blocks by cells x nodes into one share per allowed CPU, whose
+    blocks of one generator _dual_share solves in lockstep (_dual_blocks).
+    The blocks do not depend on the CPU count, and each solve's bits depend
+    neither on the stack it is solved in nor on the share, so neither do
+    the bits.  Nothing here decomposes a dense matrix: a child's BLAS would
+    compete with the caller's for the CPUs.
     """
-    jobs = []
+    blocks, patterns = [], {}
     for label, gen, masses in chains:
-        pattern = onsager_pattern(gen.weights.face_cells, gen.n)
+        if id(gen) not in patterns:
+            patterns[id(gen)] = onsager_pattern(gen.weights.face_cells, gen.n)
         for lo in range(0, len(masses), _CHAIN_BLOCK):
             block = masses[lo:lo + _CHAIN_BLOCK]
-            jobs.append((f"nodes {lo}-{lo + len(block) - 1} of {label}",
-                         gen.n * len(block),
-                         lambda out, gen=gen, pattern=pattern, block=block:
-                         out.write(_dual_nodes(gen, pattern, block).tobytes())))
+            blocks.append((f"nodes {lo}-{lo + len(block) - 1} of {label}",
+                           gen.n * len(block), (gen, patterns[id(gen)], block)))
     out = io.BytesIO()
-    run_jobs(jobs, out)
+    run_groups(blocks, _dual_share, out)
     return np.split(np.frombuffer(out.getbuffer()),
                     np.cumsum([len(masses) for _, _, masses in chains])[:-1])
 
@@ -568,11 +596,13 @@ def edi_audit(generator: Generator, m0: DiscreteMeasure, T: float,
 
     The dual solves form two chains, the main one over every node and the
     control one over the even nodes, each warm-started within blocks of
-    _CHAIN_BLOCK nodes from its node 0.  With more than one allowed CPU
-    _dual_chains spreads the blocks over the caller and forked children
-    (at steps = 256 on two CPUs, 192 solves in the caller, 194 in a child);
-    the bits do not depend on the CPU count.  A failure in any block is
-    raised here with its type and message, once every child is joined.
+    _CHAIN_BLOCK nodes from its node 0.  _dual_chains cuts the blocks into
+    one share per allowed CPU, the caller's and forked children's, and
+    solves each share's blocks in lockstep (at steps = 256 on two CPUs, 192
+    solves in the caller as 32 stacks of 6, 194 in a child as a stack of 8
+    and 31 of 6); the bits depend neither on the stacks nor on the CPU
+    count.  A failure in any block is raised here with its type and
+    message, once every child is joined.
     """
     check_edi_steps(steps)
     if np.any(np.asarray(getattr(m0, "masses", m0)) <= 0.0):

@@ -1,8 +1,9 @@
 """Ordered jobs on every allowed CPU, their output in job order.
 
-The caller runs the first group of jobs (cut) on the output stream; each
-later group runs in a plain `os.fork` child on an anonymous temporary file,
-copied into the output once the child is joined.  A child's pipe carries
+Weighted items are cut into one contiguous group per allowed CPU (cut).
+The caller runs the first group on the output stream; each later group
+runs in a plain `os.fork` child on an anonymous temporary file, copied into
+the output once the child is joined.  A child's pipe carries
 only its status and exception; it leaves with `os._exit`, so no Python
 buffer is flushed twice and no `atexit` handler runs in it.  A child may
 call BLAS after the caller ran threaded BLAS: OpenBLAS's `pthread_atfork`
@@ -18,8 +19,10 @@ import shutil
 import tempfile
 from typing import BinaryIO, Callable, Sequence
 
-# (label, weight, job): job(out) writes its bytes to out; the weight (>= 0)
-# is its share of the work; the label names it if its child dies silently
+# (label, weight, item): the weight (>= 0) is the item's share of the work;
+# the label names it if its child dies silently
+Item = tuple[str, float, object]
+# an Item whose item is a job: job(out) writes its bytes to out
 Job = tuple[str, float, Callable[[BinaryIO], object]]
 
 
@@ -45,23 +48,36 @@ def cut(weights: Sequence[float], parts: int) -> list[int]:
 
 
 def run_jobs(jobs: Sequence[Job], out: BinaryIO) -> None:
-    """Run job(out) for every job, in job order as far as out can tell.
+    """Run job(out) for every job, in job order as far as out can tell:
+    run_groups with each group's jobs run in turn."""
+    run_groups(jobs, _run_each, out)
+
+
+def _run_each(jobs: list, out: BinaryIO) -> None:
+    for job in jobs:
+        job(out)
+
+
+def run_groups(items: Sequence[Item], work: Callable[[list, BinaryIO], object],
+               out: BinaryIO) -> None:
+    """Call work(the group's items, out) once per group of items, in item
+    order as far as out can tell.
 
     Every group after the first (cut, at most allowed_cpus() groups) is
     forked before the caller runs the first.  A child's exception comes
     back with its type and message (an OSError with its text if it does not
-    pickle); a child that dies silently raises OSError("<first job> through
-    <last job> exited with status N").  The first failure in job order is
-    raised once every child is joined and every pipe and file closed.
+    pickle); a child that dies silently raises OSError("<first label>
+    through <last label> exited with status N").  The first failure in item
+    order is raised once every child is joined and every pipe and file
+    closed.
     """
-    bounds = cut([weight for _, weight, _ in jobs], allowed_cpus())
-    groups = [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
+    bounds = cut([weight for _, weight, _ in items], allowed_cpus())
+    groups = [items[a:b] for a, b in zip(bounds, bounds[1:])]
     children = []
     try:
         for group in groups[1:]:
-            children.append(_fork(group))
-        for _, _, job in groups[0]:
-            job(out)
+            children.append(_fork(group, work))
+        work([item for _, _, item in groups[0]], out)
         while children:
             _join(*children.pop(0), out)
     finally:
@@ -72,7 +88,8 @@ def run_jobs(jobs: Sequence[Job], out: BinaryIO) -> None:
                 pass
 
 
-def _fork(group: Sequence[Job]) -> tuple[str, int, int, BinaryIO]:
+def _fork(group: Sequence[Item], work: Callable[[list, BinaryIO], object]
+          ) -> tuple[str, int, int, BinaryIO]:
     """Start a group in a child; return its name, pid, the read end of its
     pipe and the temporary file it writes."""
     name = (group[0][0] if len(group) == 1
@@ -89,8 +106,7 @@ def _fork(group: Sequence[Job]) -> tuple[str, int, int, BinaryIO]:
         try:
             os.close(pipe)
             try:
-                for _, _, job in group:
-                    job(tmp)
+                work([item for _, _, item in group], tmp)
                 tmp.flush()
                 tag, body = b"R", b""
             except BaseException as exc:

@@ -135,11 +135,65 @@ class TestSolveCommand:
                          "--T", "0.1", "--M", "4"], tmp_path)
         assert code == 2
         assert capsys.readouterr().err.splitlines() == ["error: disk full"]
-        assert os.listdir(out) == []
+        assert not out.exists()
         assert len(os.listdir("/proc/self/fd")) == fds
         assert multiprocessing.active_children() == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("before", [
+        None, {"notes.txt": "kept\n"},
+        {"trajectory.csv": "earlier\n", "summary.json": "{}\n"}])
+    def test_failed_summary_write_removes_the_trajectory(
+            self, tmp_path, capsys, monkeypatch, before):
+        # trajectory.csv is renamed into place before summary.json fails:
+        # it is removed, or the earlier run's file put back, and --out too
+        # unless it was there before the run
+        out = tmp_path / "out"
+        if before is not None:
+            out.mkdir()
+            for name, text in before.items():
+                (out / name).write_text(text)
+        replace = os.replace
+
+        def full_at_summary(src, dst):
+            if str(dst).endswith("summary.json"):
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", full_at_summary)
+        code, _ = run(["solve", "--kind", "uniform1d", "--n", "8",
+                       "--T", "0.1", "--M", "4"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: disk full"]
+        if before is None:
+            assert not out.exists()
+        else:
+            assert {f.name: f.read_text() for f in out.iterdir()} == before
+
+    def test_failed_write_removes_the_directories_it_made(
+            self, tmp_path, capsys, monkeypatch):
+        def full(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", full)
+        code = main(["solve", "--kind", "uniform1d", "--n", "8", "--T", "0.1",
+                     "--M", "4", "--out", str(tmp_path / "a" / "b" / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: disk full"]
+        assert os.listdir(tmp_path) == []
+
+    def test_second_run_replaces_the_first(self, tmp_path):
+        args = ["solve", "--kind", "uniform1d", "--n", "8", "--T", "0.1"]
+        _, out = run(args + ["--M", "4"], tmp_path)
+        (out / "notes.txt").write_text("kept\n")
+        code, _ = run(args + ["--M", "8"], tmp_path)
+        _, fresh = run(args + ["--M", "8"], tmp_path, name="fresh")
+        assert code == 0
+        assert sorted(os.listdir(out)) == ["notes.txt", "summary.json",
+                                           "trajectory.csv"]
+        for name in ("summary.json", "trajectory.csv"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
     def test_outputs_take_the_umask_mode(self, tmp_path, umask, mode):
@@ -344,8 +398,9 @@ class TestEdiCommand:
         code, out = run(["edi", *args], tmp_path)
         assert code == 0
         assert json.loads((out / "summary.json").read_text())["nodes"] == 17
-        # one block per chain starts from zero; the rest are retries
-        assert sum(cold) > 2
+        # both blocks start from zero in one lockstep stack, so every
+        # _solve_cg call from zero is a retry
+        assert sum(cold) > 0
 
     @pytest.mark.parametrize("steps", ["258", "6", "0", "-4"])
     def test_steps_not_multiple_of_four_exit_2(self, tmp_path, capsys, steps):

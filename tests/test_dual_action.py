@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse import csgraph
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import splu
 
 import gradflow as gf
@@ -654,6 +655,170 @@ class TestBatchedChain:
             assert_same_operator(assemble_onsager(mesh, weights, m_i, pi), want)
 
 
+# -- the lockstep stack against per-node sequential solves, byte for byte ---------------
+
+
+# 14 blocks of unequal length: 61 nodes
+_LOCKSTEP_LENGTHS = [5, 3, 8, 1, 6, 2, 7, 4, 5, 3, 8, 1, 6, 2]
+
+
+def lockstep_blocks(count, masses):
+    """The first count blocks of _LOCKSTEP_LENGTHS consecutive nodes."""
+    ends = np.cumsum(_LOCKSTEP_LENGTHS[:count])
+    return [masses[end - length:end]
+            for end, length in zip(ends, _LOCKSTEP_LENGTHS[:count])]
+
+
+def counted_lockstep(monkeypatch):
+    """Record the stack height of every _solve_cg_lockstep call."""
+    module = sys.modules["gradflow.dual_action"]
+    lockstep, heights = module._solve_cg_lockstep, []
+
+    def counting(operators, b, guesses):
+        heights.append(len(b))
+        return lockstep(operators, b, guesses)
+
+    monkeypatch.setattr(module, "_solve_cg_lockstep", counting)
+    return heights
+
+
+def assert_blocks_match_the_per_node_chains(generator, blocks):
+    pattern = onsager_pattern(generator.weights.face_cells, generator.n)
+    got = experiments._dual_blocks(generator, pattern, blocks)
+    assert len(got) == len(blocks)
+    for values, block in zip(got, blocks):
+        assert values.tobytes() == per_node_chain(generator, block).tobytes()
+    return got
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("count", [1, 2, 7, 14])
+    def test_stacks_match_the_per_node_chains_bytes(self, monkeypatch, count):
+        generator, masses = _flow_chain(
+            gf.build_cartesian_mesh(8, 8), gf.quadratic_potential([0.4, 0.6]),
+            "blend:cosine:0.9", 0.2, sum(_LOCKSTEP_LENGTHS) - 1)
+        heights = counted_lockstep(monkeypatch)
+        assert_blocks_match_the_per_node_chains(
+            generator, lockstep_blocks(count, masses))
+        # round j stacks node j of every block that has one; a lone column
+        # is its plain _solve_cg
+        want = [h for h in (sum(j < n for n in _LOCKSTEP_LENGTHS[:count])
+                            for j in range(8)) if h > 1]
+        assert heights == want
+
+    def test_column_at_pi_has_zero_sigma(self, monkeypatch):
+        # V = 0 on 8x8: L pi = 0 exactly, so node 1 of the second block has
+        # sigma = 0, dual 0, and its block's node 2 starts from zero
+        generator, masses = _flow_chain(
+            gf.build_cartesian_mesh(8, 8), gf.zero_potential(),
+            "blend:cosine:0.9", 0.2, 40)
+        blocks = [block.copy() for block in lockstep_blocks(7, masses)]
+        blocks[1][1] = generator.pi.masses
+        heights = counted_lockstep(monkeypatch)
+        got = assert_blocks_match_the_per_node_chains(generator, blocks)
+        assert got[1][1] == 0.0 and np.count_nonzero(np.concatenate(got)) == 31
+        # six blocks have a node 1; the one at pi needs no solve
+        assert heights[:2] == [7, 5]
+
+    def test_zero_mass_columns_leave_the_stack(self, monkeypatch):
+        # blocks of zero_mass_chain: nodes with three zero cells have +inf
+        # duals and split the graph, and the next node of a block starts cold
+        generator, masses = zero_mass_chain()
+        blocks = [masses[:experiments._CHAIN_BLOCK],
+                  masses[experiments._CHAIN_BLOCK:], masses[13:20]]
+        heights = counted_lockstep(monkeypatch)
+        assert_blocks_match_the_per_node_chains(generator, blocks)
+        # round j holds nodes j, 32 + j and 13 + j: two of round 0's and one
+        # of each later round's are zero-mass nodes, but none of round 8's
+        # two, and round 7 keeps one column only
+        assert heights == [2] * 7
+
+    def test_split_graph_column_is_solved_alone(self, monkeypatch):
+        # sigma in range(B) on a zero-mass cell that splits the graph: a
+        # finite dual, solved alone by _solve_cg within the stack
+        mesh = gf.build_interval_mesh(40)
+        weights = gf.face_weights(mesh, gf.quadratic_potential(0.3))
+        pi = weights.pi
+        rng = np.random.default_rng(21)
+        masses = rng.uniform(0.2, 1.0, (4, mesh.n_cells))
+        masses[2, 20] = 0.0
+        masses /= masses.sum(axis=1, keepdims=True)
+        pattern = onsager_pattern(weights.face_cells, mesh.n_cells)
+        operators = onsager_operators(pattern, weights, masses, pi)
+        assert [op.n_components for op in operators] == [1, 1, 3, 1]
+        sigmas = np.array([op.matrix @ rng.standard_normal(mesh.n_cells)
+                           for op in operators])
+        guesses = [None, rng.standard_normal(mesh.n_cells), None,
+                   rng.standard_normal(mesh.n_cells)]
+        heights = counted_lockstep(monkeypatch)
+        values, solutions = dual_action(masses, sigmas, operator=operators,
+                                        initial_guess=guesses,
+                                        return_solution=True)
+        assert heights == [3]
+        assert np.isfinite(values).all()
+        for i, op in enumerate(operators):
+            value, f = dual_action(masses[i], sigmas[i], operator=op,
+                                   initial_guess=guesses[i],
+                                   return_solution=True)
+            assert values[i].tobytes() == np.float64(value).tobytes()
+            assert solutions[i].tobytes() == f.tobytes()
+        with pytest.raises(ValueError, match="a list of them for a stack"):
+            dual_action(masses, sigmas, weights, pi)
+
+    def test_stalled_warm_start_past_equilibration(self, monkeypatch):
+        # edi --kind cartesian --n 20 --M 16 --T 10: near pi a warm-started
+        # column stalls at the iteration cap in the lockstep; it is solved
+        # again alone from the same warm start, stalls again, and its retry
+        # from zero converges
+        generator, masses = _flow_chain(
+            gf.build_cartesian_mesh(20, 20), gf.zero_potential(),
+            "blend:cosine:0.9", 10.0, 16)
+        module = sys.modules["gradflow.dual_action"]
+        solve_cg, calls = module._solve_cg, []
+
+        def counting(operator, b, x0, counts):
+            calls.append(x0 is None)
+            return solve_cg(operator, b, x0, counts)
+
+        monkeypatch.setattr(module, "_solve_cg", counting)
+        heights = counted_lockstep(monkeypatch)
+        pattern = onsager_pattern(generator.weights.face_cells, generator.n)
+        got = experiments._dual_blocks(generator, pattern,
+                                       [masses, masses[::2]])
+        assert heights == [2] * 9
+        assert sum(calls) > 0     # retries from zero, after the stalls
+        monkeypatch.setattr(module, "_solve_cg", solve_cg)
+        for values, block in zip(got, [masses, masses[::2]]):
+            assert values.tobytes() == per_node_chain(generator, block).tobytes()
+
+    def test_breakdown_raises_as_the_single_solve(self):
+        # -B is negative definite: pAp <= 0 breaks the column out of the
+        # lockstep, and its solve alone fails as a single call does
+        mesh = gf.build_interval_mesh(12)
+        weights, pi = flat_weights(mesh)
+        rng = np.random.default_rng(22)
+        masses = rng.uniform(0.2, 1.0, (3, mesh.n_cells))
+        masses /= masses.sum(axis=1, keepdims=True)
+        pattern = onsager_pattern(weights.face_cells, mesh.n_cells)
+        operators = onsager_operators(pattern, weights, masses, pi)
+        sigmas = np.array([op.matrix @ rng.standard_normal(mesh.n_cells)
+                           for op in operators])
+        operators[1] = OnsagerOperator(-operators[1].data, pattern,
+                                       operators[1].component, 1)
+        with pytest.raises(ConjugateGradientError) as single:
+            dual_action(masses[1], sigmas[1], operator=operators[1])
+        with pytest.raises(ConjugateGradientError,
+                           match=f"^{single.value}$".replace("+", r"\+")):
+            dual_action(masses, sigmas, operator=operators)
+
+    def test_stack_on_two_patterns_is_rejected(self, chain10, grid4):
+        ops = [assemble_onsager(mesh, weights, pi, pi)
+               for mesh, _, pi, weights in (chain10, chain10)]
+        sigmas = np.zeros((2, ops[0].n))
+        with pytest.raises(ValueError, match="one Onsager pattern"):
+            dual_action(None, sigmas, operator=ops)
+
+
 # -- the private scipy kernel behind OnsagerOperator.matvec ----------------------------
 
 
@@ -696,3 +861,16 @@ class TestCsrKernel:
             assert got.tobytes() == (op.matrix @ v).tobytes(), (
                 "scipy.sparse._sparsetools.csr_matvec no longer computes "
                 "csr_matrix @ v bit for bit; OnsagerOperator.matvec relies on it")
+
+    def test_rows_of_ones_sum_as_bincount(self):
+        # _solve_cg_lockstep's projection sums each row by csr_matvec over a
+        # CSR of ones; _solve_cg sums its one row by bincount
+        rng = np.random.default_rng(21)
+        for k, n in [(1, 1), (2, 7), (6, 400), (14, 400)]:
+            v = rng.standard_normal((k, n)) * np.exp(8.0 * rng.standard_normal((k, n)))
+            sums = np.zeros(k)
+            csr_matvec(k, k * n, np.arange(k + 1, dtype=np.int32) * n,
+                       np.arange(k * n, dtype=np.int32), np.ones(k * n), v, sums)
+            want = np.bincount(np.repeat(np.arange(k), n), weights=v.ravel(),
+                               minlength=k)
+            assert sums.tobytes() == want.tobytes()

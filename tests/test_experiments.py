@@ -360,16 +360,17 @@ class TestForkedControlChain:
     STALL = "no convergence in 250 iterations, relative residual 1.017e-11"
 
     def _stall_control_chain(self, monkeypatch, stall):
-        dual_nodes = ex._dual_nodes
+        dual_blocks = ex._dual_blocks
 
-        def stalled(generator, pattern, masses):   # the control chain is
-            if len(masses) == 17:                  # one block of 17 nodes
+        def stalled(generator, pattern, blocks):
+            # the control chain is one block of 17 nodes
+            if any(len(block) == 17 for block in blocks):
                 stall()
-            return dual_nodes(generator, pattern, masses)
+            return dual_blocks(generator, pattern, blocks)
 
-        monkeypatch.setattr(ex, "_dual_nodes", stalled)
+        monkeypatch.setattr(ex, "_dual_blocks", stalled)
 
-    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_audit_bytes_on_any_cpu_count(self, monkeypatch, cpus):
         _cpus(monkeypatch, 1)
         serial = _audit_5x5()
@@ -381,7 +382,7 @@ class TestForkedControlChain:
         assert len(forks) == min(cpus, 3) - 1
         _assert_no_child_process()
 
-    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_audit_bytes_with_more_blocks_than_cpus(self, monkeypatch, cpus):
         # 14 blocks: nine of the 257-node main chain, five of the 129-node
         # control chain
@@ -492,12 +493,13 @@ class TestForkedStudyChains:
             self, monkeypatch, cpus):
         parent = os.getpid()
 
-        def nodes(generator, pattern, masses):   # [ran in the caller, n, ...]
-            out = np.full(len(masses), float(generator.n))
-            out[0] = os.getpid() == parent
+        def nodes(generator, pattern, blocks):   # [ran in the caller, n, ...]
+            out = [np.full(len(block), float(generator.n)) for block in blocks]
+            for values in out:
+                values[0] = os.getpid() == parent
             return out
 
-        monkeypatch.setattr(ex, "_dual_nodes", nodes)
+        monkeypatch.setattr(ex, "_dual_blocks", nodes)
         _cpus(monkeypatch, cpus)
         # the 70-node chain is cut into blocks of 32, 32 and 6 nodes; of
         # 7488 cells x nodes, the caller's 2496 (three CPUs) or 3744 (two)
@@ -519,16 +521,16 @@ class TestForkedStudyChains:
 
     def test_member_stall_comes_back_from_the_child(self, tmp_path, capsys,
                                                      monkeypatch):
-        parent, dual_nodes = os.getpid(), ex._dual_nodes
+        parent, dual_blocks = os.getpid(), ex._dual_blocks
 
-        def stalled(generator, pattern, masses):  # the smallest chain, in
+        def stalled(generator, pattern, blocks):  # the smallest chain, in
             if generator.n == 16:                 # the child
                 assert os.getpid() != parent
                 raise ConjugateGradientError(self.STALL)
-            return dual_nodes(generator, pattern, masses)
+            return dual_blocks(generator, pattern, blocks)
 
         _cpus(monkeypatch, 2)
-        monkeypatch.setattr(ex, "_dual_nodes", stalled)
+        monkeypatch.setattr(ex, "_dual_blocks", stalled)
         with pytest.raises(ConjugateGradientError, match=f"^{self.STALL}$"):
             _study_1d_csv(tmp_path, sizes=(16, 32))
         _assert_no_child_process()

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from gradflow import forked
-from gradflow.forked import cut, run_jobs
+from gradflow.forked import cut, run_groups, run_jobs
 from test_dynamics import _assert_no_child_process
 
 
@@ -153,4 +153,33 @@ class TestRunJobs:
             fh.write(b"head;")
             run_jobs(_numbered_jobs(4), fh)
         assert path.read_bytes() == b"head;<0><1><2><3>"
+        _assert_no_child_process()
+
+
+class TestRunGroups:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_one_call_per_group_of_items(self, monkeypatch, cpus):
+        # the EDI audit's 14 blocks at 20 x 20 cells, weighted cells x nodes
+        _cpus(monkeypatch, cpus)
+        weights = [400 * 32] * 8 + [400 * 1] + [400 * 32] * 4 + [400 * 1]
+        items = [(f"block {i}", w, i) for i, w in enumerate(weights)]
+        out = io.BytesIO()
+        run_groups(items, lambda group, out: out.write(
+            f"{group};".encode()), out)
+        bounds = cut(weights, cpus)
+        assert out.getvalue() == "".join(
+            f"{list(range(a, b))};" for a, b in zip(bounds, bounds[1:])).encode()
+        _assert_no_child_process()
+
+    def test_silent_exit_names_the_group(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+
+        def work(group, out):
+            if group[0] == 2:
+                os._exit(3)
+
+        items = [(f"item {i}", 1, i) for i in range(4)]
+        with pytest.raises(OSError, match="^item 2 through item 3 exited with "
+                                          "status 3$"):
+            run_groups(items, work, io.BytesIO())
         _assert_no_child_process()
