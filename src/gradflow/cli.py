@@ -231,7 +231,7 @@ def _phi_from_token(token: str, dim: int):
 
 
 def cmd_converge(args) -> tuple[int, dict]:
-    family = experiments.family_from_token(args.family, seed=args.seed)
+    family = experiments.family_from_token(args.family)
     dim = family.dim
     potential = potential_from_token(args.potential, dim)
     study = experiments.evolutionary_convergence_study(
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gamma)
 
     p = sub.add_parser("converge", help="evolutionary convergence study")
-    _add_common(p, seed=True, check=True)
+    _add_common(p, check=True)
     p.add_argument("--family", default="uniform1d:16..256")
     p.add_argument("--rho0", default="cosine")
     p.add_argument("--T", type=_positive("T"), default=0.1)

@@ -77,13 +77,6 @@ class OnsagerOperator:
                               self.pattern.indptr.copy()),  # scipy may sort them
                              shape=(self.n, self.n))
 
-    def diagonal(self) -> np.ndarray:
-        """B's diagonal, read through the (k,k) and (l,l) slots."""
-        diag = np.zeros(self.n)   # 0 on a cell without faces
-        slots = self.pattern.slots[:2]
-        diag[self.pattern.indices[slots]] = self.data[slots]
-        return diag
-
     def matvec(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """B v, written into out: the kernel call that matrix @ v makes
         after scipy's dispatch, so the same bits."""
@@ -222,6 +215,15 @@ def dual_action(m, sigma, weights=None, pi=None,
     return (values, solutions) if return_solution else values
 
 
+def _jacobi(pattern: OnsagerPattern, data: np.ndarray) -> np.ndarray:
+    """CG's Jacobi preconditioner, 1 / B(m)'s diagonal (0 on a cell without
+    faces) read through the (k,k) and (l,l) slots, of data (nnz,) or (k, nnz)."""
+    diag = np.zeros(data.shape[:-1] + (len(pattern.indptr) - 1,))
+    slots = pattern.slots[:2]
+    diag[..., pattern.indices[slots]] = data[..., slots]
+    return np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 0.0)
+
+
 def _solve_cg(operator: OnsagerOperator, b: np.ndarray, x0: np.ndarray | None,
               counts: np.ndarray) -> np.ndarray:
     # bincount casts its labels to intp on every call otherwise
@@ -236,8 +238,7 @@ def _solve_cg(operator: OnsagerOperator, b: np.ndarray, x0: np.ndarray | None,
     n = operator.n
     product = np.empty(n)   # B v: the one output of every kernel call
     matvec = operator.matvec
-    diag = operator.diagonal()
-    inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 0.0)
+    inv_diag = _jacobi(operator.pattern, operator.data)
     b_norm = math.sqrt(float(b.dot(b)))
     if b_norm == 0.0:
         return np.zeros(n)
@@ -311,10 +312,7 @@ def _solve_cg_lockstep(operators: list[OnsagerOperator], b: np.ndarray,
     # vectors are (rows, 1, n) and per-row scalars (rows, 1, 1), so that the
     # stacked matmul and the broadcasts take them as they are
     data = np.array([op.data for op in operators])
-    diag = np.zeros((k, 1, n))   # OnsagerOperator.diagonal per row
-    slots = pattern.slots[:2]
-    diag[:, 0, pattern.indices[slots]] = data[:, slots]
-    inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 0.0)
+    inv_diag = _jacobi(pattern, data)[:, None, :]
     b = b[:, None, :]
 
     def column(v: np.ndarray) -> np.ndarray:   # each row as an (n, 1) matrix

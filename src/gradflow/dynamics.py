@@ -8,14 +8,14 @@ dense spectral oracle used for high-accuracy trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .forked import run_jobs
+from .forked import run_groups
 from .reference import DiscreteMeasure, FaceWeights, Potential, face_weights
 from .mesh import Mesh
 
@@ -47,7 +47,6 @@ class Generator:
     matrix: sp.csr_matrix
     pi: DiscreteMeasure
     weights: FaceWeights
-    _sym: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -74,7 +73,7 @@ class Generator:
 
     def symmetric_eig(self):
         """Eigendecomposition (evals ascending, C-ordered evecs, sqrt(pi)) of
-        the symmetrized generator, cached.
+        the symmetrized generator, decomposed anew on each call.
 
         A tridiagonal S (n > 1 and every entry within one of the diagonal:
         1D cells in coordinate order) goes to LAPACK's dstevd on its two
@@ -87,24 +86,22 @@ class Generator:
         differently (dlascl against dscal) when max|S| lies outside about
         1e-146..1e146.
         """
-        if self._sym is None:
-            _resolve_scheme("exact_dense", self.n)
-            sym = self.symmetrized()
-            coo = sym.tocoo()
-            if self.n > 1 and np.all(np.abs(coo.row - coo.col) <= 1):
-                evals, evecs, info = lapack.dstevd(
-                    sym.diagonal(), sym.diagonal(-1), compute_v=1)
-                if info != 0:
-                    raise np.linalg.LinAlgError(
-                        f"the tridiagonal eigensolver (LAPACK dstevd) "
-                        f"failed with info {info}")
-                # numpy's evecs are C-ordered, scipy's Fortran-ordered; the
-                # products with evecs sum in an order that follows the layout
-                evecs = np.ascontiguousarray(evecs)
-            else:
-                evals, evecs = np.linalg.eigh(sym.toarray())
-            self._sym = (evals, evecs, np.sqrt(self.pi.masses))
-        return self._sym
+        _resolve_scheme("exact_dense", self.n)
+        sym = self.symmetrized()
+        coo = sym.tocoo()
+        if self.n > 1 and np.all(np.abs(coo.row - coo.col) <= 1):
+            evals, evecs, info = lapack.dstevd(
+                sym.diagonal(), sym.diagonal(-1), compute_v=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"the tridiagonal eigensolver (LAPACK dstevd) "
+                    f"failed with info {info}")
+            # numpy's evecs are C-ordered, scipy's Fortran-ordered; the
+            # products with evecs sum in an order that follows the layout
+            evecs = np.ascontiguousarray(evecs)
+        else:
+            evals, evecs = np.linalg.eigh(sym.toarray())
+        return evals, evecs, np.sqrt(self.pi.masses)
 
     def spectral_gap(self) -> float:
         """Smallest positive decay rate (second eigenvalue of -L)."""
@@ -189,16 +186,20 @@ class Trajectory:
 
     def export_csv(self, path) -> None:
         """Rows t,cell,mass in node order, floats as repr: the header, then
-        one forked.run_jobs job per node, so the bytes do not depend on the
-        CPU count.  A failed node raises once every child is joined."""
+        the (t, row) nodes as forked.run_groups items of weight 1, so the
+        bytes do not depend on the CPU count.  A failed node raises once
+        every child is joined."""
         cells = [f",{k}," for k in range(self.masses.shape[1])]
-        jobs = [(f"the writer of trajectory node {i}", 1,
-                 lambda out, t=t, row=row: _write_node(out, cells, t, row))
-                for i, (t, row) in enumerate(zip(self.times.tolist(),
-                                                 self.masses))]
+        nodes = [(f"the writer of trajectory node {i}", 1, node)
+                 for i, node in enumerate(zip(self.times.tolist(), self.masses))]
+
+        def write(group, out):
+            for t, row in group:
+                _write_node(out, cells, t, row)
+
         with open(path, "wb") as fh:
             fh.write(b"t,cell,mass\n")
-            run_jobs(jobs, fh)
+            run_groups(nodes, write, fh)
 
 
 def _write_node(out, cells: list[str], t: float, row: np.ndarray) -> None:

@@ -92,8 +92,9 @@ def _staggered_sites(nx: int, ny: int) -> np.ndarray:
 
 def flattened_voronoi_family(sizes=(16, 32, 64, 128)) -> MeshFamily:
     """Anisotropic staggered family: cells roughly four times wider than
-    tall, with alternate rows offset by a quarter cell.  The second-moment
-    isotropy defect of this pattern stays bounded away from zero."""
+    tall, with alternate rows offset by a quarter cell.  Its isotropy defect
+    is a boundary layer: near 0.08 at the sup under refinement, at most
+    5.3e-15 on every cell farther than 2.5 h from the boundary."""
 
     def builder(n):
         nx = max(1, round(math.sqrt(n / 4.0)))
@@ -591,8 +592,8 @@ def edi_audit(generator: Generator, m0: DiscreteMeasure, T: float,
     first otherwise) and steps a positive multiple of 4.  The residual
     along exact flows is pure quadrature error and shrinks at fourth order
     under node doubling; control_residual, the balance on every other node
-    with its own dual solves, equals the residual of an audit at steps // 2,
-    which may share the generator and its eigendecomposition.
+    with its own dual solves, equals the residual of an audit at steps // 2
+    on the same generator.
 
     The dual solves form two chains, the main one over every node and the
     control one over the even nodes, each warm-started within blocks of

@@ -1,13 +1,13 @@
-"""Ordered jobs on every allowed CPU, their output in job order.
+"""Weighted items worked on every allowed CPU, their output in item order.
 
-Weighted items are cut into one contiguous group per allowed CPU (cut).
-The caller runs the first group on the output stream; each later group
+run_groups cuts the items into one contiguous group per allowed CPU (cut)
+and works the first in the caller, on the output stream; each later group
 runs in a plain `os.fork` child on an anonymous temporary file, copied into
-the output once the child is joined.  A child's pipe carries
-only its status and exception; it leaves with `os._exit`, so no Python
-buffer is flushed twice and no `atexit` handler runs in it.  A child may
-call BLAS after the caller ran threaded BLAS: OpenBLAS's `pthread_atfork`
-handler shuts its thread pool down before every fork.
+the output once the child is joined.  A child's pipe carries only its
+status and exception; it leaves with `os._exit`, so no Python buffer is
+flushed twice and no `atexit` handler runs in it.  A child may call BLAS
+after the caller ran threaded BLAS: OpenBLAS's `pthread_atfork` handler
+shuts its thread pool down before every fork.
 """
 from __future__ import annotations
 
@@ -22,20 +22,11 @@ from typing import BinaryIO, Callable, Sequence
 # (label, weight, item): the weight (>= 0) is the item's share of the work;
 # the label names it if its child dies silently
 Item = tuple[str, float, object]
-# an Item whose item is a job: job(out) writes its bytes to out
-Job = tuple[str, float, Callable[[BinaryIO], object]]
-
-
-def allowed_cpus() -> int:
-    """The CPUs this process may run on, os.sched_getaffinity(0); 1 where
-    that is missing (macOS, Windows), so nothing is forked there."""
-    return (len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else 1)
 
 
 def cut(weights: Sequence[float], parts: int) -> list[int]:
     """Bounds [0, ..., len(weights)] of at most `parts` contiguous groups of
-    about equal weight: a job joins the slice of the total weight its
+    about equal weight: an item joins the slice of the total weight its
     midpoint falls in, the earlier one on a boundary, and empty groups are
     dropped.  Zero total weight makes one group."""
     total = sum(weights)
@@ -47,31 +38,22 @@ def cut(weights: Sequence[float], parts: int) -> list[int]:
             + [len(group)])
 
 
-def run_jobs(jobs: Sequence[Job], out: BinaryIO) -> None:
-    """Run job(out) for every job, in job order as far as out can tell:
-    run_groups with each group's jobs run in turn."""
-    run_groups(jobs, _run_each, out)
-
-
-def _run_each(jobs: list, out: BinaryIO) -> None:
-    for job in jobs:
-        job(out)
-
-
 def run_groups(items: Sequence[Item], work: Callable[[list, BinaryIO], object],
                out: BinaryIO) -> None:
     """Call work(the group's items, out) once per group of items, in item
     order as far as out can tell.
 
-    Every group after the first (cut, at most allowed_cpus() groups) is
-    forked before the caller runs the first.  A child's exception comes
+    The groups are cut, at most one per CPU in os.sched_getaffinity(0) (one
+    where that is missing: macOS, Windows), and every group after the first
+    is forked before the caller runs the first.  A child's exception comes
     back with its type and message (an OSError with its text if it does not
     pickle); a child that dies silently raises OSError("<first label>
     through <last label> exited with status N").  The first failure in item
     order is raised once every child is joined and every pipe and file
     closed.
     """
-    bounds = cut([weight for _, weight, _ in items], allowed_cpus())
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    bounds = cut([weight for _, weight, _ in items], cpus)
     groups = [items[a:b] for a, b in zip(bounds, bounds[1:])]
     children = []
     try:

@@ -183,6 +183,17 @@ class Domain:
         verts = geometry.ensure_ccw(verts)
         if len(verts) < 3 or geometry.polygon_area(verts) <= 0.0:
             raise MeshError("domain polygon must have positive area")
+        # convex: no right turn from edge in to edge out (one within
+        # VERTEX_MERGE_TOL of straight is collinear), and one winding
+        into = verts - np.roll(verts, 1, axis=0)
+        out = np.roll(into, -1, axis=0)
+        cross = into[:, 0] * out[:, 1] - into[:, 1] * out[:, 0]
+        right = cross < -VERTEX_MERGE_TOL * np.hypot(*into.T) * np.hypot(*out.T)
+        winds = np.sum(np.arctan2(cross, np.sum(into * out, axis=1))) / math.tau
+        if right.any() or winds > 1.0 + VERTEX_MERGE_TOL:
+            how = (f"turns right at vertex {tuple(verts[right.argmax()].tolist())}"
+                   if right.any() else f"winds {winds:.3g} times")
+            raise MeshError(f"domain polygon is not convex: it {how}")
         return Domain(2, vertices=_frozen(verts))
 
     @property
@@ -532,6 +543,9 @@ class Mesh:
             fc[f] = [int(t) for t in take(2)]
             fa[f] = float(take(1)[0])
             fd[f] = float(take(1)[0])
+        if pos < len(tokens):
+            raise MeshError(f"unexpected token {tokens[pos]!r} after the "
+                            f"last face")
         mesh = Mesh(dim, domain, sites, volumes, cell_bounds=bounds,
                     cell_polygons=polys, face_cells=fc, face_areas=fa,
                     face_dists=fd)

@@ -265,6 +265,8 @@ def read_measure_csv(path) -> DiscreteMeasure:
             if not line or line.startswith("cell"):
                 continue
             cell, mass = line.split(",")
+            if int(cell) in masses:
+                raise ValueError(f"measure CSV lists cell {int(cell)} twice")
             masses[int(cell)] = float(mass)
     if sorted(masses) != list(range(len(masses))):
         raise ValueError("measure CSV must cover cells 0..n-1 exactly once")

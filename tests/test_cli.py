@@ -109,6 +109,16 @@ class TestSolveCommand:
         assert "finite" in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
 
+    def test_repeated_measure_cell_exit_2(self, tmp_path, capsys):
+        measure = tmp_path / "m.csv"
+        measure.write_text("cell,mass\n0,0.25\n1,0.25\n1,0.25\n2,0.5\n")
+        code, out = run(["solve", "--kind", "uniform1d", "--n", "3",
+                         "--m0", f"file:{measure}", "--M", "4"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: measure CSV lists cell 1 twice"]
+        assert not out.exists()
+
     def test_deterministic_outputs(self, tmp_path):
         args = ["solve", "--kind", "uniform1d", "--n", "8",
                 "--m0", "projected:cosine", "--T", "0.1", "--M", "8"]
@@ -261,6 +271,27 @@ class TestSolveCommand:
         code, out = run([command, "--mesh", str(bad), *extra], tmp_path)
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "diagnose"])
+    def test_non_convex_domain_in_mesh_file_exit_2(self, tmp_path, capsys,
+                                                    command):
+        code, meshdir = run(["mesh", "--kind", "cartesian", "--n", "4"],
+                            tmp_path, name="meshdir")
+        assert code == 0
+        text = (meshdir / "mesh.txt").read_text()
+        square = "domain 4\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 1.0\n"
+        assert square in text
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text.replace(square, "domain 6\n0.0 0.0\n1.0 0.0\n"
+                                    "1.0 0.5\n0.5 0.5\n0.5 1.0\n0.0 1.0\n"))
+        capsys.readouterr()
+        extra = ["--T", "0.01", "--M", "2"] if command == "solve" else []
+        code, out = run([command, "--mesh", str(bad), *extra], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: domain polygon is not convex: it turns right at vertex "
+            "(0.5, 0.5)"]
         assert not out.exists()
 
     @pytest.mark.parametrize("vertices", ["0", "1 0.5 0.5",
@@ -764,6 +795,7 @@ class TestArguments:
         ("solve", ["--check"]), ("solve", ["--seed", "9"]),
         ("diagnose", ["--check"]), ("diagnose", ["--seed", "9"]),
         ("edi", ["--seed", "9"]), ("gamma", ["--mean", "harmonic"]),
+        ("converge", ["--seed", "9"]),
     ])
     def test_unread_option_rejected(self, tmp_path, capsys, command, option):
         code, out = run([command, *option], tmp_path)

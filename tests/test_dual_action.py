@@ -13,8 +13,9 @@ from scipy.sparse.linalg import splu
 import gradflow as gf
 from gradflow import experiments
 from gradflow.dual_action import (MAX_ITER_FACTOR, ConjugateGradientError,
-                                  OnsagerOperator, _solve_cg, assemble_onsager,
-                                  dual_action, onsager_operators, onsager_pattern)
+                                  OnsagerOperator, _jacobi, _solve_cg,
+                                  assemble_onsager, dual_action,
+                                  onsager_operators, onsager_pattern)
 from gradflow.functionals import mean_value
 from gradflow.reference import DiscreteMeasure, initial_measure_from_token
 
@@ -851,7 +852,14 @@ class TestCsrKernel:
     def test_matvec_is_the_matrix_product_bytes(self, make, row_entries):
         op = make()
         assert np.diff(op.pattern.indptr).max() == row_entries
-        assert op.diagonal().tobytes() == op.matrix.diagonal().tobytes()
+        # the Jacobi preconditioner of one row and of a stack, against the
+        # inverse of the matrix's diagonal
+        diag = op.matrix.diagonal()
+        inverse = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0),
+                           0.0)
+        assert _jacobi(op.pattern, op.data).tobytes() == inverse.tobytes()
+        stack = _jacobi(op.pattern, np.array([op.data, 2.0 * op.data]))
+        assert stack.tobytes() == np.array([inverse, inverse / 2.0]).tobytes()
         rng = np.random.default_rng(20)
         for _ in range(3):
             v = rng.standard_normal(op.n)

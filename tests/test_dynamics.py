@@ -604,4 +604,3 @@ class TestSymmetricEig:
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"LAPACK dstevd\) failed with info 3$"):
             gen.symmetric_eig()
-        assert gen._sym is None

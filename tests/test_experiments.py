@@ -11,7 +11,7 @@ from gradflow import experiments as ex
 from gradflow.cli import main
 from gradflow.dual_action import ConjugateGradientError
 from gradflow.dynamics import EXACT_DENSE_LIMIT, Generator
-from gradflow.forked import run_jobs
+from gradflow.forked import run_groups
 from gradflow.experiments import Density1D, wasserstein_1d
 from gradflow.geometry import Box
 from gradflow.mesh import cells_inside
@@ -306,8 +306,9 @@ class TestEdiAudit:
         assert np.array_equal(audit.fisher_nodes[::2], half.fisher_nodes)
 
     def test_audits_share_one_generator(self, monkeypatch):
-        # audits at steps and steps // 2 on one set-up decompose it once and
-        # agree, field for field, with audits on separately built set-ups
+        # audits at steps and steps // 2 on one set-up decompose it once
+        # each and agree, field for field, with audits on separately built
+        # set-ups
         mesh = gf.build_cartesian_mesh(5, 5)
         pot = gf.quadratic_potential([0.4, 0.6])
 
@@ -323,7 +324,7 @@ class TestEdiAudit:
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda *a: eighs.append(1) or eigh(*a))
         shared = audits(shared=True)
-        assert len(eighs) == 1
+        assert len(eighs) == 2
         for one, other in zip(shared, separate):
             for name, value in vars(one).items():
                 assert (np.asarray(value).tobytes()
@@ -439,12 +440,13 @@ class TestForkedControlChain:
         evals = np.linalg.eigh(a)[0]
         _cpus(monkeypatch, 2)
         _assert_same_audit(_audit_5x5(), serial)
-        def eigh(out):
-            out.write(np.linalg.eigh(a)[0].tobytes())
+        def eigh(group, out):   # one eigh per item
+            for _ in group:
+                out.write(np.linalg.eigh(a)[0].tobytes())
 
         out = io.BytesIO()
-        run_jobs([("the parent's eigh", 1, eigh), ("a child's eigh", 1, eigh)],
-                 out)
+        run_groups([("the parent's eigh", 1, None), ("a child's eigh", 1, None)],
+                   eigh, out)
         assert out.getvalue() == evals.tobytes() * 2
         _assert_no_child_process()
 
@@ -452,13 +454,15 @@ class TestForkedControlChain:
         class Local(Exception):   # a local class does not pickle
             pass
 
-        def fail(out):
-            raise Local("the chain broke")
+        def fail(group, out):   # the items that are True fail
+            for failing in group:
+                if failing:
+                    raise Local("the chain broke")
 
         _cpus(monkeypatch, 2)
         with pytest.raises(OSError, match="^the chain broke$"):
-            run_jobs([("the caller's job", 1, lambda out: None),
-                      ("a failing job", 1, fail)], io.BytesIO())
+            run_groups([("the caller's job", 1, False),
+                        ("a failing job", 1, True)], fail, io.BytesIO())
         _assert_no_child_process()
 
 
@@ -473,7 +477,7 @@ def _study_1d_csv(tmp_path, sizes=(16, 32, 64, 128)):
 
 class TestForkedStudyChains:
     """The 1D study's member chains run on every allowed CPU, through the
-    cut the EDI audit shares (forked.run_jobs)."""
+    cut the EDI audit shares (forked.run_groups)."""
 
     STALL = "no convergence in 160 iterations, relative residual 1.017e-11"
 

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from gradflow import forked
-from gradflow.forked import cut, run_groups, run_jobs
+from gradflow.forked import cut, run_groups
 from test_dynamics import _assert_no_child_process
 
 
@@ -63,14 +63,22 @@ def _numbered_jobs(count, weights=None):
             for i, w in enumerate(weights)]
 
 
+def _each(jobs, out):
+    """The per-item writer: each item is a job, job(out) run in turn."""
+    for job in jobs:
+        job(out)
+
+
 class TestRunJobs:
+    """run_groups with the per-item writer _each."""
+
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     @pytest.mark.parametrize("count", [1, 2, 5, 33])
     def test_output_in_job_order(self, monkeypatch, cpus, count):
         _cpus(monkeypatch, cpus)
         forks = _forks(monkeypatch)
         out = io.BytesIO()
-        run_jobs(_numbered_jobs(count), out)
+        run_groups(_numbered_jobs(count), _each, out)
         assert out.getvalue() == b"".join(f"<{i}>".encode()
                                           for i in range(count))
         assert len(forks) == min(cpus, count) - 1
@@ -80,8 +88,9 @@ class TestRunJobs:
         _cpus(monkeypatch, 2)
         parent = os.getpid()
         out = io.BytesIO()
-        run_jobs([(f"job {i}", 1, lambda out: out.write(
-            b"c" if os.getpid() == parent else b"f")) for i in range(5)], out)
+        run_groups([(f"job {i}", 1, lambda out: out.write(
+            b"c" if os.getpid() == parent else b"f")) for i in range(5)],
+                   _each, out)
         assert out.getvalue() == b"cccff"
         _assert_no_child_process()
 
@@ -89,14 +98,14 @@ class TestRunJobs:
         _cpus(monkeypatch, 8)
         forks = _forks(monkeypatch)
         out = io.BytesIO()
-        run_jobs(_numbered_jobs(4, [0, 0, 0, 0]), out)
+        run_groups(_numbered_jobs(4, [0, 0, 0, 0]), _each, out)
         assert out.getvalue() == b"<0><1><2><3>"
         assert forks == []
 
     def test_no_jobs(self, monkeypatch):
         _cpus(monkeypatch, 2)
         out = io.BytesIO()
-        run_jobs([], out)
+        run_groups([], _each, out)
         assert out.getvalue() == b""
 
     def test_first_failure_in_job_order(self, monkeypatch):
@@ -110,7 +119,7 @@ class TestRunJobs:
         jobs = [("job 0", 1, lambda out: None), ("job 1", 1, fail("second")),
                 ("job 2", 1, fail("third"))]
         with pytest.raises(ValueError, match="^second$"):
-            run_jobs(jobs, io.BytesIO())
+            run_groups(jobs, _each, io.BytesIO())
         _assert_no_child_process()
 
     def test_silent_exit_names_the_group(self, monkeypatch):
@@ -119,7 +128,7 @@ class TestRunJobs:
         jobs[3] = ("job 3", 1, lambda out: os._exit(4))
         with pytest.raises(OSError, match="^job 2 through job 3 exited with "
                                           "status 4$"):
-            run_jobs(jobs, io.BytesIO())
+            run_groups(jobs, _each, io.BytesIO())
         _assert_no_child_process()
 
     def test_failed_fork_leaks_no_fd_and_no_file(self, monkeypatch, tmp_path):
@@ -138,7 +147,7 @@ class TestRunJobs:
         monkeypatch.setattr(forked.tempfile, "tempdir", str(tmp_path))
         fds = len(os.listdir("/proc/self/fd"))
         with pytest.raises(BlockingIOError):
-            run_jobs(_numbered_jobs(6), io.BytesIO())
+            run_groups(_numbered_jobs(6), _each, io.BytesIO())
         assert len(forks) == 2
         assert list(tmp_path.iterdir()) == []
         assert len(os.listdir("/proc/self/fd")) == fds
@@ -151,7 +160,7 @@ class TestRunJobs:
         path = tmp_path / "out.bin"
         with open(path, "wb") as fh:
             fh.write(b"head;")
-            run_jobs(_numbered_jobs(4), fh)
+            run_groups(_numbered_jobs(4), _each, fh)
         assert path.read_bytes() == b"head;<0><1><2><3>"
         _assert_no_child_process()
 

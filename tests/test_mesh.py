@@ -318,6 +318,18 @@ class TestMeshFile:
         with pytest.raises(MeshError):
             gf.Mesh.read(path)
 
+    @pytest.mark.parametrize("mesh", [gf.build_interval_mesh(4),
+                                      gf.build_cartesian_mesh(3, 3)],
+                             ids=["1d", "2d"])
+    def test_token_after_the_last_face_rejected(self, tmp_path, mesh):
+        path = tmp_path / "mesh.txt"
+        mesh.write(path)
+        gf.Mesh.read(path)
+        path.write_text(path.read_text() + "7\n")
+        with pytest.raises(MeshError, match="^unexpected token '7' after the "
+                                            "last face$"):
+            gf.Mesh.read(path)
+
 
 def _reference_shared_edge(pa, pb, tol):
     """The per-pair face search the batched rebuild replaced: the longest
@@ -458,6 +470,26 @@ class TestNonFiniteData:
             Domain.interval(0.0, value)
         with pytest.raises(MeshError):
             Domain.rectangle(0.0, 0.0, 1.0, value)
+
+    @pytest.mark.parametrize("vertices, message", [
+        # an L: the inner corner turns right, in either orientation
+        ([[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
+         r"turns right at vertex \(0.5, 0.5\)"),
+        ([[0, 1], [0.5, 1], [0.5, 0.5], [1, 0.5], [1, 0], [0, 0]],
+         r"turns right at vertex \(0.5, 0.5\)"),
+        # a pentagram turns left at every vertex, twice around
+        ([[math.cos(0.8 * math.pi * k), math.sin(0.8 * math.pi * k)]
+          for k in range(5)], "winds 2 times"),
+    ], ids=["L-ccw", "L-cw", "pentagram"])
+    def test_non_convex_domain_rejected(self, vertices, message):
+        with pytest.raises(MeshError, match=f"^domain polygon is not convex: "
+                                            f"it {message}$"):
+            Domain.polygon(vertices)
+
+    def test_collinear_domain_vertices_allowed(self):
+        domain = Domain.polygon([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0],
+                                 [1.0, 1.0], [0.0, 1.0]])
+        assert domain.volume == 1.0
 
     def test_finite_domain_messages_unchanged(self):
         with pytest.raises(MeshError, match=r"degenerate interval \[1.0, 0.0\]"):

@@ -623,6 +623,13 @@ class TestMeasureCsv:
         loaded = initial_measure_from_token(f"file:{path}", mesh, pi)
         assert np.array_equal(loaded.masses, m.masses)
 
+    def test_repeated_cell_rejected(self, tmp_path):
+        # rows 0, 1, 1, 2: every id appears, one of them twice
+        path = tmp_path / "m.csv"
+        path.write_text("cell,mass\n0,0.25\n1,0.25\n1,0.25\n2,0.5\n")
+        with pytest.raises(ValueError, match="^measure CSV lists cell 1 twice$"):
+            gf.read_measure_csv(path)
+
     def test_wrong_size_rejected(self, chain10, tmp_path):
         mesh, _, pi, _ = chain10
         path = tmp_path / "m.csv"
