@@ -179,8 +179,21 @@ def cmd_edi(args) -> tuple[int, dict]:
                          "pass": bool(passed)}}
 
 
+# the options each gamma mode does not read; each defaults to None, and
+# the mode that reads it applies its own default
+_GAMMA_UNREAD = {"energy": ("z", "xi", "eps"), "affine": ("potential", "phi")}
+
+
 def cmd_gamma(args) -> tuple[int, dict]:
-    family = experiments.family_from_token(args.family, seed=args.seed)
+    family = experiments.family_from_token(   # builds no mesh
+        args.family, seed=42 if args.seed is None else args.seed)
+    unread = list(_GAMMA_UNREAD[args.mode])
+    if family.name != "voronoi":
+        unread.append("seed")
+    given = [name for name in unread if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"gamma --mode {args.mode} on a {family.name} "
+                         f"family reads no --{given[0]}")
     dim = family.dim
     if args.mode == "affine":
         z = [float(v) for v in args.z.split(",")] if args.z else [0.5] * dim
@@ -189,13 +202,15 @@ def cmd_gamma(args) -> tuple[int, dict]:
             raise ValueError(f"--z and --xi need {dim} values each for a "
                              f"{dim}d family")
         study = experiments.gamma_affine_minimization_study(
-            family, z, xi, args.eps)
+            family, z, xi, 0.5 if args.eps is None else args.eps)
         checks = all(r.error <= r.extras["boundary_layer"] + 1e-12 and
                      r.extras["harmonicity_residual"] <= 1e-11
                      for r in study.rows)
     else:
-        potential = potential_from_token(args.potential, dim)
-        phi, grad = _phi_from_token(args.phi, dim)
+        potential = potential_from_token(
+            "zero" if args.potential is None else args.potential, dim)
+        phi, grad = _phi_from_token(
+            "cosine" if args.phi is None else args.phi, dim)
         study = experiments.gamma_energy_study(family, phi, potential,
                                                grad=grad)
         errors = study.column("error")
@@ -286,14 +301,12 @@ def _add_mesh_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser, means=reference.S_MEAN_KINDS,
-                seed: bool = False, check: bool = False) -> None:
+                check: bool = False) -> None:
     """--potential and --out, plus the shared options the command reads."""
     p.add_argument("--potential", default="zero")
     p.add_argument("--out", default="gradflow-out")
     if means:
         p.add_argument("--mean", default="logarithmic", choices=means)
-    if seed:
-        p.add_argument("--seed", type=int, default=42)
     if check:
         p.add_argument("--check", action="store_true",
                        help="exit 3 when the acceptance rule fails")
@@ -344,14 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_edi)
 
     p = sub.add_parser("gamma", help="energy or affine minimization study")
-    _add_common(p, means=(), seed=True, check=True)
+    _add_common(p, means=(), check=True)
     p.add_argument("--family", default="uniform1d:16..256")
     p.add_argument("--mode", default="energy", choices=["energy", "affine"])
-    p.add_argument("--phi", default="cosine")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--phi")
     p.add_argument("--z")
     p.add_argument("--xi")
-    p.add_argument("--eps", type=_positive("eps"), default=0.5)
-    p.set_defaults(fn=cmd_gamma)
+    p.add_argument("--eps", type=_positive("eps"))
+    p.set_defaults(fn=cmd_gamma, potential=None)
 
     p = sub.add_parser("converge", help="evolutionary convergence study")
     _add_common(p, check=True)

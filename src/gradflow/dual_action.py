@@ -4,10 +4,13 @@ The Onsager operator B(m) acts on cell fields by
 (B f)(K) = sum_L theta(r_K, r_L) w_KL (f(K) - f(L)), so <f, B f> equals
 twice the action.  The dual sup_f { <sigma, f> - action(m, f) } is attained
 at the solution of B f = sigma and evaluates to <sigma, f>/2; off the range
-of B the supremum is genuinely +inf.
+of B the supremum is genuinely +inf.  dual_chains evaluates it along
+flows, warm-started node after node, on every allowed CPU.
 """
 from __future__ import annotations
 
+import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,6 +22,7 @@ from scipy.sparse import csgraph
 # point, pinned by tests/test_dual_action.py::TestCsrKernel
 from scipy.sparse._sparsetools import csr_matvec
 
+from .forked import run_groups
 from .functionals import _masses, mean_value
 from .mesh import Mesh
 
@@ -213,6 +217,66 @@ def dual_action(m, sigma, weights=None, pi=None,
     if not stack:
         values, solutions = float(values[0]), solutions[0]
     return (values, solutions) if return_solution else values
+
+
+# nodes per block of a dual chain.  A block is one run of warm-started
+# solves from zero: the cut depends only on node indices, never on the CPU
+# count.  Why 32: it splits edi-2d's 386 solves 192/194 over two CPUs and
+# keeps the bytes of every recorded output (so does 64); blocks of 16 or 8
+# nodes, or fully cold solves, move edi-2d's tol from 4.038615183018142e-09
+# to 4.0386151811677705e-09.
+_CHAIN_BLOCK = 32
+
+
+def dual_chains(chains: list[tuple]) -> list[np.ndarray]:
+    """The dual action at (m, L m) per node of each (label, generator,
+    masses) chain, L the generator's matrix and masses (nodes, cells).
+
+    Each chain is cut into blocks of _CHAIN_BLOCK consecutive nodes from
+    node 0, and forked.run_groups cuts the blocks by cells x nodes into one
+    share per allowed CPU, which _dual_share solves.  The blocks do not
+    depend on the CPU count, and each solve's bits depend neither on the
+    stack it is solved in nor on the share, so neither do the bits.
+    Nothing here decomposes a dense matrix: a child's BLAS would compete
+    with the caller's for the CPUs.
+    """
+    blocks = []
+    for label, gen, masses in chains:
+        for lo in range(0, len(masses), _CHAIN_BLOCK):
+            block = masses[lo:lo + _CHAIN_BLOCK]
+            blocks.append((f"nodes {lo}-{lo + len(block) - 1} of {label}",
+                           gen.n * len(block), (gen, block)))
+    out = io.BytesIO()
+    run_groups(blocks, _dual_share, out)
+    return np.split(np.frombuffer(out.getbuffer()),
+                    np.cumsum([len(masses) for _, _, masses in chains])[:-1])
+
+
+def _dual_share(share: list, out) -> None:
+    """Write the node values of a share's (generator, block) items to out,
+    in share order.  The blocks of each run on one generator (the EDI
+    audit's two chains share theirs) are solved in lockstep on its Onsager
+    pattern: round j assembles node j of every block that has one in one
+    onsager_operators call and solves them in one dual_action call on the
+    stack, each warm-started from its block's node j - 1 (node 0 from
+    zero); a lone block's stack of one is its plain CG solve."""
+    for _, run in itertools.groupby(share, key=lambda item: id(item[0])):
+        run = list(run)
+        gen, blocks = run[0][0], [block for _, block in run]
+        pattern = onsager_pattern(gen.weights.face_cells, gen.n)
+        nodes = [np.empty(len(block)) for block in blocks]
+        guesses = [None] * len(blocks)
+        for j in range(max(map(len, blocks))):
+            live = [i for i, block in enumerate(blocks) if j < len(block)]
+            masses = np.array([blocks[i][j] for i in live])
+            values, solutions = dual_action(
+                masses, np.array([gen.matrix @ m_i for m_i in masses]),
+                operator=onsager_operators(pattern, gen.weights, masses,
+                                           gen.pi),
+                initial_guess=[guesses[i] for i in live], return_solution=True)
+            for i, value, f in zip(live, values, solutions):
+                nodes[i][j], guesses[i] = value, f
+        out.write(np.concatenate(nodes).tobytes())
 
 
 def _jacobi(pattern: OnsagerPattern, data: np.ndarray) -> np.ndarray:

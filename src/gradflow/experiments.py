@@ -7,8 +7,6 @@ Studies are deterministic for fixed seeds and reproduce byte-identical CSV.
 """
 from __future__ import annotations
 
-import io
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -25,11 +23,9 @@ from .reference import (DiscreteMeasure, PointFunction, Potential,
                         project_function, project_measure, zero_potential,
                         _boltzmann, _pointwise)
 from .functionals import dirichlet_energy, entropy, fisher
-from .dual_action import (OnsagerPattern, dual_action, onsager_operators,
-                          onsager_pattern)
+from .dual_action import dual_action, dual_chains
 from .dynamics import (EXACT_DENSE_LIMIT, Generator, build_generator,
                        solve_trajectory)
-from .forked import run_groups
 
 
 # -- mesh families ---------------------------------------------------------------
@@ -475,86 +471,6 @@ def _simpson(values: np.ndarray, T: float) -> float:
     return float((w * (T / steps / 3.0)) @ values)
 
 
-# nodes per block of a dual chain, and per batched Onsager assembly.  A
-# block is one run of warm-started solves from zero: the cut depends only
-# on node indices, never on the CPU count.  Why 32: it splits edi-2d's 386
-# solves 192/194 over two CPUs and keeps the bytes of every recorded output
-# (so does 64); blocks of 16 or 8 nodes, or fully cold solves, move
-# edi-2d's tol from 4.038615183018142e-09 to 4.0386151811677705e-09.
-_CHAIN_BLOCK = 32
-
-
-def _dual_blocks(generator: Generator, pattern: OnsagerPattern,
-                 blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """Dual action at (m, dm/dt) per node of each block of chains on one
-    generator and its Onsager pattern.  Round j solves node j of every
-    block that has one in one dual_action call on the stack, each
-    warm-started from its block's node j - 1 (node 0 from zero); a lone
-    block's stack of one is its plain CG solve.  The operators of the next
-    rounds are assembled at once, about _CHAIN_BLOCK nodes at a time: a
-    lone block in one batch, a stack of k blocks every
-    ceil(_CHAIN_BLOCK / k) rounds."""
-    weights, pi = generator.weights, generator.pi
-    nodes = [np.empty(len(block)) for block in blocks]
-    guesses = [None] * len(blocks)
-    assembled = 0   # the rounds whose operators are assembled
-    for j in range(max(map(len, blocks))):
-        live = [i for i, block in enumerate(blocks) if j < len(block)]
-        if j == assembled:
-            assembled += -(-_CHAIN_BLOCK // len(live))
-            keys = [(i, jj) for i in live
-                    for jj in range(j, min(assembled, len(blocks[i])))]
-            operators = dict(zip(keys, onsager_operators(
-                pattern, weights, np.array([blocks[i][jj] for i, jj in keys]),
-                pi)))
-        masses = np.array([blocks[i][j] for i in live])
-        values, solutions = dual_action(
-            masses, np.array([generator.matrix @ m_i for m_i in masses]),
-            operator=[operators[i, j] for i in live],
-            initial_guess=[guesses[i] for i in live], return_solution=True)
-        for i, value, f in zip(live, values, solutions):
-            nodes[i][j], guesses[i] = value, f
-    return nodes
-
-
-def _dual_share(share: list, out) -> None:
-    """Write the node values of a share's (generator, pattern, block)
-    blocks to out in share order: one _dual_blocks call per run of blocks
-    on one pattern (the EDI audit's two chains share theirs)."""
-    for _, run in itertools.groupby(share, key=lambda block: id(block[1])):
-        run = list(run)
-        gen, pattern, _ = run[0]
-        nodes = _dual_blocks(gen, pattern, [block for *_, block in run])
-        out.write(np.concatenate(nodes).tobytes())
-
-
-def _dual_chains(chains: list[tuple[str, Generator, np.ndarray]]
-                 ) -> list[np.ndarray]:
-    """The dual action per node of each (label, generator, masses) chain.
-
-    Each chain is cut into blocks of _CHAIN_BLOCK consecutive nodes from
-    node 0, on its generator's one Onsager pattern, and forked.run_groups
-    cuts the blocks by cells x nodes into one share per allowed CPU, whose
-    blocks of one generator _dual_share solves in lockstep (_dual_blocks).
-    The blocks do not depend on the CPU count, and each solve's bits depend
-    neither on the stack it is solved in nor on the share, so neither do
-    the bits.  Nothing here decomposes a dense matrix: a child's BLAS would
-    compete with the caller's for the CPUs.
-    """
-    blocks, patterns = [], {}
-    for label, gen, masses in chains:
-        if id(gen) not in patterns:
-            patterns[id(gen)] = onsager_pattern(gen.weights.face_cells, gen.n)
-        for lo in range(0, len(masses), _CHAIN_BLOCK):
-            block = masses[lo:lo + _CHAIN_BLOCK]
-            blocks.append((f"nodes {lo}-{lo + len(block) - 1} of {label}",
-                           gen.n * len(block), (gen, patterns[id(gen)], block)))
-    out = io.BytesIO()
-    run_groups(blocks, _dual_share, out)
-    return np.split(np.frombuffer(out.getbuffer()),
-                    np.cumsum([len(masses) for _, _, masses in chains])[:-1])
-
-
 @dataclass
 class EdiAudit:
     """Entropy balance along an exact trajectory with Simpson time quadrature."""
@@ -596,8 +512,8 @@ def edi_audit(generator: Generator, m0: DiscreteMeasure, T: float,
     on the same generator.
 
     The dual solves form two chains, the main one over every node and the
-    control one over the even nodes, each warm-started within blocks of
-    _CHAIN_BLOCK nodes from its node 0.  _dual_chains cuts the blocks into
+    control one over the even nodes, each warm-started within blocks of 32
+    nodes from its node 0.  dual_action.dual_chains cuts the blocks into
     one share per allowed CPU, the caller's and forked children's, and
     solves each share's blocks in lockstep (at steps = 256 on two CPUs, 192
     solves in the caller as 32 stacks of 6, 194 in a child as a stack of 8
@@ -613,7 +529,7 @@ def edi_audit(generator: Generator, m0: DiscreteMeasure, T: float,
     trajectory = solve_trajectory(m0, T, steps, generator, scheme="exact_dense")
     masses = trajectory.masses
     # the even nodes of the exact flow are the nodes of the flow at steps // 2
-    dual_nodes, control_dual = _dual_chains([
+    dual_nodes, control_dual = dual_chains([
         ("the EDI main chain", generator, masses),
         ("the EDI control chain", generator, masses[::2])])
     fisher_nodes = np.array([0.5 * fisher(m_i, weights, pi) for m_i in masses])
@@ -705,7 +621,7 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
     2 x max(sizes) cells with the dense oracle, so a family whose 4 x max
     exceeds EXACT_DENSE_LIMIT is refused before any mesh is built, and one
     off [0, 1], where both references live, before any reference.  The
-    members' dual chains run through _dual_chains, on every allowed CPU.
+    members' dual chains run through dual_chains, on every allowed CPU.
     Families other than uniform1d are 2d and must be cartesian (see
     _evolutionary_study_2d).
     """
@@ -742,7 +658,7 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
                                                 t_nodes, n_fine, mean_kind)
         entropy_refs = [entropy(DiscreteMeasure.normalized(
             r.values * np.diff(r.edges)), ref_pi) for r in refs]
-    # every eigendecomposition runs here, before _dual_chains forks: dstevd
+    # every eigendecomposition runs here, before dual_chains forks: dstevd
     # on these tridiagonal generators (Generator.symmetric_eig), so no
     # child's BLAS competes with it
     generators = [build_generator(mesh, potential, mean_kind)
@@ -754,7 +670,7 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
     # the finest member first, so that the caller runs the chain that
     # outweighs the others: with it in a child, the chains of
     # uniform1d:16..256 took 100 ms against 95 (medians, 2-core VM)
-    dual_nodes = _dual_chains([
+    dual_nodes = dual_chains([
         (f"the dual chain on {mesh.n_cells} cells", generator, traj.masses)
         for mesh, generator, traj in zip(meshes[::-1], generators[::-1],
                                          trajectories[::-1])])[::-1]

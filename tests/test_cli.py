@@ -592,7 +592,7 @@ class TestConvergeCommand:
         # a CG allowed no iteration stalls from a warm start and from zero
         # alike, so the retry from zero stalls too, with residual exactly 1
         module = sys.modules["gradflow.dual_action"]
-        parent, dual_action = os.getpid(), experiments.dual_action
+        parent, dual_action = os.getpid(), module.dual_action
 
         def stalled_in_child(*args, **kwargs):
             if os.getpid() != parent:   # gone with the child's os._exit
@@ -609,7 +609,7 @@ class TestConvergeCommand:
                 if args[0] == "converge":
                     patch.setattr(module, "MAX_ITER_FACTOR", 0)
                 else:
-                    patch.setattr(experiments, "dual_action", stalled_in_child)
+                    patch.setattr(module, "dual_action", stalled_in_child)
                 code, out = run(args, tmp_path, name=args[0])
             assert code == 2
             assert capsys.readouterr().err.splitlines() == [
@@ -796,12 +796,35 @@ class TestArguments:
         ("diagnose", ["--check"]), ("diagnose", ["--seed", "9"]),
         ("edi", ["--seed", "9"]), ("gamma", ["--mean", "harmonic"]),
         ("converge", ["--seed", "9"]),
+        # gamma parses these, but the family or the mode reads none of them
+        ("gamma", ["--family", "uniform1d:16..32", "--seed", "9"]),
+        ("gamma", ["--family", "cartesian:4..8", "--seed", "9"]),
+        ("gamma", ["--family", "flattened:16..32", "--seed", "9"]),
+        ("gamma", ["--mode", "affine", "--potential", "zero"]),
+        ("gamma", ["--mode", "affine", "--potential", "quadratic"]),
+        ("gamma", ["--mode", "affine", "--phi", "coordinate"]),
+        ("gamma", ["--mode", "energy", "--z", "0.3"]),
+        ("gamma", ["--mode", "energy", "--xi", "2"]),
+        ("gamma", ["--mode", "energy", "--eps", "0.5"]),
     ])
-    def test_unread_option_rejected(self, tmp_path, capsys, command, option):
+    def test_unread_option_rejected(self, tmp_path, capsys, monkeypatch,
+                                    command, option):
+        def no_build(self):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(experiments.MeshFamily, "build", no_build)
         code, out = run([command, *option], tmp_path)
         assert code == 2
-        assert f"unrecognized arguments: {' '.join(option)}" \
-            in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if command == "gamma" and option[0] != "--mean":
+            mode = option[1] if option[0] == "--mode" else "energy"
+            family = (option[1] if option[0] == "--family" else
+                      "uniform1d:16..256").partition(":")[0]
+            assert err.splitlines() == [
+                f"error: gamma --mode {mode} on a {family} family reads no "
+                f"{option[-2]}"]
+        else:
+            assert f"unrecognized arguments: {' '.join(option)}" in err
         assert not out.exists()
 
 

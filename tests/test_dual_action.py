@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import sys
@@ -12,9 +13,10 @@ from scipy.sparse.linalg import splu
 
 import gradflow as gf
 from gradflow import experiments
-from gradflow.dual_action import (MAX_ITER_FACTOR, ConjugateGradientError,
-                                  OnsagerOperator, _jacobi, _solve_cg,
-                                  assemble_onsager, dual_action,
+from gradflow.dual_action import (_CHAIN_BLOCK, MAX_ITER_FACTOR,
+                                  ConjugateGradientError, OnsagerOperator,
+                                  _dual_share, _jacobi, _solve_cg,
+                                  assemble_onsager, dual_action, dual_chains,
                                   onsager_operators, onsager_pattern)
 from gradflow.functionals import mean_value
 from gradflow.reference import DiscreteMeasure, initial_measure_from_token
@@ -426,8 +428,8 @@ class TestWarmStartedChain:
         masses = gf.solve_trajectory(blend, 0.1, 8, generator,
                                      scheme="exact_dense").masses
         chains = [("the chain", generator, masses)]
-        first = experiments._dual_chains(chains)[0]
-        assert first.tobytes() == experiments._dual_chains(chains)[0].tobytes()
+        first = dual_chains(chains)[0]
+        assert first.tobytes() == dual_chains(chains)[0].tobytes()
 
     def test_one_component_search_per_chain(self, grid4, monkeypatch):
         # 40 nodes, two blocks, one pattern: no zero conductance, so no
@@ -449,7 +451,7 @@ class TestWarmStartedChain:
 
         monkeypatch.setattr(module, "csgraph",
                             SimpleNamespace(connected_components=counting))
-        nodes = experiments._dual_chains([("the chain", generator, masses)])[0]
+        nodes = dual_chains([("the chain", generator, masses)])[0]
         assert np.all(np.isfinite(nodes))
         assert len(calls) == 1
 
@@ -503,7 +505,7 @@ class TestGroundedDirectSolve:
     def test_warm_started_chain_matches_direct_solves(self, name):
         generator, masses = _CHAINS[name]()
         weights, pi = generator.weights, generator.pi
-        nodes = experiments._dual_chains([(name, generator, masses)])[0]
+        nodes = dual_chains([(name, generator, masses)])[0]
         for value, m_i in zip(nodes, masses):
             m = DiscreteMeasure(m_i)
             direct = grounded_dual(weights, m, pi, generator.matrix @ m_i)
@@ -553,7 +555,7 @@ def add_at_operator(weights, m, pi, pattern):
 
 
 def per_node_chain(generator, masses):
-    """Reference for one block of experiments._dual_nodes: one
+    """Reference for one block of dual_action.dual_chains: one
     add_at_operator per node, each dual_action solve warm-started from the
     previous node's solution."""
     weights, pi = generator.weights, generator.pi
@@ -568,9 +570,9 @@ def per_node_chain(generator, masses):
 
 
 def per_block_chain(generator, masses):
-    """Reference for one chain of experiments._dual_chains: per_node_chain
+    """Reference for one chain of dual_action.dual_chains: per_node_chain
     over each block of _CHAIN_BLOCK consecutive nodes from node 0."""
-    block = experiments._CHAIN_BLOCK
+    block = _CHAIN_BLOCK
     return np.concatenate([per_node_chain(generator, masses[lo:lo + block])
                            for lo in range(0, len(masses), block)])
 
@@ -583,8 +585,7 @@ def assert_same_operator(got, want):
 
 # the zero-mass nodes of zero_mass_chain: every third node, and the last node
 # of the first block and the first node of the second
-_SPECIAL_NODES = sorted({*range(0, 41, 3), experiments._CHAIN_BLOCK - 1,
-                         experiments._CHAIN_BLOCK})
+_SPECIAL_NODES = sorted({*range(0, 41, 3), _CHAIN_BLOCK - 1, _CHAIN_BLOCK})
 
 
 def zero_mass_chain():
@@ -609,8 +610,7 @@ def stationary_chain():
     generator, masses = _flow_chain(mesh, gf.zero_potential(),
                                     "blend:cosine:0.9", 0.2, 40)
     masses = masses.copy()
-    masses[[5, 6, experiments._CHAIN_BLOCK - 1,
-            experiments._CHAIN_BLOCK]] = generator.pi.masses
+    masses[[5, 6, _CHAIN_BLOCK - 1, _CHAIN_BLOCK]] = generator.pi.masses
     return generator, masses
 
 
@@ -620,10 +620,10 @@ class TestBatchedChain:
         make = {"zero-mass": zero_mass_chain, "stationary": stationary_chain,
                 **_CHAINS}[name]
         generator, masses = make()
-        nodes = experiments._dual_chains([(name, generator, masses)])[0]
+        nodes = dual_chains([(name, generator, masses)])[0]
         assert nodes.tobytes() == per_block_chain(generator, masses).tobytes()
         if name == "edi-2d":   # crosses block edges
-            assert len(masses) > 2 * experiments._CHAIN_BLOCK
+            assert len(masses) > 2 * _CHAIN_BLOCK
         if name == "zero-mass":
             assert np.flatnonzero(np.isinf(nodes)).tolist() == _SPECIAL_NODES
             assert np.isfinite(np.delete(nodes, _SPECIAL_NODES)).all()
@@ -683,9 +683,17 @@ def counted_lockstep(monkeypatch):
     return heights
 
 
+def share_nodes(generator, blocks):
+    """The node values of blocks on one generator, solved as one share by
+    dual_action._dual_share."""
+    out = io.BytesIO()
+    _dual_share([(generator, block) for block in blocks], out)
+    return np.split(np.frombuffer(out.getvalue()),
+                    np.cumsum([len(block) for block in blocks])[:-1])
+
+
 def assert_blocks_match_the_per_node_chains(generator, blocks):
-    pattern = onsager_pattern(generator.weights.face_cells, generator.n)
-    got = experiments._dual_blocks(generator, pattern, blocks)
+    got = share_nodes(generator, blocks)
     assert len(got) == len(blocks)
     for values, block in zip(got, blocks):
         assert values.tobytes() == per_node_chain(generator, block).tobytes()
@@ -725,8 +733,7 @@ class TestLockstep:
         # blocks of zero_mass_chain: nodes with three zero cells have +inf
         # duals and split the graph, and the next node of a block starts cold
         generator, masses = zero_mass_chain()
-        blocks = [masses[:experiments._CHAIN_BLOCK],
-                  masses[experiments._CHAIN_BLOCK:], masses[13:20]]
+        blocks = [masses[:_CHAIN_BLOCK], masses[_CHAIN_BLOCK:], masses[13:20]]
         heights = counted_lockstep(monkeypatch)
         assert_blocks_match_the_per_node_chains(generator, blocks)
         # round j holds nodes j, 32 + j and 13 + j: two of round 0's and one
@@ -783,9 +790,7 @@ class TestLockstep:
 
         monkeypatch.setattr(module, "_solve_cg", counting)
         heights = counted_lockstep(monkeypatch)
-        pattern = onsager_pattern(generator.weights.face_cells, generator.n)
-        got = experiments._dual_blocks(generator, pattern,
-                                       [masses, masses[::2]])
+        got = share_nodes(generator, [masses, masses[::2]])
         assert heights == [2] * 9
         assert sum(calls) > 0     # retries from zero, after the stalls
         monkeypatch.setattr(module, "_solve_cg", solve_cg)

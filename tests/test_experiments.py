@@ -1,6 +1,6 @@
-import io
 import math
 import os
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,9 +9,8 @@ import pytest
 import gradflow as gf
 from gradflow import experiments as ex
 from gradflow.cli import main
-from gradflow.dual_action import ConjugateGradientError
+from gradflow.dual_action import _CHAIN_BLOCK, ConjugateGradientError
 from gradflow.dynamics import EXACT_DENSE_LIMIT, Generator
-from gradflow.forked import run_groups
 from gradflow.experiments import Density1D, wasserstein_1d
 from gradflow.geometry import Box
 from gradflow.mesh import cells_inside
@@ -19,6 +18,9 @@ from gradflow.reference import (DiscreteMeasure, PointFunction, _pointwise,
                                 initial_measure_from_token,
                                 potential_from_token)
 from test_dynamics import _assert_no_child_process
+
+# gradflow.dual_action is the function; the module is in sys.modules
+DUAL = sys.modules["gradflow.dual_action"]
 
 
 class TestWasserstein1D:
@@ -291,7 +293,7 @@ class TestEdiAudit:
         m0 = initial_measure_from_token("blend:cosine:0.9", mesh, gen.pi)
         audit = ex.edi_audit(gen, m0, T=0.5, steps=128)
         half = ex.edi_audit(gen, m0, T=0.5, steps=64)
-        assert len(half.times) > 2 * ex._CHAIN_BLOCK
+        assert len(half.times) > 2 * _CHAIN_BLOCK
         assert audit.control_residual == half.residual
         assert audit.control_residual != audit.residual
 
@@ -361,15 +363,15 @@ class TestForkedControlChain:
     STALL = "no convergence in 250 iterations, relative residual 1.017e-11"
 
     def _stall_control_chain(self, monkeypatch, stall):
-        dual_blocks = ex._dual_blocks
+        dual_share = DUAL._dual_share
 
-        def stalled(generator, pattern, blocks):
+        def stalled(share, out):
             # the control chain is one block of 17 nodes
-            if any(len(block) == 17 for block in blocks):
+            if any(len(block) == 17 for _, block in share):
                 stall()
-            return dual_blocks(generator, pattern, blocks)
+            return dual_share(share, out)
 
-        monkeypatch.setattr(ex, "_dual_blocks", stalled)
+        monkeypatch.setattr(DUAL, "_dual_share", stalled)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_audit_bytes_on_any_cpu_count(self, monkeypatch, cpus):
@@ -430,41 +432,6 @@ class TestForkedControlChain:
         assert len(os.listdir("/proc/self/fd")) == fds
         _assert_no_child_process()
 
-    def test_forked_chain_after_threaded_eigh(self, monkeypatch):
-        # OpenBLAS shuts its thread pool down before a fork, so a child may
-        # run threaded BLAS and LAPACK after the parent did
-        _cpus(monkeypatch, 1)
-        serial = _audit_5x5()
-        a = np.random.default_rng(5).random((400, 400))
-        a += a.T
-        evals = np.linalg.eigh(a)[0]
-        _cpus(monkeypatch, 2)
-        _assert_same_audit(_audit_5x5(), serial)
-        def eigh(group, out):   # one eigh per item
-            for _ in group:
-                out.write(np.linalg.eigh(a)[0].tobytes())
-
-        out = io.BytesIO()
-        run_groups([("the parent's eigh", 1, None), ("a child's eigh", 1, None)],
-                   eigh, out)
-        assert out.getvalue() == evals.tobytes() * 2
-        _assert_no_child_process()
-
-    def test_unpicklable_child_error_comes_back_as_text(self, monkeypatch):
-        class Local(Exception):   # a local class does not pickle
-            pass
-
-        def fail(group, out):   # the items that are True fail
-            for failing in group:
-                if failing:
-                    raise Local("the chain broke")
-
-        _cpus(monkeypatch, 2)
-        with pytest.raises(OSError, match="^the chain broke$"):
-            run_groups([("the caller's job", 1, False),
-                        ("a failing job", 1, True)], fail, io.BytesIO())
-        _assert_no_child_process()
-
 
 def _study_1d_csv(tmp_path, sizes=(16, 32, 64, 128)):
     study = ex.evolutionary_convergence_study(
@@ -497,13 +464,13 @@ class TestForkedStudyChains:
             self, monkeypatch, cpus):
         parent = os.getpid()
 
-        def nodes(generator, pattern, blocks):   # [ran in the caller, n, ...]
-            out = [np.full(len(block), float(generator.n)) for block in blocks]
-            for values in out:
+        def nodes(share, out):   # [ran in the caller, n, ...] per block
+            for generator, block in share:
+                values = np.full(len(block), float(generator.n))
                 values[0] = os.getpid() == parent
-            return out
+                out.write(values.tobytes())
 
-        monkeypatch.setattr(ex, "_dual_blocks", nodes)
+        monkeypatch.setattr(DUAL, "_dual_share", nodes)
         _cpus(monkeypatch, cpus)
         # the 70-node chain is cut into blocks of 32, 32 and 6 nodes; of
         # 7488 cells x nodes, the caller's 2496 (three CPUs) or 3744 (two)
@@ -514,10 +481,10 @@ class TestForkedStudyChains:
         chains = [(f"the chain on {n} cells",
                    SimpleNamespace(n=n, weights=no_faces), np.zeros((k, n)))
                   for n, k in zip(cells, lengths)]
-        result = ex._dual_chains(chains)
+        result = DUAL.dual_chains(chains)
         assert [len(a) for a in result] == lengths
         for a, n in zip(result, cells):
-            starts = np.arange(0, len(a), ex._CHAIN_BLOCK)
+            starts = np.arange(0, len(a), _CHAIN_BLOCK)
             assert a[starts].tolist() == [n in (32, 256)] * len(starts)
             assert np.delete(a, starts).tolist() == [float(n)] * (
                 len(a) - len(starts))
@@ -525,16 +492,16 @@ class TestForkedStudyChains:
 
     def test_member_stall_comes_back_from_the_child(self, tmp_path, capsys,
                                                      monkeypatch):
-        parent, dual_blocks = os.getpid(), ex._dual_blocks
+        parent, dual_share = os.getpid(), DUAL._dual_share
 
-        def stalled(generator, pattern, blocks):  # the smallest chain, in
-            if generator.n == 16:                 # the child
+        def stalled(share, out):   # the smallest chain, in the child
+            if any(generator.n == 16 for generator, _ in share):
                 assert os.getpid() != parent
                 raise ConjugateGradientError(self.STALL)
-            return dual_blocks(generator, pattern, blocks)
+            return dual_share(share, out)
 
         _cpus(monkeypatch, 2)
-        monkeypatch.setattr(ex, "_dual_blocks", stalled)
+        monkeypatch.setattr(DUAL, "_dual_share", stalled)
         with pytest.raises(ConjugateGradientError, match=f"^{self.STALL}$"):
             _study_1d_csv(tmp_path, sizes=(16, 32))
         _assert_no_child_process()

@@ -1,11 +1,13 @@
 import io
 import os
 
+import numpy as np
 import pytest
 
 from gradflow import forked
 from gradflow.forked import cut, run_groups
 from test_dynamics import _assert_no_child_process
+from test_experiments import _assert_same_audit, _audit_5x5
 
 
 def _cpus(monkeypatch, cpus):
@@ -191,4 +193,40 @@ class TestRunGroups:
         with pytest.raises(OSError, match="^item 2 through item 3 exited with "
                                           "status 3$"):
             run_groups(items, work, io.BytesIO())
+        _assert_no_child_process()
+
+    def test_forked_chain_after_threaded_eigh(self, monkeypatch):
+        # OpenBLAS shuts its thread pool down before a fork, so a child may
+        # run threaded BLAS and LAPACK after the parent did
+        _cpus(monkeypatch, 1)
+        serial = _audit_5x5()
+        a = np.random.default_rng(5).random((400, 400))
+        a += a.T
+        evals = np.linalg.eigh(a)[0]
+        _cpus(monkeypatch, 2)
+        _assert_same_audit(_audit_5x5(), serial)
+
+        def eigh(group, out):   # one eigh per item
+            for _ in group:
+                out.write(np.linalg.eigh(a)[0].tobytes())
+
+        out = io.BytesIO()
+        run_groups([("the parent's eigh", 1, None), ("a child's eigh", 1, None)],
+                   eigh, out)
+        assert out.getvalue() == evals.tobytes() * 2
+        _assert_no_child_process()
+
+    def test_unpicklable_child_error_comes_back_as_text(self, monkeypatch):
+        class Local(Exception):   # a local class does not pickle
+            pass
+
+        def fail(group, out):   # the items that are True fail
+            for failing in group:
+                if failing:
+                    raise Local("the chain broke")
+
+        _cpus(monkeypatch, 2)
+        with pytest.raises(OSError, match="^the chain broke$"):
+            run_groups([("the caller's job", 1, False),
+                        ("a failing job", 1, True)], fail, io.BytesIO())
         _assert_no_child_process()
