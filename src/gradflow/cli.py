@@ -21,9 +21,8 @@ import numpy as np
 from . import diagnostics, experiments, functionals, reference
 from .dual_action import ConjugateGradientError
 from .dynamics import SCHEMES, build_generator, solve_trajectory
-from .mesh import (Mesh, MeshError, build_cartesian_mesh, build_interval_mesh,
-                   build_voronoi_mesh, Domain, isotropy_defect,
-                   regularity_report)
+from .mesh import (Mesh, build_cartesian_mesh, build_interval_mesh,
+                   build_voronoi_mesh, Domain, isotropy_defect, regularity_report)
 from .reference import (PointFunction, discretize_reference, face_weights,
                         initial_measure_from_token, potential_from_token)
 
@@ -108,9 +107,7 @@ def _mesh_from_args(args) -> Mesh:
     if kind == "uniform1d":
         return build_interval_mesh(args.n)
     if kind == "cartesian":
-        nx = args.nx or args.n
-        ny = args.ny or args.n
-        return build_cartesian_mesh(nx, ny)
+        return build_cartesian_mesh(args.nx or args.n, args.ny or args.n)
     if kind == "voronoi":
         if not args.sites:
             raise ValueError("voronoi meshes need --sites FILE")
@@ -179,49 +176,6 @@ def cmd_edi(args) -> tuple[int, dict]:
                          "pass": bool(passed)}}
 
 
-# the options each gamma mode does not read; each defaults to None, and
-# the mode that reads it applies its own default
-_GAMMA_UNREAD = {"energy": ("z", "xi", "eps"), "affine": ("potential", "phi")}
-
-
-def cmd_gamma(args) -> tuple[int, dict]:
-    family = experiments.family_from_token(   # builds no mesh
-        args.family, seed=42 if args.seed is None else args.seed)
-    unread = list(_GAMMA_UNREAD[args.mode])
-    if family.name != "voronoi":
-        unread.append("seed")
-    given = [name for name in unread if getattr(args, name) is not None]
-    if given:
-        raise ValueError(f"gamma --mode {args.mode} on a {family.name} "
-                         f"family reads no --{given[0]}")
-    dim = family.dim
-    if args.mode == "affine":
-        z = [float(v) for v in args.z.split(",")] if args.z else [0.5] * dim
-        xi = [float(v) for v in args.xi.split(",")] if args.xi else [1.0] * dim
-        if len(z) != dim or len(xi) != dim:
-            raise ValueError(f"--z and --xi need {dim} values each for a "
-                             f"{dim}d family")
-        study = experiments.gamma_affine_minimization_study(
-            family, z, xi, 0.5 if args.eps is None else args.eps)
-        checks = all(r.error <= r.extras["boundary_layer"] + 1e-12 and
-                     r.extras["harmonicity_residual"] <= 1e-11
-                     for r in study.rows)
-    else:
-        potential = potential_from_token(
-            "zero" if args.potential is None else args.potential, dim)
-        phi, grad = _phi_from_token(
-            "cosine" if args.phi is None else args.phi, dim)
-        study = experiments.gamma_energy_study(family, phi, potential,
-                                               grad=grad)
-        errors = study.column("error")
-        checks = bool(np.all(np.diff(errors) < 0.0))
-    print(f"gamma[{args.mode}]: {len(study.rows)} rows, "
-          f"final error {study.rows[-1].error:.3e}")
-    return 3 if args.check and not checks else 0, {
-        "gamma.csv": study.to_csv,
-        "summary.json": {"command": "gamma", **study.summary(), "pass": bool(checks)}}
-
-
 def _phi_from_token(token: str, dim: int):
     """Test function phi and its gradient, both over (N, d) points."""
     name, _, arg = token.partition(":")
@@ -243,6 +197,57 @@ def _phi_from_token(token: str, dim: int):
 
         return PointFunction(lambda p: np.cos(k * p[:, 0])), PointFunction(grad)
     raise ValueError(f"unknown test function {token!r}")
+
+
+def _energy_study(family, potential: str, phi: str):
+    potential = potential_from_token(potential, family.dim)
+    phi, grad = _phi_from_token(phi, family.dim)
+    return experiments.gamma_energy_study(family, phi, potential, grad=grad)
+
+
+def _affine_study(family, z, xi, eps: float):
+    dim = family.dim
+    z = [float(v) for v in z.split(",")] if z else [0.5] * dim
+    xi = [float(v) for v in xi.split(",")] if xi else [1.0] * dim
+    if len(z) != dim or len(xi) != dim:
+        raise ValueError(f"--z and --xi need {dim} values each for a "
+                         f"{dim}d family")
+    return experiments.gamma_affine_minimization_study(family, z, xi, eps)
+
+
+# gamma's modes: name -> (study of the family and the options the mode reads,
+# --check rule, those options with their defaults); the others are refused
+_GAMMA_MODES = {
+    "energy": (_energy_study,
+               lambda study: bool(np.all(np.diff(study.column("error")) < 0.0)),
+               {"potential": "zero", "phi": "cosine"}),
+    "affine": (_affine_study,
+               lambda study: all(r.error <= r.extras["boundary_layer"] + 1e-12
+                                 and r.extras["harmonicity_residual"] <= 1e-11
+                                 for r in study.rows),
+               {"z": None, "xi": None, "eps": 0.5}),
+}
+
+
+def cmd_gamma(args) -> tuple[int, dict]:
+    family = experiments.family_from_token(   # builds no mesh
+        args.family, seed=42 if args.seed is None else args.seed)
+    study_of, check, reads = _GAMMA_MODES[args.mode]
+    unread = [name for *_, options in _GAMMA_MODES.values() for name in options
+              if name not in reads] + ["seed"] * (family.name != "voronoi")
+    given = [name for name in unread if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"gamma --mode {args.mode} on a {family.name} "
+                         f"family reads no --{given[0]}")
+    study = study_of(family, **{
+        name: default if getattr(args, name) is None else getattr(args, name)
+        for name, default in reads.items()})
+    checks = check(study)
+    print(f"gamma[{args.mode}]: {len(study.rows)} rows, "
+          f"final error {study.rows[-1].error:.3e}")
+    return 3 if args.check and not checks else 0, {
+        "gamma.csv": study.to_csv,
+        "summary.json": {"command": "gamma", **study.summary(), "pass": bool(checks)}}
 
 
 def cmd_converge(args) -> tuple[int, dict]:
@@ -294,9 +299,9 @@ def cmd_diagnose(args) -> tuple[int, dict]:
 def _add_mesh_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mesh", help="mesh file to load")
     p.add_argument("--kind", choices=["uniform1d", "cartesian", "voronoi"])
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--nx", type=int)
-    p.add_argument("--ny", type=int)
+    p.add_argument("--n", type=_positive("n", int), default=16)
+    p.add_argument("--nx", type=_positive("nx", int))
+    p.add_argument("--ny", type=_positive("ny", int))
     p.add_argument("--sites", help="CSV of site coordinates (voronoi)")
 
 
@@ -359,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="energy or affine minimization study")
     _add_common(p, means=(), check=True)
     p.add_argument("--family", default="uniform1d:16..256")
-    p.add_argument("--mode", default="energy", choices=["energy", "affine"])
+    p.add_argument("--mode", default="energy", choices=list(_GAMMA_MODES))
     p.add_argument("--seed", type=int)
     p.add_argument("--phi")
     p.add_argument("--z")
@@ -395,7 +400,7 @@ def main(argv=None) -> int:
         code, outputs = args.fn(args)
         _write_outputs(args.out, outputs)
         return code
-    except (MeshError, ValueError, ConjugateGradientError, OSError) as exc:
+    except (ValueError, ConjugateGradientError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

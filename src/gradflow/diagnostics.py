@@ -337,35 +337,29 @@ def l2_holder_modulus(mesh: Mesh, f, h, m, pi,
     value = 0.0
     if h_norm > 0.0:
         if mesh.dim == 1:
-            lo = mesh.cell_bounds[:, 0]
-            hi = mesh.cell_bounds[:, 1]
-            for i in range(mesh.n_cells):
-                o_lo = np.maximum(lo[i], lo + hv[0])
-                o_hi = np.minimum(hi[i], hi + hv[0])
-                olap = np.maximum(o_hi - o_lo, 0.0)
-                df = ff - ff[i]
-                value += float(np.sum(olap * df * df))
+            boxes = mesh.cell_bounds[:, :, None]            # per cell: lo, hi
         else:
             polys, counts = mesh.padded_polygons()
-            boxes = np.empty((mesh.n_cells, 2, 2))       # per cell: lo, hi
+            boxes = np.empty((mesh.n_cells, 2, 2))
             for cells, stack in mesh.polygon_groups:
                 boxes[cells, 0], boxes[cells, 1] = stack.min(axis=1), stack.max(axis=1)
-            lo_shift = boxes[:, 0] + hv
-            hi_shift = boxes[:, 1] + hv
-            for lo in range(0, mesh.n_cells, _PATH_BLOCK):
-                block = slice(lo, lo + _PATH_BLOCK)
-                # pairs (i, j), in that order, whose shifted box of cell j
-                # can overlap cell i
-                meets = ((ff != ff[block, None])
-                         & ~np.any(lo_shift >= boxes[block, None, 1], axis=2)
-                         & ~np.any(hi_shift <= boxes[block, None, 0], axis=2))
-                i, j = np.nonzero(meets)
-                i += lo
-                # |K_i ∩ (K_j + h)|
-                olap = geometry.overlap_area(polys[i], counts[i], polys[j] + hv, counts[j])
-                df = ff[j] - ff[i]
-                for term in (olap * df * df)[olap > 0.0].tolist():
-                    value += term
+        lo_shift, hi_shift = boxes[:, 0] + hv, boxes[:, 1] + hv
+        for lo in range(0, mesh.n_cells, _PATH_BLOCK):
+            block = slice(lo, lo + _PATH_BLOCK)
+            # pairs (i, j), in that order, whose shifted box of cell j
+            # can overlap cell i
+            meets = ((ff != ff[block, None])
+                     & ~np.any(lo_shift >= boxes[block, None, 1], axis=2)
+                     & ~np.any(hi_shift <= boxes[block, None, 0], axis=2))
+            i, j = np.nonzero(meets)
+            i += lo
+            # |K_i ∩ (K_j + h)|, in 1D min(hi) - max(lo)
+            olap = (np.minimum(boxes[i, 1, 0], hi_shift[j, 0])
+                    - np.maximum(boxes[i, 0, 0], lo_shift[j, 0]) if mesh.dim == 1 else
+                    geometry.overlap_area(polys[i], counts[i], polys[j] + hv, counts[j]))
+            df = ff[j] - ff[i]
+            for term in (olap * df * df)[olap > 0.0].tolist():
+                value += term
     mm = _masses(m)
     pp = _masses(pi)
     k_lower = float((mm / pp).min())

@@ -24,8 +24,8 @@ from .reference import (DiscreteMeasure, PointFunction, Potential,
                         _boltzmann, _pointwise)
 from .functionals import dirichlet_energy, entropy, fisher
 from .dual_action import dual_action, dual_chains
-from .dynamics import (EXACT_DENSE_LIMIT, Generator, build_generator,
-                       solve_trajectory)
+from .dynamics import (EXACT_DENSE_LIMIT, Generator, _theta_stepper,
+                       build_generator, solve_trajectory)
 
 
 # -- mesh families ---------------------------------------------------------------
@@ -667,13 +667,9 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
                                      t_nodes - 1, generator,
                                      scheme="exact_dense")
                     for mesh, generator in zip(meshes, generators)]
-    # the finest member first, so that the caller runs the chain that
-    # outweighs the others: with it in a child, the chains of
-    # uniform1d:16..256 took 100 ms against 95 (medians, 2-core VM)
     dual_nodes = dual_chains([
         (f"the dual chain on {mesh.n_cells} cells", generator, traj.masses)
-        for mesh, generator, traj in zip(meshes[::-1], generators[::-1],
-                                         trajectories[::-1])])[::-1]
+        for mesh, generator, traj in zip(meshes, generators, trajectories)])
 
     def one(mesh: Mesh, generator: Generator, traj,
             duals: np.ndarray) -> StudyRow:
@@ -714,13 +710,14 @@ def _evolutionary_study_2d(family: MeshFamily, potential: Potential, rho0,
     rho0_fn = (density_from_token(rho0, 2) if isinstance(rho0, str) else rho0)
     ref_mesh = build_cartesian_mesh(n_ref, n_ref)
     ref_gen = build_generator(ref_mesh, potential, mean_kind)
-    ref_m0 = project_measure(ref_mesh, rho0_fn)
-    steps = 64 * (t_nodes - 1)
-    ref_traj = solve_trajectory(ref_m0, T, steps, ref_gen,
-                                scheme="implicit_euler")
-    stride = steps // (t_nodes - 1)
-    ref_dens = [ref_traj.masses[i * stride].reshape(n_ref, n_ref) * n_ref ** 2
-                for i in range(t_nodes)]
+    # implicit Euler at 64 steps per node, keeping the nodes alone
+    step = _theta_stepper(ref_gen, T / (64 * (t_nodes - 1)), 1.0)
+    m = project_measure(ref_mesh, rho0_fn).masses
+    ref_dens = [m.reshape(n_ref, n_ref) * n_ref ** 2]
+    for _ in range(t_nodes - 1):
+        for _ in range(64):
+            m = step(m).masses
+        ref_dens.append(m.reshape(n_ref, n_ref) * n_ref ** 2)
 
     def one(mesh: Mesh, n: int) -> StudyRow:
         generator = build_generator(mesh, potential, mean_kind)

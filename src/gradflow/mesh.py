@@ -492,27 +492,25 @@ class Mesh:
             pos += n
             return out
 
+        def header(tag: str, counts=None) -> int:
+            """The count after a tag header, one of counts if they are given."""
+            name, count = take(2)
+            if name != tag or (counts is not None and count not in counts):
+                raise MeshError(f"bad {tag} header")
+            return int(count)
+
         magic, version = take(2)
         if magic != "gradflow-mesh" or version != "1":
             raise MeshError("not a gradflow mesh file")
-        tag, dim = take(2)
-        if tag != "dim" or dim not in ("1", "2"):
-            raise MeshError("bad dim header")
-        dim = int(dim)
-        tag, ndv = take(2)
-        if tag != "domain":
-            raise MeshError("bad domain header")
-        ndv = int(ndv)
+        dim = header("dim", ("1", "2"))
+        ndv = header("domain")
         if dim == 1:
             a, b = (float(t) for t in take(2))
             domain = Domain.interval(a, b)
         else:
             verts = np.array([[float(x) for x in take(2)] for _ in range(ndv)])
             domain = Domain.polygon(verts)
-        tag, nc = take(2)
-        if tag != "cells":
-            raise MeshError("bad cells header")
-        nc = int(nc)
+        nc = header("cells")
         sites = np.empty((nc, dim))
         volumes = np.empty(nc)
         bounds = np.empty((nc, 2)) if dim == 1 else None
@@ -532,10 +530,7 @@ class Mesh:
                                     f"needs at least 3")
                 polys.append(np.array([[float(x) for x in take(2)]
                                        for _ in range(nv)]))
-        tag, nf = take(2)
-        if tag != "faces":
-            raise MeshError("bad faces header")
-        nf = int(nf)
+        nf = header("faces")
         fc = np.empty((nf, 2), dtype=np.int64)
         fa = np.empty(nf)
         fd = np.empty(nf)

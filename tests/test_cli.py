@@ -463,6 +463,32 @@ class TestGammaCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["pass"] is True
 
+    def test_a_mode_is_one_table_entry(self, monkeypatch):
+        # a toy mode that reads --phi alone: it is a --mode choice, its study
+        # gets the default it names, its rule sets the exit code, and every
+        # other mode's option is refused before its study runs
+        calls = []
+
+        def study_of(family, phi):
+            calls.append((family.name, phi))
+            return experiments.StudyResult("toy", {}, [experiments.StudyRow(
+                mesh_size=1.0, value=0.0, reference=0.0, error=0.0)])
+
+        monkeypatch.setitem(cli._GAMMA_MODES, "toy",
+                            (study_of, lambda study: False, {"phi": "cosine"}))
+        parser = cli.build_parser()
+        args = parser.parse_args(["gamma", "--mode", "toy", "--check"])
+        code, outputs = args.fn(args)
+        assert code == 3 and calls == [("uniform1d", "cosine")]
+        assert outputs["summary.json"]["pass"] is False
+        for option in (["--potential", "zero"], ["--eps", "0.5"],
+                       ["--seed", "1"]):
+            args = parser.parse_args(["gamma", "--mode", "toy", *option])
+            with pytest.raises(ValueError, match=(
+                    f"^gamma --mode toy on a uniform1d family reads no "
+                    f"{option[0]}$")):
+                args.fn(args)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("argv,message", [
         (["--phi", "coordinate:5"], "axis must lie in 0..1"),
@@ -752,6 +778,20 @@ class TestArguments:
          "argument --eps: eps must be finite and positive, got 'inf'"),
         (["gamma", "--mode", "affine", "--eps", "0"],
          "argument --eps: eps must be finite and positive, got '0'"),
+        # mesh sizes: --ny 0 once built a 3 x 16 mesh, `args.ny or args.n`
+        # reading it as unset
+        (["mesh", "--kind", "cartesian", "--nx", "3", "--ny", "0"],
+         "argument --ny: ny must be a positive integer, got '0'"),
+        (["mesh", "--kind", "cartesian", "--nx=-3"],
+         "argument --nx: nx must be a positive integer, got '-3'"),
+        (["mesh", "--kind", "uniform1d", "--n", "0"],
+         "argument --n: n must be a positive integer, got '0'"),
+        (["solve", "--kind", "cartesian", "--n=-2"],
+         "argument --n: n must be a positive integer, got '-2'"),
+        (["edi", "--kind", "cartesian", "--ny", "0"],
+         "argument --ny: ny must be a positive integer, got '0'"),
+        (["diagnose", "--kind", "uniform1d", "--n", "1.5"],
+         "argument --n: invalid int value: '1.5'"),
     ])
     def test_bad_steps_or_eps_exit_2_before_any_mesh(self, tmp_path, capsys,
                                                      monkeypatch, argv,
@@ -765,6 +805,20 @@ class TestArguments:
         code, out = run(argv, tmp_path)
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "edi"])
+    def test_unallocatable_steps_exit_2(self, tmp_path, capsys, monkeypatch,
+                                        command):
+        # 10^15 + 1 nodes would need 7.11 PiB: numpy refuses the allocation
+        # at once, before any step or fork
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        code, out = run([command, "--kind", "uniform1d", "--n", "8", "--T",
+                         "0.1", "--M", "1000000000000000"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: Unable to allocate 7.11 PiB")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

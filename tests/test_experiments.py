@@ -494,8 +494,8 @@ class TestForkedStudyChains:
                                                      monkeypatch):
         parent, dual_share = os.getpid(), DUAL._dual_share
 
-        def stalled(share, out):   # the smallest chain, in the child
-            if any(generator.n == 16 for generator, _ in share):
+        def stalled(share, out):   # the largest chain, in the child
+            if any(generator.n == 256 for generator, _ in share):
                 assert os.getpid() != parent
                 raise ConjugateGradientError(self.STALL)
             return dual_share(share, out)
@@ -503,10 +503,10 @@ class TestForkedStudyChains:
         _cpus(monkeypatch, 2)
         monkeypatch.setattr(DUAL, "_dual_share", stalled)
         with pytest.raises(ConjugateGradientError, match=f"^{self.STALL}$"):
-            _study_1d_csv(tmp_path, sizes=(16, 32))
+            _study_1d_csv(tmp_path, sizes=(16, 256))
         _assert_no_child_process()
         out = tmp_path / "converge"
-        assert main(["converge", "--family", "uniform1d:16..64", "--potential",
+        assert main(["converge", "--family", "uniform1d:16..256", "--potential",
                      "quadratic", "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {self.STALL}"]
         assert not out.exists()
@@ -642,6 +642,30 @@ class TestEvolutionaryStudy:
                                                   "cosine", T=0.05)
         errors = study.column("error")
         assert errors[1] < errors[0]
+
+    def test_cartesian_reference_is_the_full_trajectory_nodes(self):
+        # the 32 x 32 reference steps implicit Euler and keeps 17 of its
+        # 1025 nodes: the errors are those against solve_trajectory's nodes
+        family, potential = ex.cartesian_family((4, 8)), gf.quadratic_potential()
+        study = ex.evolutionary_convergence_study(family, potential, "cosine",
+                                                  T=0.05)
+        rho0 = ex.density_from_token("cosine", 2)
+        ref_mesh = gf.build_cartesian_mesh(32, 32)
+        ref = gf.solve_trajectory(
+            gf.project_measure(ref_mesh, rho0), 0.05, 64 * 16,
+            gf.build_generator(ref_mesh, potential), scheme="implicit_euler")
+        for row, n in zip(study.rows, (4, 8)):
+            mesh = gf.build_cartesian_mesh(n, n)
+            traj = gf.solve_trajectory(gf.project_measure(mesh, rho0), 0.05, 16,
+                                       gf.build_generator(mesh, potential))
+            sup_l1 = 0.0
+            for i in range(17):
+                lifted = np.kron(traj.masses[i].reshape(n, n) * n ** 2,
+                                 np.ones((32 // n, 32 // n)))
+                dens = ref.masses[64 * i].reshape(32, 32) * 32 ** 2
+                sup_l1 = max(sup_l1, float(np.abs(lifted - dens).sum())
+                             * (1.0 / 32 ** 2))
+            assert row.error.hex() == sup_l1.hex()
 
     def test_cartesian_family_built_once(self, monkeypatch):
         monkeypatch.setattr(ex, "T_NODES", 5)

@@ -327,6 +327,31 @@ def test_holder_overlaps_are_the_per_pair_clips(name):
         assert _bits(got) == _bits(_reference_holder_value(mesh, f, h))
 
 
+def _reference_holder_value_1d(mesh, f, h):
+    """The shifted-overlap sum in 1D, one pair at a time: |K_i ∩ (K_j + h)|
+    is min(hi) - max(lo)."""
+    lo, hi = mesh.cell_bounds[:, 0], mesh.cell_bounds[:, 1]
+    value = 0.0
+    for i in range(mesh.n_cells):
+        for j in range(mesh.n_cells):
+            olap = min(hi[i], hi[j] + h) - max(lo[i], lo[j] + h)
+            if f[j] != f[i] and olap > 0.0:
+                df = float(f[j] - f[i])
+                value += olap * df * df
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(MESHES_1D))
+def test_1d_holder_overlaps_are_the_per_pair_intervals(name):
+    mesh = MESHES_1D[name]()
+    f = np.sin(7.0 * mesh.sites[:, 0]) + mesh.sites[:, 0] ** 2
+    pi = np.asarray(mesh.volumes) / np.sum(mesh.volumes)
+    # from a fraction of a cell to several cells; 0.025 is one uniform cell
+    for h in (0.004, 0.025, -0.0625, 0.13, -0.31):
+        got = diagnostics.l2_holder_modulus(mesh, f, np.array([h]), pi, pi).value
+        assert _bits(got) == _bits(_reference_holder_value_1d(mesh, f, h))
+
+
 # -- 1D good paths ----------------------------------------------------------------------
 
 
