@@ -5,6 +5,12 @@ check (--check).  A command does all of its work first; `main` then creates
 --out, writes every output to a temp file and renames each into place, so a
 run that exits 2 before its writes creates no --out, and a failed write
 leaves --out as it found it.
+
+A run reads every option it is given: each mesh source and gamma --mode is
+an entry of `_MESH_SOURCES` or `_GAMMA_MODES` naming the options it reads
+with their defaults, and `_read_options` refuses any other with exit 2 before
+any mesh.  Mesh sources: --mesh FILE; --kind uniform1d, --n (16); cartesian,
+--nx and --ny, each defaulting to --n (16); voronoi, --sites FILE.
 """
 from __future__ import annotations
 
@@ -84,38 +90,65 @@ def _csv(header: str, *rows) -> str:
         + "\n" for row in rows)
 
 
-def _load_sites(path: str) -> np.ndarray:
+def _voronoi_mesh(sites: str | None) -> Mesh:
+    """The Voronoi mesh of a CSV file's sites on the unit interval or square."""
+    if not sites:
+        raise ValueError("voronoi meshes need --sites FILE")
     rows = []
-    with open(path, encoding="ascii") as fh:
+    with open(sites, encoding="ascii") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("x"):
                 continue
             rows.append([float(v) for v in line.replace(",", " ").split()])
             if len(rows[-1]) != len(rows[0]):
-                raise ValueError(f"{path}, line {number}: {len(rows[-1])} "
+                raise ValueError(f"{sites}, line {number}: {len(rows[-1])} "
                                  f"values, expected {len(rows[0])} per site")
     if not rows:
-        raise ValueError(f"no sites found in {path}")
-    return np.asarray(rows, dtype=float)
+        raise ValueError(f"no sites found in {sites}")
+    points = np.asarray(rows, dtype=float)
+    domain = (Domain.rectangle(0.0, 0.0, 1.0, 1.0) if points.shape[1] == 2
+              else Domain.interval(0.0, 1.0))
+    return build_voronoi_mesh(points, domain)
+
+
+def _read_options(args, reads: dict, options, run: str) -> dict:
+    """Each option in reads at its given value, else its default; a default
+    (X, d) is option X's value, else d, and reads X.  The first option of
+    options that is given but not read raises ValueError(run reads no --X)."""
+    values, read = {}, set(reads)
+    for name, default in reads.items():
+        value = getattr(args, name)
+        if value is None and isinstance(default, tuple):
+            read.add(default[0])
+            value, default = getattr(args, default[0]), default[1]
+        values[name] = default if value is None else value
+    for name in options:
+        if name not in read and getattr(args, name) is not None:
+            raise ValueError(f"{run} reads no --{name}")
+    return values
+
+
+# mesh sources: --mesh or a --kind -> (builder of the options it reads, those
+# options with their defaults); each call looks its builder up as a global
+_MESH_SOURCES = {
+    "--mesh": (lambda mesh: Mesh.read(mesh), {"mesh": None}),
+    "uniform1d": (lambda n: build_interval_mesh(n), {"n": 16}),
+    "cartesian": (lambda nx, ny: build_cartesian_mesh(nx, ny),
+                  {"nx": ("n", 16), "ny": ("n", 16)}),
+    "voronoi": (_voronoi_mesh, {"sites": None}),
+}
 
 
 def _mesh_from_args(args) -> Mesh:
-    if getattr(args, "mesh", None):
-        return Mesh.read(args.mesh)
-    kind = getattr(args, "kind", None)
-    if kind == "uniform1d":
-        return build_interval_mesh(args.n)
-    if kind == "cartesian":
-        return build_cartesian_mesh(args.nx or args.n, args.ny or args.n)
-    if kind == "voronoi":
-        if not args.sites:
-            raise ValueError("voronoi meshes need --sites FILE")
-        sites = _load_sites(args.sites)
-        domain = (Domain.rectangle(0.0, 0.0, 1.0, 1.0) if sites.ndim == 2
-                  and sites.shape[1] == 2 else Domain.interval(0.0, 1.0))
-        return build_voronoi_mesh(sites, domain)
-    raise ValueError("specify --mesh FILE or --kind with its parameters")
+    by_file = args.mesh is not None
+    source = "--mesh" if by_file else args.kind
+    if source is None:
+        raise ValueError("specify --mesh FILE or --kind with its parameters")
+    build, reads = _MESH_SOURCES[source]
+    return build(**_read_options(
+        args, reads, ("kind",) * by_file + ("n", "nx", "ny", "sites"),
+        f"{args.command} {source if by_file else '--kind ' + source}"))
 
 
 def cmd_mesh(args) -> tuple[int, dict]:
@@ -230,18 +263,16 @@ _GAMMA_MODES = {
 
 
 def cmd_gamma(args) -> tuple[int, dict]:
-    family = experiments.family_from_token(   # builds no mesh
-        args.family, seed=42 if args.seed is None else args.seed)
     study_of, check, reads = _GAMMA_MODES[args.mode]
-    unread = [name for *_, options in _GAMMA_MODES.values() for name in options
-              if name not in reads] + ["seed"] * (family.name != "voronoi")
-    given = [name for name in unread if getattr(args, name) is not None]
-    if given:
-        raise ValueError(f"gamma --mode {args.mode} on a {family.name} "
-                         f"family reads no --{given[0]}")
-    study = study_of(family, **{
-        name: default if getattr(args, name) is None else getattr(args, name)
-        for name, default in reads.items()})
+    family = args.family.partition(":")[0]
+    options = _read_options(
+        args, {**reads, "seed": 42} if family == "voronoi" else reads,
+        [name for *_, names in _GAMMA_MODES.values() for name in names]
+        + ["seed"],
+        f"gamma --mode {args.mode} on a {family} family")
+    family = experiments.family_from_token(   # builds no mesh
+        args.family, seed=options.pop("seed", None))
+    study = study_of(family, **options)
     checks = check(study)
     print(f"gamma[{args.mode}]: {len(study.rows)} rows, "
           f"final error {study.rows[-1].error:.3e}")
@@ -298,8 +329,9 @@ def cmd_diagnose(args) -> tuple[int, dict]:
 
 def _add_mesh_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mesh", help="mesh file to load")
-    p.add_argument("--kind", choices=["uniform1d", "cartesian", "voronoi"])
-    p.add_argument("--n", type=_positive("n", int), default=16)
+    p.add_argument("--kind",
+                   choices=[s for s in _MESH_SOURCES if s != "--mesh"])
+    p.add_argument("--n", type=_positive("n", int))
     p.add_argument("--nx", type=_positive("nx", int))
     p.add_argument("--ny", type=_positive("ny", int))
     p.add_argument("--sites", help="CSV of site coordinates (voronoi)")

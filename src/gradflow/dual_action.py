@@ -23,7 +23,7 @@ from scipy.sparse import csgraph
 from scipy.sparse._sparsetools import csr_matvec
 
 from .forked import run_groups
-from .functionals import _masses, mean_value
+from .functionals import _masses, _onsager_conductance
 from .mesh import Mesh
 
 BALANCE_TOL = 1e-10
@@ -115,12 +115,11 @@ def onsager_operators(pattern: OnsagerPattern, weights, masses,
     face conducts, and those of the conducting faces otherwise.
     """
     mm = np.asarray(masses, dtype=float)
-    w, fc = weights.w, weights.face_cells
+    fc = weights.face_cells
     nodes, n = mm.shape
     if len(pattern.indptr) != n + 1 or pattern.slots.shape[1] != len(fc):
         raise ValueError("the Onsager pattern was built for another face graph")
-    r = mm / _masses(pi)
-    cond = mean_value("logarithmic", r[:, fc[:, 0]], r[:, fc[:, 1]]) * w
+    cond, _, _ = _onsager_conductance(mm, weights, pi)
     nnz = len(pattern.indices)
     bins = np.arange(nodes)[:, None] * nnz + pattern.slots[:2].ravel()
     data = np.bincount(bins.ravel(), weights=np.tile(cond, 2).ravel(),

@@ -513,13 +513,11 @@ def edi_audit(generator: Generator, m0: DiscreteMeasure, T: float,
 
     The dual solves form two chains, the main one over every node and the
     control one over the even nodes, each warm-started within blocks of 32
-    nodes from its node 0.  dual_action.dual_chains cuts the blocks into
-    one share per allowed CPU, the caller's and forked children's, and
-    solves each share's blocks in lockstep (at steps = 256 on two CPUs, 192
-    solves in the caller as 32 stacks of 6, 194 in a child as a stack of 8
-    and 31 of 6); the bits depend neither on the stacks nor on the CPU
-    count.  A failure in any block is raised here with its type and
-    message, once every child is joined.
+    nodes from its node 0, and solved by dual_action.dual_chains, whose
+    docstring says how the blocks are shared over the allowed CPUs and
+    stacked; the bits depend neither on the stacks nor on the CPU count.
+    A failure in any block is raised here with its type and message, once
+    every child is joined.
     """
     check_edi_steps(steps)
     if np.any(np.asarray(getattr(m0, "masses", m0)) <= 0.0):
@@ -619,9 +617,10 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
     times (read at call time), plus entropy excess and the two dissipation
     integrals.  The Richardson reference solves on 4 x max(sizes) and
     2 x max(sizes) cells with the dense oracle, so a family whose 4 x max
-    exceeds EXACT_DENSE_LIMIT is refused before any mesh is built, and one
-    off [0, 1], where both references live, before any reference.  The
-    members' dual chains run through dual_chains, on every allowed CPU.
+    exceeds EXACT_DENSE_LIMIT is refused before any mesh is built, as is a
+    bad rho0 token, and one off [0, 1], where both references live, before
+    any reference.  The members' dual chains run through dual_chains, on
+    every allowed CPU.
     Families other than uniform1d are 2d and must be cartesian (see
     _evolutionary_study_2d).
     """
@@ -640,13 +639,13 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
             f"the 1d Richardson reference needs 4 x {n_fine // 4} = {n_fine} "
             f"cells, beyond the dense spectral oracle's {EXACT_DENSE_LIMIT}: "
             f"uniform1d sizes must be at most {EXACT_DENSE_LIMIT // 4}")
+    rho0_fn = (density_from_token(rho0, 1) if isinstance(rho0, str) else rho0)
     meshes = family.build()
     domain = meshes[0].domain
     a, b = (float(x) for x in domain.bounds)
     if abs(a) > 1e-15 or abs(b - 1.0) > 1e-15:
         raise ValueError(f"the 1d study's references live on [0, 1], not on "
                          f"the family's interval [{a!r}, {b!r}]")
-    rho0_fn = (density_from_token(rho0, 1) if isinstance(rho0, str) else rho0)
     times = np.linspace(0.0, T, t_nodes)
     if spectral:
         refs = [_cosine_density_1d_exact(t, 4096, amp) for t in times]
@@ -706,8 +705,8 @@ def _evolutionary_study_2d(family: MeshFamily, potential: Potential, rho0,
     for n in sizes:
         if n_ref % n != 0:
             raise ValueError("2d family sizes must divide the reference grid")
-    meshes = family.build()
     rho0_fn = (density_from_token(rho0, 2) if isinstance(rho0, str) else rho0)
+    meshes = family.build()
     ref_mesh = build_cartesian_mesh(n_ref, n_ref)
     ref_gen = build_generator(ref_mesh, potential, mean_kind)
     # implicit Euler at 64 steps per node, keeping the nodes alone

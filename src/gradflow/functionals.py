@@ -106,6 +106,15 @@ def _graph_energy(f: np.ndarray, conductance: np.ndarray,
     return 0.5 * float(np.sum(conductance * df * df))
 
 
+def _onsager_conductance(m, weights, pi):
+    """The log-mean Onsager conductances theta(r_K, r_L) w_KL, r = m/pi, of
+    one node m (n,) or a stack (k, n), with the face densities r_K, r_L."""
+    r = _masses(m) / _masses(pi)
+    fc = weights.face_cells
+    rk, rl = r[..., fc[:, 0]], r[..., fc[:, 1]]
+    return mean_value("logarithmic", rk, rl) * weights.w, rk, rl
+
+
 def action(m, f, weights, pi) -> float:
     """Discrete transport action: the weighted Dirichlet form of f at m.
 
@@ -113,12 +122,9 @@ def action(m, f, weights, pi) -> float:
     with densities r = m/pi and theta the logarithmic mean; constants are a
     gauge (zero energy).
     """
-    mm = _masses(m)
-    pp = _masses(pi)
-    w, fc = weights.w, weights.face_cells
-    r = mm / pp
-    theta = mean_value("logarithmic", r[fc[:, 0]], r[fc[:, 1]])
-    return _graph_energy(np.asarray(f, dtype=float), theta * w, fc)
+    conductance, _, _ = _onsager_conductance(m, weights, pi)
+    return _graph_energy(np.asarray(f, dtype=float), conductance,
+                         weights.face_cells)
 
 
 def fisher(m, weights, pi) -> float:
@@ -127,18 +133,13 @@ def fisher(m, weights, pi) -> float:
     Returns math.inf when a face joins a zero-mass cell to a positive one;
     faces between two zero cells contribute nothing.
     """
-    mm = _masses(m)
-    pp = _masses(pi)
-    w, fc = weights.w, weights.face_cells
-    r = mm / pp
-    rk, rl = r[fc[:, 0]], r[fc[:, 1]]
+    conductance, rk, rl = _onsager_conductance(m, weights, pi)
     if np.any((rk > 0.0) != (rl > 0.0)):
         return math.inf
     both = (rk > 0.0) & (rl > 0.0)
-    dlog = np.zeros(len(fc))
+    dlog = np.zeros(len(rk))
     dlog[both] = np.log(rk[both]) - np.log(rl[both])
-    theta = mean_value("logarithmic", rk, rl)
-    return float(np.sum(w * theta * dlog * dlog))
+    return float(np.sum(conductance * dlog * dlog))
 
 
 @dataclass(frozen=True)

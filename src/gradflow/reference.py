@@ -90,8 +90,11 @@ def double_well_potential(height=2.0) -> Potential:
 
 def potential_from_token(token: str, dim: int) -> Potential:
     """Parse CLI-style potential tokens such as 'zero' or 'linear:1.0,0.5'."""
-    name, _, arg = token.partition(":")
+    name, sep, arg = token.partition(":")
     if name == "zero":
+        if sep:
+            raise ValueError(f"potential 'zero' takes no argument, got "
+                             f"{token!r}")
         return zero_potential()
     if name == "linear":
         if arg:
@@ -241,7 +244,9 @@ def project_function(mesh: Mesh, phi: Callable) -> np.ndarray:
 
 def density_from_token(token: str, dim: int) -> PointFunction:
     """Named probability densities on the unit interval/square."""
-    name, _, arg = token.partition(":")
+    name, sep, arg = token.partition(":")
+    if name in ("uniform", "linear") and sep:
+        raise ValueError(f"density {name!r} takes no argument, got {token!r}")
     if name == "uniform":
         return PointFunction(lambda p: np.ones(len(p)))
     if name == "cosine":
@@ -283,6 +288,9 @@ def initial_measure_from_token(token: str, mesh: Mesh, pi: DiscreteMeasure,
             raise ValueError("measure file does not match the mesh size")
         return m
     if parts[0] == "stationary":
+        if len(parts) > 1:
+            raise ValueError(f"initial measure 'stationary' takes no "
+                             f"argument, got {token!r}")
         return pi
     if parts[0] == "projected":
         rho = density_from_token(":".join(parts[1:]) or "uniform", mesh.dim)
@@ -290,6 +298,9 @@ def initial_measure_from_token(token: str, mesh: Mesh, pi: DiscreteMeasure,
     if parts[0] == "blend":
         if len(parts) < 2:
             raise ValueError("blend needs a density name")
+        if len(parts) > 3:
+            raise ValueError(f"blend takes a density name and a weight, got "
+                             f"{token!r}")
         theta = float(parts[2]) if len(parts) > 2 else 0.9
         if not 0.0 <= theta <= 1.0:
             raise ValueError("blend weight must lie in [0, 1]")

@@ -6,13 +6,14 @@ import stat
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
 
 from gradflow import cli, dynamics, experiments
 from gradflow.cli import main
-from gradflow.mesh import Mesh
+from gradflow.mesh import Mesh, build_cartesian_mesh
 from test_dynamics import _assert_no_child_process
 
 
@@ -860,16 +861,31 @@ class TestArguments:
         ("gamma", ["--mode", "energy", "--z", "0.3"]),
         ("gamma", ["--mode", "energy", "--xi", "2"]),
         ("gamma", ["--mode", "energy", "--eps", "0.5"]),
+        # each mesh source reads its own options alone; the mesh file and
+        # the site files named here do not exist, and are never opened
+        ("solve", ["--mesh", "absent.txt", "--kind", "uniform1d"]),
+        ("mesh", ["--mesh", "absent.txt", "--n", "99"]),
+        ("mesh", ["--kind", "uniform1d", "--nx", "5"]),
+        ("diagnose", ["--kind", "uniform1d", "--sites", "absent.csv"]),
+        ("mesh", ["--kind", "cartesian", "--n", "4", "--sites", "absent.csv"]),
+        ("edi", ["--kind", "voronoi", "--sites", "absent.csv", "--n", "4"]),
+        ("mesh", ["--kind", "cartesian", "--nx", "3", "--ny", "5", "--n", "4"]),
     ])
     def test_unread_option_rejected(self, tmp_path, capsys, monkeypatch,
                                     command, option):
-        def no_build(self):
+        def no_build(*args, **kwargs):
             raise AssertionError("a mesh was built")
 
         monkeypatch.setattr(experiments.MeshFamily, "build", no_build)
+        for builder in ("build_interval_mesh", "build_cartesian_mesh",
+                        "build_voronoi_mesh"):
+            monkeypatch.setattr(cli, builder, no_build)
+        monkeypatch.setattr(Mesh, "read", no_build)
+        monkeypatch.chdir(tmp_path)
         code, out = run([command, *option], tmp_path)
         assert code == 2
         err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
         if command == "gamma" and option[0] != "--mean":
             mode = option[1] if option[0] == "--mode" else "energy"
             family = (option[1] if option[0] == "--family" else
@@ -877,9 +893,100 @@ class TestArguments:
             assert err.splitlines() == [
                 f"error: gamma --mode {mode} on a {family} family reads no "
                 f"{option[-2]}"]
+        elif option[0] in ("--mesh", "--kind"):
+            source = ("--mesh" if option[0] == "--mesh"
+                      else f"--kind {option[1]}")
+            assert err.splitlines() == [
+                f"error: {command} {source} reads no {option[-2]}"]
         else:
             assert f"unrecognized arguments: {' '.join(option)}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--kind", "uniform1d", "--n", "4", "--potential", "zero:5"],
+         "potential 'zero' takes no argument, got 'zero:5'"),
+        (["solve", "--kind", "uniform1d", "--n", "4", "--m0", "stationary:x"],
+         "initial measure 'stationary' takes no argument, got 'stationary:x'"),
+        (["solve", "--kind", "cartesian", "--n", "4", "--m0",
+          "projected:uniform:7"],
+         "density 'uniform' takes no argument, got 'uniform:7'"),
+        (["edi", "--kind", "uniform1d", "--n", "4", "--M", "4", "--m0",
+          "blend:cosine:0.9:junk"],
+         "blend takes a density name and a weight, got "
+         "'blend:cosine:0.9:junk'"),
+        (["converge", "--family", "uniform1d:8..16", "--rho0", "linear:9"],
+         "density 'linear' takes no argument, got 'linear:9'"),
+    ], ids=["potential", "stationary", "projected", "blend", "rho0"])
+    def test_token_argument_not_read_exit_2(self, tmp_path, capsys,
+                                            monkeypatch, argv, message):
+        # each once exited 0 and dropped the extra text; converge refuses
+        # its rho0 before any mesh of the family is built
+        def no_build(self):
+            raise AssertionError("a family mesh was built")
+
+        monkeypatch.setattr(experiments.MeshFamily, "build", no_build)
+        code, out = run(argv, tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def mesh_sources(tmp_path_factory):
+    """The failure-mode matrix's mesh options: each --kind at a small size,
+    16 jittered Voronoi sites, and a 3 x 5 cartesian mesh written to a file."""
+    folder = tmp_path_factory.mktemp("sources")
+    sites, mesh = folder / "sites.csv", folder / "mesh.txt"
+    sites.write_text("x,y\n" + "".join(
+        f"{x!r},{y!r}\n"
+        for x, y in experiments._jittered_sites(4, 0.35, 42).tolist()))
+    build_cartesian_mesh(3, 5).write(mesh)
+    return {"uniform1d": ["--kind", "uniform1d", "--n", "8"],
+            "cartesian": ["--kind", "cartesian", "--n", "4"],
+            "voronoi": ["--kind", "voronoi", "--sites", str(sites)],
+            "file": ["--mesh", str(mesh)]}
+
+
+_POTENTIALS = ("zero", "linear", "quadratic", "double-well")
+_RUNS = {"mesh": ["mesh"], "edi": ["edi", "--T", "0.1", "--M", "8", "--check"],
+         "diagnose": ["diagnose"],
+         **{f"solve-{scheme}": ["solve", "--T", "0.1", "--M", "4",
+                                "--scheme", scheme]
+            for scheme in ("auto", *dynamics.SCHEMES)}}
+# run -> mesh source -> exit code per potential, in _POTENTIALS order.  edi
+# exits 3 where 8 Simpson steps miss the tolerance, and 2 on the Voronoi
+# sites, whose degree-1 projection misses unit mass by 1.5e-4.
+_EXIT_CODES = {run: {"uniform1d": "0000", "cartesian": "0000",
+                     "voronoi": "0000", "file": "0000"} for run in _RUNS}
+_EXIT_CODES["edi"] = {"uniform1d": "0333", "cartesian": "0000",
+                      "voronoi": "2222", "file": "0003"}
+
+
+class TestFailureModes:
+    """Every mesh command x mesh source x potential (x --scheme for solve)
+    finishes within a budget, and exits 0, 3, or 2 with one error line and
+    no --out; each cell's exit code is pinned."""
+
+    BUDGET_S = 5.0
+
+    @pytest.mark.parametrize("source", ["uniform1d", "cartesian", "voronoi",
+                                        "file"])
+    @pytest.mark.parametrize("run_name", list(_RUNS))
+    def test_cell(self, tmp_path, capsys, mesh_sources, run_name, source):
+        for potential, expected in zip(_POTENTIALS,
+                                       _EXIT_CODES[run_name][source]):
+            start = time.perf_counter()
+            code, out = run([*_RUNS[run_name], *mesh_sources[source],
+                             "--potential", potential], tmp_path, potential)
+            elapsed = time.perf_counter() - start
+            err = capsys.readouterr().err.splitlines()
+            assert (code, elapsed < self.BUDGET_S) == (int(expected), True), \
+                (potential, code, elapsed, err)
+            if code == 2:
+                assert len(err) == 1 and err[0].startswith("error: ")
+                assert not out.exists()
+            else:
+                assert (out / "summary.json").exists()
 
 
 def test_unknown_command_exit_2(tmp_path):
