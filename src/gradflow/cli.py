@@ -6,11 +6,10 @@ check (--check).  A command does all of its work first; `main` then creates
 run that exits 2 before its writes creates no --out, and a failed write
 leaves --out as it found it.
 
-A run reads every option it is given: each mesh source and gamma --mode is
-an entry of `_MESH_SOURCES` or `_GAMMA_MODES` naming the options it reads
-with their defaults, and `_read_options` refuses any other with exit 2 before
-any mesh.  Mesh sources: --mesh FILE; --kind uniform1d, --n (16); cartesian,
---nx and --ny, each defaulting to --n (16); voronoi, --sites FILE.
+A run reads every option it is given: each mesh source, gamma --mode and
+family is an entry of `_MESH_SOURCES`, `_GAMMA_MODES` or `experiments.FAMILIES`
+naming the options it reads, and `_read_options` refuses any other with exit 2
+before any mesh.  `reference.numbers` reads every number an argument carries.
 """
 from __future__ import annotations
 
@@ -213,7 +212,7 @@ def _phi_from_token(token: str, dim: int):
     """Test function phi and its gradient, both over (N, d) points."""
     name, _, arg = token.partition(":")
     if name == "coordinate":
-        axis = int(arg) if arg else 0
+        axis = reference.numbers(arg or "0", "coordinate axis", 1, int)[0]
         if not 0 <= axis < dim:
             raise ValueError(f"coordinate axis must lie in 0..{dim - 1} for "
                              f"a {dim}d family, got {axis}")
@@ -221,7 +220,7 @@ def _phi_from_token(token: str, dim: int):
         return (PointFunction(lambda p: p[:, axis]),
                 PointFunction(lambda p: np.broadcast_to(e, p.shape)))
     if name == "cosine":
-        k = (float(arg) if arg else 1.0) * math.pi
+        k = reference.numbers(arg or "1", "cosine frequency", 1)[0] * math.pi
 
         def grad(p):
             g = np.zeros(p.shape)
@@ -240,11 +239,10 @@ def _energy_study(family, potential: str, phi: str):
 
 def _affine_study(family, z, xi, eps: float):
     dim = family.dim
-    z = [float(v) for v in z.split(",")] if z else [0.5] * dim
-    xi = [float(v) for v in xi.split(",")] if xi else [1.0] * dim
-    if len(z) != dim or len(xi) != dim:
-        raise ValueError(f"--z and --xi need {dim} values each for a "
-                         f"{dim}d family")
+    z = (reference.numbers(z, f"--z for a {dim}d family", dim) if z
+         else [0.5] * dim)
+    xi = (reference.numbers(xi, f"--xi for a {dim}d family", dim) if xi
+          else [1.0] * dim)
     return experiments.gamma_affine_minimization_study(family, z, xi, eps)
 
 
@@ -265,13 +263,14 @@ _GAMMA_MODES = {
 def cmd_gamma(args) -> tuple[int, dict]:
     study_of, check, reads = _GAMMA_MODES[args.mode]
     family = args.family.partition(":")[0]
+    family_reads = experiments.FAMILIES.get(family, (None, ()))[1]
     options = _read_options(
-        args, {**reads, "seed": 42} if family == "voronoi" else reads,
-        [name for *_, names in _GAMMA_MODES.values() for name in names]
-        + ["seed"],
+        args, {**reads, **dict.fromkeys(family_reads)},
+        [name for table in (_GAMMA_MODES, experiments.FAMILIES)
+         for *_, names in table.values() for name in names],
         f"gamma --mode {args.mode} on a {family} family")
     family = experiments.family_from_token(   # builds no mesh
-        args.family, seed=options.pop("seed", None))
+        args.family, **{name: options.pop(name) for name in family_reads})
     study = study_of(family, **options)
     checks = check(study)
     print(f"gamma[{args.mode}]: {len(study.rows)} rows, "
@@ -283,8 +282,7 @@ def cmd_gamma(args) -> tuple[int, dict]:
 
 def cmd_converge(args) -> tuple[int, dict]:
     family = experiments.family_from_token(args.family)
-    dim = family.dim
-    potential = potential_from_token(args.potential, dim)
+    potential = potential_from_token(args.potential, family.dim)
     study = experiments.evolutionary_convergence_study(
         family, potential, args.rho0, args.T, mean_kind=args.mean)
     errors = study.column("error")
@@ -350,18 +348,16 @@ def _add_common(p: argparse.ArgumentParser, means=reference.S_MEAN_KINDS,
 
 
 def _positive(option: str, cast=float):
-    """An argparse type: `option` parsed by cast (float or int), finite and
-    positive, so a bad value exits 2 before any work."""
-    rule = "a positive integer" if cast is int else "finite and positive"
+    """An argparse type: one positive value by reference.numbers."""
 
     def parse(text: str):
-        value = cast(text)
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"{option} must be {rule}, "
-                                             f"got {text!r}")
-        return value
+        try:
+            return reference.numbers(text, option, 1, cast, positive=True)[0]
+        except ValueError as exc:
+            cast(text)      # on text cast refuses, argparse names cast
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-    parse.__name__ = cast.__name__      # argparse: "invalid int value: ..."
+    parse.__name__ = cast.__name__
     return parse
 
 

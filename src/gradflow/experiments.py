@@ -20,8 +20,8 @@ from .mesh import (Mesh, build_cartesian_mesh, build_interval_mesh,
                    _interval_table)
 from .reference import (DiscreteMeasure, PointFunction, Potential,
                         density_from_token, discretize_reference, face_weights,
-                        project_function, project_measure, zero_potential,
-                        _boltzmann, _pointwise)
+                        numbers, project_function, project_measure,
+                        zero_potential, _boltzmann, _pointwise)
 from .functionals import dirichlet_energy, entropy, fisher
 from .dual_action import dual_action, dual_chains
 from .dynamics import (EXACT_DENSE_LIMIT, Generator, _theta_stepper,
@@ -101,29 +101,29 @@ def flattened_voronoi_family(sizes=(16, 32, 64, 128)) -> MeshFamily:
     return MeshFamily("flattened", 2, list(sizes), builder)
 
 
-def family_from_token(token: str, seed: int = 42) -> MeshFamily:
-    """Parse tokens such as 'uniform1d:16..256' or 'cartesian:4..32'."""
+# mesh families: name -> (constructor, the options it reads beside sizes)
+FAMILIES = {"uniform1d": (uniform_interval_family, ()),
+            "cartesian": (cartesian_family, ()),
+            "voronoi": (jittered_voronoi_family, ("seed",)),
+            "flattened": (flattened_voronoi_family, ())}
+
+
+def family_from_token(token: str, **options) -> MeshFamily:
+    """Parse tokens such as 'cartesian:4,8' or 'uniform1d:16..256' (16, 32,
+    ... while at most 256); builds no mesh.  Sizes or an option left out or
+    None take the constructor's default."""
     name, _, tail = token.partition(":")
-    sized = {"sizes": _parse_sizes(tail)} if tail else {}   # else the defaults
-    if name == "uniform1d":
-        return uniform_interval_family(**sized)
-    if name == "cartesian":
-        return cartesian_family(**sized)
-    if name == "voronoi":
-        return jittered_voronoi_family(**sized, seed=seed)
-    if name == "flattened":
-        return flattened_voronoi_family(**sized)
-    raise ValueError(f"unknown family {token!r}")
-
-
-def _parse_sizes(tail: str) -> tuple:
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {token!r}")
     if ".." in tail:
-        lo, hi = (int(v) for v in tail.split(".."))
+        lo, hi = numbers(tail.replace("..", ","),
+                         f"family sizes {tail!r}: a..b", 2, int)
         if not 0 < lo <= hi:
             raise ValueError(f"family sizes {tail!r}: a..b needs 0 < a <= b")
-        # a, 2a, 4a, ... while at most b
-        return tuple(lo * 2 ** k for k in range((hi // lo).bit_length()))
-    return tuple(int(s) for s in tail.split(","))
+        options["sizes"] = [lo * 2 ** k for k in range((hi // lo).bit_length())]
+    elif tail:
+        options["sizes"] = numbers(tail, "family sizes", None, int, True)
+    return FAMILIES[name][0](**{k: v for k, v in options.items() if v is not None})
 
 
 # -- study results ---------------------------------------------------------------
@@ -567,14 +567,6 @@ def _cosine_density_1d_exact(t: float, cells: int,
     return Density1D(edges, avg)
 
 
-def _is_cosine_token(rho0) -> tuple[bool, float]:
-    if isinstance(rho0, str):
-        name, _, arg = rho0.partition(":")
-        if name == "cosine":
-            return True, float(arg) if arg else 0.5
-    return False, 0.0
-
-
 # time nodes of an evolutionary study, 0 and T included: an even number of
 # intervals, as Simpson's rule needs
 T_NODES = 17
@@ -631,15 +623,15 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
                              f"family, got {family.name!r}")
         return _evolutionary_study_2d(family, potential, rho0, T, t_nodes,
                                       mean_kind)
-    is_cos, amp = _is_cosine_token(rho0)
-    spectral = is_cos and potential.name == "zero"
+    rho0_fn = (density_from_token(rho0, 1) if isinstance(rho0, str) else rho0)
+    name, _, arg = rho0.partition(":") if isinstance(rho0, str) else ("",) * 3
+    spectral = name == "cosine" and potential.name == "zero"
     n_fine = 4 * max(int(n) for n in family.labels)
     if not spectral and n_fine > EXACT_DENSE_LIMIT:
         raise ValueError(
             f"the 1d Richardson reference needs 4 x {n_fine // 4} = {n_fine} "
             f"cells, beyond the dense spectral oracle's {EXACT_DENSE_LIMIT}: "
             f"uniform1d sizes must be at most {EXACT_DENSE_LIMIT // 4}")
-    rho0_fn = (density_from_token(rho0, 1) if isinstance(rho0, str) else rho0)
     meshes = family.build()
     domain = meshes[0].domain
     a, b = (float(x) for x in domain.bounds)
@@ -648,6 +640,7 @@ def evolutionary_convergence_study(family: MeshFamily, potential: Potential,
                          f"the family's interval [{a!r}, {b!r}]")
     times = np.linspace(0.0, T, t_nodes)
     if spectral:
+        amp = numbers(arg or "0.5", "cosine amplitude", 1)[0]
         refs = [_cosine_density_1d_exact(t, 4096, amp) for t in times]
         entropy_refs = [continuum_entropy(heat_cosine_density(t, amp),
                                           potential, domain, 1024)
@@ -751,10 +744,10 @@ def lower_bound_trend_study(family: MeshFamily, mu: Callable, eta: Callable,
     the lower-semicontinuity side); Fisher and dual columns sit in extras.
     """
     potential = potential or zero_potential()
+    if family.dim != 1:
+        raise ValueError("the trend study runs on one-dimensional families")
     meshes = family.build()
     domain = meshes[0].domain
-    if domain.dim != 1:
-        raise ValueError("the trend study runs on one-dimensional families")
     h_ref = continuum_entropy(mu, potential, domain)
     i_ref = continuum_fisher(mu, potential, domain)
     a_ref = continuum_dual(mu, eta, potential, domain)

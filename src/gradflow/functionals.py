@@ -14,9 +14,6 @@ import numpy as np
 from .geometry import Box
 from .mesh import Mesh, cells_meeting
 
-KERNEL_KINDS = ("logarithmic", "sqrt_logarithmic", "arithmetic", "geometric",
-                "harmonic", "min", "max")
-
 # Relative argument gap below which the logarithmic mean switches to its
 # even series in u = (a-b)/(a+b); the u^6 truncation keeps the relative
 # error under 1e-16 on that branch.
@@ -66,26 +63,25 @@ def sqrt_log_mean_sq(a, b):
     return r * r if not np.isscalar(r) else float(r) ** 2
 
 
+# the supported means, each min <= mean <= max; mean_value dispatches on them
+_MEANS = {
+    "logarithmic": log_mean,
+    "sqrt_logarithmic": sqrt_log_mean_sq,
+    "arithmetic": lambda a, b: 0.5 * (a + b),
+    "geometric": lambda a, b: np.sqrt(a * b),
+    "harmonic": lambda a, b: np.where(
+        a + b > 0.0, 2.0 * a * b / np.where(a + b > 0.0, a + b, 1.0), 0.0),
+    "min": np.minimum,
+    "max": np.maximum,
+}
+KERNEL_KINDS = tuple(_MEANS)
+
+
 def mean_value(kind: str, a, b):
-    """Evaluate one of the supported means; all satisfy min <= mean <= max."""
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    if kind == "logarithmic":
-        return log_mean(a_arr, b_arr)
-    if kind == "sqrt_logarithmic":
-        return sqrt_log_mean_sq(a_arr, b_arr)
-    if kind == "arithmetic":
-        return 0.5 * (a_arr + b_arr)
-    if kind == "geometric":
-        return np.sqrt(a_arr * b_arr)
-    if kind == "harmonic":
-        s = a_arr + b_arr
-        return np.where(s > 0.0, 2.0 * a_arr * b_arr / np.where(s > 0.0, s, 1.0), 0.0)
-    if kind == "min":
-        return np.minimum(a_arr, b_arr)
-    if kind == "max":
-        return np.maximum(a_arr, b_arr)
-    raise ValueError(f"unknown mean kind {kind!r}")
+    """Evaluate one of the supported means (KERNEL_KINDS)."""
+    if kind not in _MEANS:
+        raise ValueError(f"unknown mean kind {kind!r}")
+    return _MEANS[kind](np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 def entropy(m, pi) -> float:

@@ -6,6 +6,7 @@ site values entering the weights from one pass, so they share Z on one mesh.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,6 +61,24 @@ def _pointwise(g: Callable, points: np.ndarray) -> np.ndarray:
     return np.array([g(x) for x in points], dtype=float)
 
 
+def numbers(text: str, what: str, count: int | None = None, cast=float,
+            positive: bool = False) -> list:
+    """The values of a comma-separated argument, each read by cast (float or
+    int), finite as a float and positive when asked, count of them when
+    given; other text raises ValueError naming what and the text."""
+    try:
+        values = [cast(v) for v in text.split(",")]
+        if count in (None, len(values)) and all(
+                math.isfinite(v) and (v > 0 or not positive) for v in values):
+            return values
+    except (ValueError, OverflowError):     # OverflowError: an int past float
+        pass
+    rule = (("a positive integer" if positive else "an integer") if cast is int
+            else "finite and positive" if positive else "a finite number")
+    many = "" if count == 1 else f"{count or 'comma-separated'} values, each "
+    raise ValueError(f"{what} must be {many}{rule}, got {text!r}")
+
+
 def zero_potential() -> Potential:
     return Potential("zero", batch=lambda p: np.zeros(len(p)))
 
@@ -97,21 +116,16 @@ def potential_from_token(token: str, dim: int) -> Potential:
                              f"{token!r}")
         return zero_potential()
     if name == "linear":
-        if arg:
-            vec = [float(v) for v in arg.split(",")]
-        else:
-            vec = [1.0] + [0.0] * (dim - 1)
-        if len(vec) != dim:
-            raise ValueError(f"linear potential needs {dim} coefficients")
-        return linear_potential(vec)
+        return linear_potential(
+            numbers(arg, "linear potential coefficients", dim) if arg
+            else [1.0] + [0.0] * (dim - 1))
     if name == "quadratic":
-        c = [float(v) for v in arg.split(",")] if arg else [0.5] * dim
-        if len(c) != dim:
-            raise ValueError(f"quadratic potential needs a {dim}-d center")
-        return quadratic_potential(c)
+        return quadratic_potential(
+            numbers(arg, "quadratic potential center", dim) if arg
+            else [0.5] * dim)
     if name == "double-well":
-        h = float(arg) if arg else 2.0
-        return double_well_potential(height=h)
+        return double_well_potential(
+            numbers(arg or "2", "double-well height", 1)[0])
     raise ValueError(f"unknown potential {token!r}")
 
 
@@ -250,7 +264,7 @@ def density_from_token(token: str, dim: int) -> PointFunction:
     if name == "uniform":
         return PointFunction(lambda p: np.ones(len(p)))
     if name == "cosine":
-        amp = float(arg) if arg else 0.5
+        amp = numbers(arg or "0.5", "cosine amplitude", 1)[0]
         if not -1.0 < amp < 1.0:
             raise ValueError("cosine amplitude must lie in (-1, 1)")
         return PointFunction(
@@ -265,10 +279,13 @@ def density_from_token(token: str, dim: int) -> PointFunction:
 def read_measure_csv(path) -> DiscreteMeasure:
     masses: dict[int, float] = {}
     with open(path, encoding="ascii") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("cell"):
                 continue
+            if line.count(",") != 1:
+                raise ValueError(f"{path}, line {number}: expected cell,mass, "
+                                 f"got {line!r}")
             cell, mass = line.split(",")
             if int(cell) in masses:
                 raise ValueError(f"measure CSV lists cell {int(cell)} twice")
@@ -296,12 +313,10 @@ def initial_measure_from_token(token: str, mesh: Mesh, pi: DiscreteMeasure,
         rho = density_from_token(":".join(parts[1:]) or "uniform", mesh.dim)
         return project_measure(mesh, rho, quad_order)
     if parts[0] == "blend":
-        if len(parts) < 2:
-            raise ValueError("blend needs a density name")
-        if len(parts) > 3:
+        if not 2 <= len(parts) <= 3:
             raise ValueError(f"blend takes a density name and a weight, got "
                              f"{token!r}")
-        theta = float(parts[2]) if len(parts) > 2 else 0.9
+        theta = numbers((parts + ["0.9"])[2], "blend weight", 1)[0]
         if not 0.0 <= theta <= 1.0:
             raise ValueError("blend weight must lie in [0, 1]")
         rho = density_from_token(parts[1], mesh.dim)

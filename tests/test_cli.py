@@ -13,7 +13,7 @@ import pytest
 
 from gradflow import cli, dynamics, experiments
 from gradflow.cli import main
-from gradflow.mesh import Mesh, build_cartesian_mesh
+from gradflow.mesh import Mesh, build_cartesian_mesh, build_interval_mesh
 from test_dynamics import _assert_no_child_process
 
 
@@ -491,11 +491,43 @@ class TestGammaCommand:
                 args.fn(args)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("reads", [(), ("seed",)])
+    def test_a_family_is_one_table_entry(self, tmp_path, capsys, monkeypatch,
+                                         reads):
+        # a toy family of unit intervals: --family reaches it with its sizes,
+        # a --seed it leaves unread is refused before its constructor runs,
+        # and an option it reads but is not given takes the constructor's
+        # own default
+        made = []
+
+        def toy(sizes=(4,), seed=7):
+            made.append((sizes, seed))
+            return experiments.MeshFamily("toy", 1, list(sizes),
+                                          build_interval_mesh)
+
+        monkeypatch.setitem(experiments.FAMILIES, "toy", (toy, reads))
+        code, _ = run(["gamma", "--family", "toy:8..16", "--seed", "3"],
+                      tmp_path, "seeded")
+        if not reads:
+            assert code == 2 and made == []
+            assert capsys.readouterr().err.splitlines() == [
+                "error: gamma --mode energy on a toy family reads no --seed"]
+            return
+        code_default, out = run(["gamma", "--family", "toy:8..16"], tmp_path)
+        assert (code, code_default) == (0, 0)
+        assert made == [([8, 16], 3), ([8, 16], 7)]
+        rows = (out / "gamma.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2
+
     @pytest.mark.parametrize("argv,message", [
         (["--phi", "coordinate:5"], "axis must lie in 0..1"),
         (["--phi", "coordinate:-1"], "axis must lie in 0..1"),
-        (["--mode", "affine", "--xi", "1,2,3"], "--z and --xi need 2"),
-        (["--mode", "affine", "--z", "0.5"], "--z and --xi need 2"),
+        pytest.param(["--mode", "affine", "--xi", "1,2,3"],
+                     "--xi for a 2d family must be 2 values, each a finite "
+                     "number, got '1,2,3'", id="xi-count"),
+        pytest.param(["--mode", "affine", "--z", "0.5"],
+                     "--z for a 2d family must be 2 values, each a finite "
+                     "number, got '0.5'", id="z-count"),
     ])
     def test_arguments_checked_against_2d_family(self, tmp_path, capsys,
                                                  monkeypatch, argv, message):
@@ -870,6 +902,8 @@ class TestArguments:
         ("mesh", ["--kind", "cartesian", "--n", "4", "--sites", "absent.csv"]),
         ("edi", ["--kind", "voronoi", "--sites", "absent.csv", "--n", "4"]),
         ("mesh", ["--kind", "cartesian", "--nx", "3", "--ny", "5", "--n", "4"]),
+        # an unknown family reads no --seed: the unread option is named first
+        ("gamma", ["--family", "bogus", "--seed", "9"]),
     ])
     def test_unread_option_rejected(self, tmp_path, capsys, monkeypatch,
                                     command, option):
@@ -900,6 +934,48 @@ class TestArguments:
                 f"error: {command} {source} reads no {option[-2]}"]
         else:
             assert f"unrecognized arguments: {' '.join(option)}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [
+        "nan", "inf", "-inf", "x", pytest.param("9" * 400, id="400-digits")])
+    @pytest.mark.parametrize("argv, named", [
+        (["gamma", "--potential=linear:{}"], "linear potential coefficients"),
+        (["converge", "--potential=quadratic:{}"], "quadratic potential center"),
+        (["gamma", "--family", "cartesian:4..8", "--potential=linear:1,{}"],
+         "linear potential coefficients"),
+        (["gamma", "--potential=double-well:{}"], "double-well height"),
+        (["mesh", "--kind", "uniform1d", "--n", "4", "--potential=linear:{}"],
+         "linear potential coefficients"),
+        (["converge", "--rho0=cosine:{}"], "cosine amplitude"),
+        (["solve", "--kind", "uniform1d", "--n", "4",
+          "--m0=projected:cosine:{}"], "cosine amplitude"),
+        (["edi", "--kind", "uniform1d", "--n", "4", "--M", "4",
+          "--m0=blend:cosine:{}"], "blend weight"),
+        (["gamma", "--phi=cosine:{}"], "cosine frequency"),
+        (["gamma", "--phi=coordinate:{}"], "coordinate axis"),
+        (["gamma", "--mode", "affine", "--z={}"], "--z for a 1d family"),
+        (["gamma", "--family", "cartesian:4..8", "--mode", "affine",
+          "--xi=1,{}"], "--xi for a 2d family"),
+        (["gamma", "--family=uniform1d:{}..16"], "family sizes"),
+        (["gamma", "--family=uniform1d:8..{}"], "family sizes"),
+        (["converge", "--family=cartesian:4,{}"], "family sizes"),
+        (["solve", "--kind", "uniform1d", "--T={}"], "argument --T"),
+        (["gamma", "--mode", "affine", "--eps={}"], "argument --eps"),
+        (["mesh", "--kind", "cartesian", "--ny={}"], "argument --ny"),
+    ])
+    def test_bad_number_exit_2(self, tmp_path, capsys, monkeypatch, argv,
+                               named, value):
+        # every number an option, a token or a list carries is read by one
+        # rule; gamma and converge refuse one before any family mesh
+        def no_build(self):
+            raise AssertionError("a family mesh was built")
+
+        monkeypatch.setattr(experiments.MeshFamily, "build", no_build)
+        code, out = run([a.format(value) for a in argv], tmp_path)
+        assert code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and named in errors[0], errors
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [

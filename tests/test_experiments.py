@@ -119,6 +119,20 @@ class TestFamilies:
         assert fam.dim == dim
         assert all(mesh.dim == dim for mesh in fam.build())
 
+    def test_voronoi_reads_a_seed_left_unset_by_default(self):
+        # the table names each family's options; None keeps the
+        # constructor's default seed
+        sites = lambda fam: fam.build()[0].sites
+        assert np.array_equal(
+            sites(ex.family_from_token("voronoi:16", seed=None)),
+            sites(ex.jittered_voronoi_family((16,))))
+        assert np.array_equal(
+            sites(ex.family_from_token("voronoi:16", seed=3)),
+            sites(ex.jittered_voronoi_family((16,), seed=3)))
+        assert ex.FAMILIES["voronoi"][1] == ("seed",)
+        assert all(reads == () for name, (_, reads) in ex.FAMILIES.items()
+                   if name != "voronoi")
+
     def test_deterministic_jitter(self):
         a = ex.jittered_voronoi_family((36,)).build()[0]
         b = ex.jittered_voronoi_family((36,)).build()[0]
@@ -732,6 +746,17 @@ class TestLowerBoundTrend:
         assert fisher_gap[-1] < fisher_gap[0]
         dual_gap = np.abs(study.column("dual_deficit"))
         assert dual_gap[-1] < dual_gap[0]
+
+
+    def test_2d_family_refused_before_any_mesh(self, monkeypatch):
+        def no_build(self):
+            raise AssertionError("a family mesh was built")
+
+        monkeypatch.setattr(ex.MeshFamily, "build", no_build)
+        with pytest.raises(ValueError, match="^the trend study runs on "
+                                             "one-dimensional families$"):
+            ex.lower_bound_trend_study(ex.cartesian_family((2, 4)),
+                                       lambda x: 1.0, lambda x: 1.0)
 
 
 class TestIsotropyStudy:

@@ -55,6 +55,14 @@ class TestKernelSandwich:
             assert np.all(vals <= hi + 1e-12 * hi)
 
 
+    def test_kinds_in_their_order(self):
+        # diagnose --mean lists them in this order
+        assert KERNEL_KINDS == ("logarithmic", "sqrt_logarithmic", "arithmetic",
+                                "geometric", "harmonic", "min", "max")
+        with pytest.raises(ValueError, match="^unknown mean kind 'bogus'$"):
+            mean_value("bogus", 1.0, 2.0)
+
+
 class TestEntropy:
     def test_stationary_is_zero(self, two_cell):
         _, _, pi, _ = two_cell

@@ -569,6 +569,51 @@ class TestRefinementConsistency:
         assert errors[-1] <= errors[0] / 4.0
 
 
+class TestNumbers:
+    @pytest.mark.parametrize("text, args, values", [
+        ("0.5", (), [0.5]), ("1,-2.5", (2,), [1.0, -2.5]),
+        ("3", (1, int, True), [3]), ("4,8,16", (None, int, True), [4, 8, 16]),
+        ("1e-3", (1, float, True), [1e-3])])
+    def test_values(self, text, args, values):
+        read = reference.numbers(text, "x", *args)
+        assert read == values
+        assert [type(v) for v in read] == [type(v) for v in values]
+
+    @pytest.mark.parametrize("text, args, message", [
+        ("nan", (), "a must be comma-separated values, each a finite number, "
+                    "got 'nan'"),
+        ("1,inf", (2,), "a must be 2 values, each a finite number, "
+                        "got '1,inf'"),
+        ("1", (2,), "a must be 2 values, each a finite number, got '1'"),
+        ("-inf", (1,), "a must be a finite number, got '-inf'"),
+        ("x", (1,), "a must be a finite number, got 'x'"),
+        ("", (1,), "a must be a finite number, got ''"),
+        ("0", (1, float, True), "a must be finite and positive, got '0'"),
+        ("1.5", (1, int), "a must be an integer, got '1.5'"),
+        ("-2", (1, int, True), "a must be a positive integer, got '-2'"),
+        ("4,0", (None, int, True), "a must be comma-separated values, each "
+                                   "a positive integer, got '4,0'"),
+        # an int past the float range is not finite
+        ("1" + "0" * 400, (1, int, True), "a must be a positive integer, got "
+                                          f"'1{'0' * 400}'")])
+    def test_refused_text_names_the_argument(self, text, args, message):
+        with pytest.raises(ValueError) as info:
+            reference.numbers(text, "a", *args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("token", [
+        "linear", "linear:2.0", "quadratic:0.25", "double-well:3"])
+    def test_token_values_as_before(self, token):
+        # a token's numbers read as float() reads them
+        name, _, arg = token.partition(":")
+        make = {"linear": gf.linear_potential,
+                "quadratic": gf.quadratic_potential,
+                "double-well": gf.double_well_potential}[name]
+        points = np.linspace(0.0, 1.0, 9)[:, None]
+        assert np.array_equal(potential_from_token(token, 1).batch(points),
+                              make(float(arg or 1.0)).batch(points))
+
+
 class TestTokens:
     def test_potential_tokens(self):
         assert potential_from_token("zero", 1)(0.3) == 0.0
@@ -629,6 +674,14 @@ class TestMeasureCsv:
         path.write_text("cell,mass\n0,0.25\n1,0.25\n1,0.25\n2,0.5\n")
         with pytest.raises(ValueError, match="^measure CSV lists cell 1 twice$"):
             gf.read_measure_csv(path)
+
+    def test_row_not_cell_mass_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("cell,mass\n0,0.5,1\n1,0.5\n")
+        with pytest.raises(ValueError) as info:
+            gf.read_measure_csv(path)
+        assert str(info.value) == (f"{path}, line 2: expected cell,mass, "
+                                   f"got '0,0.5,1'")
 
     def test_wrong_size_rejected(self, chain10, tmp_path):
         mesh, _, pi, _ = chain10
