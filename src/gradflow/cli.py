@@ -9,7 +9,9 @@ leaves --out as it found it.
 A run reads every option it is given: each mesh source, gamma --mode and
 family is an entry of `_MESH_SOURCES`, `_GAMMA_MODES` or `experiments.FAMILIES`
 naming the options it reads, and `_read_options` refuses any other with exit 2
-before any mesh.  `reference.numbers` reads every number an argument carries.
+before any mesh.  `reference.numbers` reads every number an argument or a
+--sites or file: CSV carries; `reference.csv_rows` splits CSV lines on commas
+or whitespace, skipping blank and '#' lines and a leading non-numeric header.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ import numpy as np
 from . import diagnostics, experiments, functionals, reference
 from .dual_action import ConjugateGradientError
 from .dynamics import SCHEMES, build_generator, solve_trajectory
+from .experiments import csv_text
 from .mesh import (Mesh, build_cartesian_mesh, build_interval_mesh,
                    build_voronoi_mesh, Domain, isotropy_defect, regularity_report)
 from .reference import (PointFunction, discretize_reference, face_weights,
@@ -82,30 +85,16 @@ def _write_outputs(out: str, outputs: dict) -> None:
     shutil.rmtree(stage)
 
 
-def _csv(header: str, *rows) -> str:
-    """CSV text: Python ints as they are, every other value repr(float(v))."""
-    return header + "\n" + "".join(
-        ",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row)
-        + "\n" for row in rows)
-
-
 def _voronoi_mesh(sites: str | None) -> Mesh:
     """The Voronoi mesh of a CSV file's sites on the unit interval or square."""
     if not sites:
         raise ValueError("voronoi meshes need --sites FILE")
-    rows = []
-    with open(sites, encoding="ascii") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("x"):
-                continue
-            rows.append([float(v) for v in line.replace(",", " ").split()])
-            if len(rows[-1]) != len(rows[0]):
-                raise ValueError(f"{sites}, line {number}: {len(rows[-1])} "
-                                 f"values, expected {len(rows[0])} per site")
+    rows = reference.csv_rows(sites)
     if not rows:
         raise ValueError(f"no sites found in {sites}")
-    points = np.asarray(rows, dtype=float)
+    points = np.array([reference.numbers(",".join(fields), f"{sites}, line "
+                                         f"{number}", len(rows[0][1]))
+                       for number, fields in rows])
     domain = (Domain.rectangle(0.0, 0.0, 1.0, 1.0) if points.shape[1] == 2
               else Domain.interval(0.0, 1.0))
     return build_voronoi_mesh(points, domain)
@@ -164,10 +153,10 @@ def cmd_mesh(args) -> tuple[int, dict]:
           f"zeta={report.zeta:.6g}, [T]={report.mesh_size:.6g}")
     return 0, {
         "mesh.txt": mesh.write,
-        "regularity.csv": _csv("zeta_inner,zeta_area,zeta,mesh_size,cells,faces",
-                               (report.zeta_inner, report.zeta_area, report.zeta,
-                                report.mesh_size, mesh.n_cells, mesh.n_faces)),
-        "isotropy.csv": _csv("cell,isotropy_defect", *enumerate(defects)),
+        "regularity.csv": csv_text("zeta_inner,zeta_area,zeta,mesh_size,cells,faces",
+                                   (report.zeta_inner, report.zeta_area, report.zeta,
+                                    report.mesh_size, mesh.n_cells, mesh.n_faces)),
+        "isotropy.csv": csv_text("cell,isotropy_defect", *enumerate(defects)),
         "summary.json": {"command": "mesh", "cells": mesh.n_cells, "faces": mesh.n_faces,
                          "zeta": report.zeta, "mesh_size": report.mesh_size,
                          "sup_isotropy_defect": float(defects.max())}}
@@ -200,10 +189,10 @@ def cmd_edi(args) -> tuple[int, dict]:
     print(f"edi: residual={audit.residual:.3e} (tol {tol:.3e}) "
           f"H0={audit.entropy_start:.6g}")
     return 3 if args.check and not passed else 0, {
-        "edi.csv": _csv("H0,HT,action_integral,fisher_integral,residual,tol",
-                        (audit.entropy_start, audit.entropy_end,
-                         audit.action_integral, audit.fisher_integral,
-                         audit.residual, tol)),
+        "edi.csv": csv_text("H0,HT,action_integral,fisher_integral,residual,tol",
+                            (audit.entropy_start, audit.entropy_end,
+                             audit.action_integral, audit.fisher_integral,
+                             audit.residual, tol)),
         "summary.json": {"command": "edi", **audit.summary(), "tol": tol,
                          "pass": bool(passed)}}
 
@@ -316,9 +305,9 @@ def cmd_diagnose(args) -> tuple[int, dict]:
           f"{constants.c_length:.3g})")
     return 0, {
         "condition.csv": report.to_csv,
-        "paths.csv": _csv("c_count,c_length,pairs", (
+        "paths.csv": csv_text("c_count,c_length,pairs", (
             constants.c_count, constants.c_length, constants.n_pairs)),
-        "holder.csv": _csv("value,bound,ratio", (hol.value, hol.bound, hol.ratio)),
+        "holder.csv": csv_text("value,bound,ratio", (hol.value, hol.bound, hol.ratio)),
         "summary.json": {"command": "diagnose", "k_lower": report.k_lower,
                          "k_upper": report.k_upper, "neighbour_osc": report.neighbour_osc,
                          "c_count": constants.c_count, "c_length": constants.c_length,
@@ -368,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mesh", help="build a mesh and report its quality")
     _add_mesh_options(p)
     _add_common(p)
-    p.add_argument("--zeta-min", dest="zeta_min", type=float,
+    p.add_argument("--zeta-min", dest="zeta_min", type=_positive("zeta-min"),
                    help="warn (never fail) when the measured zeta drops below")
     p.set_defaults(fn=cmd_mesh)
 

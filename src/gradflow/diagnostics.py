@@ -14,7 +14,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import Box
-from .functionals import _masses, dirichlet_energy
+from .functionals import _masses, dirichlet_energy, neighbour_oscillation
 from .mesh import OVERLAP_SHARE, Mesh, cell_box_overlaps
 
 PATH_SAMPLE_LIMIT = 200
@@ -67,8 +67,7 @@ def condition_report(mesh: Mesh, m, pi, cube_centers=(),
     if np.any(pp <= 0.0):
         raise ValueError("reference measure must be positive")
     r = mm / pp
-    fc = mesh.face_cells
-    osc = float(np.abs(r[fc[:, 0]] - r[fc[:, 1]]).max()) if len(fc) else 0.0
+    osc = neighbour_oscillation(r, mesh.face_cells)
     profile: list[PointwiseRow] = []
     for center in cube_centers:
         for eps in eps_list:

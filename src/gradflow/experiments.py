@@ -69,6 +69,9 @@ def _jittered_sites(g: int, jitter: float, seed: int) -> np.ndarray:
 
 
 def jittered_voronoi_family(sizes=(16, 36, 64, 144), seed=42) -> MeshFamily:
+    if seed < 0:
+        raise ValueError(f"voronoi family seed must be nonnegative, got {seed}")
+
     def builder(n):
         g = max(2, round(math.sqrt(n)))
         return build_voronoi_mesh(_jittered_sites(g, 0.35, seed),
@@ -129,6 +132,13 @@ def family_from_token(token: str, **options) -> MeshFamily:
 # -- study results ---------------------------------------------------------------
 
 
+def csv_text(header: str, *rows) -> str:
+    """CSV text: Python ints as they are, every other value repr(float(v))."""
+    return header + "\n" + "".join(
+        ",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row)
+        + "\n" for row in rows)
+
+
 @dataclass
 class StudyRow:
     mesh_size: float
@@ -150,25 +160,14 @@ class StudyResult:
             return np.array([getattr(r, key) for r in self.rows])
         return np.array([r.extras[key] for r in self.rows])
 
-    def extra_keys(self) -> list[str]:
-        keys: list[str] = []
-        for row in self.rows:
-            for k in row.extras:
-                if k not in keys:
-                    keys.append(k)
-        return keys
-
     def to_csv(self, path) -> None:
-        keys = self.extra_keys()
-        header = ",".join(["mesh_size", "value", "reference", "error", "order"]
-                          + keys)
-        lines = [header]
-        for r in self.rows:
-            vals = [r.mesh_size, r.value, r.reference, r.error, r.order]
-            vals += [r.extras.get(k, math.nan) for k in keys]
-            lines.append(",".join(repr(float(v)) for v in vals))
+        keys = list(dict.fromkeys(k for r in self.rows for k in r.extras))
+        text = csv_text(",".join(["mesh_size", "value", "reference", "error",
+                                  "order"] + keys), *(
+            [r.mesh_size, r.value, r.reference, r.error, r.order]
+            + [r.extras.get(k, math.nan) for k in keys] for r in self.rows))
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
 
     def summary(self) -> dict:
         return {"study": self.name, "parameters": self.params,

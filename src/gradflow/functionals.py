@@ -138,6 +138,11 @@ def fisher(m, weights, pi) -> float:
     return float(np.sum(conductance * dlog * dlog))
 
 
+def neighbour_oscillation(r: np.ndarray, fc: np.ndarray) -> float:
+    """max |r_K - r_L| over the faces fc; 0 on a mesh without faces."""
+    return float(np.abs(r[fc[:, 0]] - r[fc[:, 1]]).max()) if len(fc) else 0.0
+
+
 @dataclass(frozen=True)
 class FisherGap:
     """Half the Fisher information against four times the sqrt-density energy."""
@@ -165,8 +170,7 @@ def fisher_sqrt_gap(m, weights, pi) -> FisherGap:
     dirichlet = _graph_energy(np.sqrt(r), w, fc)  # action at m = pi, theta = 1
     four_e = 4.0 * dirichlet
     gap = abs(half_fisher - four_e)
-    eps = float(np.abs(r[fc[:, 0]] - r[fc[:, 1]]).max()) if len(fc) else 0.0
-    bound = 4.0 * eps / float(r.min()) * dirichlet
+    bound = 4.0 * neighbour_oscillation(r, fc) / float(r.min()) * dirichlet
     return FisherGap(half_fisher, four_e, gap, bound)
 
 
@@ -180,14 +184,11 @@ def dirichlet_energy(mesh: Mesh, f, m, kind: str = "logarithmic",
     """
     mm = _masses(m)
     ff = np.asarray(f, dtype=float)
-    fc = mesh.face_cells
+    fc, trans = mesh.face_cells, mesh.transmissibilities()
     if region is not None:
         keep = cells_meeting(mesh, region)
         sel = keep[fc[:, 0]] & keep[fc[:, 1]]
-        fc = fc[sel]
+        fc, trans = fc[sel], trans[sel]
     dens = mm / mesh.volumes
     u = mean_value(kind, dens[fc[:, 0]], dens[fc[:, 1]])
-    trans = mesh.face_areas / mesh.face_dists
-    if region is not None:
-        trans = trans[sel]
     return _graph_energy(ff, u * trans, fc)

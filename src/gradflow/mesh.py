@@ -480,72 +480,74 @@ class Mesh:
 
     @staticmethod
     def read(path) -> "Mesh":
-        with open(path, encoding="ascii") as fh:
-            tokens = fh.read().split()
-        pos = 0
+        try:
+            with open(path, encoding="ascii") as fh:
+                tokens = fh.read().split()
+            pos = 0
 
-        def take(n=1):
-            nonlocal pos
-            out = tokens[pos:pos + n]
-            if len(out) != n:
-                raise MeshError("truncated mesh file")
-            pos += n
-            return out
+            def take(n=1):
+                nonlocal pos
+                out = tokens[pos:pos + n]
+                if len(out) != n:
+                    raise MeshError("truncated mesh file")
+                pos += n
+                return out
 
-        def header(tag: str, counts=None) -> int:
-            """The count after a tag header, one of counts if they are given."""
-            name, count = take(2)
-            if name != tag or (counts is not None and count not in counts):
-                raise MeshError(f"bad {tag} header")
-            return int(count)
+            def header(tag: str, counts=None) -> int:
+                """The count after a tag header, one of counts if they are given."""
+                name, count = take(2)
+                if name != tag or (counts is not None and count not in counts):
+                    raise MeshError(f"bad {tag} header")
+                return int(count)
 
-        magic, version = take(2)
-        if magic != "gradflow-mesh" or version != "1":
-            raise MeshError("not a gradflow mesh file")
-        dim = header("dim", ("1", "2"))
-        ndv = header("domain")
-        if dim == 1:
-            a, b = (float(t) for t in take(2))
-            domain = Domain.interval(a, b)
-        else:
-            verts = np.array([[float(x) for x in take(2)] for _ in range(ndv)])
-            domain = Domain.polygon(verts)
-        nc = header("cells")
-        sites = np.empty((nc, dim))
-        volumes = np.empty(nc)
-        bounds = np.empty((nc, 2)) if dim == 1 else None
-        polys: list[np.ndarray] | None = [] if dim == 2 else None
-        for i in range(nc):
-            cid = int(take(1)[0])
-            if cid != i:
-                raise MeshError("cell ids must be consecutive")
-            sites[i] = [float(t) for t in take(dim)]
-            volumes[i] = float(take(1)[0])
+            magic, version = take(2)
+            if magic != "gradflow-mesh" or version != "1":
+                raise MeshError("not a gradflow mesh file")
+            dim = header("dim", ("1", "2"))
+            ndv = header("domain")
             if dim == 1:
-                bounds[i] = [float(t) for t in take(2)]
+                domain = Domain.interval(*(float(t) for t in take(2)))
             else:
-                nv = int(take(1)[0])
-                if nv < 3:
-                    raise MeshError(f"cell {i} has {nv} vertices; a 2d cell "
-                                    f"needs at least 3")
-                polys.append(np.array([[float(x) for x in take(2)]
-                                       for _ in range(nv)]))
-        nf = header("faces")
-        fc = np.empty((nf, 2), dtype=np.int64)
-        fa = np.empty(nf)
-        fd = np.empty(nf)
-        for f in range(nf):
-            fc[f] = [int(t) for t in take(2)]
-            fa[f] = float(take(1)[0])
-            fd[f] = float(take(1)[0])
-        if pos < len(tokens):
-            raise MeshError(f"unexpected token {tokens[pos]!r} after the "
-                            f"last face")
-        mesh = Mesh(dim, domain, sites, volumes, cell_bounds=bounds,
-                    cell_polygons=polys, face_cells=fc, face_areas=fa,
-                    face_dists=fd)
-        mesh.validate()
-        return mesh
+                domain = Domain.polygon([[float(x) for x in take(2)]
+                                         for _ in range(ndv)])
+            nc = header("cells")
+            sites = np.empty((nc, dim))
+            volumes = np.empty(nc)
+            bounds = np.empty((nc, 2)) if dim == 1 else None
+            polys: list[np.ndarray] | None = [] if dim == 2 else None
+            for i in range(nc):
+                cid = int(take(1)[0])
+                if cid != i:
+                    raise MeshError("cell ids must be consecutive")
+                sites[i] = [float(t) for t in take(dim)]
+                volumes[i] = float(take(1)[0])
+                if dim == 1:
+                    bounds[i] = [float(t) for t in take(2)]
+                else:
+                    nv = int(take(1)[0])
+                    if nv < 3:
+                        raise MeshError(f"cell {i} has {nv} vertices; a 2d cell "
+                                        f"needs at least 3")
+                    polys.append(np.array([[float(x) for x in take(2)]
+                                           for _ in range(nv)]))
+            nf = header("faces")
+            fc = np.empty((nf, 2), dtype=np.int64)
+            fa = np.empty(nf)
+            fd = np.empty(nf)
+            for f in range(nf):
+                fc[f] = [int(t) for t in take(2)]
+                fa[f] = float(take(1)[0])
+                fd[f] = float(take(1)[0])
+            if pos < len(tokens):
+                raise MeshError(f"unexpected token {tokens[pos]!r} after the "
+                                f"last face")
+            mesh = Mesh(dim, domain, sites, volumes, cell_bounds=bounds,
+                        cell_polygons=polys, face_cells=fc, face_areas=fa,
+                        face_dists=fd)
+            mesh.validate()
+            return mesh
+        except ValueError as exc:      # MeshError is one
+            raise MeshError(f"{path}: {exc}") from exc
 
 
 # -- constructors -------------------------------------------------------------

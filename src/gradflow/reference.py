@@ -79,6 +79,21 @@ def numbers(text: str, what: str, count: int | None = None, cast=float,
     raise ValueError(f"{what} must be {many}{rule}, got {text!r}")
 
 
+def csv_rows(path) -> list:
+    """(line number, fields) of each line of a CSV file, split on commas or
+    whitespace, less blank and '#' lines and a header: the first other line
+    when its first field is not a number (x,y or cell,mass)."""
+    with open(path, encoding="ascii") as fh:
+        rows = [(number, fields) for number, fields in enumerate(
+            (line.replace(",", " ").split() for line in fh), start=1)
+            if fields and not fields[0].startswith("#")]
+    try:
+        float(rows[0][1][0])
+    except (IndexError, ValueError):    # no rows, or a header
+        return rows[1:]
+    return rows
+
+
 def zero_potential() -> Potential:
     return Potential("zero", batch=lambda p: np.zeros(len(p)))
 
@@ -278,18 +293,13 @@ def density_from_token(token: str, dim: int) -> PointFunction:
 
 def read_measure_csv(path) -> DiscreteMeasure:
     masses: dict[int, float] = {}
-    with open(path, encoding="ascii") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("cell"):
-                continue
-            if line.count(",") != 1:
-                raise ValueError(f"{path}, line {number}: expected cell,mass, "
-                                 f"got {line!r}")
-            cell, mass = line.split(",")
-            if int(cell) in masses:
-                raise ValueError(f"measure CSV lists cell {int(cell)} twice")
-            masses[int(cell)] = float(mass)
+    for number, fields in csv_rows(path):
+        where = f"{path}, line {number}"
+        mass = numbers(",".join(fields), where, 2)[1]
+        cell = numbers(fields[0], where, 1, int)[0]
+        if cell in masses:
+            raise ValueError(f"measure CSV lists cell {cell} twice")
+        masses[cell] = mass
     if sorted(masses) != list(range(len(masses))):
         raise ValueError("measure CSV must cover cells 0..n-1 exactly once")
     return DiscreteMeasure(np.array([masses[k] for k in range(len(masses))]))

@@ -58,7 +58,8 @@ class TestMeshCommand:
                         tmp_path)
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {sites}, line 3: 1 values, expected 2 per site"]
+            f"error: {sites}, line 3 must be 2 values, each a finite number, "
+            f"got '0.7'"]
         assert not out.exists()
 
     def test_zeta_warning_reports_not_fails(self, tmp_path, capsys):
@@ -240,7 +241,8 @@ class TestSolveCommand:
         code, out = run(["solve", "--mesh", str(bad), "--T", "0.01", "--M", "2"],
                         tmp_path)
         assert code == 2
-        assert capsys.readouterr().err.splitlines() == [message]
+        assert capsys.readouterr().err.splitlines() == [
+            message.replace("error: ", f"error: {bad}: ", 1)]
         assert not out.exists()
 
     @pytest.mark.parametrize("command, section, column, message", [
@@ -271,7 +273,8 @@ class TestSolveCommand:
         extra = ["--T", "0.01", "--M", "2"] if command == "solve" else []
         code, out = run([command, "--mesh", str(bad), *extra], tmp_path)
         assert code == 2
-        assert capsys.readouterr().err.splitlines() == [message]
+        assert capsys.readouterr().err.splitlines() == [
+            message.replace("error: ", f"error: {bad}: ", 1)]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "diagnose"])
@@ -291,8 +294,8 @@ class TestSolveCommand:
         code, out = run([command, "--mesh", str(bad), *extra], tmp_path)
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: domain polygon is not convex: it turns right at vertex "
-            "(0.5, 0.5)"]
+            f"error: {bad}: domain polygon is not convex: it turns right at "
+            "vertex (0.5, 0.5)"]
         assert not out.exists()
 
     @pytest.mark.parametrize("vertices", ["0", "1 0.5 0.5",
@@ -312,8 +315,8 @@ class TestSolveCommand:
                         tmp_path)
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: cell 4 has {vertices[0]} vertices; a 2d cell needs at "
-            f"least 3"]
+            f"error: {bad}: cell 4 has {vertices[0]} vertices; a 2d cell needs "
+            f"at least 3"]
         assert not out.exists()
 
 
@@ -962,20 +965,42 @@ class TestArguments:
         (["solve", "--kind", "uniform1d", "--T={}"], "argument --T"),
         (["gamma", "--mode", "affine", "--eps={}"], "argument --eps"),
         (["mesh", "--kind", "cartesian", "--ny={}"], "argument --ny"),
+        (["mesh", "--kind", "uniform1d", "--n", "4", "--zeta-min={}"],
+         "argument --zeta-min"),
+        # a negative seed, or one that is no integer
+        (["gamma", "--family", "voronoi:16", "--seed=-{}"], "seed"),
+        # after an @, the text of the file the argument names: a site value,
+        # a measure cell id and a measure mass
+        (["mesh", "--kind", "voronoi", "--sites=@x,y\n0.2,0.3\n{},0.5\n"],
+         "{file}, line 3"),
+        (["solve", "--kind", "uniform1d", "--n", "2",
+          "--m0=file:@cell,mass\n0,0.5\n{},0.5\n"], "{file}, line 3"),
+        (["solve", "--kind", "uniform1d", "--n", "2",
+          "--m0=file:@# m0\ncell,mass\n0,{}\n1,0.5\n"], "{file}, line 3"),
     ])
     def test_bad_number_exit_2(self, tmp_path, capsys, monkeypatch, argv,
                                named, value):
-        # every number an option, a token or a list carries is read by one
-        # rule; gamma and converge refuse one before any family mesh
+        # every number an option, a token, a list or a --sites or file: CSV
+        # carries is read by one rule; gamma and converge refuse one before
+        # any family mesh
         def no_build(self):
             raise AssertionError("a family mesh was built")
 
+        def argument(text):
+            head, at, content = text.format(value).partition("@")
+            if not at:
+                return head
+            file.write_text(content)
+            return head + str(file)
+
+        file = tmp_path / "input.csv"
         monkeypatch.setattr(experiments.MeshFamily, "build", no_build)
-        code, out = run([a.format(value) for a in argv], tmp_path)
+        code, out = run([argument(a) for a in argv], tmp_path)
         assert code == 2
-        errors = [line for line in capsys.readouterr().err.splitlines()
-                  if "error:" in line]
-        assert len(errors) == 1 and named in errors[0], errors
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and named.format(file=file) in errors[0], errors
+        assert "Warning" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [

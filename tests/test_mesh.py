@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -326,8 +327,8 @@ class TestMeshFile:
         mesh.write(path)
         gf.Mesh.read(path)
         path.write_text(path.read_text() + "7\n")
-        with pytest.raises(MeshError, match="^unexpected token '7' after the "
-                                            "last face$"):
+        with pytest.raises(MeshError, match=f"^{re.escape(str(path))}: unexpected "
+                                            f"token '7' after the last face$"):
             gf.Mesh.read(path)
 
 

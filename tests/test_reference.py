@@ -680,8 +680,8 @@ class TestMeasureCsv:
         path.write_text("cell,mass\n0,0.5,1\n1,0.5\n")
         with pytest.raises(ValueError) as info:
             gf.read_measure_csv(path)
-        assert str(info.value) == (f"{path}, line 2: expected cell,mass, "
-                                   f"got '0,0.5,1'")
+        assert str(info.value) == (f"{path}, line 2 must be 2 values, each a "
+                                   f"finite number, got '0,0.5,1'")
 
     def test_wrong_size_rejected(self, chain10, tmp_path):
         mesh, _, pi, _ = chain10
