@@ -11,7 +11,7 @@ family is an entry of `_MESH_SOURCES`, `_GAMMA_MODES` or `experiments.FAMILIES`
 naming the options it reads, and `_read_options` refuses any other with exit 2
 before any mesh.  `reference.numbers` reads every number an argument or a
 --sites or file: CSV carries; `reference.csv_rows` splits CSV lines on commas
-or whitespace, skipping blank and '#' lines and a leading non-numeric header.
+or whitespace, skipping blank and '#' lines and a leading all-text header.
 """
 from __future__ import annotations
 

@@ -82,16 +82,27 @@ def numbers(text: str, what: str, count: int | None = None, cast=float,
 def csv_rows(path) -> list:
     """(line number, fields) of each line of a CSV file, split on commas or
     whitespace, less blank and '#' lines and a header: the first other line
-    when its first field is not a number (x,y or cell,mass)."""
-    with open(path, encoding="ascii") as fh:
-        rows = [(number, fields) for number, fields in enumerate(
-            (line.replace(",", " ").split() for line in fh), start=1)
-            if fields and not fields[0].startswith("#")]
-    try:
-        float(rows[0][1][0])
-    except (IndexError, ValueError):    # no rows, or a header
-        return rows[1:]
-    return rows
+    when none of its fields is a number (x,y or cell,mass).  A line that is
+    not ASCII, or a first line of numbers and text, raises ValueError naming
+    the file and the line."""
+    rows, text = [], []
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise ValueError(f"{path}, line {number} is not ASCII text")
+            fields = line.replace(",", " ").split()
+            if fields and not fields[0].startswith("#"):
+                rows.append((number, fields))
+    head = rows[0][1] if rows else []
+    for field in head:
+        try:    # numbers' parse: 'nan' is a number, which numbers refuses
+            float(field)
+        except ValueError:
+            text.append(field)
+    if text and len(text) < len(head):
+        raise ValueError(f"{path}, line {rows[0][0]} must be a header without "
+                         f"numbers or numbers alone, got {','.join(head)!r}")
+    return rows[1:] if text else rows
 
 
 def zero_potential() -> Potential:

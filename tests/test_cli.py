@@ -977,6 +977,13 @@ class TestArguments:
           "--m0=file:@cell,mass\n0,0.5\n{},0.5\n"], "{file}, line 3"),
         (["solve", "--kind", "uniform1d", "--n", "2",
           "--m0=file:@# m0\ncell,mass\n0,{}\n1,0.5\n"], "{file}, line 3"),
+        # a first line of numbers and text, neither a header nor a row of
+        # numbers, and a line that is not ASCII: each was read as a header
+        # or refused without the file and the line
+        (["mesh", "--kind", "voronoi", "--sites=@{},0.3\n0.2,0.4\n0.7,0.6\n"],
+         "{file}, line 1"),
+        (["mesh", "--kind", "voronoi",
+          "--sites=@x,y\n0.2,0.3\n0.7,0.4{}\u00e9\n"], "{file}, line 3"),
     ])
     def test_bad_number_exit_2(self, tmp_path, capsys, monkeypatch, argv,
                                named, value):
