@@ -85,8 +85,9 @@ def _write_outputs(out: str, outputs: dict) -> None:
     shutil.rmtree(stage)
 
 
-def _voronoi_mesh(sites: str | None) -> Mesh:
-    """The Voronoi mesh of a CSV file's sites on the unit interval or square."""
+def _voronoi_mesh(sites: str | None):
+    """The dimension of a CSV file's sites, and the build of their Voronoi
+    mesh on the unit interval or square."""
     if not sites:
         raise ValueError("voronoi meshes need --sites FILE")
     rows = reference.csv_rows(sites)
@@ -97,7 +98,7 @@ def _voronoi_mesh(sites: str | None) -> Mesh:
                        for number, fields in rows])
     domain = (Domain.rectangle(0.0, 0.0, 1.0, 1.0) if points.shape[1] == 2
               else Domain.interval(0.0, 1.0))
-    return build_voronoi_mesh(points, domain)
+    return points.shape[1], lambda: build_voronoi_mesh(points, domain)
 
 
 def _read_options(args, reads: dict, options, run: str) -> dict:
@@ -117,36 +118,41 @@ def _read_options(args, reads: dict, options, run: str) -> dict:
     return values
 
 
-# mesh sources: --mesh or a --kind -> (builder of the options it reads, those
-# options with their defaults); each call looks its builder up as a global
+# mesh sources: --mesh or a --kind -> (source of the options it reads, those
+# options with their defaults); a source gives the mesh dimension and a call
+# that builds the mesh, which looks its builder up as a global; a mesh file
+# is read for its dimension
 _MESH_SOURCES = {
-    "--mesh": (lambda mesh: Mesh.read(mesh), {"mesh": None}),
-    "uniform1d": (lambda n: build_interval_mesh(n), {"n": 16}),
-    "cartesian": (lambda nx, ny: build_cartesian_mesh(nx, ny),
+    "--mesh": (lambda mesh: ((read := Mesh.read(mesh)).dim, lambda: read), {"mesh": None}),
+    "uniform1d": (lambda n: (1, lambda: build_interval_mesh(n)), {"n": 16}),
+    "cartesian": (lambda nx, ny: (2, lambda: build_cartesian_mesh(nx, ny)),
                   {"nx": ("n", 16), "ny": ("n", 16)}),
     "voronoi": (_voronoi_mesh, {"sites": None}),
 }
 
 
-def _mesh_from_args(args) -> Mesh:
+def _mesh_from_args(args):
+    """The mesh of the source args name and the --potential on it, which is
+    read before the mesh is built."""
     by_file = args.mesh is not None
     source = "--mesh" if by_file else args.kind
     if source is None:
         raise ValueError("specify --mesh FILE or --kind with its parameters")
-    build, reads = _MESH_SOURCES[source]
-    return build(**_read_options(
+    source_of, reads = _MESH_SOURCES[source]
+    dim, build = source_of(**_read_options(
         args, reads, ("kind",) * by_file + ("n", "nx", "ny", "sites"),
         f"{args.command} {source if by_file else '--kind ' + source}"))
+    potential = potential_from_token(args.potential, dim)
+    return build(), potential
 
 
 def cmd_mesh(args) -> tuple[int, dict]:
-    mesh = _mesh_from_args(args)
+    mesh, potential = _mesh_from_args(args)
     report = regularity_report(mesh)
     if args.zeta_min is not None and report.zeta < args.zeta_min:
         # quality shortfall is reported, never a construction error
         print(f"warning: zeta = {report.zeta:.6g} below the requested "
               f"threshold {args.zeta_min:.6g}", file=sys.stderr)
-    potential = potential_from_token(args.potential, mesh.dim)
     weights = face_weights(mesh, potential, args.mean)
     defects = isotropy_defect(mesh, weights, weights.pi)
     print(f"mesh: {mesh.n_cells} cells, {mesh.n_faces} faces, "
@@ -163,9 +169,8 @@ def cmd_mesh(args) -> tuple[int, dict]:
 
 
 def cmd_solve(args) -> tuple[int, dict]:
-    mesh = _mesh_from_args(args)
-    generator = build_generator(
-        mesh, potential_from_token(args.potential, mesh.dim), args.mean)
+    mesh, potential = _mesh_from_args(args)
+    generator = build_generator(mesh, potential, args.mean)
     m0 = initial_measure_from_token(args.m0, mesh, generator.pi)
     trajectory = solve_trajectory(m0, args.T, args.M, generator,
                                   scheme=args.scheme)
@@ -178,9 +183,8 @@ def cmd_solve(args) -> tuple[int, dict]:
 
 def cmd_edi(args) -> tuple[int, dict]:
     experiments.check_edi_steps(args.M)
-    mesh = _mesh_from_args(args)
-    generator = build_generator(
-        mesh, potential_from_token(args.potential, mesh.dim), args.mean)
+    mesh, potential = _mesh_from_args(args)
+    generator = build_generator(mesh, potential, args.mean)
     m0 = initial_measure_from_token(args.m0, mesh, generator.pi)
     audit = experiments.edi_audit(generator, m0, args.T, args.M)
     tol = max(abs(audit.control_residual - audit.residual) / 7.5,
@@ -285,9 +289,8 @@ def cmd_converge(args) -> tuple[int, dict]:
 
 
 def cmd_diagnose(args) -> tuple[int, dict]:
-    mesh = _mesh_from_args(args)
-    pi = discretize_reference(mesh,
-                              potential_from_token(args.potential, mesh.dim))
+    mesh, potential = _mesh_from_args(args)
+    pi = discretize_reference(mesh, potential)
     # the degree-5 rule: the degree-1 default misses unit mass by more than
     # 1e-8 on jittered Voronoi cells
     m0 = initial_measure_from_token(args.m0, mesh, pi,

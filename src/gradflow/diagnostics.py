@@ -335,13 +335,10 @@ def l2_holder_modulus(mesh: Mesh, f, h, m, pi,
         raise ValueError("the shift must be shorter than the domain diameter")
     value = 0.0
     if h_norm > 0.0:
-        if mesh.dim == 1:
-            boxes = mesh.cell_bounds[:, :, None]            # per cell: lo, hi
-        else:
-            polys, counts = mesh.padded_polygons()
-            boxes = np.empty((mesh.n_cells, 2, 2))
-            for cells, stack in mesh.polygon_groups:
-                boxes[cells, 0], boxes[cells, 1] = stack.min(axis=1), stack.max(axis=1)
+        polys, counts = mesh.padded_polygons()
+        boxes = np.empty((mesh.n_cells, 2, mesh.dim))       # per cell: lo, hi
+        for cells, stack in mesh.polygon_groups:
+            boxes[cells, 0], boxes[cells, 1] = stack.min(axis=1), stack.max(axis=1)
         lo_shift, hi_shift = boxes[:, 0] + hv, boxes[:, 1] + hv
         for lo in range(0, mesh.n_cells, _PATH_BLOCK):
             block = slice(lo, lo + _PATH_BLOCK)
@@ -352,10 +349,8 @@ def l2_holder_modulus(mesh: Mesh, f, h, m, pi,
                      & ~np.any(hi_shift <= boxes[block, None, 0], axis=2))
             i, j = np.nonzero(meets)
             i += lo
-            # |K_i ∩ (K_j + h)|, in 1D min(hi) - max(lo)
-            olap = (np.minimum(boxes[i, 1, 0], hi_shift[j, 0])
-                    - np.maximum(boxes[i, 0, 0], lo_shift[j, 0]) if mesh.dim == 1 else
-                    geometry.overlap_area(polys[i], counts[i], polys[j] + hv, counts[j]))
+            # |K_i ∩ (K_j + h)|
+            olap = geometry.overlap_area(polys[i], counts[i], polys[j] + hv, counts[j])
             df = ff[j] - ff[i]
             for term in (olap * df * df)[olap > 0.0].tolist():
                 value += term

@@ -401,12 +401,9 @@ def _boundary_layer_measure(domain: Domain, box: Box, width: float) -> float:
         """|Omega ∩ bx|."""
         if np.any(bx.hi <= bx.lo):
             return 0.0
-        if domain.dim == 2:
-            verts = domain.vertices
-            return float(geometry.overlap_area(verts[None], np.array([len(verts)]),
-                                               bx.as_polygon()[None], np.array([4]))[0])
-        a, b = float(domain.bounds[0]), float(domain.bounds[1])
-        return max(0.0, min(b, float(bx.hi[0])) - max(a, float(bx.lo[0])))
+        verts, corners = domain.vertices, bx.as_polygon()
+        return float(geometry.overlap_area(verts[None], np.array([len(verts)]),
+                                           corners[None], np.array([len(corners)]))[0])
 
     return measure(box.expanded(width)) - measure(box.expanded(-width))
 
@@ -426,8 +423,7 @@ def gamma_affine_minimization_study(family: MeshFamily, z, xi,
     meshes = family.build()
     domain = meshes[0].domain
     margin = 1e-9 * max(domain.diameter, 1.0)
-    corners = np.array([box.lo, box.hi]) if domain.dim == 1 else box.as_polygon()
-    if not domain.contains(corners, tol=-margin).all():
+    if not domain.contains(box.as_polygon(), tol=-margin).all():
         raise ValueError("the cube must be compactly contained in the domain")
     reference = eps ** domain.dim * float(xi_arr @ xi_arr)
 

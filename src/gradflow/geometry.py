@@ -12,7 +12,9 @@ polygons with m vertices each, and compute each row of a stack as for that
 polygon alone; a mesh calls them once per vertex-count group.  Clipping
 works on padded stacks: (c, V, 2) polygons with a (c,) vertex count each,
 padding zero; one `clip_halfplane` pass clips every row by its own
-half-plane, and computes each row as for that polygon alone.
+half-plane, and computes each row as for that polygon alone.  An interval
+is the (2, 1) stack of its ends, lower first: `polygon_diameter` gives its
+length and `overlap_area` the length of an intersection.
 """
 from __future__ import annotations
 
@@ -168,7 +170,13 @@ def overlap_area(subjects: np.ndarray, counts: np.ndarray, clippers: np.ndarray,
                  clipper_counts: np.ndarray) -> np.ndarray:
     """Area of each subject's intersection with its clipper, (c,): 0 where
     clipping leaves fewer than three vertices.  Areas are taken per group of
-    equal vertex count, so each sums as for its polygon alone."""
+    equal vertex count, so each sums as for its polygon alone.  Intervals,
+    (c, 2, 1) stacks of their ends, overlap by min(hi) - max(lo), or +0.0
+    where that is not positive."""
+    if subjects.shape[-1] == 1:
+        overlap = (np.minimum(subjects[:, 1, 0], clippers[:, 1, 0])
+                   - np.maximum(subjects[:, 0, 0], clippers[:, 0, 0]))
+        return np.where(overlap > 0.0, overlap, 0.0)
     clipped, left = clip_convex(subjects, counts, clippers, clipper_counts)
     areas = np.zeros(len(left))
     for m in np.unique(left[left >= 3]).tolist():
@@ -278,6 +286,9 @@ class Box:
         return Box(c - h, c + h)
 
     def as_polygon(self) -> np.ndarray:
+        """The ccw corners (4, 2) of a 2D box; the ends (2, 1) of a 1D one."""
+        if len(self.lo) == 1:
+            return np.array([self.lo, self.hi])
         (x0, y0), (x1, y1) = self.lo, self.hi
         return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
 

@@ -159,7 +159,7 @@ class Domain:
 
     dim: int
     bounds: np.ndarray | None = None     # (2,) for d=1
-    vertices: np.ndarray | None = None   # (k,2) ccw for d=2
+    vertices: np.ndarray | None = None   # (k, 2) ccw for d=2; the ends (2, 1) for d=1
 
     @staticmethod
     def interval(a: float, b: float) -> "Domain":
@@ -167,7 +167,7 @@ class Domain:
             raise MeshError(f"interval endpoints must be finite, got [{a}, {b}]")
         if not b > a:
             raise MeshError(f"degenerate interval [{a}, {b}]")
-        return Domain(1, bounds=_frozen([a, b]))
+        return Domain(1, bounds=_frozen([a, b]), vertices=_frozen([[a], [b]]))
 
     @staticmethod
     def rectangle(x0: float, y0: float, x1: float, y1: float) -> "Domain":
@@ -204,8 +204,6 @@ class Domain:
 
     @property
     def diameter(self) -> float:
-        if self.dim == 1:
-            return self.volume
         return geometry.polygon_diameter(self.vertices)
 
     def contains(self, points, tol: float = 1e-9) -> np.ndarray:
@@ -231,7 +229,9 @@ class Mesh:
     cell_bounds : (n, 2) interval endpoints (d=1 only)
     cell_polygons : list of (k, 2) ccw vertex arrays (d=2 only); stored as
         read-only views into `polygon_groups`, the polygons grouped by
-        vertex count as (ascending cells, (c, k, 2) stack) pairs
+        vertex count as (ascending cells, (c, k, 2) stack) pairs.  In 1D
+        the one group holds every cell, each interval as the (2, 1) stack
+        of its ends, cell_bounds[:, :, None]
     face_cells : (F, 2) int cell pairs, each unordered pair at most once
     face_areas : (F,) d-1 dimensional face measures
     face_dists : (F,) site distances |x_K - x_L|
@@ -258,9 +258,11 @@ class Mesh:
             got = None if cell_polygons is None else len(cell_polygons)
             raise MeshError(f"a 2d mesh needs cell_polygons, one polygon per site: "
                             f"expected {n}, got {got}")
-        self.polygon_groups = None
         self.cell_polygons = None
-        if cell_polygons is not None:
+        if self.dim == 1:
+            self.polygon_groups = ((_frozen(np.arange(n), np.int64),
+                                    self.cell_bounds[:, :, None]),)
+        elif cell_polygons is not None:
             self.polygon_groups = _group_polygons(cell_polygons)
             self.cell_polygons = [None] * len(cell_polygons)
             for cells, stack in self.polygon_groups:
@@ -297,19 +299,16 @@ class Mesh:
     def cell_diameters(self) -> np.ndarray:
         """Per-cell diameters, computed on first use and frozen."""
         if self._cell_diameters is None:
-            if self.dim == 1:
-                diam = self.cell_bounds[:, 1] - self.cell_bounds[:, 0]
-            else:
-                diam = np.empty(self.n_cells)
-                for cells, stack in self.polygon_groups:
-                    diam[cells] = geometry.polygon_diameter(stack)
+            diam = np.empty(self.n_cells)
+            for cells, stack in self.polygon_groups:
+                diam[cells] = geometry.polygon_diameter(stack)
             self._cell_diameters = _frozen(diam)
         return self._cell_diameters
 
     def padded_polygons(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n, V, 2) cell polygons zero-padded to the most vertices, and
-        their (n,) vertex counts: the stack the batched clips take (d=2)."""
-        polys = np.zeros((self.n_cells, self.polygon_groups[-1][1].shape[1], 2))
+        """(n, V, d) cell polygons zero-padded to the most vertices, and
+        their (n,) vertex counts: the stack the batched clips take."""
+        polys = np.zeros((self.n_cells, self.polygon_groups[-1][1].shape[1], self.dim))
         counts = np.empty(self.n_cells, dtype=np.int64)
         for cells, stack in self.polygon_groups:
             polys[cells, :stack.shape[1]] = stack
@@ -795,7 +794,7 @@ def isotropy_defect(mesh: Mesh, weights, pi) -> np.ndarray:
     np.add.at(moments, k, outer)
     np.add.at(moments, l, outer)
     a = moments / masses[:, None, None] - np.eye(d)
-    lam = np.linalg.eigvalsh(a)[:, -1] if d == 2 else a[:, 0, 0]
+    lam = np.linalg.eigvalsh(a)[:, -1]
     return np.where(0.0 > lam, 0.0, lam)    # Python's max(lam, 0.0): keeps -0.0
 
 
@@ -804,14 +803,11 @@ def isotropy_defect(mesh: Mesh, weights, pi) -> np.ndarray:
 
 def cell_box_overlaps(mesh: Mesh, box: Box) -> np.ndarray:
     """Measure of each cell intersected with an open axis-aligned box."""
-    if mesh.dim == 1:
-        lo, hi = mesh.cell_bounds[:, 0], mesh.cell_bounds[:, 1]
-        overlap = np.minimum(hi, box.hi[0]) - np.maximum(lo, box.lo[0])
-        return np.where(overlap > 0.0, overlap, 0.0)
     polys, counts = mesh.padded_polygons()
+    corners = box.as_polygon()
     n = mesh.n_cells
-    return geometry.overlap_area(polys, counts, np.broadcast_to(box.as_polygon(), (n, 4, 2)),
-                                 np.full(n, 4))
+    return geometry.overlap_area(polys, counts, np.broadcast_to(corners, (n, *corners.shape)),
+                                 np.full(n, len(corners)))
 
 
 def cells_meeting(mesh: Mesh, box: Box) -> np.ndarray:
@@ -825,9 +821,7 @@ def cells_meeting(mesh: Mesh, box: Box) -> np.ndarray:
 
 def cells_inside(mesh: Mesh, box: Box) -> np.ndarray:
     """Boolean mask of cells whose closure is contained in the open box."""
-    groups = ([(np.arange(mesh.n_cells), mesh.cell_bounds[:, :, None])]
-              if mesh.dim == 1 else mesh.polygon_groups)      # (c, m, d) vertices
     mask = np.zeros(mesh.n_cells, dtype=bool)
-    for cells, stack in groups:
+    for cells, stack in mesh.polygon_groups:              # (c, m, d) vertices
         mask[cells] = np.all((stack > box.lo) & (stack < box.hi), axis=(1, 2))
     return mask

@@ -75,7 +75,8 @@ def numbers(text: str, what: str, count: int | None = None, cast=float,
         pass
     rule = (("a positive integer" if positive else "an integer") if cast is int
             else "finite and positive" if positive else "a finite number")
-    many = "" if count == 1 else f"{count or 'comma-separated'} values, each "
+    many = (f"{count or 'comma-separated'} values, each " if count != 1
+            else "one value, " if "," in text else "")
     raise ValueError(f"{what} must be {many}{rule}, got {text!r}")
 
 

@@ -939,6 +939,41 @@ class TestArguments:
             assert f"unrecognized arguments: {' '.join(option)}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source, potential, message", [
+        (["--kind", "uniform1d"], "linear:1,2", "linear potential "
+         "coefficients must be one value, a finite number, got '1,2'"),
+        (["--kind", "cartesian"], "linear:1", "linear potential "
+         "coefficients must be 2 values, each a finite number, got '1'"),
+        (["--kind", "voronoi", "--sites", "sites.csv"], "linear:1", "linear "
+         "potential coefficients must be 2 values, each a finite number, "
+         "got '1'"),
+        # the dimension is the width of the site rows
+        (["--kind", "voronoi", "--sites", "sites-1d.csv"], "linear:1,2",
+         "linear potential coefficients must be one value, a finite number, "
+         "got '1,2'"),
+        (["--kind", "voronoi", "--sites", "sites.csv"], "zero:5",
+         "potential 'zero' takes no argument, got 'zero:5'"),
+    ], ids=["uniform1d", "cartesian", "voronoi", "voronoi-1d", "voronoi-zero"])
+    @pytest.mark.parametrize("command", ["mesh", "solve", "edi", "diagnose"])
+    def test_bad_potential_exit_2_before_any_mesh(self, tmp_path, capsys,
+                                                  monkeypatch, command, source,
+                                                  potential, message):
+        # a bad potential was once refused after the mesh was built: 3.98 s
+        # after the start on 1024 Voronoi sites
+        def no_build(*args, **kwargs):
+            raise AssertionError("a mesh was built")
+
+        for builder in ("build_interval_mesh", "build_cartesian_mesh",
+                        "build_voronoi_mesh"):
+            monkeypatch.setattr(cli, builder, no_build)
+        (tmp_path / "sites.csv").write_text("x,y\n0.2,0.3\n0.7,0.4\n")
+        (tmp_path / "sites-1d.csv").write_text("x\n0.9\n0.1\n")
+        monkeypatch.chdir(tmp_path)
+        code, out = run([command, *source, "--potential", potential], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [
         "nan", "inf", "-inf", "x", pytest.param("9" * 400, id="400-digits")])
     @pytest.mark.parametrize("argv, named", [

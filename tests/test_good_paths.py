@@ -28,6 +28,7 @@ def _reference_segment_params(p, q, a, b):
 
 
 def _reference_adjacency(mesh):
+    # the list-of-tuples loop the CSR face graph replaces
     adj = [[] for _ in range(mesh.n_cells)]
     for f, (k, l) in enumerate(mesh.face_cells):
         adj[int(k)].append((f, int(l)))

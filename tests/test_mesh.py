@@ -9,6 +9,7 @@ from gradflow import geometry, mesh as mesh_module
 from gradflow.experiments import _jittered_sites, flattened_voronoi_family
 from gradflow.geometry import Box
 from gradflow.mesh import MeshError, Domain, Mesh, cells_meeting
+from test_good_paths import _reference_adjacency
 
 
 class TestIntervalMesh:
@@ -168,24 +169,15 @@ class TestFaceGraph:
                                   Domain.rectangle(0, 0, 1, 1)),
             gf.build_interval_mesh(1)]
 
-    @staticmethod
-    def _reference_adjacency(mesh):
-        # the list-of-tuples loop the CSR arrays replace
-        adj = [[] for _ in range(mesh.n_cells)]
-        for f, (k, l) in enumerate(mesh.face_cells):
-            adj[int(k)].append((f, int(l)))
-            adj[int(l)].append((f, int(k)))
-        return adj
-
     def test_adjacency_as_the_loop(self):
         for mesh in self._meshes():
-            assert mesh.adjacency() == self._reference_adjacency(mesh)
+            assert mesh.adjacency() == _reference_adjacency(mesh)
 
     def test_csr_rows_in_face_order(self):
         for mesh in self._meshes():
             graph = mesh.face_graph()
             assert graph.indptr[0] == 0 and graph.indptr[-1] == 2 * mesh.n_faces
-            for k, row in enumerate(self._reference_adjacency(mesh)):
+            for k, row in enumerate(_reference_adjacency(mesh)):
                 lo, hi = graph.indptr[k], graph.indptr[k + 1]
                 assert graph.faces[lo:hi].tolist() == [f for f, _ in row]
                 assert graph.neighbours[lo:hi].tolist() == [nb for _, nb in row]
@@ -193,7 +185,7 @@ class TestFaceGraph:
     def test_padded_rows(self):
         for mesh in self._meshes():
             faces, neighbours = mesh.face_graph().padded()
-            adjacency = self._reference_adjacency(mesh)
+            adjacency = _reference_adjacency(mesh)
             width = max((len(row) for row in adjacency), default=0)
             assert faces.shape == neighbours.shape == (mesh.n_cells, width)
             for k, row in enumerate(adjacency):

@@ -141,6 +141,8 @@ MESHES_1D = {
     "uniform-40": lambda: gf.build_interval_mesh(40),
     "graded-40": lambda: gf.build_interval_mesh(40, (np.arange(41) / 40) ** 2),
     "voronoi1d-unsorted-40": _unsorted_voronoi_1d,
+    "offset-graded-30": lambda: gf.build_interval_mesh(
+        30, -1.0 + 3.0 * (np.arange(31) / 30) ** 1.5, interval=(-1.0, 2.0)),
 }
 MESHES_2D = {
     "cartesian-8": lambda: gf.build_cartesian_mesh(8, 8),
@@ -202,6 +204,16 @@ def test_volumes_diameters_and_inradii_are_the_per_cell_forms(mesh):
     if mesh.dim == 1:
         want = mesh.cell_bounds[:, 1] - mesh.cell_bounds[:, 0]
         assert _bits(mesh.cell_diameters()) == _bits(want)
+        a, b = mesh.domain.bounds
+        assert _bits(mesh.domain.diameter) == _bits(b - a)
+        # one group of every cell, each the (2, 1) stack of its ends
+        (cells, stack), = mesh.polygon_groups
+        assert cells.tolist() == list(range(mesh.n_cells))
+        assert _bits(stack) == _bits(mesh.cell_bounds[:, :, None])
+        assert not cells.flags.writeable and not stack.flags.writeable
+        polys, counts = mesh.padded_polygons()
+        assert polys.shape == (mesh.n_cells, 2, 1)
+        assert _bits(polys) == _bits(stack) and counts.tolist() == [2] * mesh.n_cells
         return
     polys = mesh.cell_polygons
     areas = np.empty(mesh.n_cells)
@@ -240,6 +252,8 @@ def test_inradius_keeps_a_negative_zero():
 
 def test_box_overlaps_are_the_per_cell_clips(mesh):
     for box in _boxes(mesh):
+        if mesh.dim == 1:                   # the (2, 1) stack of its ends
+            assert box.as_polygon().tolist() == [box.lo.tolist(), box.hi.tolist()]
         want = [_reference_cell_box_overlap(mesh, k, box) for k in range(mesh.n_cells)]
         got = cell_box_overlaps(mesh, box)
         assert _bits(got) == _bits(want)

@@ -595,7 +595,9 @@ class TestNumbers:
                                    "a positive integer, got '4,0'"),
         # an int past the float range is not finite
         ("1" + "0" * 400, (1, int, True), "a must be a positive integer, got "
-                                          f"'1{'0' * 400}'")])
+                                          f"'1{'0' * 400}'"),
+        # a list where one value is expected
+        ("1,2", (1,), "a must be one value, a finite number, got '1,2'")])
     def test_refused_text_names_the_argument(self, text, args, message):
         with pytest.raises(ValueError) as info:
             reference.numbers(text, "a", *args)
